@@ -21,7 +21,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .lp_core import LpModel, solve
-from .probability import DistortionSpec, PmfError, SinglePmf, ZeroProbability
+from .probability import PmfError, SinglePmf, ZeroProbability
 from .relaxations import ScInstance, SwInstance, sw_je_instance
 
 EVENT_SLACK = 1e-12
@@ -37,9 +37,10 @@ def closed_leq(values: np.ndarray, threshold) -> np.ndarray:
 class BoundReport:
     """A named converse value with its optimizing parameters.
 
-    raw_value may be negative; clamped_value = max(0, raw_value) is what a
-    plot or CSV shows.  witness holds whatever reproduces raw_value when fed
-    back into the defining formula (phi tensor, scalar t, reference pmf Q).
+    raw_value may be negative, or exceed 1 by float rounding; clamped_value,
+    raw_value clamped into [0, 1], is what a plot or CSV shows.  witness
+    holds whatever reproduces raw_value when fed back into the defining
+    formula (phi tensor, scalar t, reference pmf Q).
     paper_eq names the formula family in the literature.
     """
 
@@ -54,7 +55,14 @@ class BoundReport:
 def _report(name: str, raw: float, witness: Dict[str, object], paper_eq: str,
             vacuous: bool = False) -> BoundReport:
     raw = float(raw)
-    return BoundReport(name, raw, max(0.0, raw), witness, paper_eq, vacuous)
+    return BoundReport(name, raw, min(1.0, max(0.0, raw)), witness, paper_eq, vacuous)
+
+
+def _breakpoint_sup(fn, cands):
+    """(max of fn over the candidate points, first candidate attaining it)."""
+    vals = np.array([fn(c) for c in cands])
+    k = int(np.argmax(vals))
+    return vals[k], cands[k]
 
 
 @dataclass(frozen=True)
@@ -143,9 +151,9 @@ def kv_tilted_improved(inst: ScInstance, j: Optional[TiltedInfo] = None) -> Boun
     w, breaks = _tilt_weights(inst, j)
     pen = float((w[:, None] * win).sum(axis=0).max())
     cands = np.unique(np.concatenate([breaks, [0.0]]))
-    vals = np.array([np.minimum(P, w * t / inst.M).sum() - t * pen for t in cands])
-    k = int(np.argmax(vals))
-    return _report("kv-improved", vals[k], {"t": float(cands[k])},
+    val, t = _breakpoint_sup(lambda t: np.minimum(P, w * t / inst.M).sum() - t * pen,
+                             cands)
+    return _report("kv-improved", val, {"t": float(t)},
                    "improved Kostina-Verdu tilted converse")
 
 
@@ -168,10 +176,8 @@ def palzer_timo(inst: ScInstance, j: Optional[TiltedInfo] = None) -> BoundReport
         if jv.shape != P.shape:
             raise PmfError("tilted information length must match the alphabet")
         cands = np.concatenate([jv, [-math.inf]])
-    cands = np.unique(cands)
-    vals = np.array([palzer_timo_at(inst, b, j) for b in cands])
-    k = int(np.argmax(vals))
-    return _report("palzer-timo", vals[k], {"beta": float(cands[k])},
+    val, beta = _breakpoint_sup(lambda b: palzer_timo_at(inst, b, j), np.unique(cands))
+    return _report("palzer-timo", val, {"beta": float(beta)},
                    "Palzer-Timo converse")
 
 
@@ -222,8 +228,8 @@ def alpha_sup_form(P: SinglePmf, Q: SinglePmf, mstar: float) -> float:
         raise PmfError("P and Q must share an alphabet")
     pos = q > 0
     betas = np.unique(np.concatenate([[0.0], p[pos] / q[pos]]))
-    vals = [float(np.minimum(p, b * q).sum() - b * mstar) for b in betas]
-    return max(vals)
+    val, _ = _breakpoint_sup(lambda b: float(np.minimum(p, b * q).sum() - b * mstar), betas)
+    return float(val)
 
 
 def hypothesis_testing_bound(inst: ScInstance, Q: Optional[SinglePmf] = None) -> BoundReport:
@@ -247,27 +253,17 @@ def hypothesis_testing_bound(inst: ScInstance, Q: Optional[SinglePmf] = None) ->
 # lossless specializations
 
 
-def meta_lossless(source: SinglePmf, M: int, method: str = "both") -> BoundReport:
+def meta_lossless(source: SinglePmf, M: int) -> BoundReport:
     """sup over 0 <= phi <= P of |phi|_1 - M |phi|_inf.
 
     The optimal phi is a cap: phi = min{P, c}, so the exact optimum is the
-    best c among {P(s)} and 0.  method="lp" routes through the meta_lossy LP
-    instead; "both" runs the two and keeps the better, as a cross-check.
+    best c among {P(s)} and 0; the value equals meta_lossy on the lossless
+    distortion spec.
     """
-    if method not in ("caps", "lp", "both"):
-        raise ValueError(f"unknown method {method!r}")
     P = source.mass
-    best = None
-    if method in ("caps", "both"):
-        caps = np.unique(np.concatenate([[0.0], P]))
-        vals = [float(np.minimum(P, c).sum() - M * c) for c in caps]
-        k = int(np.argmax(vals))
-        best = (vals[k], {"phi": np.minimum(P, caps[k]), "cap": float(caps[k])})
-    if method in ("lp", "both"):
-        lp = meta_lossy(ScInstance(source, M, DistortionSpec.lossless(P.size)))
-        if best is None or lp.raw_value > best[0]:
-            best = (lp.raw_value, {"phi": lp.witness["phi"]})
-    return _report("meta-lossless", best[0], best[1],
+    caps = np.unique(np.concatenate([[0.0], P]))
+    val, cap = _breakpoint_sup(lambda c: float(np.minimum(P, c).sum() - M * c), caps)
+    return _report("meta-lossless", val, {"phi": np.minimum(P, cap), "cap": float(cap)},
                    "lossless metaconverse, cap form")
 
 
@@ -276,11 +272,9 @@ def lossless_gamma_bound(source: SinglePmf, M: int) -> BoundReport:
     c = t/M where the closed tail event gains an atom."""
     P = source.mass
     caps = np.concatenate([P[(P > 0) & (M * P <= 1.0)], [1.0 / M]])
-    caps = np.unique(caps)
-    vals = [float(P[closed_leq(P, c)].sum() - M * c) for c in caps]
-    k = int(np.argmax(vals))
-    t = float(min(M * caps[k], 1.0))
-    return _report("lossless-gamma", vals[k], {"t": t},
+    val, cap = _breakpoint_sup(lambda c: float(P[closed_leq(P, c)].sum() - M * c),
+                               np.unique(caps))
+    return _report("lossless-gamma", val, {"t": float(min(M * cap, 1.0))},
                    "lossless tail converse")
 
 
@@ -338,18 +332,23 @@ def meta_sid(inst: SwInstance, which: int = 1) -> BoundReport:
                    "side-information metaconverse")
 
 
-def sid_improved(inst: SwInstance, which: int = 1) -> BoundReport:
-    """sup over t in (0, 1] of
-    sum min{P12, Pside t / M} - M sum_side min{max_enc P12, Pside t / M}."""
-    P, M, tag = _oriented(inst, which)
+def _sid_candidates(inst: SwInstance, which: int) -> np.ndarray:
+    """The t in (0, 1] where some M P(enc, side) / P(side) is crossed, and 1."""
+    P, M, _ = _oriented(inst, which)
     side = P.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(side[None, :] > 0, M * P / side[None, :], np.nan)
     cands = ratio[np.isfinite(ratio) & (ratio > 0) & (ratio <= 1.0)]
-    cands = np.unique(np.concatenate([cands, [1.0]]))
-    vals = [sid_improved_at(inst, t, which) for t in cands]
-    k = int(np.argmax(vals))
-    return _report(f"sid-improved{tag}", vals[k], {"t": float(cands[k])},
+    return np.unique(np.concatenate([cands, [1.0]]))
+
+
+def sid_improved(inst: SwInstance, which: int = 1) -> BoundReport:
+    """sup over t in (0, 1] of
+    sum min{P12, Pside t / M} - M sum_side min{max_enc P12, Pside t / M}."""
+    _, _, tag = _oriented(inst, which)
+    val, t = _breakpoint_sup(lambda t: sid_improved_at(inst, t, which),
+                             _sid_candidates(inst, which))
+    return _report(f"sid-improved{tag}", val, {"t": float(t)},
                    "improved side-information converse")
 
 
@@ -364,15 +363,10 @@ def sid_improved_at(inst: SwInstance, t: float, which: int = 1) -> float:
 
 def sid_classic(inst: SwInstance, which: int = 1) -> BoundReport:
     """sup over t in (0, 1] of P[P(enc|side) <= t/M] - t."""
-    P, M, tag = _oriented(inst, which)
-    side = P.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(side[None, :] > 0, M * P / side[None, :], np.nan)
-    cands = ratio[np.isfinite(ratio) & (ratio > 0) & (ratio <= 1.0)]
-    cands = np.unique(np.concatenate([cands, [1.0]]))
-    vals = [sid_classic_at(inst, t, which) for t in cands]
-    k = int(np.argmax(vals))
-    return _report(f"sid-classic{tag}", vals[k], {"t": float(cands[k])},
+    _, _, tag = _oriented(inst, which)
+    val, t = _breakpoint_sup(lambda t: sid_classic_at(inst, t, which),
+                             _sid_candidates(inst, which))
+    return _report(f"sid-classic{tag}", val, {"t": float(t)},
                    "conditional-tail side-information converse")
 
 

@@ -31,6 +31,7 @@ from .relaxations import (
 )
 from .converses_ptp import (
     BoundReport,
+    _breakpoint_sup,
     _report,
     closed_leq,
     meta_je,
@@ -178,18 +179,13 @@ def mk_improved_at(inst: SwInstance, t: float) -> float:
 
 
 def mk_classic(inst: SwInstance) -> BoundReport:
-    cands = _mk_candidates(inst)
-    vals = [mk_classic_at(inst, t) for t in cands]
-    k = int(np.argmax(vals))
-    return _report("mk", vals[k], {"t": float(cands[k])},
-                   "Miyake-Kanaya union bound")
+    val, t = _breakpoint_sup(lambda t: mk_classic_at(inst, t), _mk_candidates(inst))
+    return _report("mk", val, {"t": float(t)}, "Miyake-Kanaya union bound")
 
 
 def mk_improved(inst: SwInstance) -> BoundReport:
-    cands = _mk_candidates(inst)
-    vals = [mk_improved_at(inst, t) for t in cands]
-    k = int(np.argmax(vals))
-    return _report("mk-improved", vals[k], {"t": float(cands[k])},
+    val, t = _breakpoint_sup(lambda t: mk_improved_at(inst, t), _mk_candidates(inst))
+    return _report("mk-improved", val, {"t": float(t)},
                    "improved Miyake-Kanaya converse")
 
 

@@ -31,7 +31,11 @@ EXPAND_LIMIT = 8
 
 @lru_cache(maxsize=None)
 def _code_size(n: int, rate: float) -> int:
-    raw = 2.0 ** (n * rate)
+    try:
+        raw = 2.0 ** (n * rate)
+    except OverflowError:
+        raise InstanceTooLarge(
+            f"2^(n R) with n R = {n * rate:.6g} is beyond float range") from None
     if np.spacing(raw) > 1.0:
         warnings.warn(
             f"2^(n R) = {raw:.6g} is beyond exact integer resolution; "
@@ -39,9 +43,24 @@ def _code_size(n: int, rate: float) -> int:
     return max(1, int(round(raw)))
 
 
+@lru_cache(maxsize=None)
+def _log_code_size(n: int, rate: float) -> float:
+    """log M: of the rounded code size while 2^(n R) is a float, and
+    n R ln 2 beyond that, where M itself has no float value."""
+    try:
+        return math.log(_code_size(n, rate))
+    except InstanceTooLarge:
+        return n * rate * LN2
+
+
 @dataclass(frozen=True)
 class DsbsSpec:
-    """n-bit pair source, uniform marginals, bitwise flip probability p."""
+    """n-bit pair source, uniform marginals, bitwise flip probability p.
+
+    M1 and M2 round 2^(n R) to an integer and raise InstanceTooLarge once
+    that power leaves float range; the bounds only need log M and work at
+    any n.
+    """
 
     n: int
     p: float
@@ -64,6 +83,10 @@ class DsbsSpec:
     @property
     def M2(self) -> int:
         return _code_size(self.n, self.R2)
+
+
+def _log_sizes(spec: DsbsSpec):
+    return _log_code_size(spec.n, spec.R1), _log_code_size(spec.n, spec.R2)
 
 
 def _weights(spec: DsbsSpec):
@@ -91,7 +114,7 @@ def _sum_min(log_comb, log_q, log_cap):
 
 
 def _meta_raw(spec: DsbsSpec, log_comb, log_q, log_t: float) -> float:
-    lm1, lm2 = math.log(spec.M1), math.log(spec.M2)
+    lm1, lm2 = _log_sizes(spec)
     nl2 = spec.n * LN2
     log_c = logsumexp([-lm1, -lm2, nl2 - lm1 - lm2])
     term = _sum_min(log_comb, log_q, log_t + log_c)
@@ -103,7 +126,7 @@ def _meta_raw(spec: DsbsSpec, log_comb, log_q, log_t: float) -> float:
 
 
 def _je_raw(spec: DsbsSpec, log_comb, log_q, log_t: float) -> float:
-    lm1, lm2 = math.log(spec.M1), math.log(spec.M2)
+    lm1, lm2 = _log_sizes(spec)
     nl2 = spec.n * LN2
     log_c = logsumexp([-lm1, -lm2, nl2 - lm1 - lm2])
     term = _sum_min(log_comb, log_q, log_t + log_c)
@@ -117,7 +140,7 @@ def _je_raw(spec: DsbsSpec, log_comb, log_q, log_t: float) -> float:
 
 
 def _log_union_coef(spec: DsbsSpec) -> float:
-    lm1, lm2 = math.log(spec.M1), math.log(spec.M2)
+    lm1, lm2 = _log_sizes(spec)
     return max(spec.n * LN2 - lm1 - lm2, -lm1, -lm2)
 
 
@@ -130,7 +153,7 @@ def _mk_raw(spec: DsbsSpec, log_comb, log_q, log_t: float) -> float:
 
 
 def _switch_logs(spec: DsbsSpec, log_q) -> np.ndarray:
-    lm1, lm2 = math.log(spec.M1), math.log(spec.M2)
+    lm1, lm2 = _log_sizes(spec)
     nl2 = spec.n * LN2
     log_c = logsumexp([-lm1, -lm2, nl2 - lm1 - lm2])
     q0 = float(log_q[0])

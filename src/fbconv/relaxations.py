@@ -3,8 +3,8 @@
 The minimum error probability of a code with given codebook sizes is a
 bilinear program over encoder/decoder conditional pmfs.  Lifting products of
 decision variables into joint variables and keeping only the marginal
-consistency constraints gives an LP lower bound.  This module builds those
-LPs densely for
+consistency constraints gives an LP lower bound (the Jose-Kulkarni
+framework).  This module builds those LPs densely for
 
   * the point-to-point (possibly lossy) problem:        build_lp_sc
   * coding with decoder side information, either side:  build_lpsi
@@ -15,26 +15,34 @@ and owns the dual-side machinery: typed dual points, feasibility checkers
 that report per-constraint residuals, dual objectives in penalty (min) form,
 and the closed-form dual points generated by a single nonnegative flow phi.
 
-Primal variable and constraint layouts are fixed here once, in the index
-orders the dual-point containers document, and everything else (builders,
-checkers, solution slicing) reads them from the same indexer objects.
+Each LP is written once, as a table over one-letter index names:
+
+  * a size per letter;
+  * column blocks (name, letters): a tensor of variables with one axis per
+    letter, flattened row-major, blocks laid out in table order;
+  * row families (name, letters, lifted, minus): one row per index tuple of
+    `letters`, stating that block `lifted` summed over its letters missing
+    from `letters` equals block `minus` read at the row's index, or equals 1
+    when minus is None (a normalization row).
+
+Every row of a lifted relaxation has one of those two shapes, so one routine
+(_build) turns any table into the constraint matrix and rhs.  The same table
+gives the variable and row layouts (the *_indexer functions) and the slicing
+of a solver's dual vector into typed dual points, whose fields are named
+after the row families.  The feasibility checkers state the dual
+constraints by hand, independently of the tables, and so serve as an oracle
+for them.
+
+Letters: s source and x, y encoder output / decoder input, h reconstruction
+(point-to-point); e encoded and s side source (side information); a, b the
+pair, x, y the two encoder outputs, u, v the decoder inputs, c, d the
+reconstructions (jointly encoded and distributed).
 
 Dual constraint identifiers:
 
   P1-P3  point-to-point        A1-A3  jointly encoded pair
   B1-B3  side information 1|2  C1-C3  side information 2|1
   D1-D7  distributed pair
-
-For the distributed problem the multiplier families are, with rows stated as
-"sum over the first index of the lifted variable equals the smaller one":
-
-  gamma_a(s1), gamma_b(s2), gamma_c(y1,y2)      normalization rows
-  mu_c_21(x2,s1,s2)   sum_{x1} T  = Q_{X2|S2}   mu_c_12(x1,s1,s2)  sum_{x2} T = Q_{X1|S1}
-  mu_s_1(s1,sh1,sh2,y1,y2)  sum_{x1} U = Q_dec  mu_s_2(s2,...)     sum_{x2} V = Q_dec
-  mu_c_1(s1,x1,y1,y2)  sum_{sh} U = Q_{X1|S1}   mu_c_2(s2,x2,...)  sum_{sh} V = Q_{X2|S2}
-  lam_s_12(s1,s2,x2,y1,y2,sh1,sh2)  sum_{x1} W = V
-  lam_s_21(s1,s2,x1,y1,y2,sh1,sh2)  sum_{x2} W = U
-  lam_c(s1,s2,x1,x2,y1,y2)          sum_{sh1,sh2} W = T
 """
 
 from __future__ import annotations
@@ -104,7 +112,56 @@ def sw_je_instance(inst: SwInstance) -> ScInstance:
 
 
 # ---------------------------------------------------------------------------
-# block indexers
+# LP tables: (sizes, column blocks, row families)
+
+
+def _sc_table(inst: ScInstance):
+    sizes = dict(s=inst.n, x=inst.M, y=inst.M, h=inst.n_hat)
+    cols = [("Q1", "sx"), ("Qd", "yh"), ("W", "sxyh")]
+    rows = [("gamma_a", "s", "Q1", None), ("gamma_b", "y", "Qd", None),
+            ("lam_s", "shy", "W", "Qd"), ("lam_c", "xsy", "W", "Q1")]
+    return sizes, cols, rows
+
+
+def _si_table(inst: SwInstance, which: int):
+    if which not in (1, 2):
+        raise PmfError(f"which must be 1 or 2, got {which!r}")
+    n1, n2, m1, m2 = inst.dims
+    ne, ns, M = (n1, n2, m1) if which == 1 else (n2, n1, m2)
+    sizes = dict(e=ne, s=ns, x=M, y=M, h=ne)
+    cols = [("Q1", "ex"), ("Qd", "syh"), ("W", "esxyh")]
+    rows = [("gamma_a", "e", "Q1", None), ("gamma_b", "sy", "Qd", None),
+            ("lam_s", "eshy", "W", "Qd"), ("lam_c", "esxy", "W", "Q1")]
+    return sizes, cols, rows
+
+
+def _pair_sizes(inst: SwInstance) -> Dict[str, int]:
+    n1, n2, m1, m2 = inst.dims
+    return dict(a=n1, b=n2, x=m1, y=m2, u=m1, v=m2, c=n1, d=n2)
+
+
+def _je_table(inst: SwInstance):
+    cols = [("Q1", "abxy"), ("Qd", "uvcd"), ("W", "abxyuvcd")]
+    rows = [("gamma_a", "ab", "Q1", None), ("gamma_b", "uv", "Qd", None),
+            ("lam_s", "abcduv", "W", "Qd"), ("lam_c", "abxyuv", "W", "Q1")]
+    return _pair_sizes(inst), cols, rows
+
+
+def _sw_table(inst: SwInstance):
+    cols = [("Q1", "ax"), ("Q2", "by"), ("Qd", "uvcd"), ("T", "abxy"),
+            ("U", "axuvcd"), ("V", "byuvcd"), ("W", "abxyuvcd")]
+    rows = [("gamma_a", "a", "Q1", None), ("gamma_b", "b", "Q2", None),
+            ("gamma_c", "uv", "Qd", None),
+            ("mu_c_21", "yab", "T", "Q2"), ("mu_c_12", "xab", "T", "Q1"),
+            ("mu_s_1", "acduv", "U", "Qd"), ("mu_s_2", "bcduv", "V", "Qd"),
+            ("mu_c_1", "axuv", "U", "Q1"), ("mu_c_2", "byuv", "V", "Q2"),
+            ("lam_s_12", "abyuvcd", "W", "V"), ("lam_s_21", "abxuvcd", "W", "U"),
+            ("lam_c", "abxyuv", "W", "T")]
+    return _pair_sizes(inst), cols, rows
+
+
+# ---------------------------------------------------------------------------
+# layouts
 
 
 class TensorIndex:
@@ -120,9 +177,6 @@ class TensorIndex:
             off += int(np.prod(shape))
         self.total = off
 
-    def flat(self, name: str, *idx: int) -> int:
-        return self.offsets[name] + int(np.ravel_multi_index(idx, self.shapes[name]))
-
     def slice_of(self, name: str) -> slice:
         off = self.offsets[name]
         return slice(off, off + int(np.prod(self.shapes[name])))
@@ -131,334 +185,105 @@ class TensorIndex:
         return vec[self.slice_of(name)].reshape(self.shapes[name])
 
 
+def _layouts(sizes, cols, rows) -> Tuple[TensorIndex, TensorIndex]:
+    def shape(letters):
+        return tuple(sizes[k] for k in letters)
+    return (TensorIndex([(name, shape(letters)) for name, letters in cols]),
+            TensorIndex([(name, shape(letters)) for name, letters, _, _ in rows]))
+
+
 def sc_indexer(inst: ScInstance) -> Tuple[TensorIndex, TensorIndex]:
-    n, M, nh = inst.n, inst.M, inst.n_hat
-    cols = TensorIndex([("Q1", (n, M)), ("Qd", (M, nh)), ("W", (n, M, M, nh))])
-    rows = TensorIndex([("gamma_a", (n,)), ("gamma_b", (M,)),
-                        ("lam_s", (n, nh, M)), ("lam_c", (M, n, M))])
-    return cols, rows
+    return _layouts(*_sc_table(inst))
 
 
 def si_indexer(inst: SwInstance, which: int) -> Tuple[TensorIndex, TensorIndex]:
-    n1, n2, m1, m2 = inst.dims
-    ne, ns, M = (n1, n2, m1) if which == 1 else (n2, n1, m2)
-    cols = TensorIndex([("Q1", (ne, M)), ("Qd", (ns, M, ne)),
-                        ("W", (ne, ns, M, M, ne))])
-    rows = TensorIndex([("gamma_a", (ne,)), ("gamma_b", (ns, M)),
-                        ("lam_s", (ne, ns, ne, M)), ("lam_c", (ne, ns, M, M))])
-    return cols, rows
+    return _layouts(*_si_table(inst, which))
 
 
 def je_indexer(inst: SwInstance) -> Tuple[TensorIndex, TensorIndex]:
-    n1, n2, m1, m2 = inst.dims
-    cols = TensorIndex([("Q1", (n1, n2, m1, m2)), ("Qd", (m1, m2, n1, n2)),
-                        ("W", (n1, n2, m1, m2, m1, m2, n1, n2))])
-    rows = TensorIndex([("gamma_a", (n1, n2)), ("gamma_b", (m1, m2)),
-                        ("lam_s", (n1, n2, n1, n2, m1, m2)),
-                        ("lam_c", (n1, n2, m1, m2, m1, m2))])
-    return cols, rows
+    return _layouts(*_je_table(inst))
 
 
 def sw_indexer(inst: SwInstance) -> Tuple[TensorIndex, TensorIndex]:
-    n1, n2, m1, m2 = inst.dims
-    cols = TensorIndex([
-        ("Q1", (n1, m1)), ("Q2", (n2, m2)), ("Qd", (m1, m2, n1, n2)),
-        ("T", (n1, n2, m1, m2)),
-        ("U", (n1, m1, m1, m2, n1, n2)),
-        ("V", (n2, m2, m1, m2, n1, n2)),
-        ("W", (n1, n2, m1, m2, m1, m2, n1, n2)),
-    ])
-    rows = TensorIndex([
-        ("gamma_a", (n1,)), ("gamma_b", (n2,)), ("gamma_c", (m1, m2)),
-        ("mu_c_21", (m2, n1, n2)), ("mu_c_12", (m1, n1, n2)),
-        ("mu_s_1", (n1, n1, n2, m1, m2)), ("mu_s_2", (n2, n1, n2, m1, m2)),
-        ("mu_c_1", (n1, m1, m1, m2)), ("mu_c_2", (n2, m2, m1, m2)),
-        ("lam_s_12", (n1, n2, m2, m1, m2, n1, n2)),
-        ("lam_s_21", (n1, n2, m1, m1, m2, n1, n2)),
-        ("lam_c", (n1, n2, m1, m2, m1, m2)),
-    ])
-    return cols, rows
-
-
-def _cap_check(n_vars: int, cap: int, what: str) -> None:
-    if n_vars > cap:
-        raise InstanceTooLarge(f"{what} needs {n_vars} LP variables, cap is {cap}")
+    return _layouts(*_sw_table(inst))
 
 
 # ---------------------------------------------------------------------------
 # primal builders
 
 
-def build_lp_sc(inst: ScInstance, cap: int = DEFAULT_VAR_CAP) -> LpModel:
-    """Exact LP relaxation of the point-to-point error minimization."""
-    n, M, nh = inst.n, inst.M, inst.n_hat
-    cols, rows = sc_indexer(inst)
-    _cap_check(cols.total, cap, "point-to-point LP")
+def _ravel(at: Dict[str, np.ndarray], sizes, letters: str) -> np.ndarray:
+    """Flat offsets, in a block with axes `letters`, of the grid points whose
+    per-letter coordinates `at` holds."""
+    return np.ravel_multi_index([at[k] for k in letters],
+                                tuple(sizes[k] for k in letters))
+
+
+def _build(table, cost: Tuple[str, np.ndarray], cap: int, what: str) -> LpModel:
+    """Equality-form min LP of a table; `cost` is (block, tensor in the
+    block's letter order), the only nonzero part of the objective."""
+    sizes, col_blocks, families = table
+    cols, rows = _layouts(*table)
+    if cols.total > cap:
+        raise InstanceTooLarge(f"{what} needs {cols.total} LP variables, cap is {cap}")
+    letters = dict(col_blocks)
     A = np.zeros((rows.total, cols.total))
     b = np.zeros(rows.total)
-    for s in range(n):
-        r = rows.flat("gamma_a", s)
-        b[r] = 1.0
-        for x in range(M):
-            A[r, cols.flat("Q1", s, x)] = 1.0
-    for y in range(M):
-        r = rows.flat("gamma_b", y)
-        b[r] = 1.0
-        for sh in range(nh):
-            A[r, cols.flat("Qd", y, sh)] = 1.0
-    for s in range(n):
-        for sh in range(nh):
-            for y in range(M):
-                r = rows.flat("lam_s", s, sh, y)
-                for x in range(M):
-                    A[r, cols.flat("W", s, x, y, sh)] = 1.0
-                A[r, cols.flat("Qd", y, sh)] = -1.0
-    for x in range(M):
-        for s in range(n):
-            for y in range(M):
-                r = rows.flat("lam_c", x, s, y)
-                for sh in range(nh):
-                    A[r, cols.flat("W", s, x, y, sh)] = 1.0
-                A[r, cols.flat("Q1", s, x)] = -1.0
+    for name, row_letters, lifted, minus in families:
+        # +1 on every entry of the lifted block, in the row its row letters
+        # pick; -1 on the one entry of the minus block that each row reads
+        for block, grid, value in ((lifted, letters[lifted], 1.0),
+                                   (minus, row_letters, -1.0)):
+            if block is not None:
+                at = dict(zip(grid, np.indices(tuple(sizes[k] for k in grid))))
+                A[rows.offsets[name] + _ravel(at, sizes, row_letters),
+                  cols.offsets[block] + _ravel(at, sizes, letters[block])] = value
+        if minus is None:
+            b[rows.slice_of(name)] = 1.0
     c = np.zeros(cols.total)
-    P = inst.source.mass
-    exc = inst.distortion.excess().astype(float)
-    cw = np.einsum("sh, xy -> sxyh", P[:, None] * exc, np.eye(M))
-    c[cols.slice_of("W")] = cw.reshape(-1)
-    assert rows.total == n + M + n * nh * M + M * n * M
-    assert cols.total == n * M + M * nh + n * M * M * nh
+    block, tensor = cost
+    c[cols.slice_of(block)] = tensor.reshape(-1)
     return LpModel("min", c, A, ("=",) * rows.total, b)
+
+
+def _pair_cost(inst: SwInstance) -> Tuple[str, np.ndarray]:
+    """P(s1, s2) on every W entry that decodes the wrong pair through the
+    encoders' own messages (x = u, y = v)."""
+    n1, n2, m1, m2 = inst.dims
+    mism = 1.0 - np.einsum("ac, bd -> abcd", np.eye(n1), np.eye(n2))
+    return "W", np.einsum("ab, abcd, xu, yv -> abxyuvcd", inst.joint.mass, mism,
+                          np.eye(m1), np.eye(m2))
+
+
+def build_lp_sc(inst: ScInstance, cap: int = DEFAULT_VAR_CAP) -> LpModel:
+    """Exact LP relaxation of the point-to-point error minimization."""
+    exc = inst.distortion.excess().astype(float)
+    cw = np.einsum("sh, xy -> sxyh", inst.source.mass[:, None] * exc, np.eye(inst.M))
+    return _build(_sc_table(inst), ("W", cw), cap, "point-to-point LP")
 
 
 def build_lpsi(inst: SwInstance, which: int = 1, cap: int = DEFAULT_VAR_CAP) -> LpModel:
     """LP relaxation of coding S_which with the other source at the decoder."""
-    if which not in (1, 2):
-        raise PmfError(f"which must be 1 or 2, got {which!r}")
-    n1, n2, m1, m2 = inst.dims
+    table = _si_table(inst, which)
+    sizes = table[0]
     P = inst.joint.mass if which == 1 else inst.joint.mass.T
-    ne, ns = P.shape
-    M = m1 if which == 1 else m2
-    cols, rows = si_indexer(inst, which)
-    _cap_check(cols.total, cap, "side-information LP")
-    A = np.zeros((rows.total, cols.total))
-    b = np.zeros(rows.total)
-    for se in range(ne):
-        r = rows.flat("gamma_a", se)
-        b[r] = 1.0
-        for x in range(M):
-            A[r, cols.flat("Q1", se, x)] = 1.0
-    for ss in range(ns):
-        for y in range(M):
-            r = rows.flat("gamma_b", ss, y)
-            b[r] = 1.0
-            for sh in range(ne):
-                A[r, cols.flat("Qd", ss, y, sh)] = 1.0
-    for se in range(ne):
-        for ss in range(ns):
-            for sh in range(ne):
-                for y in range(M):
-                    r = rows.flat("lam_s", se, ss, sh, y)
-                    for x in range(M):
-                        A[r, cols.flat("W", se, ss, x, y, sh)] = 1.0
-                    A[r, cols.flat("Qd", ss, y, sh)] = -1.0
-    for se in range(ne):
-        for ss in range(ns):
-            for x in range(M):
-                for y in range(M):
-                    r = rows.flat("lam_c", se, ss, x, y)
-                    for sh in range(ne):
-                        A[r, cols.flat("W", se, ss, x, y, sh)] = 1.0
-                    A[r, cols.flat("Q1", se, x)] = -1.0
-    c = np.zeros(cols.total)
-    cw = np.einsum("es, eh, xy -> esxyh", P,
-                   1.0 - np.eye(ne), np.eye(M))
-    c[cols.slice_of("W")] = cw.reshape(-1)
-    return LpModel("min", c, A, ("=",) * rows.total, b)
+    cw = np.einsum("es, eh, xy -> esxyh", P, 1.0 - np.eye(sizes["e"]), np.eye(sizes["x"]))
+    return _build(table, ("W", cw), cap, "side-information LP")
 
 
 def build_lp_je(inst: SwInstance, cap: int = DEFAULT_VAR_CAP) -> LpModel:
     """LP relaxation of the jointly-encoded pair problem in pair indices.
 
-    Value equals build_lp_sc on sw_je_instance(inst); the two are built from
-    independent index bookkeeping, which the tests exploit.
+    Value equals build_lp_sc on sw_je_instance(inst); the two come from
+    different tables (pair letters against flattened ones), which the tests
+    exploit.
     """
-    n1, n2, m1, m2 = inst.dims
-    cols, rows = je_indexer(inst)
-    _cap_check(cols.total, cap, "jointly-encoded LP")
-    A = np.zeros((rows.total, cols.total))
-    b = np.zeros(rows.total)
-    for s1 in range(n1):
-        for s2 in range(n2):
-            r = rows.flat("gamma_a", s1, s2)
-            b[r] = 1.0
-            for x1 in range(m1):
-                for x2 in range(m2):
-                    A[r, cols.flat("Q1", s1, s2, x1, x2)] = 1.0
-    for y1 in range(m1):
-        for y2 in range(m2):
-            r = rows.flat("gamma_b", y1, y2)
-            b[r] = 1.0
-            for t1 in range(n1):
-                for t2 in range(n2):
-                    A[r, cols.flat("Qd", y1, y2, t1, t2)] = 1.0
-    for s1 in range(n1):
-        for s2 in range(n2):
-            for t1 in range(n1):
-                for t2 in range(n2):
-                    for y1 in range(m1):
-                        for y2 in range(m2):
-                            r = rows.flat("lam_s", s1, s2, t1, t2, y1, y2)
-                            for x1 in range(m1):
-                                for x2 in range(m2):
-                                    A[r, cols.flat("W", s1, s2, x1, x2, y1, y2, t1, t2)] = 1.0
-                            A[r, cols.flat("Qd", y1, y2, t1, t2)] = -1.0
-    for s1 in range(n1):
-        for s2 in range(n2):
-            for x1 in range(m1):
-                for x2 in range(m2):
-                    for y1 in range(m1):
-                        for y2 in range(m2):
-                            r = rows.flat("lam_c", s1, s2, x1, x2, y1, y2)
-                            for t1 in range(n1):
-                                for t2 in range(n2):
-                                    A[r, cols.flat("W", s1, s2, x1, x2, y1, y2, t1, t2)] = 1.0
-                            A[r, cols.flat("Q1", s1, s2, x1, x2)] = -1.0
-    P = inst.joint.mass
-    mism = 1.0 - np.einsum("ac, bd -> abcd", np.eye(n1), np.eye(n2))
-    cw = np.einsum("ab, abcd, xu, yv -> abxyuvcd", P, mism, np.eye(m1), np.eye(m2))
-    c = np.zeros(cols.total)
-    c[cols.slice_of("W")] = cw.reshape(-1)
-    return LpModel("min", c, A, ("=",) * rows.total, b)
+    return _build(_je_table(inst), _pair_cost(inst), cap, "jointly-encoded LP")
 
 
 def build_lp_sw(inst: SwInstance, cap: int = DEFAULT_VAR_CAP) -> LpModel:
     """LP relaxation of the two-encoder problem with all twelve row families."""
-    n1, n2, m1, m2 = inst.dims
-    cols, rows = sw_indexer(inst)
-    _cap_check(cols.total, cap, "distributed LP")
-    A = np.zeros((rows.total, cols.total))
-    b = np.zeros(rows.total)
-
-    for s1 in range(n1):
-        r = rows.flat("gamma_a", s1)
-        b[r] = 1.0
-        for x1 in range(m1):
-            A[r, cols.flat("Q1", s1, x1)] = 1.0
-    for s2 in range(n2):
-        r = rows.flat("gamma_b", s2)
-        b[r] = 1.0
-        for x2 in range(m2):
-            A[r, cols.flat("Q2", s2, x2)] = 1.0
-    for y1 in range(m1):
-        for y2 in range(m2):
-            r = rows.flat("gamma_c", y1, y2)
-            b[r] = 1.0
-            for t1 in range(n1):
-                for t2 in range(n2):
-                    A[r, cols.flat("Qd", y1, y2, t1, t2)] = 1.0
-
-    for x2 in range(m2):
-        for s1 in range(n1):
-            for s2 in range(n2):
-                r = rows.flat("mu_c_21", x2, s1, s2)
-                for x1 in range(m1):
-                    A[r, cols.flat("T", s1, s2, x1, x2)] = 1.0
-                A[r, cols.flat("Q2", s2, x2)] = -1.0
-    for x1 in range(m1):
-        for s1 in range(n1):
-            for s2 in range(n2):
-                r = rows.flat("mu_c_12", x1, s1, s2)
-                for x2 in range(m2):
-                    A[r, cols.flat("T", s1, s2, x1, x2)] = 1.0
-                A[r, cols.flat("Q1", s1, x1)] = -1.0
-
-    for s1 in range(n1):
-        for t1 in range(n1):
-            for t2 in range(n2):
-                for y1 in range(m1):
-                    for y2 in range(m2):
-                        r = rows.flat("mu_s_1", s1, t1, t2, y1, y2)
-                        for x1 in range(m1):
-                            A[r, cols.flat("U", s1, x1, y1, y2, t1, t2)] = 1.0
-                        A[r, cols.flat("Qd", y1, y2, t1, t2)] = -1.0
-    for s2 in range(n2):
-        for t1 in range(n1):
-            for t2 in range(n2):
-                for y1 in range(m1):
-                    for y2 in range(m2):
-                        r = rows.flat("mu_s_2", s2, t1, t2, y1, y2)
-                        for x2 in range(m2):
-                            A[r, cols.flat("V", s2, x2, y1, y2, t1, t2)] = 1.0
-                        A[r, cols.flat("Qd", y1, y2, t1, t2)] = -1.0
-
-    for s1 in range(n1):
-        for x1 in range(m1):
-            for y1 in range(m1):
-                for y2 in range(m2):
-                    r = rows.flat("mu_c_1", s1, x1, y1, y2)
-                    for t1 in range(n1):
-                        for t2 in range(n2):
-                            A[r, cols.flat("U", s1, x1, y1, y2, t1, t2)] = 1.0
-                    A[r, cols.flat("Q1", s1, x1)] = -1.0
-    for s2 in range(n2):
-        for x2 in range(m2):
-            for y1 in range(m1):
-                for y2 in range(m2):
-                    r = rows.flat("mu_c_2", s2, x2, y1, y2)
-                    for t1 in range(n1):
-                        for t2 in range(n2):
-                            A[r, cols.flat("V", s2, x2, y1, y2, t1, t2)] = 1.0
-                    A[r, cols.flat("Q2", s2, x2)] = -1.0
-
-    for s1 in range(n1):
-        for s2 in range(n2):
-            for x2 in range(m2):
-                for y1 in range(m1):
-                    for y2 in range(m2):
-                        for t1 in range(n1):
-                            for t2 in range(n2):
-                                r = rows.flat("lam_s_12", s1, s2, x2, y1, y2, t1, t2)
-                                for x1 in range(m1):
-                                    A[r, cols.flat("W", s1, s2, x1, x2, y1, y2, t1, t2)] = 1.0
-                                A[r, cols.flat("V", s2, x2, y1, y2, t1, t2)] = -1.0
-    for s1 in range(n1):
-        for s2 in range(n2):
-            for x1 in range(m1):
-                for y1 in range(m1):
-                    for y2 in range(m2):
-                        for t1 in range(n1):
-                            for t2 in range(n2):
-                                r = rows.flat("lam_s_21", s1, s2, x1, y1, y2, t1, t2)
-                                for x2 in range(m2):
-                                    A[r, cols.flat("W", s1, s2, x1, x2, y1, y2, t1, t2)] = 1.0
-                                A[r, cols.flat("U", s1, x1, y1, y2, t1, t2)] = -1.0
-    for s1 in range(n1):
-        for s2 in range(n2):
-            for x1 in range(m1):
-                for x2 in range(m2):
-                    for y1 in range(m1):
-                        for y2 in range(m2):
-                            r = rows.flat("lam_c", s1, s2, x1, x2, y1, y2)
-                            for t1 in range(n1):
-                                for t2 in range(n2):
-                                    A[r, cols.flat("W", s1, s2, x1, x2, y1, y2, t1, t2)] = 1.0
-                            A[r, cols.flat("T", s1, s2, x1, x2)] = -1.0
-
-    P = inst.joint.mass
-    mism = 1.0 - np.einsum("ac, bd -> abcd", np.eye(n1), np.eye(n2))
-    cw = np.einsum("ab, abcd, xu, yv -> abxyuvcd", P, mism, np.eye(m1), np.eye(m2))
-    c = np.zeros(cols.total)
-    c[cols.slice_of("W")] = cw.reshape(-1)
-
-    n_rows_expected = (n1 + n2 + m1 * m2
-                       + m2 * n1 * n2 + m1 * n1 * n2
-                       + n1 * n1 * n2 * m1 * m2 + n2 * n1 * n2 * m1 * m2
-                       + n1 * m1 * m1 * m2 + n2 * m2 * m1 * m2
-                       + n1 * n2 * m2 * m1 * m2 * n1 * n2
-                       + n1 * n2 * m1 * m1 * m2 * n1 * n2
-                       + n1 * n2 * m1 * m2 * m1 * m2)
-    assert rows.total == n_rows_expected
-    return LpModel("min", c, A, ("=",) * rows.total, b)
+    return _build(_sw_table(inst), _pair_cost(inst), cap, "distributed LP")
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +353,7 @@ class DualPointJE:
 
 @dataclass(frozen=True)
 class DualPointSW:
-    """Multipliers for the distributed LP, index orders as documented above."""
+    """Multipliers for the distributed LP; see _sw_table for row orders."""
 
     lam_s_12: np.ndarray         # (s1, s2, x2, y1, y2, sh1, sh2)
     lam_s_21: np.ndarray         # (s1, s2, x1, y1, y2, sh1, sh2)
@@ -801,43 +626,26 @@ def dpje_flows(inst: SwInstance, phi_hat: np.ndarray) -> DualPointJE:
 # slicing solver output back into typed dual points
 
 
+def _fields(rows: TensorIndex, sol: LpSolution) -> Dict[str, np.ndarray]:
+    return {name: rows.extract(sol.dual, name) for name in rows.shapes}
+
+
 def dual_point_sc_from_solution(inst: ScInstance, sol: LpSolution) -> DualPointSC:
-    _, rows = sc_indexer(inst)
-    y = sol.dual
-    return DualPointSC(rows.extract(y, "lam_s"), rows.extract(y, "lam_c"),
-                       rows.extract(y, "gamma_a"), rows.extract(y, "gamma_b"))
+    return DualPointSC(**_fields(sc_indexer(inst)[1], sol))
 
 
 def dual_point_je_from_solution(inst: SwInstance, sol: LpSolution) -> DualPointJE:
-    _, rows = je_indexer(inst)
-    y = sol.dual
-    return DualPointJE(rows.extract(y, "lam_s"), rows.extract(y, "lam_c"),
-                       rows.extract(y, "gamma_a"), rows.extract(y, "gamma_b"))
+    return DualPointJE(**_fields(je_indexer(inst)[1], sol))
 
 
 def dual_point_si_from_solution(inst: SwInstance, which: int,
                                 sol: LpSolution) -> DualPointSI:
-    _, rows = si_indexer(inst, which)
-    y = sol.dual
-    lam_s = rows.extract(y, "lam_s")   # (se, ss, sh, y)
-    lam_c = rows.extract(y, "lam_c")   # (se, ss, x, y)
-    if which == 2:
-        lam_s = lam_s.swapaxes(0, 1)
-        lam_c = lam_c.swapaxes(0, 1)
-    return DualPointSI(which, lam_s, lam_c,
-                       rows.extract(y, "gamma_a"), rows.extract(y, "gamma_b"))
+    f = _fields(si_indexer(inst, which)[1], sol)
+    if which == 2:    # rows are (s_enc, s_side, ...); the point is (s1, s2, ...)
+        f["lam_s"] = f["lam_s"].swapaxes(0, 1)
+        f["lam_c"] = f["lam_c"].swapaxes(0, 1)
+    return DualPointSI(which, **f)
 
 
 def dual_point_sw_from_solution(inst: SwInstance, sol: LpSolution) -> DualPointSW:
-    _, rows = sw_indexer(inst)
-    y = sol.dual
-    lam_s_12 = rows.extract(y, "lam_s_12")
-    lam_s_21 = rows.extract(y, "lam_s_21")
-    lam_c = rows.extract(y, "lam_c")
-    mu = {f: rows.extract(y, f) for f in
-          ("mu_s_1", "mu_s_2", "mu_c_1", "mu_c_2", "mu_c_12", "mu_c_21")}
-    return DualPointSW(lam_s_12, lam_s_21, lam_c,
-                       mu["mu_s_1"], mu["mu_s_2"], mu["mu_c_1"], mu["mu_c_2"],
-                       mu["mu_c_12"], mu["mu_c_21"],
-                       rows.extract(y, "gamma_a"), rows.extract(y, "gamma_b"),
-                       rows.extract(y, "gamma_c"))
+    return DualPointSW(**_fields(sw_indexer(inst)[1], sol))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fbconv.lp_core import solve
+from fbconv.lp_core import LpSolution, solve
 from fbconv.oracle import exact_opt_sc, exact_opt_sid, exact_opt_sw
 from fbconv.probability import CodeSizes, DistortionSpec, JointPmf, PmfError, SinglePmf
 from fbconv.relaxations import (
@@ -226,3 +226,34 @@ def test_dual_point_arrays_read_only():
     pt = DualPointJE(np.zeros((2, 2, 2, 2, 1, 1)), np.zeros((2, 2, 1, 1, 1, 1)))
     with pytest.raises(ValueError):
         pt.lam_s[0, 0, 0, 0, 0, 0] = 1.0
+
+
+def _lossy_sc():
+    d = np.abs(np.arange(4)[:, None] - np.arange(5)[None, :]).astype(float)
+    return ScInstance(SinglePmf([0.4, 0.3, 0.2, 0.1]), 2, DistortionSpec(d, 1.0))
+
+
+def _pair():
+    return SwInstance(random_joint(np.random.default_rng(23), 3, 2), CodeSizes(2, 1))
+
+
+@pytest.mark.parametrize("inst, build, dual, check", [
+    (_lossy_sc(), build_lp_sc, dual_point_sc_from_solution, check_dp_feasible),
+    (_pair(), lambda i: build_lpsi(i, 1),
+     lambda i, s: dual_point_si_from_solution(i, 1, s), check_dpsi_feasible),
+    (_pair(), lambda i: build_lpsi(i, 2),
+     lambda i, s: dual_point_si_from_solution(i, 2, s), check_dpsi_feasible),
+    (_pair(), build_lp_je, dual_point_je_from_solution, check_dpje_feasible),
+    (_pair(), build_lp_sw, dual_point_sw_from_solution, check_dpsw_feasible),
+], ids=["sc", "si1", "si2", "je", "sw"])
+def test_builder_transpose_matches_hand_written_duals(inst, build, dual, check):
+    # the dual constraints of min c.x, A x = b, x >= 0 are A^T y <= c, one per
+    # column; the checkers state them by hand, so at any y their residuals
+    # must be the entries of A^T y - c in some order
+    model = build(inst)
+    y = np.random.default_rng(29).normal(size=model.rhs.size)
+    pt = dual(inst, LpSolution("Optimal", 0.0, None, y))
+    resid = np.sort([v.residual for v in check(inst, pt, tol=-np.inf)])
+    want = np.sort(model.a_matrix.T @ y - model.objective)
+    assert resid.shape == want.shape
+    assert np.abs(resid - want).max() <= 1e-12

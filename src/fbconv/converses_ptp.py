@@ -40,7 +40,10 @@ class BoundReport:
     raw_value may be negative, or exceed 1 by float rounding; clamped_value,
     raw_value clamped into [0, 1], is what a plot or CSV shows.  witness
     holds whatever reproduces raw_value when fed back into the defining
-    formula (phi tensor, scalar t, reference pmf Q).
+    formula (phi tensor, scalar t, reference pmf Q).  An LP-backed
+    metaconverse (meta_lossy, meta_sid, meta_sw) reports its defining
+    formula at its witness, which lies in [0, P], never the solver's
+    objective, so raw_value is attained by a feasible point.
     paper_eq names the formula family in the literature.
     """
 
@@ -93,22 +96,25 @@ class TiltedInfo:
 
 def meta_lossy(inst: ScInstance) -> BoundReport:
     """sup over 0 <= phi <= P of sum(phi) - M * max_sh sum_s phi(s) 1{within},
-    solved exactly as an LP with one epigraph variable."""
+    solved exactly as an LP with one epigraph variable u: a row
+    sum_s phi(s) 1{within(s, sh)} - u <= 0 per reconstruction sh."""
     P = inst.source.mass
     win = inst.distortion.within().astype(float)
     n, nh = win.shape
     # variables: phi(0..n-1), u
-    obj = np.concatenate([np.ones(n), [-float(inst.M)]])
-    rows = []
-    for sh in range(nh):
-        rows.append((np.concatenate([win[:, sh], [-1.0]]), "<=", 0.0))
-    model = LpModel.from_rows("max", obj, rows,
-                              lower=np.zeros(n + 1),
-                              upper=np.concatenate([P, [math.inf]]))
-    sol = solve(model)
-    phi = sol.primal[:n]
-    return _report("meta-lossy", sol.value, {"phi": phi},
+    A = np.hstack([win.T, -np.ones((nh, 1))])
+    model = LpModel("max", np.concatenate([np.ones(n), [-float(inst.M)]]), A,
+                    ("<=",) * nh, np.zeros(nh), lower=np.zeros(n + 1),
+                    upper=np.concatenate([P, [math.inf]]))
+    phi = np.clip(solve(model).primal[:n], 0.0, P)
+    return _report("meta-lossy", _meta_lossy_raw(inst, phi), {"phi": phi},
                    "lossy metaconverse, flow form")
+
+
+def _meta_lossy_raw(inst: ScInstance, phi: np.ndarray) -> float:
+    """The lossy metaconverse integrand at a flow 0 <= phi <= P."""
+    win = inst.distortion.within().astype(float)
+    return phi.sum() - inst.M * (phi[:, None] * win).sum(axis=0).max()
 
 
 def meta_lossy_z(inst: ScInstance, z) -> BoundReport:
@@ -116,12 +122,8 @@ def meta_lossy_z(inst: ScInstance, z) -> BoundReport:
     z = np.asarray(z, dtype=float)
     if z.shape != inst.source.mass.shape or np.any(z < 0):
         raise PmfError("z must be a nonnegative vector over the source alphabet")
-    P = inst.source.mass
-    win = inst.distortion.within().astype(float)
-    phi = np.minimum(P, z)
-    raw = phi.sum() - inst.M * (phi[:, None] * win).sum(axis=0).max()
-    return _report("meta-lossy-z", raw, {"z": z.copy()},
-                   "lossy metaconverse at fixed flow")
+    return _report("meta-lossy-z", _meta_lossy_raw(inst, np.minimum(inst.source.mass, z)),
+                   {"z": z.copy()}, "lossy metaconverse at fixed flow")
 
 
 def _tilt_weights(inst: ScInstance, j: Optional[TiltedInfo]):
@@ -307,28 +309,20 @@ def _oriented(inst: SwInstance, which: int):
 
 def meta_sid(inst: SwInstance, which: int = 1) -> BoundReport:
     """sup over 0 <= phi <= P of sum(phi) - M sum_side max_enc phi, solved
-    exactly as an LP with one epigraph variable per side symbol."""
+    exactly as an LP with one epigraph variable w(side): a row
+    phi(enc, side) - w(side) <= 0 per pair."""
     P, M, tag = _oriented(inst, which)
     ne, ns = P.shape
+    K = ne * ns
     # variables: phi (ne*ns, row-major) then w(s_side)
-    nv = ne * ns + ns
-    obj = np.concatenate([np.ones(ne * ns), -float(M) * np.ones(ns)])
-    rows = []
-    for e in range(ne):
-        for s in range(ns):
-            coeffs = np.zeros(nv)
-            coeffs[e * ns + s] = 1.0
-            coeffs[ne * ns + s] = -1.0
-            rows.append((coeffs, "<=", 0.0))
-    model = LpModel.from_rows("max", obj, rows,
-                              lower=np.zeros(nv),
-                              upper=np.concatenate([P.reshape(-1),
-                                                    np.full(ns, math.inf)]))
-    sol = solve(model)
-    phi = sol.primal[:ne * ns].reshape(ne, ns)
-    if which == 2:
-        phi = phi.T            # stored in (s1, s2) orientation either way
-    return _report(f"meta-sid{tag}", sol.value, {"phi": phi},
+    A = np.hstack([np.eye(K), -np.tile(np.eye(ns), (ne, 1))])
+    model = LpModel("max", np.concatenate([np.ones(K), -float(M) * np.ones(ns)]), A,
+                    ("<=",) * K, np.zeros(K), lower=np.zeros(K + ns),
+                    upper=np.concatenate([P.reshape(-1), np.full(ns, math.inf)]))
+    phi = np.clip(solve(model).primal[:K].reshape(ne, ns), 0.0, P)
+    raw = phi.sum() - M * phi.max(axis=0).sum()
+    # stored in (s1, s2) orientation either way
+    return _report(f"meta-sid{tag}", raw, {"phi": phi if which == 1 else phi.T},
                    "side-information metaconverse")
 
 

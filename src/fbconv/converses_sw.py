@@ -1,8 +1,9 @@
 """Distributed (Slepian-Wolf) converse bounds and dual-point synthesis.
 
-The three-flow metaconverse is solved exactly as an LP.  The scalar
-Miyake-Kanaya style bounds reparameterize through t = exp(-b) and take the
-exact sup over the finite breakpoint set, like the point-to-point module.
+The three-flow metaconverse is solved exactly as an LP over one threshold
+per flow maximum.  The scalar Miyake-Kanaya style bounds reparameterize
+through t = exp(-b) and take the exact sup over the finite breakpoint set,
+like the point-to-point module.
 
 The constructors at the bottom turn feasible dual points of the simpler
 problems (side-information, jointly encoded) into feasible dual points of
@@ -54,61 +55,56 @@ class InfeasibleInput(ValueError):
 def meta_sw(inst: SwInstance, cap: int = DEFAULT_VAR_CAP) -> BoundReport:
     """sup over 0 <= phi_hat, phi_12, phi_21 <= P of
     sum min{P, phi_hat + phi_12 + phi_21} - M1 M2 max phi_hat
-    - M1 sum_s2 max_sh1 phi_12 - M2 sum_s1 max_sh2 phi_21,
-    as an LP with epigraph variables for the min and the three maxima."""
+    - M1 sum_s2 max_s1 phi_12 - M2 sum_s1 max_s2 phi_21, solved exactly.
+
+    Each flow costs only through its maxima, and the first term only grows
+    with each flow.  So replacing phi_hat by min{P, u} with u = max phi_hat,
+    each column phi_12(., s2) by min{P, w(s2)} with w(s2) = its max, and each
+    row phi_21(s1, .) by min{P, v(s1)} with v(s1) = its max keeps every
+    penalty and cannot lower the first term: some optimum has that form.
+    On such flows the first term is sum min{P, u + v(s1) + w(s2)}, and the
+    penalties are at most M1 M2 u, M2 sum v and M1 sum w, with equality at
+    those maxima.  So the sup equals the sup over u, v, w >= 0 of
+        sum min{P, u + v(s1) + w(s2)} - M1 M2 u - M2 sum v - M1 sum w,
+    an LP in (t, u, v, w) with K = n1 n2 epigraph variables 0 <= t <= P and
+    K rows t - u - v(s1) - w(s2) <= 0.  raw_value is the defining formula at
+    the witness flows min{P, u}, min{P, w(s2)}, min{P, v(s1)}, which lie in
+    [0, P] by construction.
+    """
     n1, n2, m1, m2 = inst.dims
     K = n1 * n2
-    nv = 4 * K + 1 + n1 + n2
+    nv = K + 1 + n1 + n2
     if nv > cap:
         raise InstanceTooLarge(f"{nv} variables exceeds cap {cap}")
-    P = inst.joint.mass.reshape(-1)
-    i_hat, i_12, i_21, i_t = 0, K, 2 * K, 3 * K
-    i_u, i_v, i_w = 4 * K, 4 * K + 1, 4 * K + 1 + n1
-
-    obj = np.zeros(nv)
-    obj[i_t:i_t + K] = 1.0
-    obj[i_u] = -float(m1 * m2)
-    obj[i_v:i_v + n1] = -float(m2)
-    obj[i_w:i_w + n2] = -float(m1)
-
-    rows = []
-    for a in range(n1):
-        for b in range(n2):
-            k = a * n2 + b
-            r = np.zeros(nv)            # t <= phi_hat + phi_12 + phi_21
-            r[i_t + k] = 1.0
-            r[i_hat + k] = r[i_12 + k] = r[i_21 + k] = -1.0
-            rows.append((r, "<=", 0.0))
-            r = np.zeros(nv)            # u >= phi_hat
-            r[i_hat + k] = 1.0
-            r[i_u] = -1.0
-            rows.append((r, "<=", 0.0))
-            r = np.zeros(nv)            # v(s1) >= phi_21(s1, .)
-            r[i_21 + k] = 1.0
-            r[i_v + a] = -1.0
-            rows.append((r, "<=", 0.0))
-            r = np.zeros(nv)            # w(s2) >= phi_12(., s2)
-            r[i_12 + k] = 1.0
-            r[i_w + b] = -1.0
-            rows.append((r, "<=", 0.0))
-
-    lower = np.zeros(nv)
-    upper = np.concatenate([P, P, P, P, np.full(1 + n1 + n2, math.inf)])
-    sol = solve(LpModel.from_rows("max", obj, rows, lower=lower, upper=upper))
-    wit = {
-        "phi_hat": sol.primal[i_hat:i_hat + K].reshape(n1, n2),
-        "phi_12": sol.primal[i_12:i_12 + K].reshape(n1, n2),
-        "phi_21": sol.primal[i_21:i_21 + K].reshape(n1, n2),
-    }
-    return _report("meta-sw", sol.value, wit,
+    P = inst.joint.mass
+    # variables: t (K, row-major over (s1, s2)), u, v (n1), w (n2)
+    A = np.hstack([np.eye(K), -np.ones((K, 1)),
+                   -np.repeat(np.eye(n1), n2, axis=0), -np.tile(np.eye(n2), (n1, 1))])
+    obj = np.concatenate([np.ones(K), [-float(m1 * m2)],
+                          np.full(n1, -float(m2)), np.full(n2, -float(m1))])
+    model = LpModel("max", obj, A, ("<=",) * K, np.zeros(K), lower=np.zeros(nv),
+                    upper=np.concatenate([P.reshape(-1), np.full(1 + n1 + n2, math.inf)]))
+    x = solve(model).primal
+    u, v, w = x[K], x[K + 1:K + 1 + n1], x[K + 1 + n1:]
+    flows = (np.clip(u, 0.0, P), np.clip(w[None, :], 0.0, P), np.clip(v[:, None], 0.0, P))
+    return _report("meta-sw", _meta_sw_raw(inst, *flows),
+                   dict(zip(("phi_hat", "phi_12", "phi_21"), flows)),
                    "distributed metaconverse, three-flow form")
+
+
+def _meta_sw_raw(inst: SwInstance, phi_hat, phi_12, phi_21) -> float:
+    """The three-flow metaconverse integrand at flows in [0, P]."""
+    n1, n2, m1, m2 = inst.dims
+    return (np.minimum(inst.joint.mass, phi_hat + phi_12 + phi_21).sum()
+            - m1 * m2 * phi_hat.max()
+            - m1 * phi_12.max(axis=0).sum()
+            - m2 * phi_21.max(axis=1).sum())
 
 
 def meta_sw_eta(inst: SwInstance, eta1, eta2, eta3) -> BoundReport:
     """The metaconverse integrand at fixed nonnegative eta tensors (no sup):
     phi_hat = min{P, eta1}, phi_12 = min{P, eta2}, phi_21 = min{P, eta3}."""
     P = inst.joint.mass
-    n1, n2, m1, m2 = inst.dims
     es = []
     for e in (eta1, eta2, eta3):
         e = np.asarray(e, dtype=float)
@@ -116,10 +112,7 @@ def meta_sw_eta(inst: SwInstance, eta1, eta2, eta3) -> BoundReport:
             raise PmfError("eta tensors must be nonnegative with the joint shape")
         es.append(e)
     e1, e2, e3 = es
-    raw = (np.minimum(P, e1 + e2 + e3).sum()
-           - m1 * m2 * np.minimum(P, e1).max()
-           - m1 * np.minimum(P, e2).max(axis=0).sum()
-           - m2 * np.minimum(P, e3).max(axis=1).sum())
+    raw = _meta_sw_raw(inst, np.minimum(P, e1), np.minimum(P, e2), np.minimum(P, e3))
     return _report("meta-sw-eta", raw,
                    {"eta1": e1.copy(), "eta2": e2.copy(), "eta3": e3.copy()},
                    "distributed metaconverse at fixed flows")

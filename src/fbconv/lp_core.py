@@ -50,7 +50,8 @@ class LpModel:
     """min or max of objective @ x subject to a_matrix @ x (relations) rhs and bounds.
 
     lower/upper default to [0, +inf) per variable; -inf/+inf entries make a
-    variable free on that side.
+    variable free on that side.  A read-only float64 a_matrix is kept as
+    given, without a copy; any other a_matrix is copied.
     """
 
     sense: str
@@ -66,7 +67,10 @@ class LpModel:
         if self.sense not in ("max", "min"):
             raise DimensionMismatch(f"sense must be 'max' or 'min', got {self.sense!r}")
         c = np.atleast_1d(np.array(self.objective, dtype=float))
-        A = np.array(self.a_matrix, dtype=float)
+        A = self.a_matrix
+        if not (isinstance(A, np.ndarray) and A.dtype == np.float64
+                and not A.flags.writeable):
+            A = np.array(A, dtype=float)
         if A.ndim != 2:
             A = A.reshape(0, c.size) if A.size == 0 else A.reshape(-1, c.size)
         b = np.atleast_1d(np.array(self.rhs, dtype=float))
@@ -105,6 +109,7 @@ class LpModel:
         n = objective.size
         if constraints:
             A = np.array([np.asarray(a, dtype=float) for a, _, _ in constraints])
+            A.setflags(write=False)
             rel = tuple(r for _, r, _ in constraints)
             b = np.array([float(v) for _, _, v in constraints])
         else:
@@ -183,7 +188,7 @@ def _simplex_phase(A, b, c, basis, B_inv, barred, maxiter, bland=False):
     raise NumericalBreakdown(f"iteration budget {maxiter} exhausted")
 
 
-def solve(model: LpModel, maxiter: Optional[int] = None) -> LpSolution:
+def solve(model: LpModel) -> LpSolution:
     """Two-phase dense revised simplex; duals come back one per stated constraint."""
     n = model.num_variables
     m_user = model.num_constraints
@@ -258,7 +263,7 @@ def solve(model: LpModel, maxiter: Optional[int] = None) -> LpSolution:
         basis[i] = n_real + k
     B_inv = np.eye(m)  # both slack(+1) and artificial start columns are unit
 
-    budget = maxiter if maxiter is not None else 20000 + 10 * (m + A_all.shape[1])
+    budget = 20000 + 10 * (m + A_all.shape[1])
     # artificials start basic and may leave, but must never re-enter: a basic
     # artificial then always sits in its own row, which the redundant-row
     # dropping below relies on

@@ -243,6 +243,7 @@ def _build(table, cost: Tuple[str, np.ndarray], cap: int, what: str) -> LpModel:
     c = np.zeros(cols.total)
     block, tensor = cost
     c[cols.slice_of(block)] = tensor.reshape(-1)
+    A.setflags(write=False)       # handed over: LpModel keeps it uncopied
     return LpModel("min", c, A, ("=",) * rows.total, b)
 
 

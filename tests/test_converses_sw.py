@@ -8,13 +8,17 @@ Frozen anchors were computed by hand before the module was written:
     1, the only breakpoint is t = 1/4, and 1 - 3/4 = 0.25.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from fbconv.lp_core import solve
+from fbconv.dsbs import DsbsSpec, dsbs_je_bound, expand_joint
+from fbconv.lp_core import LpModel, solve
 from fbconv.oracle import exact_opt_sw
 from fbconv.probability import CodeSizes, JointPmf
 from fbconv.relaxations import (
+    InstanceTooLarge,
     SwInstance,
     build_lp_je,
     build_lp_sw,
@@ -66,11 +70,50 @@ def _random_inst(rng, max_n=3, max_m=2):
                int(rng.integers(1, max_m + 1)), int(rng.integers(1, max_m + 1)))
 
 
-def _clipped_flows(inst, rep):
-    """Turn a meta_sw witness into exactly-in-range flow tensors."""
-    P = inst.joint.mass
-    return tuple(np.clip(np.asarray(rep.witness[k]), 0.0, P)
-                 for k in ("phi_hat", "phi_12", "phi_21"))
+def _witness_flows(rep):
+    return tuple(rep.witness[k] for k in ("phi_hat", "phi_12", "phi_21"))
+
+
+def _three_flow_lp(inst):
+    """Reference: the three-flow metaconverse as an LP over whole flow
+    tensors, with epigraph variables for the min and the three maxima."""
+    n1, n2, m1, m2 = inst.dims
+    K = n1 * n2
+    nv = 4 * K + 1 + n1 + n2
+    P = inst.joint.mass.reshape(-1)
+    i_hat, i_12, i_21, i_t = 0, K, 2 * K, 3 * K
+    i_u, i_v, i_w = 4 * K, 4 * K + 1, 4 * K + 1 + n1
+
+    obj = np.zeros(nv)
+    obj[i_t:i_t + K] = 1.0
+    obj[i_u] = -float(m1 * m2)
+    obj[i_v:i_v + n1] = -float(m2)
+    obj[i_w:i_w + n2] = -float(m1)
+
+    rows = []
+    for a in range(n1):
+        for b in range(n2):
+            k = a * n2 + b
+            r = np.zeros(nv)            # t <= phi_hat + phi_12 + phi_21
+            r[i_t + k] = 1.0
+            r[i_hat + k] = r[i_12 + k] = r[i_21 + k] = -1.0
+            rows.append((r, "<=", 0.0))
+            r = np.zeros(nv)            # u >= phi_hat
+            r[i_hat + k] = 1.0
+            r[i_u] = -1.0
+            rows.append((r, "<=", 0.0))
+            r = np.zeros(nv)            # v(s1) >= phi_21(s1, .)
+            r[i_21 + k] = 1.0
+            r[i_v + a] = -1.0
+            rows.append((r, "<=", 0.0))
+            r = np.zeros(nv)            # w(s2) >= phi_12(., s2)
+            r[i_12 + k] = 1.0
+            r[i_w + b] = -1.0
+            rows.append((r, "<=", 0.0))
+
+    upper = np.concatenate([P, P, P, P, np.full(1 + n1 + n2, math.inf)])
+    return solve(LpModel.from_rows("max", obj, rows, lower=np.zeros(nv),
+                                   upper=upper)).value
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +134,37 @@ def test_meta_sw_witness_in_range_and_reproduces():
         inst = _random_inst(rng)
         rep = meta_sw(inst)
         P = inst.joint.mass
-        for k in ("phi_hat", "phi_12", "phi_21"):
-            phi = np.asarray(rep.witness[k])
-            assert phi.min() >= -1e-9
-            assert (phi - P).max() <= 1e-9
-        again = meta_sw_eta(inst, *_clipped_flows(inst, rep))
-        assert again.raw_value == pytest.approx(rep.raw_value, abs=1e-9)
+        for phi in _witness_flows(rep):
+            assert phi.shape == P.shape
+            assert np.all(phi >= 0.0) and np.all(phi <= P)
+        assert meta_sw_eta(inst, *_witness_flows(rep)).raw_value == rep.raw_value
+
+
+def test_meta_sw_equals_three_flow_lp():
+    rng = np.random.default_rng(26)
+    for _ in range(30):
+        n1, n2 = (int(k) for k in rng.integers(2, 7, size=2))
+        inst = _sw(random_joint(rng, n1, n2).mass,
+                   int(rng.integers(1, n1 + 1)), int(rng.integers(1, n2 + 1)))
+        assert meta_sw(inst).raw_value == pytest.approx(_three_flow_lp(inst), abs=1e-9)
+    inst = expand_joint(DsbsSpec(3, 0.11, 2.0 / 3.0, 2.0 / 3.0))
+    got = meta_sw(inst).raw_value
+    assert got == pytest.approx(_three_flow_lp(inst), abs=1e-9)
+    assert got == pytest.approx(0.2079, abs=1e-9)
+
+
+def test_meta_sw_dsbs_n4_equals_je_bound():
+    spec = DsbsSpec(4, 0.11, 0.5, 0.5)
+    assert meta_sw(expand_joint(spec)).raw_value == pytest.approx(
+        dsbs_je_bound(spec).raw_value, abs=1e-9)
+
+
+def test_meta_sw_cap():
+    inst = _sw(random_joint(np.random.default_rng(27), 3, 2).mass, 2, 1)
+    nv = 3 * 2 + 1 + 3 + 2
+    meta_sw(inst, cap=nv)
+    with pytest.raises(InstanceTooLarge):
+        meta_sw(inst, cap=nv - 1)
 
 
 def test_meta_sw_eta_trivials():
@@ -225,7 +293,7 @@ def test_embed_sid_feasible_flows():
 def test_embed_sid_anchor_and_edges():
     inst = _uniform22()
     rep = meta_sid(inst, 1)
-    pt = dpsi_flows(inst, 1, np.clip(rep.witness["phi"], 0.0, inst.joint.mass))
+    pt = dpsi_flows(inst, 1, rep.witness["phi"])
     out = embed_sid_feasible(inst, pt)
     assert dpsw_objective(inst, out) == pytest.approx(0.5, abs=1e-9)
 
@@ -255,7 +323,7 @@ def test_embed_je_feasible_flows():
 def test_embed_je_anchor_and_edges():
     inst = _uniform22()
     rep = meta_je(inst)
-    pt = dpje_flows(inst, np.clip(rep.witness["phi"], 0.0, inst.joint.mass))
+    pt = dpje_flows(inst, rep.witness["phi"])
     out = embed_je_feasible(inst, pt)
     assert dpsw_objective(inst, out) == pytest.approx(0.75, abs=1e-9)
 
@@ -268,7 +336,7 @@ def test_embed_je_anchor_and_edges():
 
 def test_combine_feasible_anchor_alpha_independent():
     inst = _uniform22()
-    ph, p12, p21 = _clipped_flows(inst, meta_sw(inst))
+    ph, p12, p21 = _witness_flows(meta_sw(inst))
     vals = []
     for alpha in (0.1, 0.5, 0.9):
         out = combine_feasible(inst, dpsi_flows(inst, 1, p12),
@@ -300,7 +368,7 @@ def test_combine_feasible_optimal_matches_lp():
     for _ in range(8):
         inst = _random_inst(rng)
         rep = meta_sw(inst)
-        ph, p12, p21 = _clipped_flows(inst, rep)
+        ph, p12, p21 = _witness_flows(rep)
         out = combine_feasible(inst, dpsi_flows(inst, 1, p12),
                                dpsi_flows(inst, 2, p21),
                                dpje_flows(inst, ph), 0.5)

@@ -108,6 +108,18 @@ def test_dimension_mismatch():
         LpModel("huge", np.ones(1), np.ones((1, 1)), ("<=",), np.ones(1))
 
 
+def test_a_matrix_copied_unless_read_only():
+    A = np.array([[1.0, 1.0], [1.0, 3.0]])
+    A.setflags(write=False)
+    m = LpModel("max", [3.0, 2.0], A, ("<=", "<="), [4.0, 6.0])
+    assert m.a_matrix is A
+    B = np.array([[1.0, 1.0], [1.0, 3.0]])
+    m = LpModel("max", [3.0, 2.0], B, ("<=", "<="), [4.0, 6.0])
+    B[0, 0] = 100.0
+    assert m.a_matrix[0, 0] == 1.0 and not m.a_matrix.flags.writeable
+    assert solve(m).value == pytest.approx(12.0, abs=1e-9)
+
+
 def test_dualize_textbook_pair():
     p = LpModel.from_rows("max", [3.0, 2.0],
                           [([1.0, 1.0], "<=", 4.0), ([1.0, 3.0], "<=", 6.0)])

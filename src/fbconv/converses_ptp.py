@@ -43,7 +43,9 @@ class BoundReport:
     formula (phi tensor, scalar t, reference pmf Q).  An LP-backed
     metaconverse (meta_lossy, meta_sid, meta_sw) reports its defining
     formula at its witness, which lies in [0, P], never the solver's
-    objective, so raw_value is attained by a feasible point.
+    objective, so raw_value is attained by a feasible point.  That formula
+    is summed by _formula_sum, rounded down, so raw_value never exceeds the
+    exact formula at the witness.
     paper_eq names the formula family in the literature.
     """
 
@@ -59,6 +61,14 @@ def _report(name: str, raw: float, witness: Dict[str, object], paper_eq: str,
             vacuous: bool = False) -> BoundReport:
     raw = float(raw)
     return BoundReport(name, raw, min(1.0, max(0.0, raw)), witness, paper_eq, vacuous)
+
+
+def _formula_sum(terms) -> float:
+    """The sum of float terms, rounded down: the correctly rounded sum less
+    2 eps times the summed magnitudes, which covers the rounding of the sum
+    and of the few float operations that made each term."""
+    terms = np.asarray(terms, dtype=float)
+    return math.fsum(terms) - 2.0 * np.finfo(float).eps * float(np.abs(terms).sum())
 
 
 def _breakpoint_sup(fn, cands):
@@ -114,7 +124,10 @@ def meta_lossy(inst: ScInstance) -> BoundReport:
 def _meta_lossy_raw(inst: ScInstance, phi: np.ndarray) -> float:
     """The lossy metaconverse integrand at a flow 0 <= phi <= P."""
     win = inst.distortion.within().astype(float)
-    return phi.sum() - inst.M * (phi[:, None] * win).sum(axis=0).max()
+    # each covered mass is summed exactly rounded, so that it is one float
+    # operation away from exact, as _formula_sum assumes of its terms
+    covered = max(math.fsum(col) for col in (phi[:, None] * win).T)
+    return _formula_sum(np.append(phi, -inst.M * covered))
 
 
 def meta_lossy_z(inst: ScInstance, z) -> BoundReport:
@@ -320,7 +333,7 @@ def meta_sid(inst: SwInstance, which: int = 1) -> BoundReport:
                     ("<=",) * K, np.zeros(K), lower=np.zeros(K + ns),
                     upper=np.concatenate([P.reshape(-1), np.full(ns, math.inf)]))
     phi = np.clip(solve(model).primal[:K].reshape(ne, ns), 0.0, P)
-    raw = phi.sum() - M * phi.max(axis=0).sum()
+    raw = _formula_sum(np.concatenate([phi.ravel(), -M * phi.max(axis=0)]))
     # stored in (s1, s2) orientation either way
     return _report(f"meta-sid{tag}", raw, {"phi": phi if which == 1 else phi.T},
                    "side-information metaconverse")

@@ -33,6 +33,7 @@ from .relaxations import (
 from .converses_ptp import (
     BoundReport,
     _breakpoint_sup,
+    _formula_sum,
     _report,
     closed_leq,
     meta_je,
@@ -95,10 +96,9 @@ def meta_sw(inst: SwInstance, cap: int = DEFAULT_VAR_CAP) -> BoundReport:
 def _meta_sw_raw(inst: SwInstance, phi_hat, phi_12, phi_21) -> float:
     """The three-flow metaconverse integrand at flows in [0, P]."""
     n1, n2, m1, m2 = inst.dims
-    return (np.minimum(inst.joint.mass, phi_hat + phi_12 + phi_21).sum()
-            - m1 * m2 * phi_hat.max()
-            - m1 * phi_12.max(axis=0).sum()
-            - m2 * phi_21.max(axis=1).sum())
+    return _formula_sum(np.concatenate([
+        np.minimum(inst.joint.mass, phi_hat + phi_12 + phi_21).ravel(),
+        [-m1 * m2 * phi_hat.max()], -m1 * phi_12.max(axis=0), -m2 * phi_21.max(axis=1)]))
 
 
 def meta_sw_eta(inst: SwInstance, eta1, eta2, eta3) -> BoundReport:

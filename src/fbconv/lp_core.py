@@ -1,16 +1,15 @@
-"""Dense LP solver with exact dual extraction, plus mechanical dualization.
+"""LP models, a HiGHS solve with one dual per stated row, and dualization.
 
-The relaxation LPs downstream are small (hundreds to a few thousand variables)
-and dense, and the bound computations need dual multipliers that line up
-one-to-one with the stated constraints.  So this module implements a dense
-two-phase revised simplex over float64 directly:
-
-  * Dantzig pricing, switching to Bland's rule once no strict improvement has
-    been seen for 2 * #variables iterations (cycling suspicion);
-  * equality rows are handled by phase-1 artificials, never split, so each
-    stated constraint keeps exactly one multiplier;
-  * redundant rows detected in phase 1 are dropped and reported with a zero
-    multiplier.
+solve hands an LpModel to HiGHS, the dual simplex of Huangfu & Hall (Math.
+Prog. Comp. 2018) that scipy bundles: variable bounds stay bounds and the
+relations become row bounds, so each stated row gets exactly one multiplier.
+HiGHS runs on one thread with its output off.  Its extension
+scipy/optimize/_highspy/_core is loaded alone, by file path, on the first
+solve: importing it by name runs scipy/optimize/__init__ (about +0.3 s and
++23 MB of peak RSS, against +0.02 s and +2.5 MB alone), and callers that
+solve no LP load nothing.  That path is private to
+scipy, so pyproject.toml sets the scipy version it was tested on and a
+missing extension raises SolverUnavailable.
 
 Sign convention for duals: for a max problem, multipliers of <= rows are >= 0
 and of >= rows are <= 0; for a min problem the signs flip; equality rows are
@@ -20,17 +19,18 @@ strong duality against dualize(model) without further sign fiddling.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
 
 RELATIONS = ("<=", "=", ">=")
-
-FEAS_TOL = 1e-9
-RCOST_TOL = 1e-9
-PIVOT_TOL = 1e-9
 
 
 class LpError(Exception):
@@ -42,7 +42,11 @@ class DimensionMismatch(LpError):
 
 
 class NumericalBreakdown(LpError):
-    """Singular basis, stalled pivoting, or iteration budget exhausted."""
+    """The solver stopped short of optimal, infeasible or unbounded."""
+
+
+class SolverUnavailable(LpError):
+    """scipy's bundled HiGHS extension could not be found or loaded."""
 
 
 @dataclass(frozen=True)
@@ -138,209 +142,85 @@ class LpSolution:
     dual: Optional[np.ndarray]
 
 
-def _simplex_phase(A, b, c, basis, B_inv, barred, maxiter, bland=False):
-    """Run simplex iterations to optimality on min c x, A x = b, x >= 0.
+_HIGHS_NAME = "scipy.optimize._highspy._core"
 
-    `barred` columns never enter.  Returns (code, basis, B_inv, bland) with
-    code one of "optimal", "unbounded".
-    """
-    m, ncols = A.shape
-    best = math.inf
-    stall = 0
-    stall_limit = 2 * ncols
-    for it in range(maxiter):
-        if it and it % 200 == 0:  # fight drift from incremental updates
-            try:
-                B_inv = np.linalg.solve(A[:, basis], np.eye(m))
-            except np.linalg.LinAlgError as e:
-                raise NumericalBreakdown("singular basis during refactorization") from e
-        x_b = B_inv @ b
-        y = c[basis] @ B_inv
-        r = c - y @ A
-        r[basis] = 0.0
-        r[barred] = 0.0
-        obj = float(c[basis] @ np.maximum(x_b, 0.0))
-        if obj < best - 1e-12 * max(1.0, abs(best) if math.isfinite(best) else 1.0):
-            best = obj
-            stall = 0
-        else:
-            stall += 1
-            if stall > stall_limit:
-                bland = True
-        elig = np.flatnonzero(r < -RCOST_TOL)
-        if elig.size == 0:
-            return "optimal", basis, B_inv, bland
-        j = int(elig[0]) if bland else int(elig[np.argmin(r[elig])])
-        d = B_inv @ A[:, j]
-        pos = np.flatnonzero(d > PIVOT_TOL)
-        if pos.size == 0:
-            return "unbounded", basis, B_inv, bland
-        ratios = np.maximum(x_b[pos], 0.0) / d[pos]
-        theta = ratios.min()
-        ties = pos[np.flatnonzero(ratios <= theta + 1e-12)]
-        # Bland-style leaving choice on ties keeps the iteration deterministic
-        leave = int(ties[np.argmin(np.asarray(basis)[ties])])
-        piv = d[leave]
-        B_inv[leave, :] /= piv
-        others = np.arange(m) != leave
-        B_inv[others, :] -= np.outer(d[others], B_inv[leave, :])
-        basis[leave] = j
-    raise NumericalBreakdown(f"iteration budget {maxiter} exhausted")
+
+@functools.lru_cache(maxsize=None)
+def _load_highs(directory: Optional[str] = None):
+    """The HiGHS extension, loaded from `directory`, default scipy's optimize/_highspy."""
+    if directory is None:
+        # Reuse scipy's module if scipy imported it first: loading it again
+        # would register its types twice.  In the other order, `import
+        # scipy.optimize` gets the module loaded here, since both load the
+        # same file under the same name (checked in both orders).
+        if _HIGHS_NAME in sys.modules:
+            return sys.modules[_HIGHS_NAME]
+        scipy_dir = Path(importlib.util.find_spec("scipy").origin).parent
+        directory = scipy_dir / "optimize" / "_highspy"
+    paths = [Path(directory) / ("_core" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
+        raise SolverUnavailable(f"no HiGHS extension _core in {directory}; needs scipy>=1.17")
+    try:
+        spec = importlib.util.spec_from_file_location(_HIGHS_NAME, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError as e:
+        raise SolverUnavailable(f"cannot load the HiGHS extension {path}") from e
+    return module
+
+
+def _run_highs(model: LpModel, cost: np.ndarray):
+    """min cost x over the model's rows and bounds: (HiGHS model status,
+    primal, row duals)."""
+    h = _load_highs()
+    m, n = model.a_matrix.shape
+    rel = np.array(model.relations)
+    lp = h.HighsLp()
+    lp.num_col_, lp.num_row_ = n, m
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, model.lower, model.upper
+    lp.row_lower_ = np.where(rel == "<=", -math.inf, model.rhs)
+    lp.row_upper_ = np.where(rel == ">=", math.inf, model.rhs)
+    rows, cols = np.nonzero(model.a_matrix)
+    mat = lp.a_matrix_
+    mat.format_, mat.num_col_, mat.num_row_ = h.MatrixFormat.kRowwise, n, m
+    mat.start_ = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
+    mat.index_, mat.value_ = cols, model.a_matrix[rows, cols]
+    options = h.HighsOptions()
+    # presolve gains nothing on these LPs, and it reported a feasible,
+    # unbounded LP as infeasible (test_feasible_unbounded_not_reported_infeasible)
+    options.output_flag, options.threads, options.presolve = False, 1, "off"
+    highs = h._Highs()
+    if h.HighsStatus.kError in (highs.passOptions(options), highs.passModel(lp), highs.run()):
+        raise NumericalBreakdown("HiGHS reported an error")
+    sol = highs.getSolution()
+    return highs.getModelStatus(), np.array(sol.col_value), np.array(sol.row_dual)
 
 
 def solve(model: LpModel) -> LpSolution:
-    """Two-phase dense revised simplex; duals come back one per stated constraint."""
-    n = model.num_variables
-    m_user = model.num_constraints
+    """Solve with HiGHS; duals come back one per stated constraint."""
+    S = _load_highs().HighsModelStatus
     sgn = -1.0 if model.sense == "max" else 1.0
-    c_orig = sgn * model.objective
-
-    # --- bound transforms: rewrite every variable through nonnegative columns
-    cols = []          # (orig var, scale) per standard-form structural column
-    shifts = np.zeros(n)
-    extra_rows = []    # (coeffs over std structural cols, rel, rhs) for finite uppers
-    for j in range(n):
-        lo, up = model.lower[j], model.upper[j]
-        if lo == -math.inf and up == math.inf:
-            cols.append((j, 1.0))
-            cols.append((j, -1.0))
-        elif lo == -math.inf:
-            # x = up - w
-            shifts[j] = up
-            cols.append((j, -1.0))
-        else:
-            shifts[j] = lo
-            cols.append((j, 1.0))
-            if up != math.inf:
-                extra_rows.append((len(cols) - 1, up - lo))
-    n_std = len(cols)
-    col_var = np.array([j for j, _ in cols])
-    col_scale = np.array([s for _, s in cols])
-
-    A_struct = model.a_matrix[:, col_var] * col_scale
-    b_vec = model.rhs - model.a_matrix @ shifts
-    rels = list(model.relations)
-    if extra_rows:
-        ub_rows = np.zeros((len(extra_rows), n_std))
-        ub_rhs = np.zeros(len(extra_rows))
-        for i, (k, cap) in enumerate(extra_rows):
-            ub_rows[i, k] = 1.0
-            ub_rhs[i] = cap
-        A_struct = np.vstack([A_struct, ub_rows])
-        b_vec = np.concatenate([b_vec, ub_rhs])
-        rels += ["<="] * len(extra_rows)
-    m = len(rels)
-    c_std = c_orig[col_var] * col_scale
-
-    if m == 0:
-        if np.any(c_std < -RCOST_TOL):
-            return LpSolution("Unbounded", math.nan, None, None)
-        x = shifts.copy()
-        return LpSolution("Optimal", float(model.objective @ x), x, np.zeros(0))
-
-    # --- slacks, orientation, artificials
-    slack_cols = np.zeros((m, m))
-    for i, r in enumerate(rels):
-        if r == "<=":
-            slack_cols[i, i] = 1.0
-        elif r == ">=":
-            slack_cols[i, i] = -1.0
-    flip = np.where(b_vec < 0, -1.0, 1.0)
-    A_os = np.hstack([A_struct, slack_cols]) * flip[:, None]
-    b_os = b_vec * flip
-
-    need_art = np.array([not (slack_cols[i, i] * flip[i] > 0) for i in range(m)])
-    art_idx = np.flatnonzero(need_art)
-    A_all = np.hstack([A_os, np.zeros((m, art_idx.size))])
-    for k, i in enumerate(art_idx):
-        A_all[i, n_std + m + k] = 1.0
-    n_real = n_std + m
-
-    basis = np.empty(m, dtype=int)
-    for i in range(m):
-        basis[i] = n_std + i  # slack
-    for k, i in enumerate(art_idx):
-        basis[i] = n_real + k
-    B_inv = np.eye(m)  # both slack(+1) and artificial start columns are unit
-
-    budget = 20000 + 10 * (m + A_all.shape[1])
-    # artificials start basic and may leave, but must never re-enter: a basic
-    # artificial then always sits in its own row, which the redundant-row
-    # dropping below relies on
-    barred = np.zeros(A_all.shape[1], dtype=bool)
-    barred[n_real:] = True
-
-    bland = False
-    if art_idx.size:
-        c1 = np.zeros(A_all.shape[1])
-        c1[n_real:] = 1.0
-        code, basis, B_inv, bland = _simplex_phase(A_all, b_os, c1, basis, B_inv,
-                                                   barred, budget, bland)
-        if code == "unbounded":
-            raise NumericalBreakdown("phase 1 reported an unbounded direction")
-        x_b = B_inv @ b_os
-        if float(x_b[basis >= n_real].sum() if np.any(basis >= n_real) else 0.0) > \
-                FEAS_TOL * max(1.0, float(np.abs(b_os).max(initial=0.0))):
-            return LpSolution("Infeasible", math.nan, None, None)
-
-    # drive artificials out of the basis; rows that cannot pivot are redundant
-    keep = np.ones(m, dtype=bool)
-    for i in range(m):
-        if basis[i] < n_real:
-            continue
-        row = B_inv[i] @ A_all[:, :n_real]
-        in_basis = np.zeros(n_real, dtype=bool)
-        in_basis[basis[basis < n_real]] = True
-        cand = np.flatnonzero((np.abs(row) > 1e-7) & ~in_basis)
-        if cand.size:
-            j = int(cand[0])
-            d = B_inv @ A_all[:, j]
-            piv = d[i]
-            B_inv[i, :] /= piv
-            others = np.arange(m) != i
-            B_inv[others, :] -= np.outer(d[others], B_inv[i, :])
-            basis[i] = j
-        else:
-            keep[i] = False
-
-    if not np.all(keep):
-        A_all = A_all[keep][:, :n_real]
-        b_os = b_os[keep]
-        basis = basis[keep]
-        m2 = int(keep.sum())
-        try:
-            B_inv = np.linalg.solve(A_all[:, basis], np.eye(m2))
-        except np.linalg.LinAlgError as e:
-            raise NumericalBreakdown("singular basis after dropping redundant rows") from e
-    else:
-        A_all = A_all[:, :n_real]
-
-    c2 = np.concatenate([c_std, np.zeros(m)])
-    code, basis, B_inv, bland = _simplex_phase(A_all, b_os, c2, basis, B_inv,
-                                               np.zeros(n_real, dtype=bool),
-                                               budget, bland)
-    if code == "unbounded":
-        return LpSolution("Unbounded", math.nan, None, None)
-
-    x_b = B_inv @ b_os
-    x_std = np.zeros(n_real)
-    x_std[basis] = np.maximum(x_b, 0.0)
-    x = shifts.copy()
-    np.add.at(x, col_var, col_scale * x_std[:n_std])
-
-    y_kept = c2[basis] @ B_inv
-    y_full = np.zeros(m)
-    y_full[keep] = y_kept
-    y_user = (y_full * flip)[:m_user] * sgn
-    return LpSolution("Optimal", float(model.objective @ x), x, y_user)
+    status, x, y = _run_highs(model, sgn * model.objective)
+    if status == S.kUnboundedOrInfeasible:
+        # a zero cost is never unbounded, so a feasibility solve settles it
+        status = _run_highs(model, np.zeros(model.num_variables))[0]
+        status = S.kUnbounded if status == S.kOptimal else status
+    if status == S.kOptimal:
+        return LpSolution("Optimal", float(model.objective @ x), x, sgn * y)
+    if status in (S.kInfeasible, S.kUnbounded):
+        return LpSolution("Infeasible" if status == S.kInfeasible else "Unbounded",
+                          math.nan, None, None)
+    raise NumericalBreakdown(f"HiGHS stopped with status {status.name}")
 
 
 def dualize(model: LpModel) -> LpModel:
     """Mechanical LP dual.
 
     Variable bounds must be one of [0, inf), (-inf, 0], (-inf, inf); every
-    model this package builds for dualization satisfies that (finite caps like
-    phi <= P are emitted as constraint rows).  dualize(dualize(m)) has the
+    relaxation LP this package builds satisfies that (x >= 0 only).
+    dualize(dualize(m)) has the
     same optimal value as m.
     """
     n, m = model.num_variables, model.num_constraints

@@ -508,13 +508,16 @@ def check_dpsw_feasible(inst: SwInstance, pt: DualPointSW,
         resid = pt.gamma_c[:, :, None, None] - dec.transpose(2, 3, 0, 1)
         _collect(out, "D3", resid, tol)
 
-    # (D4) over (s1, s2, x1, x2, y1, y2, sh1, sh2)
+    # (D4) over (s1, s2, x1, x2, y1, y2, sh1, sh2); the right side
+    # P(s1, s2) 1{(sh1, sh2) != (s1, s2)} sits on x1 = y1, x2 = y2 only,
+    # so it is subtracted there in place instead of built as a dense 8-D array
     mism = 1.0 - np.einsum("ac, bd -> abcd", np.eye(n1), np.eye(n2))
-    rhs = np.einsum("ab, abcd, xu, yv -> abxyuvcd", P, mism, np.eye(m1), np.eye(m2))
-    lhs = pt.lam_s_12[:, :, None, :, :, :, :, :] \
+    resid = pt.lam_s_12[:, :, None, :, :, :, :, :] \
         + pt.lam_s_21[:, :, :, None, :, :, :, :] \
         + pt.lam_c[:, :, :, :, :, :, None, None]
-    _collect(out, "D4", lhs - rhs, tol)
+    x1, x2 = np.arange(m1)[:, None], np.arange(m2)[None, :]
+    resid[:, :, x1, x2, x1, x2] -= (P[:, :, None, None] * mism)[:, :, None, None]
+    _collect(out, "D4", resid, tol)
 
     # (D5) over (s2, x2, y1, y2, sh1, sh2)
     lhs = pt.mu_s_2.transpose(0, 3, 4, 1, 2)[:, None, :, :, :, :] \

@@ -9,6 +9,7 @@ Frozen anchors were computed by hand before the module was written:
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -140,6 +141,23 @@ def test_meta_sw_witness_in_range_and_reproduces():
         assert meta_sw_eta(inst, *_witness_flows(rep)).raw_value == rep.raw_value
 
 
+def test_meta_raw_values_not_above_exact_formula():
+    # the formulas evaluated in exact rational arithmetic at the witnesses
+    rng = np.random.default_rng(12)
+    F = np.vectorize(Fraction)
+    for _ in range(40):
+        inst = _random_inst(rng, max_n=4, max_m=4)
+        P, (n1, n2, m1, m2) = F(inst.joint.mass), inst.dims
+        rep = meta_sw(inst)
+        ph, p12, p21 = (F(phi) for phi in _witness_flows(rep))
+        exact = (np.minimum(P, ph + p12 + p21).sum() - m1 * m2 * ph.max()
+                 - m1 * p12.max(axis=0).sum() - m2 * p21.max(axis=1).sum())
+        assert Fraction(rep.raw_value) <= exact
+        rep = meta_sid(inst, 1)
+        phi = F(rep.witness["phi"])
+        assert Fraction(rep.raw_value) <= phi.sum() - m1 * phi.max(axis=0).sum()
+
+
 def test_meta_sw_equals_three_flow_lp():
     rng = np.random.default_rng(26)
     for _ in range(30):
@@ -153,8 +171,9 @@ def test_meta_sw_equals_three_flow_lp():
     assert got == pytest.approx(0.2079, abs=1e-9)
 
 
-def test_meta_sw_dsbs_n4_equals_je_bound():
-    spec = DsbsSpec(4, 0.11, 0.5, 0.5)
+@pytest.mark.parametrize("n", [4, 5])
+def test_meta_sw_dsbs_equals_je_bound(n):
+    spec = DsbsSpec(n, 0.11, 0.5, 0.5)
     assert meta_sw(expand_joint(spec)).raw_value == pytest.approx(
         dsbs_je_bound(spec).raw_value, abs=1e-9)
 

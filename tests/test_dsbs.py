@@ -1,6 +1,10 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -122,3 +126,23 @@ def test_converse_at_matches_meta_sw_eta(n, rates):
         eta3 = np.broadcast_to(t * P1[:, None] / m2, mass.shape)
         want = meta_sw_eta(inst, eta1, eta2, eta3).raw_value
         assert dsbs_converse_at(spec, t) == pytest.approx(want, abs=1e-12)
+
+
+def test_sweep_loads_no_lp_solver():
+    # the DSBS bounds solve no LP, so the HiGHS extension stays unloaded until
+    # the first solve, and loading it does not import scipy.optimize
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from fbconv import dsbs, lp_core
+        core = "scipy.optimize._highspy._core"
+        dsbs.sweep(dsbs.DsbsSpec(10, 0.11, 0.5, 0.5), [10, 50, 200])
+        assert core not in sys.modules
+        assert lp_core._load_highs.cache_info().currsize == 0
+        sol = lp_core.solve(lp_core.LpModel("max", [1.0], np.ones((1, 1)), ("<=",), [2.0]))
+        assert sol.value == 2.0
+        assert lp_core._load_highs.cache_info().currsize == 1
+        assert "scipy.optimize" not in sys.modules
+    """)
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from fbconv import lp_core
 from fbconv.lp_core import (
     DimensionMismatch,
+    LpError,
     LpModel,
     LpSolution,
     NumericalBreakdown,
+    SolverUnavailable,
+    _load_highs,
     dualize,
     dump,
     solve,
@@ -83,6 +87,37 @@ def test_redundant_equality_rows():
     assert sol.value == pytest.approx(1.0, abs=1e-9)
 
 
+def test_feasible_unbounded_not_reported_infeasible():
+    # a random LP on which HiGHS with presolve answered "infeasible"
+    A = [[-0.5, -1.23, -0.81, 0.71, 0.69], [-1.84, 0.84, -0.02, -2.26, -0.94],
+         [-0.55, -1.09, -0.64, 0.58, 0.19], [0.72, 0.03, -1.37, 1.78, -0.56],
+         [0.62, -1.95, -0.19, -2.6, -1.77]]
+    b = [1.5099, -5.0586, 0.2752, 2.3611, -6.7669]
+    m = LpModel("min", [0.19, 0.11, -0.35, -0.66, -0.85], A,
+                ("<=", "<=", "=", "<=", "<="), b, lower=[-math.inf, -math.inf, 0, 0, 0])
+    assert solve(m).status == "Unbounded"
+
+
+def test_unbounded_or_infeasible_settled_by_feasibility_solve(monkeypatch):
+    # HiGHS may answer "unbounded or infeasible"; a zero-cost solve decides
+    status = lp_core._load_highs().HighsModelStatus
+    real = lp_core._run_highs
+    costs = []
+
+    def first_undecided(model, cost):
+        costs.append(cost)
+        out = real(model, cost)
+        return (status.kUnboundedOrInfeasible,) + out[1:] if len(costs) == 1 else out
+
+    monkeypatch.setattr(lp_core, "_run_highs", first_undecided)
+    m = LpModel.from_rows("max", [1.0, 0.0], [([0.0, 1.0], "<=", 1.0)])
+    assert solve(m).status == "Unbounded"
+    assert len(costs) == 2 and not np.any(costs[1])
+    costs.clear()
+    m = LpModel.from_rows("min", [1.0], [([1.0], "<=", 1.0), ([1.0], ">=", 2.0)])
+    assert solve(m).status == "Infeasible"
+
+
 def test_finite_upper_bounds():
     m = LpModel.from_rows("max", [1.0, 1.0], [([1.0, 2.0], "<=", 10.0)],
                           upper=[3.0, np.inf])
@@ -145,12 +180,14 @@ def _random_model(rng, n=None, m=None):
     c = rng.normal(size=n).round(2)
     sense = "min" if rng.random() < 0.5 else "max"
     lower = np.where(rng.random(n) < 0.15, -math.inf, 0.0)
-    return LpModel(sense, c, A, tuple(rel), b, lower=lower)
+    # finite caps above x0 on some variables, so solve sees native bounds
+    upper = np.where(rng.random(n) < 0.3, (x0 + rng.uniform(0, 1, size=n)).round(2), math.inf)
+    return LpModel(sense, c, A, tuple(rel), b, lower=lower, upper=upper)
 
 
 def test_random_models_against_scipy():
     rng = np.random.default_rng(20240817)
-    n_opt = 0
+    n_opt = n_capped = 0
     for _ in range(250):
         m = _random_model(rng)
         ref_status, ref_value = scipy_reference(m)
@@ -158,6 +195,8 @@ def test_random_models_against_scipy():
         assert sol.status == ref_status, dump(m)
         if ref_status == "Optimal":
             n_opt += 1
+            n_capped += bool(np.any(np.isfinite(m.upper)))
+            assert np.all(sol.primal >= m.lower - 1e-9) and np.all(sol.primal <= m.upper + 1e-9)
             assert sol.value == pytest.approx(ref_value, abs=1e-7 * max(1, abs(ref_value))), dump(m)
             # returned primal is feasible and attains the value
             assert sol.value == pytest.approx(float(m.objective @ sol.primal), abs=1e-9)
@@ -170,6 +209,7 @@ def test_random_models_against_scipy():
                 else:
                     assert ax == pytest.approx(v, abs=1e-9)
     assert n_opt > 150  # the generator is meant to mostly produce solvable LPs
+    assert n_capped > 50
 
 
 def test_strong_duality_and_complementary_slackness_random():
@@ -218,7 +258,7 @@ def test_dual_of_dual_value_matches():
 
 
 def test_degenerate_cycling_candidate():
-    # classic Beale-style degenerate LP; must terminate via the Bland fallback
+    # classic Beale-style degenerate LP, on which Dantzig pricing cycles
     m = LpModel.from_rows(
         "min", [-0.75, 150.0, -0.02, 6.0],
         [([0.25, -60.0, -1.0 / 25.0, 9.0], "<=", 0.0),
@@ -243,3 +283,9 @@ def test_dualize_rejects_finite_caps():
     m = LpModel.from_rows("max", [1.0], [([1.0], "<=", 1.0)], upper=[2.0])
     with pytest.raises(Exception):
         dualize(m)
+
+
+def test_missing_extension_raises_typed_error(tmp_path):
+    with pytest.raises(SolverUnavailable):
+        _load_highs(str(tmp_path))
+    assert issubclass(SolverUnavailable, LpError)

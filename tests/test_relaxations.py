@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fbconv.converses_sw import meta_sw
 from fbconv.lp_core import LpSolution, solve
 from fbconv.oracle import exact_opt_sc, exact_opt_sid, exact_opt_sw
 from fbconv.probability import CodeSizes, DistortionSpec, JointPmf, PmfError, SinglePmf
@@ -149,6 +150,20 @@ def test_sw_lp_random_duals_and_oracle():
         assert dpsw_objective(inst, pt) == pytest.approx(sol.value, abs=1e-7)
 
 
+def test_sw_lp_3x3_m22_between_meta_sw_and_exact():
+    # 1750 rows x 1812 columns
+    rng = np.random.default_rng(37)
+    for _ in range(3):
+        inst = SwInstance(random_joint(rng, 3, 3), CodeSizes(2, 2))
+        sol = solve(build_lp_sw(inst))
+        assert sol.status == "Optimal"
+        assert meta_sw(inst).raw_value <= sol.value + 1e-9
+        assert sol.value <= exact_opt_sw(inst) + 1e-9
+        pt = dual_point_sw_from_solution(inst, sol)
+        assert check_dpsw_feasible(inst, pt, tol=1e-9) == []
+        assert dpsw_objective(inst, pt) == pytest.approx(sol.value, abs=1e-9)
+
+
 def test_sw_lp_between_je_and_exact():
     rng = np.random.default_rng(17)
     for _ in range(5):
@@ -257,3 +272,34 @@ def test_builder_transpose_matches_hand_written_duals(inst, build, dual, check):
     want = np.sort(model.a_matrix.T @ y - model.objective)
     assert resid.shape == want.shape
     assert np.abs(resid - want).max() <= 1e-12
+
+
+def _dense_d4_records(inst, pt, tol):
+    """(D4) as it was first written: the right side built as a dense 8-D
+    array over (s1, s2, x1, x2, y1, y2, sh1, sh2) and subtracted whole."""
+    n1, n2, m1, m2 = inst.dims
+    mism = 1.0 - np.einsum("ac, bd -> abcd", np.eye(n1), np.eye(n2))
+    rhs = np.einsum("ab, abcd, xu, yv -> abxyuvcd", inst.joint.mass, mism,
+                    np.eye(m1), np.eye(m2))
+    lhs = pt.lam_s_12[:, :, None, :, :, :, :, :] \
+        + pt.lam_s_21[:, :, :, None, :, :, :, :] \
+        + pt.lam_c[:, :, :, :, :, :, None, None]
+    resid = lhs - rhs
+    return [(tuple(int(i) for i in idx), float(resid[tuple(idx)]))
+            for idx in np.argwhere(resid > tol)]
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 1, 1), (3, 2, 2, 1), (2, 3, 2, 3), (3, 3, 3, 2)])
+def test_check_dpsw_d4_matches_dense_formula(dims):
+    n1, n2, m1, m2 = dims
+    rng = np.random.default_rng(31)
+    inst = SwInstance(random_joint(rng, n1, n2), CodeSizes(m1, m2))
+    shapes = [(n1, n2, m2, m1, m2, n1, n2), (n1, n2, m1, m1, m2, n1, n2),
+              (n1, n2, m1, m2, m1, m2), (n1, n1, n2, m1, m2), (n2, n1, n2, m1, m2),
+              (n1, m1, m1, m2), (n2, m2, m1, m2), (m1, n1, n2), (m2, n1, n2)]
+    # entries of the size of P, so about half the D4 residuals are positive
+    pt = DualPointSW(*(rng.uniform(0.0, 0.4 / (n1 * n2), size=sh) for sh in shapes))
+    for tol in (-np.inf, 0.0):
+        got = [(v.index, v.residual)
+               for v in check_dpsw_feasible(inst, pt, tol=tol) if v.constraint_id == "D4"]
+        assert got == _dense_d4_records(inst, pt, tol)

@@ -14,6 +14,7 @@ verified feasible first, outputs are exact up to float rounding.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -27,6 +28,7 @@ from .relaxations import (
     DualPointSW,
     InstanceTooLarge,
     SwInstance,
+    _binding_gammas,
     check_dpje_feasible,
     check_dpsi_feasible,
 )
@@ -194,22 +196,8 @@ def _require_feasible(violations, what):
             f"constraints, worst residual {worst:.3e}", violations)
 
 
-def _si_gammas(inst: SwInstance, pt: DualPointSI):
-    """Effective normalization multipliers, binding when not stored."""
-    lam_s = pt.lam_s if pt.which == 1 else pt.lam_s.swapaxes(0, 1)
-    lam_c = pt.lam_c if pt.which == 1 else pt.lam_c.swapaxes(0, 1)
-    ga = pt.gamma_a if pt.gamma_a is not None else lam_c.sum(axis=(1, 3)).min(axis=1)
-    gb = pt.gamma_b if pt.gamma_b is not None else lam_s.sum(axis=0).min(axis=1)
-    return ga, gb
-
-
-def _binding_sw_gammas(lam_fields):
-    (mu_s_1, mu_s_2, mu_c_1, mu_c_2, mu_c_12, mu_c_21) = lam_fields
-    ga = (mu_c_1.sum(axis=(2, 3)) + mu_c_12.sum(axis=2).T).min(axis=1)
-    gb = (mu_c_2.sum(axis=(2, 3)) + mu_c_21.sum(axis=1).T).min(axis=1)
-    dec = mu_s_1.sum(axis=0) + mu_s_2.sum(axis=0)
-    gc = dec.min(axis=(0, 1))
-    return ga, gb, gc
+def _with_binding_gammas(inst: SwInstance, pt: DualPointSW) -> DualPointSW:
+    return replace(pt, **_binding_gammas(inst, pt))
 
 
 def embed_sid_feasible(inst: SwInstance, dual_point_sid: DualPointSI,
@@ -228,54 +216,35 @@ def embed_sid_feasible(inst: SwInstance, dual_point_sid: DualPointSI,
     _require_feasible(check_dpsi_feasible(inst, pt, tol=input_tol),
                       f"side-information dual point (which={pt.which})")
     n1, n2, m1, m2 = inst.dims
-    ga_bar, gb_bar = _si_gammas(inst, pt)
-    zeros = {
-        "mu_s_1": np.zeros((n1, n1, n2, m1, m2)),
-        "mu_s_2": np.zeros((n2, n1, n2, m1, m2)),
-    }
+    gb_bar = _binding_gammas(inst, pt)["gamma_b"]
+    mu_s_1, mu_s_2 = np.zeros((n1, n1, n2, m1, m2)), np.zeros((n2, n1, n2, m1, m2))
     if pt.which == 1:
         # lam_s (s1,s2,sh1,y1), lam_c (s1,s2,x1,y1); side channel is 2
         eye2 = np.eye(m2)
-        lam_s_12 = np.broadcast_to(
-            pt.lam_s.transpose(0, 1, 3, 2)[:, :, None, :, None, :, None]
-            * eye2[None, None, :, None, :, None, None],
-            (n1, n2, m2, m1, m2, n1, n2)).copy()
+        lam_s_12 = pt.lam_s.transpose(0, 1, 3, 2)[:, :, None, :, None, :, None] \
+            * eye2[None, None, :, None, :, None, None]
+        lam_s_12 = np.broadcast_to(lam_s_12, (n1, n2, m2, m1, m2, n1, n2))
         lam_s_21 = np.zeros((n1, n2, m1, m1, m2, n1, n2))
-        lam_c = np.broadcast_to(
-            pt.lam_c[:, :, :, None, :, None]
-            * eye2[None, None, None, :, None, :],
-            (n1, n2, m1, m2, m1, m2)).copy()
+        lam_c = pt.lam_c[:, :, :, None, :, None] * eye2[None, None, None, :, None, :]
         mu_c_1 = np.zeros((n1, m1, m1, m2))
-        mu_c_2 = np.broadcast_to(
-            gb_bar[:, None, :, None] * eye2[None, :, None, :],
-            (n2, m2, m1, m2)).copy()
-        mu_c_12 = pt.lam_c.sum(axis=3).transpose(2, 0, 1).copy()
+        mu_c_2 = gb_bar[:, None, :, None] * eye2[None, :, None, :]
+        mu_c_12 = pt.lam_c.sum(axis=3).transpose(2, 0, 1)
         mu_c_21 = np.zeros((m2, n1, n2))
-        gamma_a = np.asarray(ga_bar, dtype=float).copy()
-        gamma_b = np.asarray(gb_bar, dtype=float).sum(axis=1)
     else:
-        # stored lam_s (s1,s2,sh2,y2), lam_c (s1,s2,x2,y2); side channel is 1
+        # lam_s (s2,s1,sh2,y2), lam_c (s2,s1,x2,y2); side channel is 1
         eye1 = np.eye(m1)
-        lam_s_21 = np.broadcast_to(
-            pt.lam_s.transpose(0, 1, 3, 2)[:, :, None, None, :, None, :]
-            * eye1[None, None, :, :, None, None, None],
-            (n1, n2, m1, m1, m2, n1, n2)).copy()
+        lam_s_21 = pt.lam_s.transpose(1, 0, 3, 2)[:, :, None, None, :, None, :] \
+            * eye1[None, None, :, :, None, None, None]
+        lam_s_21 = np.broadcast_to(lam_s_21, (n1, n2, m1, m1, m2, n1, n2))
         lam_s_12 = np.zeros((n1, n2, m2, m1, m2, n1, n2))
-        lam_c = np.broadcast_to(
-            pt.lam_c[:, :, None, :, None, :] * eye1[None, None, :, None, :, None],
-            (n1, n2, m1, m2, m1, m2)).copy()
+        lam_c = pt.lam_c.transpose(1, 0, 2, 3)[:, :, None, :, None, :] \
+            * eye1[None, None, :, None, :, None]
         mu_c_2 = np.zeros((n2, m2, m1, m2))
-        mu_c_1 = np.broadcast_to(
-            gb_bar[:, None, None, :] * eye1[None, :, :, None],
-            (n1, m1, m1, m2)).copy()
-        mu_c_21 = pt.lam_c.sum(axis=3).transpose(2, 0, 1).copy()
+        mu_c_1 = gb_bar[:, None, None, :] * eye1[None, :, :, None]
+        mu_c_21 = pt.lam_c.sum(axis=3).transpose(2, 1, 0)
         mu_c_12 = np.zeros((m1, n1, n2))
-        gamma_a = np.asarray(gb_bar, dtype=float).sum(axis=1)
-        gamma_b = np.asarray(ga_bar, dtype=float).copy()
-    gamma_c = np.zeros((m1, m2))
-    return DualPointSW(lam_s_12, lam_s_21, lam_c, zeros["mu_s_1"],
-                       zeros["mu_s_2"], mu_c_1, mu_c_2, mu_c_12, mu_c_21,
-                       gamma_a, gamma_b, gamma_c)
+    return _with_binding_gammas(inst, DualPointSW(
+        lam_s_12, lam_s_21, lam_c, mu_s_1, mu_s_2, mu_c_1, mu_c_2, mu_c_12, mu_c_21))
 
 
 def embed_je_feasible(inst: SwInstance, dual_point_je: DualPointJE,
@@ -287,29 +256,20 @@ def embed_je_feasible(inst: SwInstance, dual_point_je: DualPointJE,
     _require_feasible(check_dpje_feasible(inst, pt, tol=input_tol),
                       "jointly-encoded dual point")
     n1, n2, m1, m2 = inst.dims
-    ga_hat = pt.gamma_a if pt.gamma_a is not None \
-        else pt.lam_c.sum(axis=(4, 5)).min(axis=(2, 3))
-    gb_hat = pt.gamma_b if pt.gamma_b is not None \
-        else pt.lam_s.sum(axis=(0, 1)).min(axis=(0, 1))
+    ga_hat = _binding_gammas(inst, pt)["gamma_a"]
     # lam_s (s1,s2,sh1,sh2,y1,y2) -> (s1,s2,x2,y1,y2,sh1,sh2)
-    lam_s_12 = np.broadcast_to(
-        pt.lam_s.transpose(0, 1, 4, 5, 2, 3)[:, :, None, :, :, :, :],
-        (n1, n2, m2, m1, m2, n1, n2)).copy()
+    lam_s_12 = np.broadcast_to(pt.lam_s.transpose(0, 1, 4, 5, 2, 3)[:, :, None],
+                               (n1, n2, m2, m1, m2, n1, n2))
     lam_s_21 = np.zeros((n1, n2, m1, m1, m2, n1, n2))
-    lam_c = pt.lam_c.copy()
     # mu_s_2(s2, sh1, sh2, y1, y2) = sum_s1 lam_s(s1, s2, sh1, sh2, y1, y2)
     mu_s_2 = pt.lam_s.sum(axis=0)
     mu_s_1 = np.zeros((n1, n1, n2, m1, m2))
     mu_c_1 = np.zeros((n1, m1, m1, m2))
     mu_c_2 = np.zeros((n2, m2, m1, m2))
     mu_c_12 = np.zeros((m1, n1, n2))
-    mu_c_21 = np.broadcast_to(ga_hat[None, :, :], (m2, n1, n2)).copy()
-    gamma_a = np.zeros(n1)
-    gamma_b = np.asarray(ga_hat, dtype=float).sum(axis=0)
-    gamma_c = np.asarray(gb_hat, dtype=float).copy()
-    return DualPointSW(lam_s_12, lam_s_21, lam_c, mu_s_1, mu_s_2,
-                       mu_c_1, mu_c_2, mu_c_12, mu_c_21,
-                       gamma_a, gamma_b, gamma_c)
+    mu_c_21 = np.broadcast_to(ga_hat, (m2, n1, n2))
+    return _with_binding_gammas(inst, DualPointSW(
+        lam_s_12, lam_s_21, pt.lam_c, mu_s_1, mu_s_2, mu_c_1, mu_c_2, mu_c_12, mu_c_21))
 
 
 def combine_feasible(inst: SwInstance, sid12_flows: DualPointSI,
@@ -347,15 +307,14 @@ def combine_feasible(inst: SwInstance, sid12_flows: DualPointSI,
         * eye2[None, None, :, None, :, None, None]
     je_part = hat.lam_s.transpose(0, 1, 4, 5, 2, 3)[:, :, None, :, :, :, :]
     pairb = pair[:, :, None, None, None, :, :]
-    lam_s_12 = (sid_part + alpha * je_part) * pairb
-    lam_s_12 = np.ascontiguousarray(np.broadcast_to(
-        lam_s_12, (n1, n2, m2, m1, m2, n1, n2)))
+    lam_s_12 = np.broadcast_to((sid_part + alpha * je_part) * pairb,
+                               (n1, n2, m2, m1, m2, n1, n2))
 
-    sid_part = til.lam_s.transpose(0, 1, 3, 2)[:, :, None, None, :, None, :] \
+    # side 2 is stored (s2, s1, ...)
+    sid_part = til.lam_s.transpose(1, 0, 3, 2)[:, :, None, None, :, None, :] \
         * eye1[None, None, :, :, None, None, None]
-    lam_s_21 = (sid_part + (1.0 - alpha) * je_part) * pairb
-    lam_s_21 = np.ascontiguousarray(np.broadcast_to(
-        lam_s_21, (n1, n2, m1, m1, m2, n1, n2)))
+    lam_s_21 = np.broadcast_to((sid_part + (1.0 - alpha) * je_part) * pairb,
+                               (n1, n2, m1, m1, m2, n1, n2))
 
     # channel flow: min of the summed sub-problem channel flows against the
     # diagonal error-density cap (D4's right-hand side at the correct pair)
@@ -363,13 +322,14 @@ def combine_feasible(inst: SwInstance, sid12_flows: DualPointSI,
         * np.einsum("xu, yv -> xyuv", eye1, eye2)[None, None, :, :, :, :]
     summed = hat.lam_c \
         + bar.lam_c[:, :, :, None, :, None] * eye2[None, None, None, :, None, :] \
-        + til.lam_c[:, :, None, :, None, :] * eye1[None, None, :, None, :, None]
+        + til.lam_c.transpose(1, 0, 2, 3)[:, :, None, :, None, :] \
+        * eye1[None, None, :, None, :, None]
     lam_c = np.minimum(cap, summed)
 
     # decoder-side source flows: the alpha split of the pair flow, pinned to
     # the matching own-symbol diagonal
-    _, gb_bar = _si_gammas(inst, bar)
-    _, gb_til = _si_gammas(inst, til)
+    gb_bar = _binding_gammas(inst, bar)["gamma_b"]
+    gb_til = _binding_gammas(inst, til)["gamma_b"]
     d1 = np.einsum("abadef -> badef", hat.lam_s)     # (s2, sh1, sh2, y1, y2)
     mu_s_2 = alpha * d1 * np.eye(n2)[:, None, :, None, None]
     d2 = np.einsum("abcbef -> acbef", hat.lam_s)     # (s1, sh1, sh2, y1, y2)
@@ -382,24 +342,19 @@ def combine_feasible(inst: SwInstance, sid12_flows: DualPointSI,
     cap2 = (gb_bar[:, None, :] - (tot - diag)).min(axis=1)
     if n2 > 1:
         cap2 = np.minimum(cap2, 0.0)
-    mu_c_2 = np.ascontiguousarray(np.broadcast_to(
-        cap2[:, None, :, None] * eye2[None, :, None, :], (n2, m2, m1, m2)))
+    mu_c_2 = cap2[:, None, :, None] * eye2[None, :, None, :]
 
-    tot = til.lam_s.sum(axis=1)                      # (s1, sh2, y2)
-    diag = np.einsum("abby -> aby", til.lam_s)       # (s1, sh2, y2)
+    tot = til.lam_s.sum(axis=0)                      # (s1, sh2, y2)
+    diag = np.einsum("baby -> aby", til.lam_s)       # (s1, sh2, y2)
     cap1 = (gb_til[:, None, :] - (tot - diag)).min(axis=1)
     if n1 > 1:
         cap1 = np.minimum(cap1, 0.0)
-    mu_c_1 = np.ascontiguousarray(np.broadcast_to(
-        cap1[:, None, None, :] * eye1[None, :, :, None], (n1, m1, m1, m2)))
+    mu_c_1 = cap1[:, None, None, :] * eye1[None, :, :, None]
 
     mu_c_12 = np.zeros((m1, n1, n2))
-    mu_c_21 = lam_c.sum(axis=(4, 5)).min(axis=2).transpose(2, 0, 1).copy()
-
-    ga, gb, gc = _binding_sw_gammas((mu_s_1, mu_s_2, mu_c_1, mu_c_2,
-                                     mu_c_12, mu_c_21))
-    return DualPointSW(lam_s_12, lam_s_21, lam_c, mu_s_1, mu_s_2,
-                       mu_c_1, mu_c_2, mu_c_12, mu_c_21, ga, gb, gc)
+    mu_c_21 = lam_c.sum(axis=(4, 5)).min(axis=2).transpose(2, 0, 1)
+    return _with_binding_gammas(inst, DualPointSW(
+        lam_s_12, lam_s_21, lam_c, mu_s_1, mu_s_2, mu_c_1, mu_c_2, mu_c_12, mu_c_21))
 
 
 def mk_flows(inst: SwInstance, t: float) -> DualPointSW:
@@ -417,33 +372,27 @@ def mk_flows(inst: SwInstance, t: float) -> DualPointSW:
     pair = np.einsum("ac, bd -> abcd", np.eye(n1), np.eye(n2))
     pairb = pair[:, :, None, None, None, :, :]
 
-    lam_s_12 = np.ascontiguousarray(np.broadcast_to(
+    lam_s_12 = np.broadcast_to(
         -(t / m1) * P2[None, :, None, None, None, None, None]
         * eye2[None, None, :, None, :, None, None] * pairb,
-        (n1, n2, m2, m1, m2, n1, n2)))
-    lam_s_21 = np.ascontiguousarray(np.broadcast_to(
+        (n1, n2, m2, m1, m2, n1, n2))
+    lam_s_21 = np.broadcast_to(
         (-(t / m2) * P1[:, None, None, None, None, None, None]
          * eye1[None, None, :, :, None, None, None]
          - t / (m1 * m2)) * pairb,
-        (n1, n2, m1, m1, m2, n1, n2)))
+        (n1, n2, m1, m1, m2, n1, n2))
     diag_ch = np.einsum("xu, yv -> xyuv", eye1, eye2)
     lam_c = np.minimum(P, t * _mk_coef(inst))[:, :, None, None, None, None] \
         * diag_ch[None, None, :, :, :, :]
 
-    mu_s_1 = np.ascontiguousarray(np.broadcast_to(
-        -(t / (m1 * m2)) * np.eye(n1)[:, :, None, None, None],
-        (n1, n1, n2, m1, m2)))
+    mu_s_1 = np.broadcast_to(-(t / (m1 * m2)) * np.eye(n1)[:, :, None, None, None],
+                             (n1, n1, n2, m1, m2))
     mu_s_2 = np.zeros((n2, n1, n2, m1, m2))
-    mu_c_1 = np.ascontiguousarray(np.broadcast_to(
-        -(t / m2) * P1[:, None, None, None] * eye1[None, :, :, None],
-        (n1, m1, m1, m2)))
-    mu_c_2 = np.ascontiguousarray(np.broadcast_to(
-        -(t / m1) * P2[:, None, None, None] * eye2[None, :, None, :],
-        (n2, m2, m1, m2)))
+    mu_c_1 = np.broadcast_to(-(t / m2) * P1[:, None, None, None] * eye1[None, :, :, None],
+                             (n1, m1, m1, m2))
+    mu_c_2 = np.broadcast_to(-(t / m1) * P2[:, None, None, None] * eye2[None, :, None, :],
+                             (n2, m2, m1, m2))
     mu_c_12 = np.zeros((m1, n1, n2))
-    mu_c_21 = lam_c.sum(axis=(4, 5)).min(axis=2).transpose(2, 0, 1).copy()
-
-    ga, gb, gc = _binding_sw_gammas((mu_s_1, mu_s_2, mu_c_1, mu_c_2,
-                                     mu_c_12, mu_c_21))
-    return DualPointSW(lam_s_12, lam_s_21, lam_c, mu_s_1, mu_s_2,
-                       mu_c_1, mu_c_2, mu_c_12, mu_c_21, ga, gb, gc)
+    mu_c_21 = lam_c.sum(axis=(4, 5)).min(axis=2).transpose(2, 0, 1)
+    return _with_binding_gammas(inst, DualPointSW(
+        lam_s_12, lam_s_21, lam_c, mu_s_1, mu_s_2, mu_c_1, mu_c_2, mu_c_12, mu_c_21))

@@ -7,6 +7,14 @@ logsumexp); blocklengths in the hundreds would overflow linear arithmetic.
 
 Rates are in bits per symbol and the scalar parameter is t = 2^(-beta),
 matching the base-2 form of the collapsed displays.
+
+Each sup over t in [0, 1) is exact from finitely many candidates.  Between
+consecutive switch points (the t where some min{., t} changes branch, or
+where mk's event gains a distance class) each bound is linear in t, or
+decreasing in t for mk, and every bound is 0 at t = 0.  A linear piece
+takes its max at an end, so the sup is the max over t = 0, the switches
+inside (0, 1), and the right end, which t = exp(-1e-9) stands in for.  The
+evaluators take log t and return exactly 0 at log t = -inf.
 """
 
 from __future__ import annotations
@@ -15,17 +23,16 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List
+from typing import Iterable, List, Tuple
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .probability import CodeSizes, JointPmf, PmfError
 from .relaxations import InstanceTooLarge, SwInstance
-from .converses_ptp import EVENT_SLACK, BoundReport, _report
+from .converses_ptp import EVENT_SLACK, BoundReport, _breakpoint_sup, _report
 
 LN2 = math.log(2.0)
-GUARD_POINTS = 64
 EXPAND_LIMIT = 8
 
 
@@ -97,13 +104,6 @@ def _weights(spec: DsbsSpec):
     return log_comb, log_q
 
 
-def binomial_log_mass(n: int, p: float) -> float:
-    """log of sum_k C(n,k) p^k (1-p)^(n-k); 0 up to float error."""
-    k = np.arange(n + 1)
-    log_comb = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-    return float(logsumexp(log_comb + k * math.log(p) + (n - k) * math.log1p(-p)))
-
-
 # ---------------------------------------------------------------------------
 # the three collapsed bounds; internal evaluators take log t
 
@@ -153,6 +153,8 @@ def _mk_raw(spec: DsbsSpec, log_comb, log_q, log_t: float) -> float:
 
 
 def _switch_logs(spec: DsbsSpec, log_q) -> np.ndarray:
+    """log t of the switches of _meta_raw and _je_raw: q_k = t c for each k,
+    and t = each penalty's cap at k = 0, where q_k is largest."""
     lm1, lm2 = _log_sizes(spec)
     nl2 = spec.n * LN2
     log_c = logsumexp([-lm1, -lm2, nl2 - lm1 - lm2])
@@ -161,20 +163,22 @@ def _switch_logs(spec: DsbsSpec, log_q) -> np.ndarray:
                            [lm1 + q0, lm2 + q0, lm1 + lm2 - nl2 + q0]])
 
 
-def _candidates(switches: np.ndarray) -> np.ndarray:
-    inside = switches[switches < 0.0]
-    lo = (inside.min() if inside.size else -30.0) - 2.0 * LN2
-    guards = np.linspace(lo, -1e-9, GUARD_POINTS)
-    return np.unique(np.concatenate([inside, guards]))
+def _mk_switch_logs(spec: DsbsSpec, log_q) -> np.ndarray:
+    return log_q - _log_union_coef(spec)
 
 
-def _maximize(fn, cand_logs) -> tuple:
-    best, best_t = 0.0, 0.0        # the t -> 0 limit of every bound is 0
-    for lt in cand_logs:
-        v = fn(float(lt))
-        if v > best:
-            best, best_t = v, math.exp(float(lt))
-    return best, best_t
+def _sup(spec: DsbsSpec, raw, switch_logs) -> Tuple[float, float]:
+    """(sup of raw over t in [0, 1), t attaining it); see the module docstring."""
+    log_comb, log_q = _weights(spec)
+    switches = switch_logs(spec, log_q)
+    cands = np.unique(np.concatenate([[-math.inf], switches[switches < 0.0], [-1e-9]]))
+    val, lt = _breakpoint_sup(lambda lt: raw(spec, log_comb, log_q, float(lt)), cands)
+    return val, math.exp(lt)
+
+
+def _at(spec: DsbsSpec, raw, t: float) -> float:
+    log_comb, log_q = _weights(spec)
+    return raw(spec, log_comb, log_q, _log_of(t))
 
 
 def _log_of(t: float) -> float:
@@ -186,52 +190,36 @@ def _log_of(t: float) -> float:
 def dsbs_converse(spec: DsbsSpec) -> BoundReport:
     """Exact sup over t of the collapsed four-term metaconverse with the
     uniform-marginal flow weights t/(M1 M2), t P2/M1, t P1/M2."""
-    log_comb, log_q = _weights(spec)
-    raw, t = _maximize(lambda lt: _meta_raw(spec, log_comb, log_q, lt),
-                       _candidates(_switch_logs(spec, log_q)))
+    raw, t = _sup(spec, _meta_raw, _switch_logs)
     return _report("dsbs-converse", raw, {"t": t},
                    "weight-collapsed distributed metaconverse")
 
 
 def dsbs_converse_at(spec: DsbsSpec, t: float) -> float:
-    log_comb, log_q = _weights(spec)
-    if t == 0.0:
-        return 0.0
-    return _meta_raw(spec, log_comb, log_q, _log_of(t))
+    return _at(spec, _meta_raw, t)
 
 
 def dsbs_je_bound(spec: DsbsSpec) -> BoundReport:
     """Exact sup over t of the collapsed joint-encoder converse (the variant
     whose three penalty terms all carry M1 M2)."""
-    log_comb, log_q = _weights(spec)
-    raw, t = _maximize(lambda lt: _je_raw(spec, log_comb, log_q, lt),
-                       _candidates(_switch_logs(spec, log_q)))
+    raw, t = _sup(spec, _je_raw, _switch_logs)
     return _report("dsbs-je", raw, {"t": t},
                    "weight-collapsed joint-encoder converse")
 
 
 def dsbs_je_at(spec: DsbsSpec, t: float) -> float:
-    log_comb, log_q = _weights(spec)
-    if t == 0.0:
-        return 0.0
-    return _je_raw(spec, log_comb, log_q, _log_of(t))
+    return _at(spec, _je_raw, t)
 
 
 def dsbs_mk(spec: DsbsSpec) -> BoundReport:
     """Exact sup over t of the weight-collapsed union bound minus 3t."""
-    log_comb, log_q = _weights(spec)
-    switches = (log_q - _log_union_coef(spec))
-    raw, t = _maximize(lambda lt: _mk_raw(spec, log_comb, log_q, lt),
-                       _candidates(switches))
+    raw, t = _sup(spec, _mk_raw, _mk_switch_logs)
     return _report("dsbs-mk", raw, {"t": t},
                    "Miyake-Kanaya union bound, weight form")
 
 
 def dsbs_mk_at(spec: DsbsSpec, t: float) -> float:
-    log_comb, log_q = _weights(spec)
-    if t == 0.0:
-        return 0.0
-    return _mk_raw(spec, log_comb, log_q, _log_of(t))
+    return _at(spec, _mk_raw, t)
 
 
 # ---------------------------------------------------------------------------

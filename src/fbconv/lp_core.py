@@ -49,6 +49,15 @@ class SolverUnavailable(LpError):
     """scipy's bundled HiGHS extension could not be found or loaded."""
 
 
+def _read_only(a) -> np.ndarray:
+    """`a` as a read-only float64 array: kept as given when it already is
+    one, copied otherwise."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable):
+        a = np.array(a, dtype=float)
+        a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class LpModel:
     """min or max of objective @ x subject to a_matrix @ x (relations) rhs and bounds.
@@ -65,16 +74,12 @@ class LpModel:
     rhs: np.ndarray
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
-    variable_names: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
         if self.sense not in ("max", "min"):
             raise DimensionMismatch(f"sense must be 'max' or 'min', got {self.sense!r}")
         c = np.atleast_1d(np.array(self.objective, dtype=float))
-        A = self.a_matrix
-        if not (isinstance(A, np.ndarray) and A.dtype == np.float64
-                and not A.flags.writeable):
-            A = np.array(A, dtype=float)
+        A = _read_only(self.a_matrix)
         if A.ndim != 2:
             A = A.reshape(0, c.size) if A.size == 0 else A.reshape(-1, c.size)
         b = np.atleast_1d(np.array(self.rhs, dtype=float))
@@ -95,19 +100,14 @@ class LpModel:
             raise DimensionMismatch("objective, a_matrix and rhs must be finite")
         if np.any(np.isnan(lo)) or np.any(np.isnan(up)) or np.any(lo > up):
             raise DimensionMismatch("bounds must satisfy lower <= upper and not be NaN")
-        if self.variable_names is not None and len(self.variable_names) != n:
-            raise DimensionMismatch("variable_names must match the variable count")
         for name, val in (("objective", c), ("a_matrix", A), ("rhs", b),
                           ("lower", lo), ("upper", up)):
             val.setflags(write=False)
             object.__setattr__(self, name, val)
         object.__setattr__(self, "relations", rel)
-        if self.variable_names is not None:
-            object.__setattr__(self, "variable_names", tuple(self.variable_names))
 
     @classmethod
-    def from_rows(cls, sense, objective, constraints, lower=None, upper=None,
-                  variable_names=None) -> "LpModel":
+    def from_rows(cls, sense, objective, constraints, lower=None, upper=None) -> "LpModel":
         """Build from a list of (coefficient vector, relation, rhs) triples."""
         objective = np.atleast_1d(np.asarray(objective, dtype=float))
         n = objective.size
@@ -118,7 +118,7 @@ class LpModel:
             b = np.array([float(v) for _, _, v in constraints])
         else:
             A, rel, b = np.zeros((0, n)), (), np.zeros(0)
-        return cls(sense, objective, A, rel, b, lower, upper, variable_names)
+        return cls(sense, objective, A, rel, b, lower, upper)
 
     @property
     def constraints(self):

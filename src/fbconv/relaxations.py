@@ -27,11 +27,18 @@ Each LP is written once, as a table over one-letter index names:
 
 Every row of a lifted relaxation has one of those two shapes, so one routine
 (_build) turns any table into the constraint matrix and rhs.  The same table
-gives the variable and row layouts (the *_indexer functions) and the slicing
-of a solver's dual vector into typed dual points, whose fields are named
-after the row families.  The feasibility checkers state the dual
-constraints by hand, independently of the tables, and so serve as an oracle
-for them.
+gives:
+
+  * the variable and row layouts (the *_indexer functions);
+  * the layout of each typed dual point: one field per row family, named
+    after it, with the family's letters as axes, so slicing a solver's dual
+    vector is a reshape;
+  * the binding normalization multipliers (_binding_gammas): a normalization
+    row's multiplier is bounded by the families whose minus block it
+    normalizes, and the dual objectives are the sum of those bounds.
+
+The feasibility checkers state the dual constraints by hand, independently
+of the tables, and so serve as an oracle for them.
 
 Letters: s source and x, y encoder output / decoder input, h reconstruction
 (point-to-point); e encoded and s side source (side information); a, b the
@@ -47,12 +54,12 @@ Dual constraint identifiers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .lp_core import LpModel, LpSolution
+from .lp_core import LpModel, LpSolution, _read_only
 from .probability import CodeSizes, DistortionSpec, JointPmf, PmfError, SinglePmf
 
 DEFAULT_VAR_CAP = 200_000
@@ -291,18 +298,25 @@ def build_lp_sw(inst: SwInstance, cap: int = DEFAULT_VAR_CAP) -> LpModel:
 # dual point containers
 
 
-def _arr(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
+@dataclass(frozen=True)
+class _DualPoint:
+    """Fields are one multiplier tensor per row family of the LP's table, with
+    the family's letters as axes.  Every array field is frozen by LpModel's
+    rule: a read-only float64 array is kept as given, anything else copied.
+    The gamma fields may be None."""
 
-
-def _opt(a) -> Optional[np.ndarray]:
-    return None if a is None else _arr(a)
+    def __post_init__(self):
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if f.name == "which":
+                if val not in (1, 2):
+                    raise PmfError(f"which must be 1 or 2, got {val!r}")
+            elif val is not None:
+                object.__setattr__(self, f.name, _read_only(val))
 
 
 @dataclass(frozen=True)
-class DualPointSC:
+class DualPointSC(_DualPoint):
     """Multipliers for the point-to-point LP; see sc_indexer for row orders."""
 
     lam_s: np.ndarray            # (s, sh, y)
@@ -310,34 +324,22 @@ class DualPointSC:
     gamma_a: Optional[np.ndarray] = None   # (s,)
     gamma_b: Optional[np.ndarray] = None   # (y,)
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam_s", _arr(self.lam_s))
-        object.__setattr__(self, "lam_c", _arr(self.lam_c))
-        object.__setattr__(self, "gamma_a", _opt(self.gamma_a))
-        object.__setattr__(self, "gamma_b", _opt(self.gamma_b))
-
 
 @dataclass(frozen=True)
-class DualPointSI:
-    """Multipliers for a side-information LP; `which` names the encoded source."""
+class DualPointSI(_DualPoint):
+    """Multipliers for a side-information LP; `which` names the encoded
+    source.  Axes follow the encoded source first, as in si_indexer, so for
+    which = 2 they start (s2, s1)."""
 
     which: int
-    lam_s: np.ndarray            # (s1, s2, sh_enc, y_enc)
-    lam_c: np.ndarray            # (s1, s2, x_enc, y_enc)
+    lam_s: np.ndarray            # (s_enc, s_side, sh_enc, y_enc)
+    lam_c: np.ndarray            # (s_enc, s_side, x_enc, y_enc)
     gamma_a: Optional[np.ndarray] = None   # (s_enc,)
     gamma_b: Optional[np.ndarray] = None   # (s_side, y_enc)
 
-    def __post_init__(self):
-        if self.which not in (1, 2):
-            raise PmfError(f"which must be 1 or 2, got {self.which!r}")
-        object.__setattr__(self, "lam_s", _arr(self.lam_s))
-        object.__setattr__(self, "lam_c", _arr(self.lam_c))
-        object.__setattr__(self, "gamma_a", _opt(self.gamma_a))
-        object.__setattr__(self, "gamma_b", _opt(self.gamma_b))
-
 
 @dataclass(frozen=True)
-class DualPointJE:
+class DualPointJE(_DualPoint):
     """Multipliers for the jointly-encoded LP in pair indices."""
 
     lam_s: np.ndarray            # (s1, s2, sh1, sh2, y1, y2)
@@ -345,15 +347,9 @@ class DualPointJE:
     gamma_a: Optional[np.ndarray] = None   # (s1, s2)
     gamma_b: Optional[np.ndarray] = None   # (y1, y2)
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam_s", _arr(self.lam_s))
-        object.__setattr__(self, "lam_c", _arr(self.lam_c))
-        object.__setattr__(self, "gamma_a", _opt(self.gamma_a))
-        object.__setattr__(self, "gamma_b", _opt(self.gamma_b))
-
 
 @dataclass(frozen=True)
-class DualPointSW:
+class DualPointSW(_DualPoint):
     """Multipliers for the distributed LP; see _sw_table for row orders."""
 
     lam_s_12: np.ndarray         # (s1, s2, x2, y1, y2, sh1, sh2)
@@ -369,12 +365,30 @@ class DualPointSW:
     gamma_b: Optional[np.ndarray] = None   # (s2,)
     gamma_c: Optional[np.ndarray] = None   # (y1, y2)
 
-    def __post_init__(self):
-        for f in ("lam_s_12", "lam_s_21", "lam_c", "mu_s_1", "mu_s_2",
-                  "mu_c_1", "mu_c_2", "mu_c_12", "mu_c_21"):
-            object.__setattr__(self, f, _arr(getattr(self, f)))
-        for f in ("gamma_a", "gamma_b", "gamma_c"):
-            object.__setattr__(self, f, _opt(getattr(self, f)))
+
+def _table_of(inst, pt: _DualPoint):
+    if isinstance(pt, DualPointSI):
+        return _si_table(inst, pt.which)
+    return {DualPointSC: _sc_table, DualPointJE: _je_table,
+            DualPointSW: _sw_table}[type(pt)](inst)
+
+
+def _binding_gammas(inst, pt: _DualPoint) -> Dict[str, np.ndarray]:
+    """Each normalization multiplier at its binding minimum, read off the
+    point's table.  A normalization family's block B has one dual constraint
+    per entry: the multiplier is at most the sum of the families whose minus
+    block is B, summed down to B's letters.  The largest feasible multiplier
+    is the min of that sum over the letters of B the family does not have."""
+    _, cols, rows = _table_of(inst, pt)
+    letters = dict(cols)
+    out = {}
+    for name, own, block, minus in rows:
+        if minus is None:
+            free = "".join(k for k in letters[block] if k not in own)
+            total = sum(np.einsum(f"{fam}->{own}{free}", getattr(pt, f))
+                        for f, fam, _, m in rows if m == block)
+            out[name] = total.min(axis=tuple(range(len(own), len(own) + len(free))))
+    return out
 
 
 @dataclass(frozen=True)
@@ -411,11 +425,13 @@ def check_dp_feasible(inst: ScInstance, pt: DualPointSC,
         # (P2): gamma_b(y) <= sum_s lam_s(s, sh, y), for all (y, sh)
         resid = pt.gamma_b[:, None] - pt.lam_s.sum(axis=0).T
         _collect(out, "P2", resid, tol)
-    # (P3): lam_s(s,sh,y) + lam_c(x,s,y) <= P(s) 1{d(s,sh) > level} 1{y=x}
-    rhs = np.einsum("s, sh, xy -> sxyh", P, exc, np.eye(M))
-    lhs = pt.lam_s.transpose(0, 2, 1)[:, None, :, :] + \
+    # (P3) over (s, x, y, sh): lam_s(s,sh,y) + lam_c(x,s,y) <= P(s)
+    # 1{d(s,sh) > level} 1{y=x}; the right side is subtracted in place on x = y
+    resid = pt.lam_s.transpose(0, 2, 1)[:, None, :, :] + \
         pt.lam_c.transpose(1, 0, 2)[:, :, :, None]
-    _collect(out, "P3", lhs - rhs, tol)
+    x = np.arange(M)
+    resid[:, x, x, :] -= (P[:, None] * exc)[:, None, :]
+    _collect(out, "P3", resid, tol)
     return out
 
 
@@ -435,12 +451,14 @@ def check_dpje_feasible(inst: SwInstance, pt: DualPointJE,
         # (A2): gamma_b(y1,y2) <= sum_{s1,s2} lam_s(.., sh1, sh2, y1, y2)
         resid = pt.gamma_b[None, None, :, :] - pt.lam_s.sum(axis=(0, 1))
         _collect(out, "A2", resid, tol)
-    # (A3) over (s1,s2,sh1,sh2,x1,x2,y1,y2)
+    # (A3) over (s1,s2,sh1,sh2,x1,x2,y1,y2); the right side
+    # P(s1,s2) 1{(sh1,sh2) != (s1,s2)} is subtracted in place on x1 = y1, x2 = y2
     mism = 1.0 - np.einsum("ac, bd -> abcd", np.eye(n1), np.eye(n2))
-    rhs = np.einsum("ab, abcd, xu, yv -> abcdxyuv", P, mism, np.eye(m1), np.eye(m2))
-    lhs = pt.lam_s[:, :, :, :, None, None, :, :] + \
+    resid = pt.lam_s[:, :, :, :, None, None, :, :] + \
         pt.lam_c[:, :, None, None, :, :, :, :]
-    _collect(out, "A3", lhs - rhs, tol)
+    x1, x2 = np.arange(m1)[:, None], np.arange(m2)[None, :]
+    resid[:, :, :, :, x1, x2, x1, x2] -= (P[:, :, None, None] * mism)[..., None, None]
+    _collect(out, "A3", resid, tol)
     return out
 
 
@@ -448,28 +466,26 @@ def check_dpsi_feasible(inst: SwInstance, pt: DualPointSI,
                         tol: float = 1e-12) -> List[ConstraintViolation]:
     n1, n2, m1, m2 = inst.dims
     if pt.which == 1:
-        P, ne, ns, M = inst.joint.mass, n1, n2, m1
-        lam_s, lam_c = pt.lam_s, pt.lam_c
-        ids = ("B1", "B2", "B3")
+        P, ne, ns, M, ids = inst.joint.mass, n1, n2, m1, ("B1", "B2", "B3")
     else:
-        P, ne, ns, M = inst.joint.mass.T, n2, n1, m2
-        lam_s, lam_c = pt.lam_s.swapaxes(0, 1), pt.lam_c.swapaxes(0, 1)
-        ids = ("C1", "C2", "C3")
-    if lam_s.shape != (ne, ns, ne, M) or lam_c.shape != (ne, ns, M, M):
+        P, ne, ns, M, ids = inst.joint.mass.T, n2, n1, m2, ("C1", "C2", "C3")
+    if pt.lam_s.shape != (ne, ns, ne, M) or pt.lam_c.shape != (ne, ns, M, M):
         raise PmfError("dual point shapes do not match the instance")
     out: List[ConstraintViolation] = []
     if pt.gamma_a is not None:
         # (B1): gamma_a(se) <= sum_{ss, y} lam_c(se, ss, x, y)
-        resid = pt.gamma_a[:, None] - lam_c.sum(axis=(1, 3))
+        resid = pt.gamma_a[:, None] - pt.lam_c.sum(axis=(1, 3))
         _collect(out, ids[0], resid, tol)
     if pt.gamma_b is not None:
         # (B2) over (ss, sh, y): lam_s.sum(0) has axes (ss, sh, y)
-        resid = pt.gamma_b[:, None, :] - lam_s.sum(axis=0)
+        resid = pt.gamma_b[:, None, :] - pt.lam_s.sum(axis=0)
         _collect(out, ids[1], resid, tol)
-    # (B3): lam_s(se,ss,sh,y) + lam_c(se,ss,x,y) <= P(se,ss) 1{se != sh} 1{y=x}
-    rhs = np.einsum("es, eh, xy -> eshxy", P, 1.0 - np.eye(ne), np.eye(M))
-    lhs = lam_s[:, :, :, None, :] + lam_c[:, :, None, :, :]
-    _collect(out, ids[2], lhs - rhs, tol)
+    # (B3) over (se, ss, sh, x, y): lam_s(se,ss,sh,y) + lam_c(se,ss,x,y)
+    # <= P(se,ss) 1{se != sh} 1{y=x}; the right side is subtracted in place on x = y
+    resid = pt.lam_s[:, :, :, None, :] + pt.lam_c[:, :, None, :, :]
+    x = np.arange(M)
+    resid[:, :, :, x, x] -= (P[:, :, None] * (1.0 - np.eye(ne))[:, None, :])[..., None]
+    _collect(out, ids[2], resid, tol)
     return out
 
 
@@ -537,38 +553,28 @@ def check_dpsw_feasible(inst: SwInstance, pt: DualPointSW,
 
 
 # ---------------------------------------------------------------------------
-# dual objectives (penalty / min form)
+# dual objectives (penalty / min form): the sum of the binding normalization
+# multipliers, so stored gamma fields are never read
+
+
+def _objective(inst, pt: _DualPoint) -> float:
+    return float(sum(g.sum() for g in _binding_gammas(inst, pt).values()))
 
 
 def dp_objective(inst: ScInstance, pt: DualPointSC) -> float:
-    ga = pt.gamma_a if pt.gamma_a is not None else pt.lam_c.sum(axis=2).min(axis=0)
-    gb = pt.gamma_b if pt.gamma_b is not None else pt.lam_s.sum(axis=0).T.min(axis=1)
-    return float(ga.sum() + gb.sum())
+    return _objective(inst, pt)
 
 
 def dpje_objective(inst: SwInstance, pt: DualPointJE) -> float:
-    ga = pt.gamma_a if pt.gamma_a is not None else pt.lam_c.sum(axis=(4, 5)).min(axis=(2, 3))
-    gb = pt.gamma_b if pt.gamma_b is not None else pt.lam_s.sum(axis=(0, 1)).min(axis=(0, 1))
-    return float(ga.sum() + gb.sum())
+    return _objective(inst, pt)
 
 
 def dpsi_objective(inst: SwInstance, pt: DualPointSI) -> float:
-    lam_s = pt.lam_s if pt.which == 1 else pt.lam_s.swapaxes(0, 1)
-    lam_c = pt.lam_c if pt.which == 1 else pt.lam_c.swapaxes(0, 1)
-    ga = pt.gamma_a if pt.gamma_a is not None else lam_c.sum(axis=(1, 3)).min(axis=1)
-    gb = pt.gamma_b if pt.gamma_b is not None else lam_s.sum(axis=0).min(axis=1)
-    return float(ga.sum() + gb.sum())
+    return _objective(inst, pt)
 
 
 def dpsw_objective(inst: SwInstance, pt: DualPointSW) -> float:
-    """Dual objective of the distributed LP in the per-symbol penalty form:
-    the three normalization multipliers evaluated at their binding minima
-    (gamma fields, when stored, must agree up to feasibility slack)."""
-    term1 = (pt.mu_c_1.sum(axis=(2, 3)) + pt.mu_c_12.sum(axis=2).T).min(axis=1).sum()
-    term2 = (pt.mu_c_2.sum(axis=(2, 3)) + pt.mu_c_21.sum(axis=1).T).min(axis=1).sum()
-    dec = pt.mu_s_1.sum(axis=0) + pt.mu_s_2.sum(axis=0)  # (sh1, sh2, y1, y2)
-    term3 = dec.min(axis=(0, 1)).sum()
-    return float(term1 + term2 + term3)
+    return _objective(inst, pt)
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +589,8 @@ def dp_flows_sc(inst: ScInstance, phi: np.ndarray) -> DualPointSC:
     phi = np.asarray(phi, dtype=float)
     win = inst.distortion.within().astype(float)
     lam_c = np.einsum("xy, s -> xsy", np.eye(M), phi)
-    lam_s = np.broadcast_to(-(phi[:, None] * win)[:, :, None], (n, nh, M)).copy()
-    gamma_a = phi.copy()
+    lam_s = np.broadcast_to(-(phi[:, None] * win)[:, :, None], (n, nh, M))
+    gamma_a = phi
     gamma_b = np.full(M, -float((phi[:, None] * win).sum(axis=0).max()))
     return DualPointSC(lam_s, lam_c, gamma_a, gamma_b)
 
@@ -597,16 +603,11 @@ def dpsi_flows(inst: SwInstance, which: int, phi: np.ndarray) -> DualPointSI:
         pe, ne, ns, M = phi, n1, n2, m1
     else:
         pe, ne, ns, M = phi.T, n2, n1, m2
-    # axes below are (s_enc, s_side, sh_enc, y_enc)
     lam_s = -np.einsum("es, eh -> esh", pe, np.eye(ne))[:, :, :, None]
-    lam_s = np.broadcast_to(lam_s, (ne, ns, ne, M)).copy()
-    lam_c = np.broadcast_to(pe[:, :, None, None] * np.eye(M)[None, None, :, :],
-                            (ne, ns, M, M)).copy()
+    lam_s = np.broadcast_to(lam_s, (ne, ns, ne, M))
+    lam_c = pe[:, :, None, None] * np.eye(M)[None, None, :, :]
     gamma_a = pe.sum(axis=1)
-    gamma_b = np.broadcast_to(-pe.max(axis=0)[:, None], (ns, M)).copy()
-    if which == 2:
-        lam_s = lam_s.swapaxes(0, 1)
-        lam_c = lam_c.swapaxes(0, 1)
+    gamma_b = np.broadcast_to(-pe.max(axis=0)[:, None], (ns, M))
     return DualPointSI(which, lam_s, lam_c, gamma_a, gamma_b)
 
 
@@ -616,12 +617,10 @@ def dpje_flows(inst: SwInstance, phi_hat: np.ndarray) -> DualPointJE:
     ph = np.asarray(phi_hat, dtype=float)
     same = np.einsum("ac, bd -> abcd", np.eye(n1), np.eye(n2))
     lam_s = -np.einsum("ab, abcd -> abcd", ph, same)[:, :, :, :, None, None]
-    lam_s = np.broadcast_to(lam_s, (n1, n2, n1, n2, m1, m2)).copy()
+    lam_s = np.broadcast_to(lam_s, (n1, n2, n1, n2, m1, m2))
     diag = np.einsum("xu, yv -> xyuv", np.eye(m1), np.eye(m2))
-    lam_c = np.broadcast_to(ph[:, :, None, None, None, None] *
-                            diag[None, None, :, :, :, :],
-                            (n1, n2, m1, m2, m1, m2)).copy()
-    gamma_a = ph.copy()
+    lam_c = ph[:, :, None, None, None, None] * diag[None, None, :, :, :, :]
+    gamma_a = ph
     gamma_b = np.full((m1, m2), -float(ph.max()))
     return DualPointJE(lam_s, lam_c, gamma_a, gamma_b)
 
@@ -644,11 +643,7 @@ def dual_point_je_from_solution(inst: SwInstance, sol: LpSolution) -> DualPointJ
 
 def dual_point_si_from_solution(inst: SwInstance, which: int,
                                 sol: LpSolution) -> DualPointSI:
-    f = _fields(si_indexer(inst, which)[1], sol)
-    if which == 2:    # rows are (s_enc, s_side, ...); the point is (s1, s2, ...)
-        f["lam_s"] = f["lam_s"].swapaxes(0, 1)
-        f["lam_c"] = f["lam_c"].swapaxes(0, 1)
-    return DualPointSI(which, **f)
+    return DualPointSI(which, **_fields(si_indexer(inst, which)[1], sol))
 
 
 def dual_point_sw_from_solution(inst: SwInstance, sol: LpSolution) -> DualPointSW:

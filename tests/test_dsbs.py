@@ -15,8 +15,10 @@ from fbconv.dsbs import (
     binary_entropy,
     dsbs_converse,
     dsbs_converse_at,
+    dsbs_je_at,
     dsbs_je_bound,
     dsbs_mk,
+    dsbs_mk_at,
     expand_joint,
     gnuplot_script,
     rate_region,
@@ -93,6 +95,25 @@ def test_code_size_past_float_range():
                                                                      abs=1e-12)
     for f in (dsbs_je_bound, dsbs_mk):
         assert 0.0 <= f(spec).clamped_value <= 1.0
+
+
+# --- exact sups ---------------------------------------------------------------
+
+
+# 2^(n R) past 2^53 has no exact float integer; dsbs says so with a RuntimeWarning
+@pytest.mark.filterwarnings(r"ignore:2\^\(n R\):RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 50, 200])
+@pytest.mark.parametrize("rates", [(0.6, 0.7), (1.0, 0.5), (1 / 3, 1.0), (0.9, 0.95)])
+def test_sups_not_below_a_grid_value(n, rates):
+    # the sups look only at the switches and the two ends of [0, 1)
+    spec = DsbsSpec(n, P, *rates)
+    grid = np.geomspace(1e-12, 1.0 - 1e-12, 400)
+    for sup, at in ((dsbs_converse, dsbs_converse_at), (dsbs_je_bound, dsbs_je_at),
+                    (dsbs_mk, dsbs_mk_at)):
+        rep = sup(spec)
+        assert at(spec, rep.witness["t"]) == rep.raw_value
+        assert max(at(spec, float(t)) for t in grid) <= rep.raw_value + 1e-12
+        assert at(spec, 0.0) == 0.0
 
 
 # --- explicit tensor form ----------------------------------------------------

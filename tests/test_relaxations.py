@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from fbconv.relaxations import (
     InstanceTooLarge,
     ScInstance,
     SwInstance,
+    _binding_gammas,
     build_lp_je,
     build_lp_sc,
     build_lp_sw,
@@ -32,7 +35,9 @@ from fbconv.relaxations import (
     dual_point_sc_from_solution,
     dual_point_si_from_solution,
     dual_point_sw_from_solution,
+    je_indexer,
     sc_indexer,
+    si_indexer,
     sw_indexer,
     sw_je_instance,
 )
@@ -274,9 +279,40 @@ def test_builder_transpose_matches_hand_written_duals(inst, build, dual, check):
     assert np.abs(resid - want).max() <= 1e-12
 
 
-def _dense_d4_records(inst, pt, tol):
-    """(D4) as it was first written: the right side built as a dense 8-D
-    array over (s1, s2, x1, x2, y1, y2, sh1, sh2) and subtracted whole."""
+def _dense_records(resid, tol):
+    return [(tuple(int(i) for i in idx), float(resid[tuple(idx)]))
+            for idx in np.argwhere(resid > tol)]
+
+
+# the joint-family constraints as they were first written: the right side
+# built as a dense array over every index and subtracted whole
+
+def _dense_p3(inst, pt):
+    rhs = np.einsum("s, sh, xy -> sxyh", inst.source.mass,
+                    inst.distortion.excess().astype(float), np.eye(inst.M))
+    lhs = pt.lam_s.transpose(0, 2, 1)[:, None, :, :] + \
+        pt.lam_c.transpose(1, 0, 2)[:, :, :, None]
+    return lhs - rhs
+
+
+def _dense_b3(inst, pt):
+    P = inst.joint.mass if pt.which == 1 else inst.joint.mass.T
+    ne, M = P.shape[0], pt.lam_c.shape[2]
+    rhs = np.einsum("es, eh, xy -> eshxy", P, 1.0 - np.eye(ne), np.eye(M))
+    return pt.lam_s[:, :, :, None, :] + pt.lam_c[:, :, None, :, :] - rhs
+
+
+def _dense_a3(inst, pt):
+    n1, n2, m1, m2 = inst.dims
+    mism = 1.0 - np.einsum("ac, bd -> abcd", np.eye(n1), np.eye(n2))
+    rhs = np.einsum("ab, abcd, xu, yv -> abcdxyuv", inst.joint.mass, mism,
+                    np.eye(m1), np.eye(m2))
+    lhs = pt.lam_s[:, :, :, :, None, None, :, :] + \
+        pt.lam_c[:, :, None, None, :, :, :, :]
+    return lhs - rhs
+
+
+def _dense_d4(inst, pt):
     n1, n2, m1, m2 = inst.dims
     mism = 1.0 - np.einsum("ac, bd -> abcd", np.eye(n1), np.eye(n2))
     rhs = np.einsum("ab, abcd, xu, yv -> abxyuvcd", inst.joint.mass, mism,
@@ -284,22 +320,109 @@ def _dense_d4_records(inst, pt, tol):
     lhs = pt.lam_s_12[:, :, None, :, :, :, :, :] \
         + pt.lam_s_21[:, :, :, None, :, :, :, :] \
         + pt.lam_c[:, :, :, :, :, :, None, None]
-    resid = lhs - rhs
-    return [(tuple(int(i) for i in idx), float(resid[tuple(idx)]))
-            for idx in np.argwhere(resid > tol)]
+    return lhs - rhs
+
+
+def _lossy_sc_m(M):
+    d = np.abs(np.arange(3)[:, None] - np.arange(4)[None, :]).astype(float)
+    return ScInstance(SinglePmf([0.5, 0.3, 0.2]), M, DistortionSpec(d, 1.0))
+
+
+def _cases(dims):
+    """(instance, point class, row layout, checker, joint family id, dense
+    formula, extra fields) for each LP on one pair of alphabet and code sizes."""
+    n1, n2, m1, m2 = dims
+    inst = SwInstance(random_joint(np.random.default_rng(31), n1, n2), CodeSizes(m1, m2))
+    sc = _lossy_sc_m(m1)
+    out = [(sc, DualPointSC, sc_indexer(sc)[1], check_dp_feasible, "P3", _dense_p3, {}),
+           (inst, DualPointJE, je_indexer(inst)[1], check_dpje_feasible, "A3",
+            _dense_a3, {}),
+           (inst, DualPointSW, sw_indexer(inst)[1], check_dpsw_feasible, "D4",
+            _dense_d4, {})]
+    for which, cid in ((1, "B3"), (2, "C3")):
+        out.append((inst, DualPointSI, si_indexer(inst, which)[1], check_dpsi_feasible,
+                    cid, _dense_b3, {"which": which}))
+    return out
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 1, 1), (3, 2, 2, 1), (2, 3, 2, 3), (3, 3, 3, 2)])
 def test_check_dpsw_d4_matches_dense_formula(dims):
-    n1, n2, m1, m2 = dims
+    # the joint family of every checker, each subtracting its right side in
+    # place on the message diagonal: (D4), (P3), (A3), (B3) and (C3)
     rng = np.random.default_rng(31)
-    inst = SwInstance(random_joint(rng, n1, n2), CodeSizes(m1, m2))
-    shapes = [(n1, n2, m2, m1, m2, n1, n2), (n1, n2, m1, m1, m2, n1, n2),
-              (n1, n2, m1, m2, m1, m2), (n1, n1, n2, m1, m2), (n2, n1, n2, m1, m2),
-              (n1, m1, m1, m2), (n2, m2, m1, m2), (m1, n1, n2), (m2, n1, n2)]
-    # entries of the size of P, so about half the D4 residuals are positive
-    pt = DualPointSW(*(rng.uniform(0.0, 0.4 / (n1 * n2), size=sh) for sh in shapes))
-    for tol in (-np.inf, 0.0):
-        got = [(v.index, v.residual)
-               for v in check_dpsw_feasible(inst, pt, tol=tol) if v.constraint_id == "D4"]
-        assert got == _dense_d4_records(inst, pt, tol)
+    for inst, cls, rows, check, cid, dense, extra in _cases(dims):
+        # entries of the size of P, so about half the joint residuals are positive
+        size = inst.n if isinstance(inst, ScInstance) else inst.dims[0] * inst.dims[1]
+        pt = cls(**extra, **{name: rng.uniform(0.0, 0.4 / size, size=shape)
+                             for name, shape in rows.shapes.items()})
+        for tol in (-np.inf, 0.0):
+            got = [(v.index, v.residual)
+                   for v in check(inst, pt, tol=tol) if v.constraint_id == cid]
+            assert got == _dense_records(dense(inst, pt), tol)
+
+
+# the binding normalization multipliers as each was first written by hand,
+# on the table layouts
+
+def _hand_gammas(pt):
+    if isinstance(pt, DualPointSC):
+        return {"gamma_a": pt.lam_c.sum(axis=2).min(axis=0),
+                "gamma_b": pt.lam_s.sum(axis=0).T.min(axis=1)}
+    if isinstance(pt, DualPointSI):
+        return {"gamma_a": pt.lam_c.sum(axis=(1, 3)).min(axis=1),
+                "gamma_b": pt.lam_s.sum(axis=0).min(axis=1)}
+    if isinstance(pt, DualPointJE):
+        return {"gamma_a": pt.lam_c.sum(axis=(4, 5)).min(axis=(2, 3)),
+                "gamma_b": pt.lam_s.sum(axis=(0, 1)).min(axis=(0, 1))}
+    dec = pt.mu_s_1.sum(axis=0) + pt.mu_s_2.sum(axis=0)
+    return {"gamma_a": (pt.mu_c_1.sum(axis=(2, 3)) + pt.mu_c_12.sum(axis=2).T).min(axis=1),
+            "gamma_b": (pt.mu_c_2.sum(axis=(2, 3)) + pt.mu_c_21.sum(axis=1).T).min(axis=1),
+            "gamma_c": dec.min(axis=(0, 1))}
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 1, 1), (3, 2, 2, 1), (2, 3, 2, 3), (3, 3, 3, 2)])
+def test_binding_gammas_match_hand_formulas(dims):
+    rng = np.random.default_rng(41)
+    for inst, cls, rows, _, _, _, extra in _cases(dims):
+        for _ in range(3):
+            pt = cls(**extra, **{name: rng.normal(size=shape)
+                                 for name, shape in rows.shapes.items()
+                                 if not name.startswith("gamma")})
+            got, want = _binding_gammas(inst, pt), _hand_gammas(pt)
+            assert got.keys() == want.keys()
+            for k in want:
+                assert got[k].shape == want[k].shape
+                assert np.abs(got[k] - want[k]).max() <= 1e-12
+
+
+def _solved_points():
+    """(instance, solver dual point, LP value) for SC, SI 1, SI 2 and JE."""
+    sc = _lossy_sc_m(2)
+    inst = SwInstance(random_joint(np.random.default_rng(43), 3, 2), CodeSizes(2, 1))
+    out = []
+    sol = solve(build_lp_sc(sc))
+    out.append((sc, dual_point_sc_from_solution(sc, sol), sol.value))
+    for which in (1, 2):
+        sol = solve(build_lpsi(inst, which))
+        out.append((inst, dual_point_si_from_solution(inst, which, sol), sol.value))
+    sol = solve(build_lp_je(inst))
+    out.append((inst, dual_point_je_from_solution(inst, sol), sol.value))
+    return out
+
+
+def test_objective_ignores_stored_gammas():
+    objective = {DualPointSC: dp_objective, DualPointSI: dpsi_objective,
+                 DualPointJE: dpje_objective}
+    for inst, pt, value in _solved_points():
+        raised = replace(pt, gamma_a=pt.gamma_a + 0.1)
+        assert objective[type(pt)](inst, raised) == pytest.approx(value, abs=1e-7)
+
+
+def test_si_point_in_table_layout():
+    inst = SwInstance(random_joint(np.random.default_rng(47), 3, 2), CodeSizes(2, 1))
+    for which in (1, 2):
+        sol = solve(build_lpsi(inst, which))
+        rows = si_indexer(inst, which)[1]
+        pt = dual_point_si_from_solution(inst, which, sol)
+        for name in ("lam_s", "lam_c", "gamma_a", "gamma_b"):
+            assert np.array_equal(getattr(pt, name), rows.extract(sol.dual, name))

@@ -1,11 +1,12 @@
 """Point-to-point converse bounds in closed form.
 
 Every bound here lower-bounds the exact error probability of the matching
-coding problem.  The phi-supremum forms are solved exactly as small LPs with
-epigraph variables; the scalar forms are reparameterized through t = exp(-b)
-and maximized exactly over the finite set of breakpoints where some
-min{.,.} or closed threshold event switches, since the objectives are
-piecewise linear in t between those points.
+coding problem.  The phi-supremum forms are solved exactly: lossy as an LP,
+lossless by a sort, side-information as a covered-mass LP (its row duals are
+the witness).  The scalar forms are reparameterized through t = exp(-b) and
+maximized exactly over the breakpoints where some min{.,.} or closed
+threshold event switches, since the objectives are piecewise linear in t
+between those points.
 
 Closed events are evaluated as P <= threshold with a relative 1e-12 slack so
 that a witness t that equals a breakpoint up to float rounding still lands
@@ -22,7 +23,7 @@ import numpy as np
 
 from .lp_core import LpModel, solve
 from .probability import PmfError, SinglePmf, ZeroProbability
-from .relaxations import ScInstance, SwInstance, sw_je_instance
+from .relaxations import ScInstance, SwInstance, _check_lp_size
 
 EVENT_SLACK = 1e-12
 
@@ -271,14 +272,15 @@ def hypothesis_testing_bound(inst: ScInstance, Q: Optional[SinglePmf] = None) ->
 def meta_lossless(source: SinglePmf, M: int) -> BoundReport:
     """sup over 0 <= phi <= P of |phi|_1 - M |phi|_inf.
 
-    The optimal phi is a cap: phi = min{P, c}, so the exact optimum is the
-    best c among {P(s)} and 0; the value equals meta_lossy on the lossless
-    distortion spec.
+    The optimal phi is a cap, min{P, c}, and sum min{P, c} - M c is concave
+    in c with slope #{s : P(s) > c} - M: the M-th largest mass (0 if M
+    exceeds the alphabet) is an optimal cap.  The value, the mass outside
+    the M largest, equals meta_lossy on the lossless distortion spec.
     """
     P = source.mass
-    caps = np.unique(np.concatenate([[0.0], P]))
-    val, cap = _breakpoint_sup(lambda c: float(np.minimum(P, c).sum() - M * c), caps)
-    return _report("meta-lossless", val, {"phi": np.minimum(P, cap), "cap": float(cap)},
+    cap = float(np.sort(P)[-M]) if M <= P.size else 0.0
+    phi = np.minimum(P, cap)
+    return _report("meta-lossless", float(phi.sum() - M * cap), {"phi": phi, "cap": cap},
                    "lossless metaconverse, cap form")
 
 
@@ -300,11 +302,9 @@ def lossless_gamma_at(source: SinglePmf, M: int, t: float) -> float:
 
 def meta_je(inst: SwInstance) -> BoundReport:
     """Lossless metaconverse of the flattened pair source with M = M1 M2."""
-    flat = sw_je_instance(inst)
-    rep = meta_lossless(flat.source, flat.M)
-    n1, n2 = inst.joint.sizes
-    wit = dict(rep.witness)
-    wit["phi"] = np.asarray(wit["phi"]).reshape(n1, n2)
+    n1, n2, m1, m2 = inst.dims
+    rep = meta_lossless(SinglePmf(inst.joint.mass.reshape(-1)), m1 * m2)
+    wit = dict(rep.witness, phi=rep.witness["phi"].reshape(n1, n2))
     return _report("meta-je", rep.raw_value, wit, "joint-encoder metaconverse")
 
 
@@ -320,22 +320,51 @@ def _oriented(inst: SwInstance, which: int):
     raise PmfError(f"which must be 1 or 2, got {which!r}")
 
 
+def _covered_mass_lp(inst: SwInstance, caps: str):
+    """(model, reader): max sum mu P over 0 <= mu <= 1, row-major over (s1, s2),
+    with a <= row per cap of the families in `caps`: u caps sum mu at M1 M2,
+    v(s1) each row sum at M2, w(s2) each column sum at M1.  The reader maps
+    the row duals to the flows they price, (min{P, u}, min{P, w(s2)},
+    min{P, v(s1)}) = (phi_hat, phi_12, phi_21), 0 for a family not kept."""
+    n1, n2, m1, m2 = inst.dims
+    P = inst.joint.mass
+    keep = np.repeat([c in caps for c in "uvw"], [1, n1, n2])
+    _check_lp_size(int(keep.sum()), P.size, "covered-mass LP")
+    s1, s2 = np.indices((n1, n2)).reshape(2, -1)
+    row = np.cumsum(keep) - 1     # the row of each kept cap among u, v(.), w(.)
+    A = np.zeros((int(keep.sum()), P.size))
+    for f, cap_of_cell in (("u", 0 * s1), ("v", 1 + s1), ("w", 1 + n1 + s2)):
+        if f in caps:
+            A[row[cap_of_cell], np.arange(P.size)] = 1.0
+    A.setflags(write=False)       # handed over: LpModel keeps it uncopied
+    b = np.repeat([m1 * m2, m2, m1], [1, n1, n2])[keep].astype(float)
+
+    def flows(dual):
+        y = np.zeros(keep.size)
+        y[keep] = dual
+        u, v, w = y[0], y[1:1 + n1], y[1 + n1:]
+        return np.clip(u, 0.0, P), np.clip(w[None, :], 0.0, P), np.clip(v[:, None], 0.0, P)
+
+    return LpModel("max", P.reshape(-1), A, ("<=",) * b.size, b, upper=np.ones(P.size)), flows
+
+
+def _meta_sw_raw(inst: SwInstance, phi_hat, phi_12, phi_21) -> float:
+    """The three-flow metaconverse integrand at flows in [0, P]."""
+    n1, n2, m1, m2 = inst.dims
+    return _formula_sum(np.concatenate([
+        np.minimum(inst.joint.mass, phi_hat + phi_12 + phi_21).ravel(),
+        [-m1 * m2 * phi_hat.max()], -m1 * phi_12.max(axis=0), -m2 * phi_21.max(axis=1)]))
+
+
 def meta_sid(inst: SwInstance, which: int = 1) -> BoundReport:
-    """sup over 0 <= phi <= P of sum(phi) - M sum_side max_enc phi, solved
-    exactly as an LP with one epigraph variable w(side): a row
-    phi(enc, side) - w(side) <= 0 per pair."""
-    P, M, tag = _oriented(inst, which)
-    ne, ns = P.shape
-    K = ne * ns
-    # variables: phi (ne*ns, row-major) then w(s_side)
-    A = np.hstack([np.eye(K), -np.tile(np.eye(ns), (ne, 1))])
-    model = LpModel("max", np.concatenate([np.ones(K), -float(M) * np.ones(ns)]), A,
-                    ("<=",) * K, np.zeros(K), lower=np.zeros(K + ns),
-                    upper=np.concatenate([P.reshape(-1), np.full(ns, math.inf)]))
-    phi = np.clip(solve(model).primal[:K].reshape(ne, ns), 0.0, P)
-    raw = _formula_sum(np.concatenate([phi.ravel(), -M * phi.max(axis=0)]))
-    # stored in (s1, s2) orientation either way
-    return _report(f"meta-sid{tag}", raw, {"phi": phi if which == 1 else phi.T},
+    """sup over 0 <= phi <= P of sum(phi) - M sum_side max_enc phi: meta_sw
+    with only the encoded source's flow, so the covered-mass LP under that
+    encoder's cap family alone (w for which = 1, v for which = 2)."""
+    _, _, tag = _oriented(inst, which)
+    model, read = _covered_mass_lp(inst, "w" if which == 1 else "v")
+    flows = read(solve(model).dual)
+    return _report(f"meta-sid{tag}", _meta_sw_raw(inst, *flows),
+                   {"phi": flows[1] if which == 1 else flows[2]},
                    "side-information metaconverse")
 
 

@@ -1,7 +1,8 @@
 """Distributed (Slepian-Wolf) converse bounds and dual-point synthesis.
 
-The three-flow metaconverse is solved exactly as an LP over one threshold
-per flow maximum.  The scalar Miyake-Kanaya style bounds reparameterize
+The three-flow metaconverse is solved exactly as the covered-mass LP of
+converses_ptp under all three cap families, whose row duals are its
+thresholds.  The scalar Miyake-Kanaya style bounds reparameterize
 through t = exp(-b) and take the exact sup over the finite breakpoint set,
 like the point-to-point module.
 
@@ -15,27 +16,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Optional
 
 import numpy as np
 
-from .lp_core import LpModel, solve
+from .lp_core import solve
 from .probability import PmfError
 from .relaxations import (
-    DEFAULT_VAR_CAP,
     DualPointJE,
     DualPointSI,
     DualPointSW,
-    InstanceTooLarge,
     SwInstance,
     _binding_gammas,
+    _sw_table,
     check_dpje_feasible,
     check_dpsi_feasible,
 )
 from .converses_ptp import (
     BoundReport,
     _breakpoint_sup,
-    _formula_sum,
+    _covered_mass_lp,
+    _meta_sw_raw,
     _report,
     closed_leq,
     meta_je,
@@ -55,7 +55,7 @@ class InfeasibleInput(ValueError):
 # exact metaconverse LP
 
 
-def meta_sw(inst: SwInstance, cap: int = DEFAULT_VAR_CAP) -> BoundReport:
+def meta_sw(inst: SwInstance) -> BoundReport:
     """sup over 0 <= phi_hat, phi_12, phi_21 <= P of
     sum min{P, phi_hat + phi_12 + phi_21} - M1 M2 max phi_hat
     - M1 sum_s2 max_s1 phi_12 - M2 sum_s1 max_s2 phi_21, solved exactly.
@@ -68,39 +68,20 @@ def meta_sw(inst: SwInstance, cap: int = DEFAULT_VAR_CAP) -> BoundReport:
     On such flows the first term is sum min{P, u + v(s1) + w(s2)}, and the
     penalties are at most M1 M2 u, M2 sum v and M1 sum w, with equality at
     those maxima.  So the sup equals the sup over u, v, w >= 0 of
-        sum min{P, u + v(s1) + w(s2)} - M1 M2 u - M2 sum v - M1 sum w,
-    an LP in (t, u, v, w) with K = n1 n2 epigraph variables 0 <= t <= P and
-    K rows t - u - v(s1) - w(s2) <= 0.  raw_value is the defining formula at
-    the witness flows min{P, u}, min{P, w(s2)}, min{P, v(s1)}, which lie in
-    [0, P] by construction.
+        sum min{P, u + v(s1) + w(s2)} - M1 M2 u - M2 sum v - M1 sum w.
+    The dual of the covered-mass LP max{sum mu P : 0 <= mu <= 1, A mu <= b},
+    whose rows cap sum mu at M1 M2, each row sum at M2 and each column sum
+    at M1, is the min over y = (u, v, w) >= 0 of b.y + sum (P - A^T y)^+,
+    with A^T y = u + v(s1) + w(s2).  As sum min{P, s} = 1 - sum (P - s)^+,
+    that is 1 minus the sup above, so the LP's row duals are an optimal
+    (u, v, w).  raw_value is the defining formula at the witness flows
+    min{P, u}, min{P, w(s2)}, min{P, v(s1)}, which lie in [0, P].
     """
-    n1, n2, m1, m2 = inst.dims
-    K = n1 * n2
-    nv = K + 1 + n1 + n2
-    if nv > cap:
-        raise InstanceTooLarge(f"{nv} variables exceeds cap {cap}")
-    P = inst.joint.mass
-    # variables: t (K, row-major over (s1, s2)), u, v (n1), w (n2)
-    A = np.hstack([np.eye(K), -np.ones((K, 1)),
-                   -np.repeat(np.eye(n1), n2, axis=0), -np.tile(np.eye(n2), (n1, 1))])
-    obj = np.concatenate([np.ones(K), [-float(m1 * m2)],
-                          np.full(n1, -float(m2)), np.full(n2, -float(m1))])
-    model = LpModel("max", obj, A, ("<=",) * K, np.zeros(K), lower=np.zeros(nv),
-                    upper=np.concatenate([P.reshape(-1), np.full(1 + n1 + n2, math.inf)]))
-    x = solve(model).primal
-    u, v, w = x[K], x[K + 1:K + 1 + n1], x[K + 1 + n1:]
-    flows = (np.clip(u, 0.0, P), np.clip(w[None, :], 0.0, P), np.clip(v[:, None], 0.0, P))
+    model, read = _covered_mass_lp(inst, "uvw")
+    flows = read(solve(model).dual)
     return _report("meta-sw", _meta_sw_raw(inst, *flows),
                    dict(zip(("phi_hat", "phi_12", "phi_21"), flows)),
                    "distributed metaconverse, three-flow form")
-
-
-def _meta_sw_raw(inst: SwInstance, phi_hat, phi_12, phi_21) -> float:
-    """The three-flow metaconverse integrand at flows in [0, P]."""
-    n1, n2, m1, m2 = inst.dims
-    return _formula_sum(np.concatenate([
-        np.minimum(inst.joint.mass, phi_hat + phi_12 + phi_21).ravel(),
-        [-m1 * m2 * phi_hat.max()], -m1 * phi_12.max(axis=0), -m2 * phi_21.max(axis=1)]))
 
 
 def meta_sw_eta(inst: SwInstance, eta1, eta2, eta3) -> BoundReport:
@@ -196,12 +177,17 @@ def _require_feasible(violations, what):
             f"constraints, worst residual {worst:.3e}", violations)
 
 
-def _with_binding_gammas(inst: SwInstance, pt: DualPointSW) -> DualPointSW:
+def _sw_point(inst: SwInstance, **fields) -> DualPointSW:
+    """The SW dual point of `fields`, binding gammas, and zero (a read-only
+    broadcast, which holds no memory) in every other multiplier field."""
+    sizes, _, rows = _sw_table(inst)
+    zeros = {name: np.broadcast_to(0.0, tuple(sizes[k] for k in letters))
+             for name, letters, _, minus in rows if minus is not None and name not in fields}
+    pt = DualPointSW(**zeros, **fields)
     return replace(pt, **_binding_gammas(inst, pt))
 
 
 def embed_sid_feasible(inst: SwInstance, dual_point_sid: DualPointSI,
-                       which: Optional[int] = None,
                        input_tol: float = 1e-9) -> DualPointSW:
     """Lift a side-information dual point into the distributed dual.
 
@@ -210,41 +196,30 @@ def embed_sid_feasible(inst: SwInstance, dual_point_sid: DualPointSI,
     channel flow.  The objective value is preserved exactly.
     """
     pt = dual_point_sid
-    if which is not None and which != pt.which:
-        raise InfeasibleInput(
-            f"dual point is for which={pt.which}, asked for {which}")
     _require_feasible(check_dpsi_feasible(inst, pt, tol=input_tol),
                       f"side-information dual point (which={pt.which})")
     n1, n2, m1, m2 = inst.dims
     gb_bar = _binding_gammas(inst, pt)["gamma_b"]
-    mu_s_1, mu_s_2 = np.zeros((n1, n1, n2, m1, m2)), np.zeros((n2, n1, n2, m1, m2))
     if pt.which == 1:
         # lam_s (s1,s2,sh1,y1), lam_c (s1,s2,x1,y1); side channel is 2
         eye2 = np.eye(m2)
         lam_s_12 = pt.lam_s.transpose(0, 1, 3, 2)[:, :, None, :, None, :, None] \
             * eye2[None, None, :, None, :, None, None]
-        lam_s_12 = np.broadcast_to(lam_s_12, (n1, n2, m2, m1, m2, n1, n2))
-        lam_s_21 = np.zeros((n1, n2, m1, m1, m2, n1, n2))
-        lam_c = pt.lam_c[:, :, :, None, :, None] * eye2[None, None, None, :, None, :]
-        mu_c_1 = np.zeros((n1, m1, m1, m2))
-        mu_c_2 = gb_bar[:, None, :, None] * eye2[None, :, None, :]
-        mu_c_12 = pt.lam_c.sum(axis=3).transpose(2, 0, 1)
-        mu_c_21 = np.zeros((m2, n1, n2))
-    else:
-        # lam_s (s2,s1,sh2,y2), lam_c (s2,s1,x2,y2); side channel is 1
-        eye1 = np.eye(m1)
-        lam_s_21 = pt.lam_s.transpose(1, 0, 3, 2)[:, :, None, None, :, None, :] \
-            * eye1[None, None, :, :, None, None, None]
-        lam_s_21 = np.broadcast_to(lam_s_21, (n1, n2, m1, m1, m2, n1, n2))
-        lam_s_12 = np.zeros((n1, n2, m2, m1, m2, n1, n2))
-        lam_c = pt.lam_c.transpose(1, 0, 2, 3)[:, :, None, :, None, :] \
-            * eye1[None, None, :, None, :, None]
-        mu_c_2 = np.zeros((n2, m2, m1, m2))
-        mu_c_1 = gb_bar[:, None, None, :] * eye1[None, :, :, None]
-        mu_c_21 = pt.lam_c.sum(axis=3).transpose(2, 1, 0)
-        mu_c_12 = np.zeros((m1, n1, n2))
-    return _with_binding_gammas(inst, DualPointSW(
-        lam_s_12, lam_s_21, lam_c, mu_s_1, mu_s_2, mu_c_1, mu_c_2, mu_c_12, mu_c_21))
+        return _sw_point(
+            inst, lam_s_12=np.broadcast_to(lam_s_12, (n1, n2, m2, m1, m2, n1, n2)),
+            lam_c=pt.lam_c[:, :, :, None, :, None] * eye2[None, None, None, :, None, :],
+            mu_c_2=gb_bar[:, None, :, None] * eye2[None, :, None, :],
+            mu_c_12=pt.lam_c.sum(axis=3).transpose(2, 0, 1))
+    # lam_s (s2,s1,sh2,y2), lam_c (s2,s1,x2,y2); side channel is 1
+    eye1 = np.eye(m1)
+    lam_s_21 = pt.lam_s.transpose(1, 0, 3, 2)[:, :, None, None, :, None, :] \
+        * eye1[None, None, :, :, None, None, None]
+    lam_c = pt.lam_c.transpose(1, 0, 2, 3)[:, :, None, :, None, :] \
+        * eye1[None, None, :, None, :, None]
+    return _sw_point(
+        inst, lam_s_21=np.broadcast_to(lam_s_21, (n1, n2, m1, m1, m2, n1, n2)), lam_c=lam_c,
+        mu_c_1=gb_bar[:, None, None, :] * eye1[None, :, :, None],
+        mu_c_21=pt.lam_c.sum(axis=3).transpose(2, 1, 0))
 
 
 def embed_je_feasible(inst: SwInstance, dual_point_je: DualPointJE,
@@ -260,16 +235,9 @@ def embed_je_feasible(inst: SwInstance, dual_point_je: DualPointJE,
     # lam_s (s1,s2,sh1,sh2,y1,y2) -> (s1,s2,x2,y1,y2,sh1,sh2)
     lam_s_12 = np.broadcast_to(pt.lam_s.transpose(0, 1, 4, 5, 2, 3)[:, :, None],
                                (n1, n2, m2, m1, m2, n1, n2))
-    lam_s_21 = np.zeros((n1, n2, m1, m1, m2, n1, n2))
     # mu_s_2(s2, sh1, sh2, y1, y2) = sum_s1 lam_s(s1, s2, sh1, sh2, y1, y2)
-    mu_s_2 = pt.lam_s.sum(axis=0)
-    mu_s_1 = np.zeros((n1, n1, n2, m1, m2))
-    mu_c_1 = np.zeros((n1, m1, m1, m2))
-    mu_c_2 = np.zeros((n2, m2, m1, m2))
-    mu_c_12 = np.zeros((m1, n1, n2))
-    mu_c_21 = np.broadcast_to(ga_hat, (m2, n1, n2))
-    return _with_binding_gammas(inst, DualPointSW(
-        lam_s_12, lam_s_21, pt.lam_c, mu_s_1, mu_s_2, mu_c_1, mu_c_2, mu_c_12, mu_c_21))
+    return _sw_point(inst, lam_s_12=lam_s_12, lam_c=pt.lam_c, mu_s_2=pt.lam_s.sum(axis=0),
+                     mu_c_21=np.broadcast_to(ga_hat, (m2, n1, n2)))
 
 
 def combine_feasible(inst: SwInstance, sid12_flows: DualPointSI,
@@ -351,10 +319,9 @@ def combine_feasible(inst: SwInstance, sid12_flows: DualPointSI,
         cap1 = np.minimum(cap1, 0.0)
     mu_c_1 = cap1[:, None, None, :] * eye1[None, :, :, None]
 
-    mu_c_12 = np.zeros((m1, n1, n2))
     mu_c_21 = lam_c.sum(axis=(4, 5)).min(axis=2).transpose(2, 0, 1)
-    return _with_binding_gammas(inst, DualPointSW(
-        lam_s_12, lam_s_21, lam_c, mu_s_1, mu_s_2, mu_c_1, mu_c_2, mu_c_12, mu_c_21))
+    return _sw_point(inst, lam_s_12=lam_s_12, lam_s_21=lam_s_21, lam_c=lam_c, mu_s_1=mu_s_1,
+                     mu_s_2=mu_s_2, mu_c_1=mu_c_1, mu_c_2=mu_c_2, mu_c_21=mu_c_21)
 
 
 def mk_flows(inst: SwInstance, t: float) -> DualPointSW:
@@ -387,12 +354,10 @@ def mk_flows(inst: SwInstance, t: float) -> DualPointSW:
 
     mu_s_1 = np.broadcast_to(-(t / (m1 * m2)) * np.eye(n1)[:, :, None, None, None],
                              (n1, n1, n2, m1, m2))
-    mu_s_2 = np.zeros((n2, n1, n2, m1, m2))
     mu_c_1 = np.broadcast_to(-(t / m2) * P1[:, None, None, None] * eye1[None, :, :, None],
                              (n1, m1, m1, m2))
     mu_c_2 = np.broadcast_to(-(t / m1) * P2[:, None, None, None] * eye2[None, :, None, :],
                              (n2, m2, m1, m2))
-    mu_c_12 = np.zeros((m1, n1, n2))
     mu_c_21 = lam_c.sum(axis=(4, 5)).min(axis=2).transpose(2, 0, 1)
-    return _with_binding_gammas(inst, DualPointSW(
-        lam_s_12, lam_s_21, lam_c, mu_s_1, mu_s_2, mu_c_1, mu_c_2, mu_c_12, mu_c_21))
+    return _sw_point(inst, lam_s_12=lam_s_12, lam_s_21=lam_s_21, lam_c=lam_c, mu_s_1=mu_s_1,
+                     mu_c_1=mu_c_1, mu_c_2=mu_c_2, mu_c_21=mu_c_21)

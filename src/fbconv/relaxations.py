@@ -62,11 +62,18 @@ import numpy as np
 from .lp_core import LpModel, LpSolution, _read_only
 from .probability import CodeSizes, DistortionSpec, JointPmf, PmfError, SinglePmf
 
-DEFAULT_VAR_CAP = 200_000
+MAX_LP_ENTRIES = 2 ** 26   # dense constraint-matrix entries: 512 MiB of float64
 
 
 class InstanceTooLarge(ValueError):
-    """LP variable count exceeds the configured cap."""
+    """An LP whose dense constraint matrix would exceed MAX_LP_ENTRIES entries,
+    a code size past float range, or a DSBS expansion past its cap."""
+
+
+def _check_lp_size(rows: int, cols: int, what: str) -> None:
+    """Raise InstanceTooLarge, before any allocation, past MAX_LP_ENTRIES."""
+    if rows * cols > MAX_LP_ENTRIES:
+        raise InstanceTooLarge(f"{what} needs {rows} x {cols} entries, cap {MAX_LP_ENTRIES}")
 
 
 @dataclass(frozen=True)
@@ -226,13 +233,12 @@ def _ravel(at: Dict[str, np.ndarray], sizes, letters: str) -> np.ndarray:
                                 tuple(sizes[k] for k in letters))
 
 
-def _build(table, cost: Tuple[str, np.ndarray], cap: int, what: str) -> LpModel:
-    """Equality-form min LP of a table; `cost` is (block, tensor in the
-    block's letter order), the only nonzero part of the objective."""
+def _build(table, cost, what: str) -> LpModel:
+    """Equality-form min LP of a table; cost(), called after the size check,
+    is the W block's cost tensor, the only nonzero part of the objective."""
     sizes, col_blocks, families = table
     cols, rows = _layouts(*table)
-    if cols.total > cap:
-        raise InstanceTooLarge(f"{what} needs {cols.total} LP variables, cap is {cap}")
+    _check_lp_size(rows.total, cols.total, what)
     letters = dict(col_blocks)
     A = np.zeros((rows.total, cols.total))
     b = np.zeros(rows.total)
@@ -248,50 +254,49 @@ def _build(table, cost: Tuple[str, np.ndarray], cap: int, what: str) -> LpModel:
         if minus is None:
             b[rows.slice_of(name)] = 1.0
     c = np.zeros(cols.total)
-    block, tensor = cost
-    c[cols.slice_of(block)] = tensor.reshape(-1)
+    c[cols.slice_of("W")] = cost().reshape(-1)
     A.setflags(write=False)       # handed over: LpModel keeps it uncopied
     return LpModel("min", c, A, ("=",) * rows.total, b)
 
 
-def _pair_cost(inst: SwInstance) -> Tuple[str, np.ndarray]:
+def _pair_cost(inst: SwInstance) -> np.ndarray:
     """P(s1, s2) on every W entry that decodes the wrong pair through the
     encoders' own messages (x = u, y = v)."""
     n1, n2, m1, m2 = inst.dims
     mism = 1.0 - np.einsum("ac, bd -> abcd", np.eye(n1), np.eye(n2))
-    return "W", np.einsum("ab, abcd, xu, yv -> abxyuvcd", inst.joint.mass, mism,
-                          np.eye(m1), np.eye(m2))
+    return np.einsum("ab, abcd, xu, yv -> abxyuvcd", inst.joint.mass, mism,
+                     np.eye(m1), np.eye(m2))
 
 
-def build_lp_sc(inst: ScInstance, cap: int = DEFAULT_VAR_CAP) -> LpModel:
+def build_lp_sc(inst: ScInstance) -> LpModel:
     """Exact LP relaxation of the point-to-point error minimization."""
     exc = inst.distortion.excess().astype(float)
-    cw = np.einsum("sh, xy -> sxyh", inst.source.mass[:, None] * exc, np.eye(inst.M))
-    return _build(_sc_table(inst), ("W", cw), cap, "point-to-point LP")
+    return _build(_sc_table(inst), lambda: np.einsum(
+        "sh, xy -> sxyh", inst.source.mass[:, None] * exc, np.eye(inst.M)), "point-to-point LP")
 
 
-def build_lpsi(inst: SwInstance, which: int = 1, cap: int = DEFAULT_VAR_CAP) -> LpModel:
+def build_lpsi(inst: SwInstance, which: int = 1) -> LpModel:
     """LP relaxation of coding S_which with the other source at the decoder."""
     table = _si_table(inst, which)
     sizes = table[0]
     P = inst.joint.mass if which == 1 else inst.joint.mass.T
-    cw = np.einsum("es, eh, xy -> esxyh", P, 1.0 - np.eye(sizes["e"]), np.eye(sizes["x"]))
-    return _build(table, ("W", cw), cap, "side-information LP")
+    return _build(table, lambda: np.einsum("es, eh, xy -> esxyh", P, 1.0 - np.eye(sizes["e"]),
+                                           np.eye(sizes["x"])), "side-information LP")
 
 
-def build_lp_je(inst: SwInstance, cap: int = DEFAULT_VAR_CAP) -> LpModel:
+def build_lp_je(inst: SwInstance) -> LpModel:
     """LP relaxation of the jointly-encoded pair problem in pair indices.
 
     Value equals build_lp_sc on sw_je_instance(inst); the two come from
     different tables (pair letters against flattened ones), which the tests
     exploit.
     """
-    return _build(_je_table(inst), _pair_cost(inst), cap, "jointly-encoded LP")
+    return _build(_je_table(inst), lambda: _pair_cost(inst), "jointly-encoded LP")
 
 
-def build_lp_sw(inst: SwInstance, cap: int = DEFAULT_VAR_CAP) -> LpModel:
+def build_lp_sw(inst: SwInstance) -> LpModel:
     """LP relaxation of the two-encoder problem with all twelve row families."""
-    return _build(_sw_table(inst), _pair_cost(inst), cap, "distributed LP")
+    return _build(_sw_table(inst), lambda: _pair_cost(inst), "distributed LP")
 
 
 # ---------------------------------------------------------------------------

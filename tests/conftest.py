@@ -1,8 +1,10 @@
-"""Shared random-instance generators.
+"""Shared random-instance generators and a memory probe.
 
 All randomness is seeded per test; generators occasionally zero out entries
 (then renormalize exactly) so zero-mass corner cases get exercised.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -34,3 +36,13 @@ def random_joint(rng, n1, n2, allow_zeros=True):
 
 def random_sw_sizes(rng, max_m=2):
     return CodeSizes(int(rng.integers(1, max_m + 1)), int(rng.integers(1, max_m + 1)))
+
+
+def peak_mib(fn):
+    """Peak memory traced by tracemalloc while fn() runs, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()

@@ -248,6 +248,25 @@ def test_meta_lossless_caps_equal_lp():
         assert a == pytest.approx(b, abs=1e-9)
 
 
+def _caps_loop(P, M):
+    """Reference: the best cap among {P(s)} and 0, one cap at a time."""
+    return max(float(np.minimum(P, c).sum() - M * c)
+               for c in np.unique(np.concatenate([[0.0], P])))
+
+
+def test_meta_lossless_matches_caps_loop():
+    rng = np.random.default_rng(44)
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        # about half the sources have tied masses
+        counts = rng.integers(0, 3, size=n) + (np.arange(n) == 0)
+        src = random_single(rng, n) if rng.random() < 0.5 else \
+            SinglePmf(counts / counts.sum())
+        for M in range(1, n + 2):
+            got, want = meta_lossless(src, M).raw_value, _caps_loop(src.mass, M)
+            assert want - 1e-15 <= got <= want
+
+
 def test_meta_lossless_witness_reevaluates():
     rng = np.random.default_rng(47)
     for _ in range(20):

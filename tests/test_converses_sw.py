@@ -8,12 +8,14 @@ Frozen anchors were computed by hand before the module was written:
     1, the only breakpoint is t = 1/4, and 1 - 3/4 = 0.25.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fbconv import converses_ptp, converses_sw, relaxations
 from fbconv.dsbs import DsbsSpec, dsbs_je_bound, expand_joint
 from fbconv.lp_core import LpModel, solve
 from fbconv.oracle import exact_opt_sw
@@ -49,7 +51,7 @@ from fbconv.converses_sw import (
     mk_improved_at,
 )
 
-from conftest import random_joint
+from conftest import peak_mib, random_joint
 
 
 def _sw(mass, M1, M2):
@@ -117,6 +119,39 @@ def _three_flow_lp(inst):
                                    upper=upper)).value
 
 
+def _threshold_lp(inst):
+    """Reference: meta_sw as an LP in (t, u, v, w) with K = n1 n2 epigraph
+    variables 0 <= t <= P and K rows t - u - v(s1) - w(s2) <= 0."""
+    n1, n2, m1, m2 = inst.dims
+    K = n1 * n2
+    A = np.hstack([np.eye(K), -np.ones((K, 1)),
+                   -np.repeat(np.eye(n1), n2, axis=0), -np.tile(np.eye(n2), (n1, 1))])
+    obj = np.concatenate([np.ones(K), [-float(m1 * m2)],
+                          np.full(n1, -float(m2)), np.full(n2, -float(m1))])
+    upper = np.concatenate([inst.joint.mass.reshape(-1), np.full(1 + n1 + n2, math.inf)])
+    return solve(LpModel("max", obj, A, ("<=",) * K, np.zeros(K), upper=upper)).value
+
+
+def _sid_threshold_lp(inst, which):
+    """Reference: meta_sid as an LP in (phi, w) with one epigraph variable
+    w(side) and a row phi(enc, side) - w(side) <= 0 per pair."""
+    n1, n2, m1, m2 = inst.dims
+    P, M = (inst.joint.mass, m1) if which == 1 else (inst.joint.mass.T, m2)
+    ne, ns = P.shape
+    K = ne * ns
+    A = np.hstack([np.eye(K), -np.tile(np.eye(ns), (ne, 1))])
+    obj = np.concatenate([np.ones(K), np.full(ns, -float(M))])
+    upper = np.concatenate([P.reshape(-1), np.full(ns, math.inf)])
+    return solve(LpModel("max", obj, A, ("<=",) * K, np.zeros(K), upper=upper)).value
+
+
+def _mixed_inst(rng):
+    """1-6 letters per side, zero masses in about 30 %, M up to n + 1."""
+    n1, n2 = (int(k) for k in rng.integers(1, 7, size=2))
+    return _sw(random_joint(rng, n1, n2).mass,
+               int(rng.integers(1, n1 + 2)), int(rng.integers(1, n2 + 2)))
+
+
 # ---------------------------------------------------------------------------
 # metaconverse LP
 
@@ -178,12 +213,52 @@ def test_meta_sw_dsbs_equals_je_bound(n):
         dsbs_je_bound(spec).raw_value, abs=1e-9)
 
 
-def test_meta_sw_cap():
+def test_meta_sw_cap(monkeypatch):
+    # the covered-mass LP has 1 + n1 + n2 rows for meta_sw, n2 rows for
+    # meta_sid(1) and n1 for meta_sid(2), over K = n1 n2 columns
     inst = _sw(random_joint(np.random.default_rng(27), 3, 2).mass, 2, 1)
-    nv = 3 * 2 + 1 + 3 + 2
-    meta_sw(inst, cap=nv)
-    with pytest.raises(InstanceTooLarge):
-        meta_sw(inst, cap=nv - 1)
+    for bound, rows in ((meta_sw, 1 + 3 + 2), (lambda i: meta_sid(i, 1), 2),
+                        (lambda i: meta_sid(i, 2), 3)):
+        monkeypatch.setattr(relaxations, "MAX_LP_ENTRIES", rows * 6)
+        bound(inst)
+        monkeypatch.setattr(relaxations, "MAX_LP_ENTRIES", rows * 6 - 1)
+        with pytest.raises(InstanceTooLarge):
+            bound(inst)
+
+
+def test_metaconverses_match_threshold_lps():
+    rng = np.random.default_rng(28)
+    for _ in range(400):
+        inst = _mixed_inst(rng)
+        assert meta_sw(inst).raw_value == pytest.approx(_threshold_lp(inst), abs=1e-12)
+        for which in (1, 2):
+            assert meta_sid(inst, which).raw_value == pytest.approx(
+                _sid_threshold_lp(inst, which), abs=1e-12)
+
+
+def test_covered_mass_lp_shape(monkeypatch):
+    shapes = []
+
+    def spy(model):
+        shapes.append(model.a_matrix.shape)
+        return solve(model)
+
+    monkeypatch.setattr(converses_sw, "solve", spy)
+    monkeypatch.setattr(converses_ptp, "solve", spy)
+    inst = _sw(random_joint(np.random.default_rng(29), 4, 3).mass, 2, 2)
+    meta_sw(inst)
+    meta_sid(inst, 1)
+    meta_sid(inst, 2)
+    meta_je(inst)
+    assert shapes == [(1 + 4 + 3, 12), (3, 12), (4, 12)]
+
+
+def test_metaconverse_memory_64x64():
+    rng = np.random.default_rng(30)
+    inst = _sw(rng.dirichlet(np.ones(64 * 64)).reshape(64, 64), 3, 3)
+    for bound in (meta_sw, lambda i: meta_sid(i, 1), lambda i: meta_sid(i, 2)):
+        assert peak_mib(lambda: bound(inst)) < 16
+    assert peak_mib(lambda: meta_je(inst)) < 1
 
 
 def test_meta_sw_eta_trivials():
@@ -303,7 +378,7 @@ def test_embed_sid_feasible_flows():
         for which in (1, 2):
             phi = rng.random(inst.joint.mass.shape) * inst.joint.mass
             pt = dpsi_flows(inst, which, phi)
-            out = embed_sid_feasible(inst, pt, which)
+            out = embed_sid_feasible(inst, pt)
             assert check_dpsw_feasible(inst, out, tol=1e-12) == []
             assert dpsw_objective(inst, out) == pytest.approx(
                 dpsi_objective(inst, pt), abs=1e-12)
@@ -321,8 +396,6 @@ def test_embed_sid_anchor_and_edges():
     assert dpsw_objective(inst, out) == pytest.approx(0.0, abs=1e-15)
     assert check_dpsw_feasible(inst, out, tol=1e-12) == []
 
-    with pytest.raises(InfeasibleInput):
-        embed_sid_feasible(inst, zero, which=1)
     with pytest.raises(InfeasibleInput):
         embed_sid_feasible(inst, dpsi_flows(inst, 1, inst.joint.mass + 1.0))
 
@@ -438,6 +511,26 @@ def test_mk_flows_edges():
             mk_flows(_uniform22(), bad)
 
 
+def test_constructor_zero_fields_hold_no_memory():
+    rng = np.random.default_rng(31)
+    inst = _random_inst(rng)
+    P = inst.joint.mass
+    ph, p12, p21 = (rng.random(P.shape) * P for _ in range(3))
+    pts = [embed_sid_feasible(inst, dpsi_flows(inst, 1, p12)),
+           embed_sid_feasible(inst, dpsi_flows(inst, 2, p21)),
+           embed_je_feasible(inst, dpje_flows(inst, ph)),
+           combine_feasible(inst, dpsi_flows(inst, 1, p12), dpsi_flows(inst, 2, p21),
+                            dpje_flows(inst, ph), 0.5),
+           mk_flows(inst, 0.4)]
+    for pt in pts:
+        # the gammas are computed, as binding multipliers, not passed
+        zero = [f.name for f in dataclasses.fields(pt) if not f.name.startswith("gamma")
+                and not np.any(getattr(pt, f.name))]
+        assert zero
+        for name in zero:
+            assert not any(getattr(pt, name).strides), name
+
+
 def test_constructed_points_below_lp_value():
     rng = np.random.default_rng(24)
     for _ in range(4):
@@ -467,7 +560,7 @@ def test_embed_solver_extracted_duals():
         for which in (1, 2):
             sol = solve(build_lpsi(inst, which))
             pt = dual_point_si_from_solution(inst, which, sol)
-            out = embed_sid_feasible(inst, pt, which, input_tol=1e-7)
+            out = embed_sid_feasible(inst, pt, input_tol=1e-7)
             assert check_dpsw_feasible(inst, out, tol=1e-7) == []
             assert dpsw_objective(inst, out) >= sol.value - 1e-7
             assert dpsw_objective(inst, out) <= top + 1e-7

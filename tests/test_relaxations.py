@@ -42,7 +42,7 @@ from fbconv.relaxations import (
     sw_je_instance,
 )
 
-from conftest import random_joint, random_single
+from conftest import peak_mib, random_joint, random_single
 
 
 def _sc(mass, M):
@@ -62,7 +62,20 @@ def test_variable_counts():
 def test_cap_raises():
     inst = SwInstance(JointPmf(np.full((4, 4), 1 / 16)), CodeSizes(4, 4))
     with pytest.raises(InstanceTooLarge):
-        build_lp_sw(inst, cap=10_000)
+        build_lp_sw(inst)
+
+
+def test_cap_raises_before_allocating():
+    # SW at 4x4 / M=(4,4) asks for a 39,576 x 74,272 constraint matrix, 21.9
+    # GiB of float64; the JE cost tensor at 8x8 / M=(8,8) alone is 128 MiB
+    for n, M, build in ((4, 4, build_lp_sw), (8, 8, build_lp_je)):
+        inst = SwInstance(JointPmf(np.full((n, n), 1 / n ** 2)), CodeSizes(M, M))
+
+        def attempt():
+            with pytest.raises(InstanceTooLarge):
+                build(inst)
+
+        assert peak_mib(attempt) < 4
 
 
 def test_sc_lp_anchors():

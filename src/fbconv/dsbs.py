@@ -2,8 +2,9 @@
 
 The joint mass of an n-bit pair depends only on the Hamming distance between
 the two words, so every bound collapses to sums over the distance k with
-binomial weights C(n, k).  All weighted sums run in log space (gammaln +
-logsumexp); blocklengths in the hundreds would overflow linear arithmetic.
+binomial weights C(n, k).  All weighted sums run in log space (log C(n, k)
+from math.lgamma, and a max-shifted log-sum-exp in numpy); blocklengths in the
+hundreds would overflow linear arithmetic.
 
 Rates are in bits per symbol and the scalar parameter is t = 2^(-beta),
 matching the base-2 form of the collapsed displays.
@@ -26,7 +27,6 @@ from functools import lru_cache
 from typing import Iterable, List, Tuple
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .probability import CodeSizes, JointPmf, PmfError
 from .relaxations import InstanceTooLarge, SwInstance
@@ -96,89 +96,85 @@ def _log_sizes(spec: DsbsSpec):
     return _log_code_size(spec.n, spec.R1), _log_code_size(spec.n, spec.R2)
 
 
+def _logsumexp(x: np.ndarray) -> float:
+    """log sum exp(x), shifted by the max, whose own term 1 stays out of the
+    sum (log1p, as in Blanchard, Higham & Higham, IMA J. Numer. Anal. 2021);
+    -inf when x is empty or every entry is -inf."""
+    if x.size == 0 or (top := x.max()) == -math.inf:
+        return -math.inf
+    rest = np.exp(x - top)
+    rest[np.argmax(x)] = 0.0
+    return float(math.log1p(rest.sum()) + top)
+
+
 def _weights(spec: DsbsSpec):
     """log C(n, k) and log q_k for k = 0..n, q_k = p^k (1-p)^(n-k)."""
-    k = np.arange(spec.n + 1)
-    log_comb = gammaln(spec.n + 1) - gammaln(k + 1) - gammaln(spec.n - k + 1)
-    log_q = k * math.log(spec.p) + (spec.n - k) * math.log1p(-spec.p)
+    n = spec.n
+    log_fact = np.array([math.lgamma(m + 1.0) for m in range(n + 1)])
+    log_comb = log_fact[n] - log_fact - log_fact[::-1]
+    k = np.arange(n + 1)
+    log_q = k * math.log(spec.p) + (n - k) * math.log1p(-spec.p)
     return log_comb, log_q
 
 
 # ---------------------------------------------------------------------------
-# the three collapsed bounds; internal evaluators take log t
+# the three collapsed bounds: each curve computes its constants once per spec
+# and returns (raw, switches), raw mapping log t to the bound at t and
+# switches the log t where a piece of it ends
 
 
-def _sum_min(log_comb, log_q, log_cap):
-    """sum_k C(n,k) min{q_k, cap_k} with everything in logs."""
-    return float(np.exp(logsumexp(log_comb + np.minimum(log_q, log_cap))))
-
-
-def _meta_raw(spec: DsbsSpec, log_comb, log_q, log_t: float) -> float:
-    lm1, lm2 = _log_sizes(spec)
-    nl2 = spec.n * LN2
-    log_c = logsumexp([-lm1, -lm2, nl2 - lm1 - lm2])
-    term = _sum_min(log_comb, log_q, log_t + log_c)
-    # each penalty is max over k of a min; the literal form, not the k=0 shortcut
-    pen1 = np.exp(np.minimum(lm1 + log_q, log_t).max())
-    pen2 = np.exp(np.minimum(lm2 + log_q, log_t).max())
-    pen3 = np.exp(np.minimum(lm1 + lm2 - nl2 + log_q, log_t).max())
-    return term - float(pen1 + pen2 + pen3)
-
-
-def _je_raw(spec: DsbsSpec, log_comb, log_q, log_t: float) -> float:
-    lm1, lm2 = _log_sizes(spec)
-    nl2 = spec.n * LN2
-    log_c = logsumexp([-lm1, -lm2, nl2 - lm1 - lm2])
-    term = _sum_min(log_comb, log_q, log_t + log_c)
-    # all three penalties carry the M1 M2 prefactor here, which is why this
-    # bound beats the eta-restricted one whenever M1, M2 <= 2^n
-    base = lm1 + lm2 - nl2 + log_q
-    pen1 = np.exp(np.minimum(base, lm2 - nl2 + log_t).max())
-    pen2 = np.exp(np.minimum(base, lm1 - nl2 + log_t).max())
-    pen3 = np.exp(np.minimum(base, log_t).max())
-    return term - float(pen1 + pen2 + pen3)
-
-
-def _log_union_coef(spec: DsbsSpec) -> float:
-    lm1, lm2 = _log_sizes(spec)
-    return max(spec.n * LN2 - lm1 - lm2, -lm1, -lm2)
-
-
-def _mk_raw(spec: DsbsSpec, log_comb, log_q, log_t: float) -> float:
-    # closed event q_k <= t * coef; the additive log slack equals the
-    # relative slack the generic event evaluators use
-    mask = log_q <= log_t + _log_union_coef(spec) + EVENT_SLACK
-    mass = float(np.exp(logsumexp((log_comb + log_q)[mask]))) if mask.any() else 0.0
-    return mass - 3.0 * math.exp(log_t)
-
-
-def _switch_logs(spec: DsbsSpec, log_q) -> np.ndarray:
-    """log t of the switches of _meta_raw and _je_raw: q_k = t c for each k,
-    and t = each penalty's cap at k = 0, where q_k is largest."""
-    lm1, lm2 = _log_sizes(spec)
-    nl2 = spec.n * LN2
-    log_c = logsumexp([-lm1, -lm2, nl2 - lm1 - lm2])
-    q0 = float(log_q[0])
-    return np.concatenate([log_q - log_c,
-                           [lm1 + q0, lm2 + q0, lm1 + lm2 - nl2 + q0]])
-
-
-def _mk_switch_logs(spec: DsbsSpec, log_q) -> np.ndarray:
-    return log_q - _log_union_coef(spec)
-
-
-def _sup(spec: DsbsSpec, raw, switch_logs) -> Tuple[float, float]:
-    """(sup of raw over t in [0, 1), t attaining it); see the module docstring."""
+def _flow_curve(spec: DsbsSpec, je: bool):
+    """The metaconverse (je False) or the joint-encoder bound (je True):
+    sum_k C(n,k) min{q_k, t c}, c = 1/M1 + 1/M2 + 2^n/(M1 M2), minus three
+    penalties exp(max_k min{a + log q_k, b + log t}), one per pair (a, b).
+    The metaconverse's pairs are (log M1, 0), (log M2, 0) and (log J, 0),
+    J = M1 M2 / 2^n.  The joint-encoder bound puts log J in every a, with
+    b = log M2/2^n, log M1/2^n and 0, which is why it beats the
+    eta-restricted one whenever M1, M2 <= 2^n.  Both share the switches."""
     log_comb, log_q = _weights(spec)
-    switches = switch_logs(spec, log_q)
+    lm1, lm2 = _log_sizes(spec)
+    nl2 = spec.n * LN2
+    lj = lm1 + lm2 - nl2
+    log_c = _logsumexp(np.array([-lm1, -lm2, nl2 - lm1 - lm2]))
+    if je:
+        a, b = np.array([lj, lj, lj]), np.array([lm2 - nl2, lm1 - nl2, 0.0])
+    else:
+        a, b = np.array([lm1, lm2, lj]), np.zeros(3)
+    capped = a[:, None] + log_q
+
+    def raw(log_t: float) -> float:
+        term = math.exp(_logsumexp(log_comb + np.minimum(log_q, log_t + log_c)))
+        # each penalty is max over k of a min; the literal form, not the k=0 shortcut
+        pen = np.exp(np.minimum(capped, b[:, None] + log_t).max(axis=1))
+        return term - float(pen.sum())
+
+    # q_k = t c for each k, and t = each penalty's cap at k = 0, where q_k is largest
+    return raw, np.concatenate([log_q - log_c, a - b + log_q[0]])
+
+
+def _mk_curve(spec: DsbsSpec):
+    """The weight-collapsed union bound minus 3t: the mass of the closed event
+    q_k <= t coef, coef = max{2^n/(M1 M2), 1/M1, 1/M2}, minus 3t."""
+    log_comb, log_q = _weights(spec)
+    lm1, lm2 = _log_sizes(spec)
+    log_coef = max(spec.n * LN2 - lm1 - lm2, -lm1, -lm2)
+    log_mass = log_comb + log_q
+
+    def raw(log_t: float) -> float:
+        # the additive log slack equals the relative slack the generic event
+        # evaluators use
+        mask = log_q <= log_t + log_coef + EVENT_SLACK
+        return math.exp(_logsumexp(log_mass[mask])) - 3.0 * math.exp(log_t)
+
+    return raw, log_q - log_coef
+
+
+def _sup(curve) -> Tuple[float, float]:
+    """(sup of a curve over t in [0, 1), t attaining it); see the module docstring."""
+    raw, switches = curve
     cands = np.unique(np.concatenate([[-math.inf], switches[switches < 0.0], [-1e-9]]))
-    val, lt = _breakpoint_sup(lambda lt: raw(spec, log_comb, log_q, float(lt)), cands)
+    val, lt = _breakpoint_sup(raw, cands)
     return val, math.exp(lt)
-
-
-def _at(spec: DsbsSpec, raw, t: float) -> float:
-    log_comb, log_q = _weights(spec)
-    return raw(spec, log_comb, log_q, _log_of(t))
 
 
 def _log_of(t: float) -> float:
@@ -190,36 +186,36 @@ def _log_of(t: float) -> float:
 def dsbs_converse(spec: DsbsSpec) -> BoundReport:
     """Exact sup over t of the collapsed four-term metaconverse with the
     uniform-marginal flow weights t/(M1 M2), t P2/M1, t P1/M2."""
-    raw, t = _sup(spec, _meta_raw, _switch_logs)
+    raw, t = _sup(_flow_curve(spec, je=False))
     return _report("dsbs-converse", raw, {"t": t},
                    "weight-collapsed distributed metaconverse")
 
 
 def dsbs_converse_at(spec: DsbsSpec, t: float) -> float:
-    return _at(spec, _meta_raw, t)
+    return _flow_curve(spec, je=False)[0](_log_of(t))
 
 
 def dsbs_je_bound(spec: DsbsSpec) -> BoundReport:
     """Exact sup over t of the collapsed joint-encoder converse (the variant
     whose three penalty terms all carry M1 M2)."""
-    raw, t = _sup(spec, _je_raw, _switch_logs)
+    raw, t = _sup(_flow_curve(spec, je=True))
     return _report("dsbs-je", raw, {"t": t},
                    "weight-collapsed joint-encoder converse")
 
 
 def dsbs_je_at(spec: DsbsSpec, t: float) -> float:
-    return _at(spec, _je_raw, t)
+    return _flow_curve(spec, je=True)[0](_log_of(t))
 
 
 def dsbs_mk(spec: DsbsSpec) -> BoundReport:
     """Exact sup over t of the weight-collapsed union bound minus 3t."""
-    raw, t = _sup(spec, _mk_raw, _mk_switch_logs)
+    raw, t = _sup(_mk_curve(spec))
     return _report("dsbs-mk", raw, {"t": t},
                    "Miyake-Kanaya union bound, weight form")
 
 
 def dsbs_mk_at(spec: DsbsSpec, t: float) -> float:
-    return _at(spec, _mk_raw, t)
+    return _mk_curve(spec)[0](_log_of(t))
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +289,11 @@ def gnuplot_script(csv_name: str) -> str:
 # explicit tensor form, for cross-checks at small n
 
 
-def expand_joint(spec: DsbsSpec, cap: int = EXPAND_LIMIT) -> SwInstance:
+def expand_joint(spec: DsbsSpec) -> SwInstance:
     """The full 2^n x 2^n instance with mass 2^-n p^d (1-p)^(n-d)."""
-    if spec.n > cap:
+    if spec.n > EXPAND_LIMIT:
         raise InstanceTooLarge(
-            f"n = {spec.n} expands to a {2 ** spec.n}^2 table, cap is 2^{cap}")
+            f"n = {spec.n} expands to a {2 ** spec.n}^2 table, cap is 2^{EXPAND_LIMIT}")
     size = 1 << spec.n
     words = np.arange(size)
     dist = np.zeros((size, size), dtype=int)

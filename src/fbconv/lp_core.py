@@ -6,10 +6,11 @@ relations become row bounds, so each stated row gets exactly one multiplier.
 HiGHS runs on one thread with its output off.  Its extension
 scipy/optimize/_highspy/_core is loaded alone, by file path, on the first
 solve: importing it by name runs scipy/optimize/__init__ (about +0.3 s and
-+23 MB of peak RSS, against +0.02 s and +2.5 MB alone), and callers that
-solve no LP load nothing.  That path is private to
-scipy, so pyproject.toml sets the scipy version it was tested on and a
-missing extension raises SolverUnavailable.
++23 MB of peak RSS, against +0.02 s and +2.5 MB alone).  No fbconv module
+imports scipy, so fbconv loads no scipy module until the first solve, and
+callers that solve no LP load none.  That path is private to scipy, so
+pyproject.toml sets the scipy version it was tested on and a missing
+extension raises SolverUnavailable.
 
 Sign convention for duals: for a max problem, multipliers of <= rows are >= 0
 and of >= rows are <= 0; for a min problem the signs flip; equality rows are

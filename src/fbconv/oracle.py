@@ -21,15 +21,16 @@ class EnumerationTooLarge(ValueError):
     """Encoder map count exceeds the enumeration cap."""
 
 
-def _guard(count: int, cap: int) -> None:
-    if count > cap:
-        raise EnumerationTooLarge(f"{count} encoder maps exceed the cap of {cap}")
+def _guard(count: int) -> None:
+    if count > DEFAULT_MAP_CAP:
+        raise EnumerationTooLarge(
+            f"{count} encoder maps exceed the cap of {DEFAULT_MAP_CAP}")
 
 
-def exact_opt_sc(inst: ScInstance, cap: int = DEFAULT_MAP_CAP) -> float:
+def exact_opt_sc(inst: ScInstance) -> float:
     """Exact minimum error of the point-to-point problem."""
     n, M = inst.n, inst.M
-    _guard(M ** n, cap)
+    _guard(M ** n)
     gain = inst.source.mass[:, None] * inst.distortion.within()  # (s, sh)
     nh = gain.shape[1]
     best = -1.0
@@ -40,15 +41,14 @@ def exact_opt_sc(inst: ScInstance, cap: int = DEFAULT_MAP_CAP) -> float:
     return 1.0 - best
 
 
-def exact_opt_sid(inst: SwInstance, which: int = 1,
-                  cap: int = DEFAULT_MAP_CAP) -> float:
+def exact_opt_sid(inst: SwInstance, which: int = 1) -> float:
     """Exact minimum error of recovering one source with the other known at
     the decoder."""
     n1, n2, m1, m2 = inst.dims
     P = inst.joint.mass if which == 1 else inst.joint.mass.T
     ne = P.shape[0]
     M = m1 if which == 1 else m2
-    _guard(M ** ne, cap)
+    _guard(M ** ne)
     best = -1.0
     for f in product(range(M), repeat=ne):
         farr = np.asarray(f)
@@ -61,11 +61,11 @@ def exact_opt_sid(inst: SwInstance, which: int = 1,
     return 1.0 - best
 
 
-def exact_opt_sw(inst: SwInstance, cap: int = DEFAULT_MAP_CAP) -> float:
+def exact_opt_sw(inst: SwInstance) -> float:
     """Exact minimum error of the two-encoder problem: the decoder maps each
     output pair to the heaviest source pair in the product preimage."""
     n1, n2, m1, m2 = inst.dims
-    _guard((m1 ** n1) * (m2 ** n2), cap)
+    _guard((m1 ** n1) * (m2 ** n2))
     P = inst.joint.mass
     best = -1.0
     for f1 in product(range(m1), repeat=n1):

@@ -54,7 +54,7 @@ Dual constraint identifiers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -404,8 +404,10 @@ class ConstraintViolation:
 
 
 def _collect(out: List[ConstraintViolation], cid: str, resid: np.ndarray, tol: float) -> None:
-    bad = np.argwhere(resid > tol)
-    for idx in bad:
+    bad = resid > tol
+    if not bad.any():   # the common case skips the index scan; NaN is never > tol
+        return
+    for idx in np.argwhere(bad):
         out.append(ConstraintViolation(cid, tuple(int(i) for i in idx),
                                        float(resid[tuple(idx)])))
 
@@ -595,9 +597,8 @@ def dp_flows_sc(inst: ScInstance, phi: np.ndarray) -> DualPointSC:
     win = inst.distortion.within().astype(float)
     lam_c = np.einsum("xy, s -> xsy", np.eye(M), phi)
     lam_s = np.broadcast_to(-(phi[:, None] * win)[:, :, None], (n, nh, M))
-    gamma_a = phi
-    gamma_b = np.full(M, -float((phi[:, None] * win).sum(axis=0).max()))
-    return DualPointSC(lam_s, lam_c, gamma_a, gamma_b)
+    pt = DualPointSC(lam_s, lam_c)
+    return replace(pt, **_binding_gammas(inst, pt))
 
 
 def dpsi_flows(inst: SwInstance, which: int, phi: np.ndarray) -> DualPointSI:
@@ -611,9 +612,8 @@ def dpsi_flows(inst: SwInstance, which: int, phi: np.ndarray) -> DualPointSI:
     lam_s = -np.einsum("es, eh -> esh", pe, np.eye(ne))[:, :, :, None]
     lam_s = np.broadcast_to(lam_s, (ne, ns, ne, M))
     lam_c = pe[:, :, None, None] * np.eye(M)[None, None, :, :]
-    gamma_a = pe.sum(axis=1)
-    gamma_b = np.broadcast_to(-pe.max(axis=0)[:, None], (ns, M))
-    return DualPointSI(which, lam_s, lam_c, gamma_a, gamma_b)
+    pt = DualPointSI(which, lam_s, lam_c)
+    return replace(pt, **_binding_gammas(inst, pt))
 
 
 def dpje_flows(inst: SwInstance, phi_hat: np.ndarray) -> DualPointJE:
@@ -625,9 +625,8 @@ def dpje_flows(inst: SwInstance, phi_hat: np.ndarray) -> DualPointJE:
     lam_s = np.broadcast_to(lam_s, (n1, n2, n1, n2, m1, m2))
     diag = np.einsum("xu, yv -> xyuv", np.eye(m1), np.eye(m2))
     lam_c = ph[:, :, None, None, None, None] * diag[None, None, :, :, :, :]
-    gamma_a = ph
-    gamma_b = np.full((m1, m2), -float(ph.max()))
-    return DualPointJE(lam_s, lam_c, gamma_a, gamma_b)
+    pt = DualPointJE(lam_s, lam_c)
+    return replace(pt, **_binding_gammas(inst, pt))
 
 
 # ---------------------------------------------------------------------------

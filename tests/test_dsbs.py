@@ -12,6 +12,7 @@ import pytest
 from fbconv.converses_sw import meta_sw_eta
 from fbconv.dsbs import (
     DsbsSpec,
+    _weights,
     binary_entropy,
     dsbs_converse,
     dsbs_converse_at,
@@ -116,14 +117,19 @@ def test_sups_not_below_a_grid_value(n, rates):
         assert at(spec, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("n", [1, 10, 1000, 20000])
+def test_class_masses_sum_to_one(n):
+    # log C(n, k) comes from math.lgamma; its rounding shows in sum_k C(n,k) q_k
+    log_comb, log_q = _weights(DsbsSpec(n, P, 0.5, 0.5))
+    assert abs(math.fsum(np.exp(log_comb + log_q)) - 1.0) <= 1e-11
+
+
 # --- explicit tensor form ----------------------------------------------------
 
 
 def test_expand_joint_cap_and_mass():
     with pytest.raises(InstanceTooLarge):
         expand_joint(DsbsSpec(9, P, 0.5, 0.5))
-    with pytest.raises(InstanceTooLarge):
-        expand_joint(DsbsSpec(3, P, 0.5, 0.5), cap=2)
     inst = expand_joint(DsbsSpec(3, P, 0.5, 0.5))
     mass = inst.joint.mass
     assert mass.shape == (8, 8)
@@ -150,20 +156,22 @@ def test_converse_at_matches_meta_sw_eta(n, rates):
 
 
 def test_sweep_loads_no_lp_solver():
-    # the DSBS bounds solve no LP, so the HiGHS extension stays unloaded until
-    # the first solve, and loading it does not import scipy.optimize
+    # the DSBS bounds solve no LP and need numpy alone, so no scipy module is
+    # loaded until the first solve, and that loads the HiGHS extension without
+    # scipy.optimize or scipy.special
     code = textwrap.dedent("""
         import sys
         import numpy as np
+        import fbconv.converses_sw, fbconv.oracle
         from fbconv import dsbs, lp_core
-        core = "scipy.optimize._highspy._core"
         dsbs.sweep(dsbs.DsbsSpec(10, 0.11, 0.5, 0.5), [10, 50, 200])
-        assert core not in sys.modules
+        assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
         assert lp_core._load_highs.cache_info().currsize == 0
         sol = lp_core.solve(lp_core.LpModel("max", [1.0], np.ones((1, 1)), ("<=",), [2.0]))
         assert sol.value == 2.0
         assert lp_core._load_highs.cache_info().currsize == 1
         assert "scipy.optimize" not in sys.modules
+        assert "scipy.special" not in sys.modules
     """)
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})

@@ -229,6 +229,13 @@ def test_checkers_flag_injected_violations():
     bad = DualPointSC(pt.lam_s + 1e-3, pt.lam_c, pt.gamma_a, pt.gamma_b)
     ids = {v.constraint_id for v in check_dp_feasible(inst, bad, tol=1e-7)}
     assert "P3" in ids
+    # a NaN entry is never reported, and does not hide a violation beside it
+    lam_s = pt.lam_s + 1e-3
+    lam_s[0, 0, 0] = np.nan
+    found = check_dp_feasible(inst, DualPointSC(lam_s, pt.lam_c, pt.gamma_a, pt.gamma_b),
+                              tol=1e-7)
+    assert "P3" in {v.constraint_id for v in found}
+    assert all(np.isfinite(v.residual) for v in found)
 
     uni = SwInstance(JointPmf(np.full((2, 2), 0.25)), CodeSizes(1, 1))
     swsol = solve(build_lp_sw(uni))

@@ -3,10 +3,13 @@
 Every bound here lower-bounds the exact error probability of the matching
 coding problem.  The phi-supremum forms are solved exactly: lossy as an LP,
 lossless by a sort, side-information as a covered-mass LP (its row duals are
-the witness).  The scalar forms are reparameterized through t = exp(-b) and
-maximized exactly over the breakpoints where some min{.,.} or closed
-threshold event switches, since the objectives are piecewise linear in t
-between those points.
+the witness).  The scalar forms are reparameterized through t = exp(-b).
+Each is one curve: a private builder checks the input, computes the
+per-instance constants once and returns (integrand, candidates).  The sup is
+the max of the integrand over the candidates, the breakpoints where some
+min{.,.} or closed threshold event switches plus the end where the bound is
+0, as the integrand is piecewise linear between them; the public *_at
+evaluates the same integrand.
 
 Closed events are evaluated as P <= threshold with a relative 1e-12 slack so
 that a witness t that equals a breakpoint up to float rounding still lands
@@ -140,74 +143,68 @@ def meta_lossy_z(inst: ScInstance, z) -> BoundReport:
                    {"z": z.copy()}, "lossy metaconverse at fixed flow")
 
 
-def _tilt_weights(inst: ScInstance, j: Optional[TiltedInfo]):
-    """w(s) = P(s) exp(j(s)) and the t-breakpoints M exp(-j(s)).
+def _tilt(P: np.ndarray, j: TiltedInfo) -> np.ndarray:
+    if j.j.shape != P.shape:
+        raise PmfError("tilted information length must match the alphabet")
+    return j.j
 
-    For the built-in lossless tilt, P exp(h) = 1 extends by continuity to
-    zero-mass symbols, whose breakpoints vanish.
-    """
+
+def _kv_curve(inst: ScInstance, j: Optional[TiltedInfo]):
+    """The tilted-flow integrand, w(s) = P(s) exp(j(s)), over t = 0 and the
+    M exp(-j(s)).  For the built-in lossless tilt, P exp(h) = 1 extends by
+    continuity to zero-mass symbols, whose breakpoints vanish."""
     P = inst.source.mass
     if j is None:
         w = np.ones_like(P)
         breaks = inst.M * P[P > 0]
     else:
-        jv = j.j
-        if jv.shape != P.shape:
-            raise PmfError("tilted information length must match the alphabet")
+        jv = _tilt(P, j)
         w = np.where(P > 0, P * np.exp(jv), 0.0)
         breaks = inst.M * np.exp(-jv[P > 0])
-    return w, breaks
+    pen = float((w[:, None] * inst.distortion.within()).sum(axis=0).max())
+    return (lambda t: float(np.minimum(P, w * t / inst.M).sum() - t * pen),
+            np.unique(np.concatenate([breaks, [0.0]])))
 
 
 def kv_tilted_improved(inst: ScInstance, j: Optional[TiltedInfo] = None) -> BoundReport:
     """Tilted-flow converse: sup over t > 0 of
     sum_s min{P(s), w(s) t / M} - t * max_sh sum_s w(s) 1{within(s, sh)}."""
-    P = inst.source.mass
-    win = inst.distortion.within().astype(float)
-    w, breaks = _tilt_weights(inst, j)
-    pen = float((w[:, None] * win).sum(axis=0).max())
-    cands = np.unique(np.concatenate([breaks, [0.0]]))
-    val, t = _breakpoint_sup(lambda t: np.minimum(P, w * t / inst.M).sum() - t * pen,
-                             cands)
+    val, t = _breakpoint_sup(*_kv_curve(inst, j))
     return _report("kv-improved", val, {"t": float(t)},
                    "improved Kostina-Verdu tilted converse")
 
 
 def kv_tilted_at(inst: ScInstance, t: float, j: Optional[TiltedInfo] = None) -> float:
-    w, _ = _tilt_weights(inst, j)
+    return _kv_curve(inst, j)[0](t)
+
+
+def _palzer_curve(inst: ScInstance, j: Optional[TiltedInfo]):
+    """The tail integrand over the finite j-values and b = -inf, +inf (the
+    empty event).  The built-in j is -log P, +inf on zero-mass symbols."""
+    P = inst.source.mass
     win = inst.distortion.within().astype(float)
-    pen = float((w[:, None] * win).sum(axis=0).max())
-    return float(np.minimum(inst.source.mass, w * t / inst.M).sum() - t * pen)
+    if j is None:
+        jv = np.where(P > 0, -np.log(np.where(P > 0, P, 1.0)), math.inf)
+    else:
+        jv = _tilt(P, j)
+
+    def fn(beta):
+        thr = beta if math.isinf(beta) else beta - abs(beta) * EVENT_SLACK - 1e-300
+        head = P * (jv >= thr)
+        return float(head.sum()) - inst.M * float((head[:, None] * win).sum(axis=0).max())
+
+    return fn, np.unique(np.concatenate([jv[np.isfinite(jv)], [-math.inf, math.inf]]))
 
 
 def palzer_timo(inst: ScInstance, j: Optional[TiltedInfo] = None) -> BoundReport:
     """Tail converse: sup over b of
     P[j(S) >= b] - M * max_sh P[j(S) >= b, within(S, sh)]."""
-    P = inst.source.mass
-    if j is None:
-        jv = np.where(P > 0, -np.log(np.where(P > 0, P, 1.0)), math.inf)
-        cands = np.concatenate([jv[P > 0], [-math.inf]])
-    else:
-        jv = j.j
-        if jv.shape != P.shape:
-            raise PmfError("tilted information length must match the alphabet")
-        cands = np.concatenate([jv, [-math.inf]])
-    val, beta = _breakpoint_sup(lambda b: palzer_timo_at(inst, b, j), np.unique(cands))
-    return _report("palzer-timo", val, {"beta": float(beta)},
-                   "Palzer-Timo converse")
+    val, beta = _breakpoint_sup(*_palzer_curve(inst, j))
+    return _report("palzer-timo", val, {"beta": float(beta)}, "Palzer-Timo converse")
 
 
 def palzer_timo_at(inst: ScInstance, beta: float, j: Optional[TiltedInfo] = None) -> float:
-    P = inst.source.mass
-    win = inst.distortion.within().astype(float)
-    if j is None:
-        jv = np.where(P > 0, -np.log(np.where(P > 0, P, 1.0)), math.inf)
-    else:
-        jv = j.j
-    mask = (jv >= beta - abs(beta) * EVENT_SLACK - 1e-300).astype(float)
-    head = float((P * mask).sum())
-    tail = float(((P * mask)[:, None] * win).sum(axis=0).max())
-    return head - inst.M * tail
+    return _palzer_curve(inst, j)[0](beta)
 
 
 # ---------------------------------------------------------------------------
@@ -284,20 +281,24 @@ def meta_lossless(source: SinglePmf, M: int) -> BoundReport:
                    "lossless metaconverse, cap form")
 
 
-def lossless_gamma_bound(source: SinglePmf, M: int) -> BoundReport:
-    """sup over t in (0, 1] of P[P(S) <= t/M] - t, exactly over the caps
-    c = t/M where the closed tail event gains an atom."""
+def _gamma_curve(source: SinglePmf, M: int):
+    """P[P(S) <= t/M] - t over t = 0, the t = M P(s) <= 1 where the closed
+    event gains an atom, and t = 1 (min{M c, 1} guards the rounding of M / M)."""
     P = source.mass
-    caps = np.concatenate([P[(P > 0) & (M * P <= 1.0)], [1.0 / M]])
-    val, cap = _breakpoint_sup(lambda c: float(P[closed_leq(P, c)].sum() - M * c),
-                               np.unique(caps))
-    return _report("lossless-gamma", val, {"t": float(min(M * cap, 1.0))},
-                   "lossless tail converse")
+    caps = np.concatenate([[0.0], P[(P > 0) & (M * P <= 1.0)], [1.0 / M]])
+    return (lambda t: float(P[closed_leq(P, t / M)].sum() - t),
+            np.unique(np.minimum(M * caps, 1.0)))
+
+
+def lossless_gamma_bound(source: SinglePmf, M: int) -> BoundReport:
+    """sup over t in (0, 1] of P[P(S) <= t/M] - t, exactly over the t
+    where the closed tail event gains an atom."""
+    val, t = _breakpoint_sup(*_gamma_curve(source, M))
+    return _report("lossless-gamma", val, {"t": float(t)}, "lossless tail converse")
 
 
 def lossless_gamma_at(source: SinglePmf, M: int, t: float) -> float:
-    P = source.mass
-    return float(P[closed_leq(P, t / M)].sum() - t)
+    return _gamma_curve(source, M)[0](t)
 
 
 def meta_je(inst: SwInstance) -> BoundReport:
@@ -368,46 +369,44 @@ def meta_sid(inst: SwInstance, which: int = 1) -> BoundReport:
                    "side-information metaconverse")
 
 
-def _sid_candidates(inst: SwInstance, which: int) -> np.ndarray:
-    """The t in (0, 1] where some M P(enc, side) / P(side) is crossed, and 1."""
+def _sid_curve(inst: SwInstance, which: int, improved: bool):
+    """The improved or classic side-information integrand at t, over t = 0,
+    the t in (0, 1] where some M P(enc, side) / P(side) is crossed, and 1."""
     P, M, _ = _oriented(inst, which)
     side = P.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(side[None, :] > 0, M * P / side[None, :], np.nan)
-    cands = ratio[np.isfinite(ratio) & (ratio > 0) & (ratio <= 1.0)]
-    return np.unique(np.concatenate([cands, [1.0]]))
+    cands = np.unique(np.concatenate([ratio[np.isfinite(ratio) & (ratio > 0) & (ratio <= 1.0)],
+                                      [0.0, 1.0]]))
+    if not improved:
+        return lambda t: float(P[closed_leq(P, side[None, :] * (t / M))].sum() - t), cands
+    top = P.max(axis=0)
+
+    def fn(t):
+        cap = side * t / M
+        return float(np.minimum(P, cap[None, :]).sum() - M * np.minimum(top, cap).sum())
+
+    return fn, cands
 
 
 def sid_improved(inst: SwInstance, which: int = 1) -> BoundReport:
     """sup over t in (0, 1] of
     sum min{P12, Pside t / M} - M sum_side min{max_enc P12, Pside t / M}."""
-    _, _, tag = _oriented(inst, which)
-    val, t = _breakpoint_sup(lambda t: sid_improved_at(inst, t, which),
-                             _sid_candidates(inst, which))
-    return _report(f"sid-improved{tag}", val, {"t": float(t)},
+    val, t = _breakpoint_sup(*_sid_curve(inst, which, improved=True))
+    return _report(f"sid-improved{_oriented(inst, which)[2]}", val, {"t": float(t)},
                    "improved side-information converse")
 
 
 def sid_improved_at(inst: SwInstance, t: float, which: int = 1) -> float:
-    P, M, _ = _oriented(inst, which)
-    side = P.sum(axis=0)
-    cap = side * t / M
-    head = np.minimum(P, cap[None, :]).sum()
-    tail = np.minimum(P.max(axis=0), cap).sum()
-    return float(head - M * tail)
+    return _sid_curve(inst, which, improved=True)[0](t)
 
 
 def sid_classic(inst: SwInstance, which: int = 1) -> BoundReport:
     """sup over t in (0, 1] of P[P(enc|side) <= t/M] - t."""
-    _, _, tag = _oriented(inst, which)
-    val, t = _breakpoint_sup(lambda t: sid_classic_at(inst, t, which),
-                             _sid_candidates(inst, which))
-    return _report(f"sid-classic{tag}", val, {"t": float(t)},
+    val, t = _breakpoint_sup(*_sid_curve(inst, which, improved=False))
+    return _report(f"sid-classic{_oriented(inst, which)[2]}", val, {"t": float(t)},
                    "conditional-tail side-information converse")
 
 
 def sid_classic_at(inst: SwInstance, t: float, which: int = 1) -> float:
-    P, M, _ = _oriented(inst, which)
-    side = P.sum(axis=0)
-    mask = closed_leq(P, side[None, :] * (t / M))
-    return float(P[mask].sum() - t)
+    return _sid_curve(inst, which, improved=False)[0](t)

@@ -2,9 +2,9 @@
 
 The three-flow metaconverse is solved exactly as the covered-mass LP of
 converses_ptp under all three cap families, whose row duals are its
-thresholds.  The scalar Miyake-Kanaya style bounds reparameterize
-through t = exp(-b) and take the exact sup over the finite breakpoint set,
-like the point-to-point module.
+thresholds.  The scalar Miyake-Kanaya style bounds are curves, as in the
+point-to-point module: one integrand in t = exp(-b), read by both the
+exact sup over its finite breakpoint set and the public mk_*_at.
 
 The constructors at the bottom turn feasible dual points of the simpler
 problems (side-information, jointly encoded) into feasible dual points of
@@ -131,36 +131,37 @@ def _mk_coef(inst: SwInstance) -> np.ndarray:
     ])
 
 
-def _mk_candidates(inst: SwInstance) -> np.ndarray:
+def _mk_curve(inst: SwInstance, improved: bool):
+    """The classic or improved Miyake-Kanaya integrand at t, over t = 0 and
+    the t in (0, 1) where some P = t * coef is crossed."""
     P = inst.joint.mass
     coef = _mk_coef(inst)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_atom = np.where(coef > 0, P / coef, np.inf)
-    inside = t_atom[(t_atom > 0) & (t_atom < 1.0)]
-    return np.unique(np.concatenate([inside, [0.0]]))
+    t_atom = P / coef            # coef >= 1/(M1 M2) > 0
+    cands = np.unique(np.concatenate([t_atom[(t_atom > 0) & (t_atom < 1.0)], [0.0]]))
+    if improved:
+        return lambda t: float(np.minimum(P, t * coef).sum() - 3.0 * t), cands
+    return lambda t: float(P[closed_leq(P, t * coef)].sum() - 3.0 * t), cands
 
 
 def mk_classic_at(inst: SwInstance, t: float) -> float:
     """P[joint or either conditional density exceeds its log M budget] - 3t,
     the union expressed through the per-pair threshold P <= t * coef."""
-    P = inst.joint.mass
-    return float(P[closed_leq(P, t * _mk_coef(inst))].sum() - 3.0 * t)
+    return _mk_curve(inst, improved=False)[0](t)
 
 
 def mk_improved_at(inst: SwInstance, t: float) -> float:
     """mk_classic_at plus t * coef on every pair outside the union event;
     both terms together are sum min{P, t * coef} - 3t."""
-    P = inst.joint.mass
-    return float(np.minimum(P, t * _mk_coef(inst)).sum() - 3.0 * t)
+    return _mk_curve(inst, improved=True)[0](t)
 
 
 def mk_classic(inst: SwInstance) -> BoundReport:
-    val, t = _breakpoint_sup(lambda t: mk_classic_at(inst, t), _mk_candidates(inst))
+    val, t = _breakpoint_sup(*_mk_curve(inst, improved=False))
     return _report("mk", val, {"t": float(t)}, "Miyake-Kanaya union bound")
 
 
 def mk_improved(inst: SwInstance) -> BoundReport:
-    val, t = _breakpoint_sup(lambda t: mk_improved_at(inst, t), _mk_candidates(inst))
+    val, t = _breakpoint_sup(*_mk_curve(inst, improved=True))
     return _report("mk-improved", val, {"t": float(t)},
                    "improved Miyake-Kanaya converse")
 

@@ -169,12 +169,13 @@ def _mk_curve(spec: DsbsSpec):
     return raw, log_q - log_coef
 
 
-def _sup(curve) -> Tuple[float, float]:
-    """(sup of a curve over t in [0, 1), t attaining it); see the module docstring."""
+def _sup(curve) -> Tuple[float, dict]:
+    """(sup of a curve over t in [0, 1), witness {t, log t} attaining it); see
+    the module docstring.  log t reproduces the sup where t underflows to 0."""
     raw, switches = curve
     cands = np.unique(np.concatenate([[-math.inf], switches[switches < 0.0], [-1e-9]]))
     val, lt = _breakpoint_sup(raw, cands)
-    return val, math.exp(lt)
+    return val, {"t": math.exp(lt), "log_t": float(lt)}
 
 
 def _log_of(t: float) -> float:
@@ -186,8 +187,7 @@ def _log_of(t: float) -> float:
 def dsbs_converse(spec: DsbsSpec) -> BoundReport:
     """Exact sup over t of the collapsed four-term metaconverse with the
     uniform-marginal flow weights t/(M1 M2), t P2/M1, t P1/M2."""
-    raw, t = _sup(_flow_curve(spec, je=False))
-    return _report("dsbs-converse", raw, {"t": t},
+    return _report("dsbs-converse", *_sup(_flow_curve(spec, je=False)),
                    "weight-collapsed distributed metaconverse")
 
 
@@ -198,8 +198,7 @@ def dsbs_converse_at(spec: DsbsSpec, t: float) -> float:
 def dsbs_je_bound(spec: DsbsSpec) -> BoundReport:
     """Exact sup over t of the collapsed joint-encoder converse (the variant
     whose three penalty terms all carry M1 M2)."""
-    raw, t = _sup(_flow_curve(spec, je=True))
-    return _report("dsbs-je", raw, {"t": t},
+    return _report("dsbs-je", *_sup(_flow_curve(spec, je=True)),
                    "weight-collapsed joint-encoder converse")
 
 
@@ -209,8 +208,7 @@ def dsbs_je_at(spec: DsbsSpec, t: float) -> float:
 
 def dsbs_mk(spec: DsbsSpec) -> BoundReport:
     """Exact sup over t of the weight-collapsed union bound minus 3t."""
-    raw, t = _sup(_mk_curve(spec))
-    return _report("dsbs-mk", raw, {"t": t},
+    return _report("dsbs-mk", *_sup(_mk_curve(spec)),
                    "Miyake-Kanaya union bound, weight form")
 
 

@@ -52,6 +52,9 @@ def _frozen_array(a) -> np.ndarray:
 def _check_mass(mass: np.ndarray) -> None:
     if mass.size == 0:
         raise PmfError("empty alphabet")
+    if not np.all(np.isfinite(mass)):
+        i = int(np.argmin(np.isfinite(mass)))
+        raise PmfError(f"non-finite mass {mass.flat[i]!r} at flat index {i}")
     if np.any(mass < 0):
         i = int(np.argmin(mass))
         raise NegativeMass(f"negative mass {mass.flat[i]!r} at flat index {i}")

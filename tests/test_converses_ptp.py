@@ -27,6 +27,7 @@ from fbconv.probability import (
     CodeSizes,
     DistortionSpec,
     JointPmf,
+    PmfError,
     SinglePmf,
     ZeroProbability,
 )
@@ -157,8 +158,7 @@ def test_kv_witness_reevaluates():
         src = random_single(rng, 5, allow_zeros=False)
         inst = ScInstance(src, 2, DistortionSpec.lossless(5))
         rep = kv_tilted_improved(inst)
-        assert kv_tilted_at(inst, rep.witness["t"]) == pytest.approx(
-            rep.raw_value, abs=1e-9)
+        assert kv_tilted_at(inst, rep.witness["t"]) == rep.raw_value
 
 
 def test_palzer_timo_values():
@@ -166,6 +166,12 @@ def test_palzer_timo_values():
         0.5, abs=1e-9)
     assert palzer_timo(_lossless([0.7, 0.3], 1)).raw_value == pytest.approx(
         0.3, abs=1e-9)
+    # a tilt of the wrong length is refused by the sup and by the fixed-beta form
+    inst = _lossless([0.5, 0.3, 0.2], 1)
+    with pytest.raises(PmfError):
+        palzer_timo(inst, TiltedInfo([0.1]))
+    with pytest.raises(PmfError):
+        palzer_timo_at(inst, 0.05, TiltedInfo([0.1]))
 
 
 def test_palzer_timo_witness_and_oracle():
@@ -176,8 +182,7 @@ def test_palzer_timo_witness_and_oracle():
         M = int(rng.integers(1, n + 1))
         inst = ScInstance(src, M, DistortionSpec.lossless(n))
         rep = palzer_timo(inst)
-        assert palzer_timo_at(inst, rep.witness["beta"]) == pytest.approx(
-            rep.raw_value, abs=1e-9)
+        assert palzer_timo_at(inst, rep.witness["beta"]) == rep.raw_value
         assert rep.raw_value <= exact_opt_sc(inst) + 1e-9
 
 
@@ -289,8 +294,7 @@ def test_lossless_gamma_witness_reevaluates():
         src = random_single(rng, int(rng.integers(2, 7)))
         M = int(rng.integers(1, 4))
         rep = lossless_gamma_bound(src, M)
-        assert lossless_gamma_at(src, M, rep.witness["t"]) == pytest.approx(
-            rep.raw_value, abs=1e-9)
+        assert lossless_gamma_at(src, M, rep.witness["t"]) == rep.raw_value
 
 
 # --- pair bounds ------------------------------------------------------------
@@ -355,10 +359,8 @@ def test_sid_witnesses_reevaluate():
         for which in (1, 2):
             ri = sid_improved(inst, which)
             rc = sid_classic(inst, which)
-            assert sid_improved_at(inst, ri.witness["t"], which) \
-                == pytest.approx(ri.raw_value, abs=1e-9)
-            assert sid_classic_at(inst, rc.witness["t"], which) \
-                == pytest.approx(rc.raw_value, abs=1e-9)
+            assert sid_improved_at(inst, ri.witness["t"], which) == ri.raw_value
+            assert sid_classic_at(inst, rc.witness["t"], which) == rc.raw_value
 
 
 def test_meta_je_below_flat_oracle():

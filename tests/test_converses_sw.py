@@ -19,9 +19,10 @@ from fbconv import converses_ptp, converses_sw, relaxations
 from fbconv.dsbs import DsbsSpec, dsbs_je_bound, expand_joint
 from fbconv.lp_core import LpModel, solve
 from fbconv.oracle import exact_opt_sw
-from fbconv.probability import CodeSizes, JointPmf
+from fbconv.probability import CodeSizes, DistortionSpec, JointPmf
 from fbconv.relaxations import (
     InstanceTooLarge,
+    ScInstance,
     SwInstance,
     build_lp_je,
     build_lp_sw,
@@ -51,7 +52,7 @@ from fbconv.converses_sw import (
     mk_improved_at,
 )
 
-from conftest import peak_mib, random_joint
+from conftest import peak_mib, random_joint, random_single
 
 
 def _sw(mass, M1, M2):
@@ -357,14 +358,37 @@ def test_mk_chain():
 
 
 def test_mk_witness_reeval_and_sup():
+    # every scalar sup, the point-to-point ones included: its *_at at the
+    # witness is its raw value, and no grid point beats it
+    cp = converses_ptp
     rng = np.random.default_rng(18)
     grid = np.linspace(1e-6, 1 - 1e-6, 400)
+    wide = np.geomspace(1e-6, 1e3, 400)          # kv's t ranges over t > 0
+    betas = np.append(np.linspace(-5.0, 40.0, 400), 1e300)   # palzer's b
     for _ in range(10):
-        inst = _random_inst(rng)
-        for fn, at in ((mk_classic, mk_classic_at), (mk_improved, mk_improved_at)):
-            rep = fn(inst)
-            assert at(inst, rep.witness["t"]) == pytest.approx(rep.raw_value, abs=1e-9)
-            assert max(at(inst, t) for t in grid) <= rep.raw_value + 1e-9
+        inst = _random_inst(rng, max_m=3)
+        src = random_single(rng, int(rng.integers(2, 6)))
+        n, M = src.alphabet_size, int(rng.integers(1, 4))
+        d = rng.integers(0, 3, size=(n, n)).astype(float)
+        np.fill_diagonal(d, 0.0)
+        sc = ScInstance(src, M, DistortionSpec(d, float(rng.choice([0.0, 1.0]))))
+        cases = [(mk_classic(inst), lambda t: mk_classic_at(inst, t), "t", grid),
+                 (mk_improved(inst), lambda t: mk_improved_at(inst, t), "t", grid),
+                 (cp.lossless_gamma_bound(src, M), lambda t: cp.lossless_gamma_at(src, M, t),
+                  "t", grid)]
+        for w in (1, 2):
+            cases += [(cp.sid_improved(inst, w), lambda t, w=w: cp.sid_improved_at(inst, t, w),
+                       "t", grid),
+                      (cp.sid_classic(inst, w), lambda t, w=w: cp.sid_classic_at(inst, t, w),
+                       "t", grid)]
+        for j in (None, cp.TiltedInfo(rng.normal(0.0, 2.0, n))):
+            cases += [(cp.kv_tilted_improved(sc, j), lambda t, j=j: cp.kv_tilted_at(sc, t, j),
+                       "t", wide),
+                      (cp.palzer_timo(sc, j), lambda b, j=j: cp.palzer_timo_at(sc, b, j),
+                       "beta", betas)]
+        for rep, at, key, points in cases:
+            assert at(rep.witness[key]) == rep.raw_value, rep.name
+            assert max(at(float(x)) for x in points) <= rep.raw_value + 1e-12, rep.name
 
 
 # ---------------------------------------------------------------------------

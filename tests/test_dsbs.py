@@ -12,6 +12,8 @@ import pytest
 from fbconv.converses_sw import meta_sw_eta
 from fbconv.dsbs import (
     DsbsSpec,
+    _flow_curve,
+    _mk_curve,
     _weights,
     binary_entropy,
     dsbs_converse,
@@ -115,6 +117,16 @@ def test_sups_not_below_a_grid_value(n, rates):
         assert at(spec, rep.witness["t"]) == rep.raw_value
         assert max(at(spec, float(t)) for t in grid) <= rep.raw_value + 1e-12
         assert at(spec, 0.0) == 0.0
+
+
+def test_witness_log_t_reproduces_underflowed_sups():
+    # the maximizing t underflows to 0.0 here, where every bound is 0; log t keeps it
+    spec = DsbsSpec(10000, P, 0.55, 0.55)
+    for sup, curve in ((dsbs_converse, _flow_curve(spec, je=False)),
+                       (dsbs_je_bound, _flow_curve(spec, je=True)), (dsbs_mk, _mk_curve(spec))):
+        rep = sup(spec)
+        assert rep.raw_value > 0.5 and rep.witness["t"] == 0.0
+        assert curve[0](rep.witness["log_t"]) == rep.raw_value
 
 
 @pytest.mark.parametrize("n", [1, 10, 1000, 20000])

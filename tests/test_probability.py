@@ -36,6 +36,11 @@ def test_validate_shapes():
 def test_validate_rejects_negative_mass():
     with pytest.raises(NegativeMass):
         validate([-1e-9, 0.5, 0.5 + 1e-9])
+    # NaN compares False against 0 and against the sum tolerance alike
+    with pytest.raises(PmfError):
+        SinglePmf([0.5, 0.5, np.nan])
+    with pytest.raises(PmfError):
+        JointPmf([[np.nan]])
 
 
 def test_validate_rejects_sum_mismatch():
@@ -145,6 +150,8 @@ def test_parse_errors():
         parse_pmf_text("pmf1 2\n0 one\n")
     with pytest.raises(MassSumMismatch):
         parse_pmf_text("pmf1 2\n0 0.5\n1 0.6\n")
+    with pytest.raises(PmfError):
+        parse_pmf_text("pmf1 2\n0 nan\n1 0.5\n")
 
 
 @settings(max_examples=40, deadline=None)

@@ -25,7 +25,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .lp_core import LpModel, solve
-from .probability import PmfError, SinglePmf, ZeroProbability
+from .probability import CodeSizes, PmfError, SinglePmf, ZeroProbability
 from .relaxations import ScInstance, SwInstance, _check_lp_size
 
 EVENT_SLACK = 1e-12
@@ -233,18 +233,6 @@ def np_alpha(P: SinglePmf, Q: SinglePmf, theta: float) -> float:
     return alpha
 
 
-def alpha_sup_form(P: SinglePmf, Q: SinglePmf, mstar: float) -> float:
-    """sup over beta >= 0 of sum_s min{P(s), beta Q(s)} - beta * mstar,
-    maximized over the likelihood-ratio breakpoints."""
-    p, q = P.mass, Q.mass
-    if p.shape != q.shape:
-        raise PmfError("P and Q must share an alphabet")
-    pos = q > 0
-    betas = np.unique(np.concatenate([[0.0], p[pos] / q[pos]]))
-    val, _ = _breakpoint_sup(lambda b: float(np.minimum(p, b * q).sum() - b * mstar), betas)
-    return float(val)
-
-
 def hypothesis_testing_bound(inst: ScInstance, Q: Optional[SinglePmf] = None) -> BoundReport:
     """Binary-hypothesis-testing converse against a reference pmf Q
     (default Q = P): alpha_{M*}(P, Q) with M* = M max_sh sum_s Q(s) 1{within}."""
@@ -274,6 +262,7 @@ def meta_lossless(source: SinglePmf, M: int) -> BoundReport:
     exceeds the alphabet) is an optimal cap.  The value, the mass outside
     the M largest, equals meta_lossy on the lossless distortion spec.
     """
+    M = CodeSizes(M).M1   # PmfError unless M >= 1 is integral
     P = source.mass
     cap = float(np.sort(P)[-M]) if M <= P.size else 0.0
     phi = np.minimum(P, cap)
@@ -284,6 +273,7 @@ def meta_lossless(source: SinglePmf, M: int) -> BoundReport:
 def _gamma_curve(source: SinglePmf, M: int):
     """P[P(S) <= t/M] - t over t = 0, the t = M P(s) <= 1 where the closed
     event gains an atom, and t = 1 (min{M c, 1} guards the rounding of M / M)."""
+    M = CodeSizes(M).M1   # PmfError unless M >= 1 is integral
     P = source.mass
     caps = np.concatenate([[0.0], P[(P > 0) & (M * P <= 1.0)], [1.0 / M]])
     return (lambda t: float(P[closed_leq(P, t / M)].sum() - t),

@@ -38,16 +38,24 @@ EXPAND_LIMIT = 8
 
 @lru_cache(maxsize=None)
 def _code_size(n: int, rate: float) -> int:
+    """2^(n R) rounded to an integer, at least 1."""
     try:
         raw = 2.0 ** (n * rate)
     except OverflowError:
         raise InstanceTooLarge(
             f"2^(n R) with n R = {n * rate:.6g} is beyond float range") from None
-    if np.spacing(raw) > 1.0:
-        warnings.warn(
-            f"2^(n R) = {raw:.6g} is beyond exact integer resolution; "
-            "the rounded code size is nominal", RuntimeWarning, stacklevel=3)
     return max(1, int(round(raw)))
+
+
+def _nominal_code_size(n: int, rate: float) -> int:
+    """_code_size, warning the caller of a DsbsSpec.M1/M2 property once 2^(n R)
+    is past 2^53, beyond exact integer resolution of a float."""
+    M = _code_size(n, rate)
+    if M >= 2 ** 53:
+        warnings.warn(
+            f"2^(n R) = {float(M):.6g} is beyond exact integer resolution; "
+            "the rounded code size is nominal", RuntimeWarning, stacklevel=3)
+    return M
 
 
 @lru_cache(maxsize=None)
@@ -64,9 +72,10 @@ def _log_code_size(n: int, rate: float) -> float:
 class DsbsSpec:
     """n-bit pair source, uniform marginals, bitwise flip probability p.
 
-    M1 and M2 round 2^(n R) to an integer and raise InstanceTooLarge once
-    that power leaves float range; the bounds only need log M and work at
-    any n.
+    M1 and M2 round 2^(n R) to an integer, warn (RuntimeWarning) that it is
+    nominal once that power passes 2^53, and raise InstanceTooLarge once it
+    leaves float range; the bounds only need log M, warn of nothing and
+    work at any n.
     """
 
     n: int
@@ -85,11 +94,11 @@ class DsbsSpec:
 
     @property
     def M1(self) -> int:
-        return _code_size(self.n, self.R1)
+        return _nominal_code_size(self.n, self.R1)
 
     @property
     def M2(self) -> int:
-        return _code_size(self.n, self.R2)
+        return _nominal_code_size(self.n, self.R2)
 
 
 def _log_sizes(spec: DsbsSpec):

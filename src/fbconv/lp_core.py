@@ -1,4 +1,4 @@
-"""LP models, a HiGHS solve with one dual per stated row, and dualization.
+"""LP models and a HiGHS solve with one dual per stated row.
 
 solve hands an LpModel to HiGHS, the dual simplex of Huangfu & Hall (Math.
 Prog. Comp. 2018) that scipy bundles: variable bounds stay bounds and the
@@ -12,10 +12,14 @@ callers that solve no LP load none.  That path is private to scipy, so
 pyproject.toml sets the scipy version it was tested on and a missing
 extension raises SolverUnavailable.
 
-Sign convention for duals: for a max problem, multipliers of <= rows are >= 0
-and of >= rows are <= 0; for a min problem the signs flip; equality rows are
-free either way.  With that convention solve(model).dual satisfies weak and
-strong duality against dualize(model) without further sign fiddling.
+The duals of an optimal solve are a certificate of its value.  Write c for
+the objective, A for a_matrix, y for solve(model).dual and r = c - A^T y for
+the reduced costs.  For a max model, y_i >= 0 on <= rows and y_i <= 0 on >=
+rows; a min model flips both signs; = rows are free.  Then every feasible x
+has c x <= rhs y + sum_j max{r_j x_j : lower_j <= x_j <= upper_j} (>= and
+min for a min model), each r_j is nonzero only where the bound that term
+reads is finite, and the right side equals the optimal value.  The tests
+check all three on every optimal solve.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ class LpModel:
         c = np.atleast_1d(np.array(self.objective, dtype=float))
         A = _read_only(self.a_matrix)
         if A.ndim != 2:
-            A = A.reshape(0, c.size) if A.size == 0 else A.reshape(-1, c.size)
+            raise DimensionMismatch(f"a_matrix must be 2-D, got shape {A.shape}")
         b = np.atleast_1d(np.array(self.rhs, dtype=float))
         rel = tuple(self.relations)
         m, n = A.shape
@@ -107,32 +111,9 @@ class LpModel:
             object.__setattr__(self, name, val)
         object.__setattr__(self, "relations", rel)
 
-    @classmethod
-    def from_rows(cls, sense, objective, constraints, lower=None, upper=None) -> "LpModel":
-        """Build from a list of (coefficient vector, relation, rhs) triples."""
-        objective = np.atleast_1d(np.asarray(objective, dtype=float))
-        n = objective.size
-        if constraints:
-            A = np.array([np.asarray(a, dtype=float) for a, _, _ in constraints])
-            A.setflags(write=False)
-            rel = tuple(r for _, r, _ in constraints)
-            b = np.array([float(v) for _, _, v in constraints])
-        else:
-            A, rel, b = np.zeros((0, n)), (), np.zeros(0)
-        return cls(sense, objective, A, rel, b, lower, upper)
-
-    @property
-    def constraints(self):
-        return [(self.a_matrix[i], self.relations[i], float(self.rhs[i]))
-                for i in range(self.rhs.size)]
-
     @property
     def num_variables(self) -> int:
         return self.objective.size
-
-    @property
-    def num_constraints(self) -> int:
-        return self.rhs.size
 
 
 @dataclass(frozen=True)
@@ -214,75 +195,3 @@ def solve(model: LpModel) -> LpSolution:
         return LpSolution("Infeasible" if status == S.kInfeasible else "Unbounded",
                           math.nan, None, None)
     raise NumericalBreakdown(f"HiGHS stopped with status {status.name}")
-
-
-def dualize(model: LpModel) -> LpModel:
-    """Mechanical LP dual.
-
-    Variable bounds must be one of [0, inf), (-inf, 0], (-inf, inf); every
-    relaxation LP this package builds satisfies that (x >= 0 only).
-    dualize(dualize(m)) has the
-    same optimal value as m.
-    """
-    n, m = model.num_variables, model.num_constraints
-    sign = np.empty(n, dtype=int)
-    for j in range(n):
-        lo, up = model.lower[j], model.upper[j]
-        if lo == 0.0 and up == math.inf:
-            sign[j] = 1
-        elif lo == -math.inf and up == 0.0:
-            sign[j] = -1
-        elif lo == -math.inf and up == math.inf:
-            sign[j] = 0
-        else:
-            raise LpError(
-                "dualize needs variable bounds in {[0,inf), (-inf,0], free}; "
-                f"variable {j} has [{lo}, {up}]")
-
-    primal_min = model.sense == "min"
-    lo_y = np.empty(m)
-    up_y = np.empty(m)
-    for i, r in enumerate(model.relations):
-        if r == "=":
-            lo_y[i], up_y[i] = -math.inf, math.inf
-        elif (r == ">=") == primal_min:
-            # >= rows of a min problem (and <= rows of a max problem): y >= 0
-            lo_y[i], up_y[i] = 0.0, math.inf
-        else:
-            lo_y[i], up_y[i] = -math.inf, 0.0
-
-    At = model.a_matrix.T.copy()
-    rels = []
-    for j in range(n):
-        if sign[j] == 0:
-            rels.append("=")
-        elif primal_min:
-            rels.append("<=" if sign[j] > 0 else ">=")
-        else:
-            rels.append(">=" if sign[j] > 0 else "<=")
-    return LpModel(
-        sense="max" if primal_min else "min",
-        objective=model.rhs.copy(),
-        a_matrix=At,
-        relations=tuple(rels),
-        rhs=model.objective.copy(),
-        lower=lo_y,
-        upper=up_y,
-    )
-
-
-def dump(model: LpModel) -> str:
-    """Plain-text tableau: objective line, then one `coeffs <rel> rhs` line per
-    constraint, then `bound j lo hi` lines for non-default bounds."""
-    def f(x):
-        return repr(float(x))
-
-    lines = [model.sense + " " + " ".join(f(v) for v in model.objective)]
-    for i in range(model.num_constraints):
-        lines.append(" ".join(f(v) for v in model.a_matrix[i])
-                     + f" {model.relations[i]} {f(model.rhs[i])}")
-    for j in range(model.num_variables):
-        lo, up = model.lower[j], model.upper[j]
-        if lo != 0.0 or up != math.inf:
-            lines.append(f"bound {j} {f(lo)} {f(up)}")
-    return "\n".join(lines) + "\n"

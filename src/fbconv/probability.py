@@ -118,10 +118,11 @@ class CodeSizes:
     M2: Optional[int] = None
 
     def __post_init__(self):
-        if int(self.M1) != self.M1 or self.M1 < 1:
-            raise PmfError(f"M1 must be a positive integer, got {self.M1!r}")
-        if self.M2 is not None and (int(self.M2) != self.M2 or self.M2 < 1):
-            raise PmfError(f"M2 must be a positive integer, got {self.M2!r}")
+        for name in ("M1", "M2") if self.M2 is not None else ("M1",):
+            M = getattr(self, name)
+            if not (M >= 1 and M % 1 == 0):
+                raise PmfError(f"{name} must be a positive integer, got {M!r}")
+            object.__setattr__(self, name, int(M))   # 2.0 must size and index arrays
 
 
 @dataclass(frozen=True)

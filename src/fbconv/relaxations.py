@@ -37,8 +37,10 @@ gives:
     row's multiplier is bounded by the families whose minus block it
     normalizes, and the dual objectives are the sum of those bounds.
 
-The feasibility checkers state the dual constraints by hand, independently
-of the tables, and so serve as an oracle for them.
+The feasibility checkers take the shape of every field of a dual point from
+the tables, so a field of the wrong shape raises PmfError instead of
+broadcasting.  They state the dual constraints themselves by hand,
+independently of the tables, and so serve as an oracle for them.
 
 Letters: s source and x, y encoder output / decoder input, h reconstruction
 (point-to-point); e encoded and s side source (side information); a, b the
@@ -86,8 +88,7 @@ class ScInstance:
     distortion: DistortionSpec
 
     def __post_init__(self):
-        if int(self.M) != self.M or self.M < 1:
-            raise PmfError(f"M must be a positive integer, got {self.M!r}")
+        object.__setattr__(self, "M", CodeSizes(self.M).M1)   # PmfError unless M >= 1 is integral
         if self.distortion.d_matrix.shape[0] != self.source.alphabet_size:
             raise PmfError("distortion rows must match the source alphabet")
 
@@ -416,11 +417,21 @@ def _collect(out: List[ConstraintViolation], cid: str, resid: np.ndarray, tol: f
 # feasibility checkers
 
 
+def _check_shapes(inst, pt: _DualPoint) -> None:
+    """Raise PmfError unless every field of pt that is set has the shape its
+    row family has in the point's table."""
+    sizes, _, rows = _table_of(inst, pt)
+    for name, letters, _, _ in rows:
+        val = getattr(pt, name)
+        want = tuple(sizes[k] for k in letters)
+        if val is not None and val.shape != want:
+            raise PmfError(f"dual point field {name} has shape {val.shape}, expected {want}")
+
+
 def check_dp_feasible(inst: ScInstance, pt: DualPointSC,
                       tol: float = 1e-12) -> List[ConstraintViolation]:
-    n, M, nh = inst.n, inst.M, inst.n_hat
-    if pt.lam_s.shape != (n, nh, M) or pt.lam_c.shape != (M, n, M):
-        raise PmfError("dual point shapes do not match the instance")
+    _check_shapes(inst, pt)
+    M = inst.M
     P = inst.source.mass
     exc = inst.distortion.excess().astype(float)
     out: List[ConstraintViolation] = []
@@ -444,10 +455,8 @@ def check_dp_feasible(inst: ScInstance, pt: DualPointSC,
 
 def check_dpje_feasible(inst: SwInstance, pt: DualPointJE,
                         tol: float = 1e-12) -> List[ConstraintViolation]:
+    _check_shapes(inst, pt)
     n1, n2, m1, m2 = inst.dims
-    if pt.lam_s.shape != (n1, n2, n1, n2, m1, m2) or \
-            pt.lam_c.shape != (n1, n2, m1, m2, m1, m2):
-        raise PmfError("dual point shapes do not match the instance")
     P = inst.joint.mass
     out: List[ConstraintViolation] = []
     if pt.gamma_a is not None:
@@ -471,13 +480,12 @@ def check_dpje_feasible(inst: SwInstance, pt: DualPointJE,
 
 def check_dpsi_feasible(inst: SwInstance, pt: DualPointSI,
                         tol: float = 1e-12) -> List[ConstraintViolation]:
+    _check_shapes(inst, pt)
     n1, n2, m1, m2 = inst.dims
     if pt.which == 1:
-        P, ne, ns, M, ids = inst.joint.mass, n1, n2, m1, ("B1", "B2", "B3")
+        P, ne, M, ids = inst.joint.mass, n1, m1, ("B1", "B2", "B3")
     else:
-        P, ne, ns, M, ids = inst.joint.mass.T, n2, n1, m2, ("C1", "C2", "C3")
-    if pt.lam_s.shape != (ne, ns, ne, M) or pt.lam_c.shape != (ne, ns, M, M):
-        raise PmfError("dual point shapes do not match the instance")
+        P, ne, M, ids = inst.joint.mass.T, n2, m2, ("C1", "C2", "C3")
     out: List[ConstraintViolation] = []
     if pt.gamma_a is not None:
         # (B1): gamma_a(se) <= sum_{ss, y} lam_c(se, ss, x, y)
@@ -499,19 +507,8 @@ def check_dpsi_feasible(inst: SwInstance, pt: DualPointSI,
 def check_dpsw_feasible(inst: SwInstance, pt: DualPointSW,
                         tol: float = 1e-12) -> List[ConstraintViolation]:
     """Residual check of (D1)-(D7); returns one record per violated entry."""
+    _check_shapes(inst, pt)
     n1, n2, m1, m2 = inst.dims
-    shapes = {
-        "lam_s_12": (n1, n2, m2, m1, m2, n1, n2),
-        "lam_s_21": (n1, n2, m1, m1, m2, n1, n2),
-        "lam_c": (n1, n2, m1, m2, m1, m2),
-        "mu_s_1": (n1, n1, n2, m1, m2), "mu_s_2": (n2, n1, n2, m1, m2),
-        "mu_c_1": (n1, m1, m1, m2), "mu_c_2": (n2, m2, m1, m2),
-        "mu_c_12": (m1, n1, n2), "mu_c_21": (m2, n1, n2),
-    }
-    for f, sh in shapes.items():
-        if getattr(pt, f).shape != sh:
-            raise PmfError(f"dual point field {f} has shape "
-                           f"{getattr(pt, f).shape}, expected {sh}")
     P = inst.joint.mass
     out: List[ConstraintViolation] = []
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from fbconv import converses_ptp
 from fbconv.converses_ptp import (
     TiltedInfo,
-    alpha_sup_form,
+    _breakpoint_sup,
     hypothesis_testing_bound,
     kv_tilted_at,
     kv_tilted_improved,
@@ -32,9 +33,8 @@ from fbconv.probability import (
     ZeroProbability,
 )
 from fbconv.relaxations import ScInstance, SwInstance, build_lp_sc, sw_je_instance
-from fbconv.lp_core import solve
 
-from conftest import random_joint, random_single
+from conftest import certified_solve, random_joint, random_single
 
 
 def _lossless(p, M):
@@ -97,7 +97,27 @@ def test_meta_lossy_below_oracle_and_lp():
         inst = ScInstance(src, M, DistortionSpec(d, float(rng.choice([0.0, 1.0]))))
         rep = meta_lossy(inst)
         assert rep.raw_value <= exact_opt_sc(inst) + 1e-9
-        assert rep.raw_value <= solve(build_lp_sc(inst)).value + 1e-7
+        assert rep.raw_value <= certified_solve(build_lp_sc(inst)).value + 1e-7
+
+
+def test_meta_lossy_lp_duals_certify(monkeypatch):
+    # the capped max-form LP: 0 <= phi <= P, and a <= row per reconstruction
+    solved = []
+
+    def spy(model):
+        solved.append(model)
+        return certified_solve(model)
+
+    monkeypatch.setattr(converses_ptp, "solve", spy)
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        n = int(rng.integers(1, 6))
+        d = rng.integers(0, 3, size=(n, int(rng.integers(1, 6)))).astype(float)
+        inst = ScInstance(random_single(rng, n), int(rng.integers(1, n + 2)),
+                          DistortionSpec(d, float(rng.choice([0.0, 1.0]))))
+        meta_lossy(inst)
+    assert len(solved) == 40
+    assert all(np.isfinite(m.upper).any() for m in solved)
 
 
 def test_meta_lossy_z_rejects_bad_input():
@@ -202,6 +222,18 @@ def test_np_alpha_trivial_cases():
     assert np_alpha(P, P, 0.25) == pytest.approx(0.75, abs=1e-12)
 
 
+def alpha_sup_form(P: SinglePmf, Q: SinglePmf, mstar: float) -> float:
+    """sup over beta >= 0 of sum_s min{P(s), beta Q(s)} - beta * mstar,
+    maximized over the likelihood-ratio breakpoints."""
+    p, q = P.mass, Q.mass
+    if p.shape != q.shape:
+        raise PmfError("P and Q must share an alphabet")
+    pos = q > 0
+    betas = np.unique(np.concatenate([[0.0], p[pos] / q[pos]]))
+    val, _ = _breakpoint_sup(lambda b: float(np.minimum(p, b * q).sum() - b * mstar), betas)
+    return float(val)
+
+
 def test_np_alpha_equals_sup_form():
     rng = np.random.default_rng(37)
     for _ in range(300):
@@ -241,6 +273,8 @@ def test_meta_lossless_values():
         0.5, abs=1e-9)
     assert meta_lossless(SinglePmf([0.7, 0.3]), 1).raw_value == pytest.approx(
         0.3, abs=1e-9)
+    # an integral float M is the int it stands for
+    assert meta_lossless(SinglePmf([0.25] * 4), 2.0).raw_value == 0.5
 
 
 def test_meta_lossless_caps_equal_lp():
@@ -281,9 +315,19 @@ def test_meta_lossless_witness_reevaluates():
         assert phi.sum() - 2 * phi.max() == pytest.approx(rep.raw_value, abs=1e-9)
 
 
+@pytest.mark.parametrize("M", [0, -1, 1.5])
+def test_lossless_bounds_reject_bad_code_size(M):
+    src = SinglePmf([0.3, 0.7])
+    for bound in (meta_lossless, lossless_gamma_bound):
+        with pytest.raises(PmfError):
+            bound(src, M)
+
+
 def test_lossless_gamma_values():
     assert lossless_gamma_bound(SinglePmf([0.7, 0.3]), 1).raw_value \
         == pytest.approx(0.3, abs=1e-9)
+    assert lossless_gamma_bound(SinglePmf([0.25] * 4), 2.0).raw_value \
+        == lossless_gamma_bound(SinglePmf([0.25] * 4), 2).raw_value
     assert lossless_gamma_bound(SinglePmf([0.25] * 4), 2).raw_value \
         == pytest.approx(0.5, abs=1e-9)
 

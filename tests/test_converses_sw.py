@@ -52,7 +52,7 @@ from fbconv.converses_sw import (
     mk_improved_at,
 )
 
-from conftest import peak_mib, random_joint, random_single
+from conftest import certified_solve, peak_mib, random_joint, random_single
 
 
 def _sw(mass, M1, M2):
@@ -101,23 +101,23 @@ def _three_flow_lp(inst):
             r = np.zeros(nv)            # t <= phi_hat + phi_12 + phi_21
             r[i_t + k] = 1.0
             r[i_hat + k] = r[i_12 + k] = r[i_21 + k] = -1.0
-            rows.append((r, "<=", 0.0))
+            rows.append(r)
             r = np.zeros(nv)            # u >= phi_hat
             r[i_hat + k] = 1.0
             r[i_u] = -1.0
-            rows.append((r, "<=", 0.0))
+            rows.append(r)
             r = np.zeros(nv)            # v(s1) >= phi_21(s1, .)
             r[i_21 + k] = 1.0
             r[i_v + a] = -1.0
-            rows.append((r, "<=", 0.0))
+            rows.append(r)
             r = np.zeros(nv)            # w(s2) >= phi_12(., s2)
             r[i_12 + k] = 1.0
             r[i_w + b] = -1.0
-            rows.append((r, "<=", 0.0))
+            rows.append(r)
 
     upper = np.concatenate([P, P, P, P, np.full(1 + n1 + n2, math.inf)])
-    return solve(LpModel.from_rows("max", obj, rows, lower=np.zeros(nv),
-                                   upper=upper)).value
+    return certified_solve(LpModel("max", obj, np.array(rows), ("<=",) * len(rows),
+                                   np.zeros(len(rows)), upper=upper)).value
 
 
 def _threshold_lp(inst):
@@ -130,7 +130,7 @@ def _threshold_lp(inst):
     obj = np.concatenate([np.ones(K), [-float(m1 * m2)],
                           np.full(n1, -float(m2)), np.full(n2, -float(m1))])
     upper = np.concatenate([inst.joint.mass.reshape(-1), np.full(1 + n1 + n2, math.inf)])
-    return solve(LpModel("max", obj, A, ("<=",) * K, np.zeros(K), upper=upper)).value
+    return certified_solve(LpModel("max", obj, A, ("<=",) * K, np.zeros(K), upper=upper)).value
 
 
 def _sid_threshold_lp(inst, which):
@@ -143,7 +143,7 @@ def _sid_threshold_lp(inst, which):
     A = np.hstack([np.eye(K), -np.tile(np.eye(ns), (ne, 1))])
     obj = np.concatenate([np.ones(K), np.full(ns, -float(M))])
     upper = np.concatenate([P.reshape(-1), np.full(ns, math.inf)])
-    return solve(LpModel("max", obj, A, ("<=",) * K, np.zeros(K), upper=upper)).value
+    return certified_solve(LpModel("max", obj, A, ("<=",) * K, np.zeros(K), upper=upper)).value
 
 
 def _mixed_inst(rng):
@@ -235,6 +235,15 @@ def test_metaconverses_match_threshold_lps():
         for which in (1, 2):
             assert meta_sid(inst, which).raw_value == pytest.approx(
                 _sid_threshold_lp(inst, which), abs=1e-12)
+
+
+@pytest.mark.parametrize("caps", ["uvw", "v", "w"])
+def test_covered_mass_lp_duals_certify(caps):
+    # meta_sw and meta_sid read these row duals as (u, v, w) over 0 <= mu <= 1
+    rng = np.random.default_rng(31)
+    for inst in [_random_inst(rng) for _ in range(20)] + [_mixed_inst(rng) for _ in range(60)]:
+        model, _ = converses_ptp._covered_mass_lp(inst, caps)
+        assert certified_solve(model).status == "Optimal"
 
 
 def test_covered_mass_lp_shape(monkeypatch):
@@ -560,7 +569,7 @@ def test_constructed_points_below_lp_value():
     for _ in range(4):
         inst = _sw(random_joint(rng, 2, 2).mass,
                    int(rng.integers(1, 3)), int(rng.integers(1, 3)))
-        top = solve(build_lp_sw(inst)).value
+        top = certified_solve(build_lp_sw(inst)).value
         P = inst.joint.mass
         ph, p12, p21 = (rng.random(P.shape) * P for _ in range(3))
         pts = [
@@ -580,15 +589,15 @@ def test_embed_solver_extracted_duals():
     for _ in range(4):
         inst = _sw(random_joint(rng, 2, 2).mass,
                    int(rng.integers(1, 3)), int(rng.integers(1, 3)))
-        top = solve(build_lp_sw(inst)).value
+        top = certified_solve(build_lp_sw(inst)).value
         for which in (1, 2):
-            sol = solve(build_lpsi(inst, which))
+            sol = certified_solve(build_lpsi(inst, which))
             pt = dual_point_si_from_solution(inst, which, sol)
             out = embed_sid_feasible(inst, pt, input_tol=1e-7)
             assert check_dpsw_feasible(inst, out, tol=1e-7) == []
             assert dpsw_objective(inst, out) >= sol.value - 1e-7
             assert dpsw_objective(inst, out) <= top + 1e-7
-        sol = solve(build_lp_je(inst))
+        sol = certified_solve(build_lp_je(inst))
         out = embed_je_feasible(inst, dual_point_je_from_solution(inst, sol),
                                 input_tol=1e-7)
         assert check_dpsw_feasible(inst, out, tol=1e-7) == []

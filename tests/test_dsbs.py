@@ -75,8 +75,6 @@ def test_gnuplot_script_names():
 # --- clamping and large blocklengths -----------------------------------------
 
 
-# 2^600 has no exact float integer; dsbs says so with a RuntimeWarning
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_clamped_value_at_most_one():
     # far outside the rate region the sup lands a few ulps above 1
     spec = DsbsSpec(1000, P, 0.6, 0.6)
@@ -85,6 +83,16 @@ def test_clamped_value_at_most_one():
         assert 0.0 <= rep.clamped_value <= 1.0
     for row in sweep(spec, [1000]):
         assert row.clamped_value <= 1.0
+
+
+def test_code_size_past_exact_integers_warns_the_caller():
+    # 2^60 has no exact float integer: the bounds, which read only log M, run
+    # under pyproject's error::RuntimeWarning, and reading M1 warns its caller
+    spec = DsbsSpec(100, P, 0.6, 0.6)
+    assert dsbs_converse(spec).raw_value == 0.9905333759945456
+    with pytest.warns(RuntimeWarning, match="nominal") as caught:
+        assert spec.M1 == 2 ** 60
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_code_size_past_float_range():
@@ -103,8 +111,6 @@ def test_code_size_past_float_range():
 # --- exact sups ---------------------------------------------------------------
 
 
-# 2^(n R) past 2^53 has no exact float integer; dsbs says so with a RuntimeWarning
-@pytest.mark.filterwarnings(r"ignore:2\^\(n R\):RuntimeWarning")
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 50, 200])
 @pytest.mark.parametrize("rates", [(0.6, 0.7), (1.0, 0.5), (1 / 3, 1.0), (0.9, 0.95)])
 def test_sups_not_below_a_grid_value(n, rates):

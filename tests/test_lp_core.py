@@ -13,26 +13,23 @@ from fbconv.lp_core import (
     NumericalBreakdown,
     SolverUnavailable,
     _load_highs,
-    dualize,
-    dump,
     solve,
 )
+
+from conftest import assert_dual_certificate
 
 
 def scipy_reference(model):
     """Independent solve via scipy/HiGHS; returns (status, value)."""
     c = model.objective if model.sense == "min" else -model.objective
-    A_ub, b_ub, A_eq, b_eq = [], [], [], []
-    for a, r, v in model.constraints:
-        if r == "<=":
-            A_ub.append(a); b_ub.append(v)
-        elif r == ">=":
-            A_ub.append(-a); b_ub.append(-v)
-        else:
-            A_eq.append(a); b_eq.append(v)
+    rel = np.array(model.relations)
+    # >= rows enter as negated <= rows
+    flip = np.where(rel == ">=", -1.0, 1.0)
+    ub, eq = rel != "=", rel == "="
+    A, b = flip[:, None] * model.a_matrix, flip * model.rhs
     kw = dict(
-        A_ub=np.array(A_ub) if A_ub else None, b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(A_eq) if A_eq else None, b_eq=np.array(b_eq) if b_eq else None,
+        A_ub=A[ub] if ub.any() else None, b_ub=b[ub] if ub.any() else None,
+        A_eq=A[eq] if eq.any() else None, b_eq=b[eq] if eq.any() else None,
         bounds=list(zip(
             [None if lo == -math.inf else lo for lo in model.lower],
             [None if up == math.inf else up for up in model.upper])),
@@ -50,41 +47,41 @@ def scipy_reference(model):
 
 def test_textbook_max():
     # max 3x + 2y st x + y <= 4, x + 3y <= 6 -> 12 at (4, 0)
-    m = LpModel.from_rows("max", [3.0, 2.0],
-                          [([1.0, 1.0], "<=", 4.0), ([1.0, 3.0], "<=", 6.0)])
+    m = LpModel("max", [3.0, 2.0], [[1.0, 1.0], [1.0, 3.0]], ("<=", "<="), [4.0, 6.0])
     sol = solve(m)
     assert sol.status == "Optimal"
     assert sol.value == pytest.approx(12.0, abs=1e-9)
     np.testing.assert_allclose(sol.primal, [4.0, 0.0], atol=1e-9)
     np.testing.assert_allclose(sol.dual, [3.0, 0.0], atol=1e-9)
+    assert_dual_certificate(m, sol)
 
 
 def test_equality_and_free_variable():
     # min x + y st x - y = 1, x + y >= 3, y free
-    m = LpModel.from_rows("min", [1.0, 1.0],
-                          [([1.0, -1.0], "=", 1.0), ([1.0, 1.0], ">=", 3.0)],
-                          lower=[0.0, -math.inf])
+    m = LpModel("min", [1.0, 1.0], [[1.0, -1.0], [1.0, 1.0]], ("=", ">="), [1.0, 3.0],
+                lower=[0.0, -math.inf])
     sol = solve(m)
     assert sol.status == "Optimal"
     assert sol.value == pytest.approx(3.0, abs=1e-9)
+    assert_dual_certificate(m, sol)
 
 
 def test_infeasible():
-    m = LpModel.from_rows("min", [1.0], [([1.0], "<=", 1.0), ([1.0], ">=", 2.0)])
+    m = LpModel("min", [1.0], [[1.0], [1.0]], ("<=", ">="), [1.0, 2.0])
     assert solve(m).status == "Infeasible"
 
 
 def test_unbounded():
-    m = LpModel.from_rows("max", [1.0, 0.0], [([0.0, 1.0], "<=", 1.0)])
+    m = LpModel("max", [1.0, 0.0], [[0.0, 1.0]], ("<=",), [1.0])
     assert solve(m).status == "Unbounded"
 
 
 def test_redundant_equality_rows():
-    m = LpModel.from_rows("min", [1.0, 2.0],
-                          [([1.0, 1.0], "=", 1.0), ([2.0, 2.0], "=", 2.0)])
+    m = LpModel("min", [1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], ("=", "="), [1.0, 2.0])
     sol = solve(m)
     assert sol.status == "Optimal"
     assert sol.value == pytest.approx(1.0, abs=1e-9)
+    assert_dual_certificate(m, sol)
 
 
 def test_feasible_unbounded_not_reported_infeasible():
@@ -110,26 +107,27 @@ def test_unbounded_or_infeasible_settled_by_feasibility_solve(monkeypatch):
         return (status.kUnboundedOrInfeasible,) + out[1:] if len(costs) == 1 else out
 
     monkeypatch.setattr(lp_core, "_run_highs", first_undecided)
-    m = LpModel.from_rows("max", [1.0, 0.0], [([0.0, 1.0], "<=", 1.0)])
+    m = LpModel("max", [1.0, 0.0], [[0.0, 1.0]], ("<=",), [1.0])
     assert solve(m).status == "Unbounded"
     assert len(costs) == 2 and not np.any(costs[1])
     costs.clear()
-    m = LpModel.from_rows("min", [1.0], [([1.0], "<=", 1.0), ([1.0], ">=", 2.0)])
+    m = LpModel("min", [1.0], [[1.0], [1.0]], ("<=", ">="), [1.0, 2.0])
     assert solve(m).status == "Infeasible"
 
 
 def test_finite_upper_bounds():
-    m = LpModel.from_rows("max", [1.0, 1.0], [([1.0, 2.0], "<=", 10.0)],
-                          upper=[3.0, np.inf])
+    m = LpModel("max", [1.0, 1.0], [[1.0, 2.0]], ("<=",), [10.0], upper=[3.0, np.inf])
     sol = solve(m)
     assert sol.value == pytest.approx(3.0 + 3.5, abs=1e-9)
+    assert_dual_certificate(m, sol)
 
 
 def test_shifted_lower_bound():
     # min x st x >= -2 (bound), x <= 5
-    m = LpModel.from_rows("min", [1.0], [([1.0], "<=", 5.0)], lower=[-2.0])
+    m = LpModel("min", [1.0], [[1.0]], ("<=",), [5.0], lower=[-2.0])
     sol = solve(m)
     assert sol.value == pytest.approx(-2.0, abs=1e-9)
+    assert_dual_certificate(m, sol)
 
 
 def test_dimension_mismatch():
@@ -141,6 +139,10 @@ def test_dimension_mismatch():
         LpModel("min", [1.0, np.nan], np.ones((1, 2)), ("<=",), np.ones(1))
     with pytest.raises(DimensionMismatch):
         LpModel("huge", np.ones(1), np.ones((1, 1)), ("<=",), np.ones(1))
+    # a non-2-D a_matrix is an error, not reshaped into rows
+    for A in (np.ones(2), np.ones((1, 1, 2)), np.zeros(0)):
+        with pytest.raises(DimensionMismatch):
+            LpModel("min", np.ones(2), A, ("<=",), np.ones(1))
 
 
 def test_a_matrix_copied_unless_read_only():
@@ -153,20 +155,6 @@ def test_a_matrix_copied_unless_read_only():
     B[0, 0] = 100.0
     assert m.a_matrix[0, 0] == 1.0 and not m.a_matrix.flags.writeable
     assert solve(m).value == pytest.approx(12.0, abs=1e-9)
-
-
-def test_dualize_textbook_pair():
-    p = LpModel.from_rows("max", [3.0, 2.0],
-                          [([1.0, 1.0], "<=", 4.0), ([1.0, 3.0], "<=", 6.0)])
-    d = dualize(p)
-    assert d.sense == "min"
-    np.testing.assert_allclose(d.objective, [4.0, 6.0])
-    assert d.relations == (">=", ">=")
-    np.testing.assert_allclose(d.lower, [0.0, 0.0])
-    sd = solve(d)
-    assert sd.value == pytest.approx(12.0, abs=1e-9)
-    dd = solve(dualize(d))
-    assert dd.value == pytest.approx(12.0, abs=1e-9)
 
 
 def _random_model(rng, n=None, m=None):
@@ -192,15 +180,15 @@ def test_random_models_against_scipy():
         m = _random_model(rng)
         ref_status, ref_value = scipy_reference(m)
         sol = solve(m)
-        assert sol.status == ref_status, dump(m)
+        assert sol.status == ref_status
         if ref_status == "Optimal":
             n_opt += 1
             n_capped += bool(np.any(np.isfinite(m.upper)))
             assert np.all(sol.primal >= m.lower - 1e-9) and np.all(sol.primal <= m.upper + 1e-9)
-            assert sol.value == pytest.approx(ref_value, abs=1e-7 * max(1, abs(ref_value))), dump(m)
+            assert sol.value == pytest.approx(ref_value, abs=1e-7 * max(1, abs(ref_value)))
             # returned primal is feasible and attains the value
             assert sol.value == pytest.approx(float(m.objective @ sol.primal), abs=1e-9)
-            for a, r, v in m.constraints:
+            for a, r, v in zip(m.a_matrix, m.relations, m.rhs):
                 ax = float(a @ sol.primal)
                 if r == "<=":
                     assert ax <= v + 1e-9
@@ -208,81 +196,38 @@ def test_random_models_against_scipy():
                     assert ax >= v - 1e-9
                 else:
                     assert ax == pytest.approx(v, abs=1e-9)
+            assert_dual_certificate(m, sol)
     assert n_opt > 150  # the generator is meant to mostly produce solvable LPs
     assert n_capped > 50
 
 
 def test_strong_duality_and_complementary_slackness_random():
-    rng = np.random.default_rng(7)
-    checked = 0
-    for _ in range(150):
-        m = _random_model(rng)
-        # dualize() wants sign bounds only
-        lower = np.where(np.isfinite(m.lower), 0.0, -math.inf)
-        m = LpModel(m.sense, m.objective, m.a_matrix, m.relations, m.rhs, lower=lower)
-        sol = solve(m)
-        if sol.status != "Optimal":
-            continue
-        d = dualize(m)
-        sd = solve(d)
-        assert sd.status == "Optimal"
-        scale = max(1.0, abs(sol.value))
-        assert abs(sd.value - sol.value) <= 1e-7 * scale
-        # the multipliers from solve() are themselves a dual-feasible point:
-        # same objective value, correct signs, complementary slackness
-        assert float(m.rhs @ sol.dual) == pytest.approx(sol.value, abs=1e-7 * scale)
-        for i, (a, r, v) in enumerate(m.constraints):
-            y = sol.dual[i]
-            slack = v - float(a @ sol.primal)
-            assert abs(y * slack) <= 1e-7 * scale
-            want_pos = (r == ">=") == (m.sense == "min")
-            if r == "<=" or r == ">=":
-                assert (y >= -1e-9) if want_pos else (y <= 1e-9)
-        checked += 1
-    assert checked > 80
-
-
-def test_dual_of_dual_value_matches():
-    rng = np.random.default_rng(99)
-    for _ in range(60):
-        m = _random_model(rng)
-        lower = np.where(np.isfinite(m.lower), 0.0, -math.inf)
-        m = LpModel(m.sense, m.objective, m.a_matrix, m.relations, m.rhs, lower=lower)
-        sol = solve(m)
-        if sol.status != "Optimal":
-            continue
-        dd = dualize(dualize(m))
-        sdd = solve(dd)
-        assert sdd.status == "Optimal"
-        assert sdd.value == pytest.approx(sol.value, abs=1e-7 * max(1, abs(sol.value)))
+    # finite caps and shifted lower bounds included: the certificate prices them
+    for seed, count in ((7, 150), (99, 60)):
+        rng = np.random.default_rng(seed)
+        checked = 0
+        for _ in range(count):
+            m = _random_model(rng)
+            sol = solve(m)
+            if sol.status != "Optimal":
+                continue
+            assert_dual_certificate(m, sol)
+            # a multiplier is nonzero only on a row the primal makes tight
+            slack = m.rhs - m.a_matrix @ sol.primal
+            assert np.all(np.abs(sol.dual * slack) <= 1e-7 * max(1.0, abs(sol.value)))
+            checked += 1
+        assert checked > count // 2
 
 
 def test_degenerate_cycling_candidate():
     # classic Beale-style degenerate LP, on which Dantzig pricing cycles
-    m = LpModel.from_rows(
-        "min", [-0.75, 150.0, -0.02, 6.0],
-        [([0.25, -60.0, -1.0 / 25.0, 9.0], "<=", 0.0),
-         ([0.5, -90.0, -1.0 / 50.0, 3.0], "<=", 0.0),
-         ([0.0, 0.0, 1.0, 0.0], "<=", 1.0)])
+    m = LpModel("min", [-0.75, 150.0, -0.02, 6.0],
+                [[0.25, -60.0, -1.0 / 25.0, 9.0], [0.5, -90.0, -1.0 / 50.0, 3.0],
+                 [0.0, 0.0, 1.0, 0.0]], ("<=",) * 3, [0.0, 0.0, 1.0])
     sol = solve(m)
     assert sol.status == "Optimal"
     assert sol.value == pytest.approx(-0.05, abs=1e-9)
-
-
-def test_dump_roundtrip_text():
-    m = LpModel.from_rows("max", [1.0, 2.0], [([1.0, 1.0], "<=", 1.0)],
-                          lower=[0.0, -math.inf])
-    text = dump(m)
-    lines = text.strip().splitlines()
-    assert lines[0] == "max 1.0 2.0"
-    assert lines[1] == "1.0 1.0 <= 1.0"
-    assert lines[2] == "bound 1 -inf inf"
-
-
-def test_dualize_rejects_finite_caps():
-    m = LpModel.from_rows("max", [1.0], [([1.0], "<=", 1.0)], upper=[2.0])
-    with pytest.raises(Exception):
-        dualize(m)
+    assert_dual_certificate(m, sol)
 
 
 def test_missing_extension_raises_typed_error(tmp_path):

@@ -113,6 +113,12 @@ def test_code_sizes_validation():
         CodeSizes(0)
     with pytest.raises(PmfError):
         CodeSizes(2, -1)
+    for bad in (1.5, float("nan"), float("inf")):
+        with pytest.raises(PmfError):
+            CodeSizes(bad)
+    # an integral float is stored as the int it stands for
+    sizes = CodeSizes(2.0, np.int64(3))
+    assert (sizes.M1, sizes.M2) == (2, 3) and type(sizes.M1) is type(sizes.M2) is int
 
 
 def test_distortion_spec():

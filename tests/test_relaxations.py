@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fbconv.converses_sw import meta_sw
-from fbconv.lp_core import LpSolution, solve
+from fbconv.lp_core import LpSolution
 from fbconv.oracle import exact_opt_sc, exact_opt_sid, exact_opt_sw
 from fbconv.probability import CodeSizes, DistortionSpec, JointPmf, PmfError, SinglePmf
 from fbconv.relaxations import (
@@ -42,7 +42,7 @@ from fbconv.relaxations import (
     sw_je_instance,
 )
 
-from conftest import peak_mib, random_joint, random_single
+from conftest import certified_solve, peak_mib, random_joint, random_single
 
 
 def _sc(mass, M):
@@ -79,8 +79,10 @@ def test_cap_raises_before_allocating():
 
 
 def test_sc_lp_anchors():
-    assert solve(build_lp_sc(_sc([0.7, 0.3], 2))).value == pytest.approx(0.0, abs=1e-9)
-    assert solve(build_lp_sc(_sc([0.25] * 4, 2))).value == pytest.approx(0.5, abs=1e-9)
+    assert certified_solve(build_lp_sc(_sc([0.7, 0.3], 2))).value == pytest.approx(0.0, abs=1e-9)
+    assert certified_solve(build_lp_sc(_sc([0.25] * 4, 2))).value == pytest.approx(0.5, abs=1e-9)
+    # an integral float M is the int it stands for
+    assert certified_solve(build_lp_sc(_sc([0.25] * 4, 2.0))).value == pytest.approx(0.5, abs=1e-9)
 
 
 def test_sc_lp_sandwich_and_duals():
@@ -89,7 +91,7 @@ def test_sc_lp_sandwich_and_duals():
         n = int(rng.integers(2, 5))
         M = int(rng.integers(1, 3))
         inst = _sc(random_single(rng, n).mass, M)
-        sol = solve(build_lp_sc(inst))
+        sol = certified_solve(build_lp_sc(inst))
         assert sol.status == "Optimal"
         assert sol.value <= exact_opt_sc(inst) + 1e-9
         assert sol.value >= -1e-9
@@ -101,7 +103,7 @@ def test_sc_lp_sandwich_and_duals():
 def test_sc_lossy_lp_below_oracle():
     d = np.abs(np.arange(4)[:, None] - np.arange(4)[None, :]).astype(float)
     inst = ScInstance(SinglePmf([0.4, 0.3, 0.2, 0.1]), 1, DistortionSpec(d, 1.0))
-    sol = solve(build_lp_sc(inst))
+    sol = certified_solve(build_lp_sc(inst))
     assert sol.status == "Optimal"
     assert sol.value <= exact_opt_sc(inst) + 1e-9
     pt = dual_point_sc_from_solution(inst, sol)
@@ -112,8 +114,8 @@ def test_je_builders_agree():
     rng = np.random.default_rng(5)
     for n1, n2, m1, m2 in [(2, 2, 1, 1), (2, 2, 2, 1), (3, 2, 1, 2), (2, 3, 2, 1)]:
         inst = SwInstance(random_joint(rng, n1, n2), CodeSizes(m1, m2))
-        a = solve(build_lp_sc(sw_je_instance(inst)))
-        b = solve(build_lp_je(inst))
+        a = certified_solve(build_lp_sc(sw_je_instance(inst)))
+        b = certified_solve(build_lp_je(inst))
         assert a.status == b.status == "Optimal"
         assert a.value == pytest.approx(b.value, abs=1e-7)
         pt = dual_point_je_from_solution(inst, b)
@@ -124,7 +126,7 @@ def test_je_builders_agree():
 def test_lpsi_anchors_and_duals():
     uni = SwInstance(JointPmf(np.full((2, 2), 0.25)), CodeSizes(1, 1))
     for which in (1, 2):
-        sol = solve(build_lpsi(uni, which))
+        sol = certified_solve(build_lpsi(uni, which))
         assert sol.value == pytest.approx(0.5, abs=1e-9)
         pt = dual_point_si_from_solution(uni, which, sol)
         assert check_dpsi_feasible(uni, pt, tol=1e-7) == []
@@ -136,7 +138,7 @@ def test_lpsi_below_oracle():
     for _ in range(15):
         inst = SwInstance(random_joint(rng, 3, 2), CodeSizes(2, 2))
         for which in (1, 2):
-            sol = solve(build_lpsi(inst, which))
+            sol = certified_solve(build_lpsi(inst, which))
             assert sol.status == "Optimal"
             assert sol.value <= exact_opt_sid(inst, which) + 1e-9
             pt = dual_point_si_from_solution(inst, which, sol)
@@ -146,7 +148,7 @@ def test_lpsi_below_oracle():
 
 def test_sw_lp_uniform_anchor():
     inst = SwInstance(JointPmf(np.full((2, 2), 0.25)), CodeSizes(1, 1))
-    sol = solve(build_lp_sw(inst))
+    sol = certified_solve(build_lp_sw(inst))
     assert sol.value == pytest.approx(0.75, abs=1e-9)
     pt = dual_point_sw_from_solution(inst, sol)
     assert check_dpsw_feasible(inst, pt, tol=1e-7) == []
@@ -159,7 +161,7 @@ def test_sw_lp_random_duals_and_oracle():
         m1 = int(rng.integers(1, 3))
         m2 = 1 if m1 == 2 else int(rng.integers(1, 3))
         inst = SwInstance(random_joint(rng, 2, 2), CodeSizes(m1, m2))
-        sol = solve(build_lp_sw(inst))
+        sol = certified_solve(build_lp_sw(inst))
         assert sol.status == "Optimal"
         assert sol.value <= exact_opt_sw(inst) + 1e-9
         assert sol.value >= -1e-9
@@ -173,7 +175,7 @@ def test_sw_lp_3x3_m22_between_meta_sw_and_exact():
     rng = np.random.default_rng(37)
     for _ in range(3):
         inst = SwInstance(random_joint(rng, 3, 3), CodeSizes(2, 2))
-        sol = solve(build_lp_sw(inst))
+        sol = certified_solve(build_lp_sw(inst))
         assert sol.status == "Optimal"
         assert meta_sw(inst).raw_value <= sol.value + 1e-9
         assert sol.value <= exact_opt_sw(inst) + 1e-9
@@ -186,8 +188,8 @@ def test_sw_lp_between_je_and_exact():
     rng = np.random.default_rng(17)
     for _ in range(5):
         inst = SwInstance(random_joint(rng, 2, 2), CodeSizes(1, 2))
-        lp_sw = solve(build_lp_sw(inst)).value
-        lp_je = solve(build_lp_je(inst)).value
+        lp_sw = certified_solve(build_lp_sw(inst)).value
+        lp_je = certified_solve(build_lp_je(inst)).value
         # the distributed LP keeps more structure than the joint-encoder one
         assert lp_je <= lp_sw + 1e-9
         assert lp_sw <= exact_opt_sw(inst) + 1e-9
@@ -224,7 +226,7 @@ def test_flow_points_feasible_and_valued():
 
 def test_checkers_flag_injected_violations():
     inst = _sc([0.6, 0.4], 2)
-    sol = solve(build_lp_sc(inst))
+    sol = certified_solve(build_lp_sc(inst))
     pt = dual_point_sc_from_solution(inst, sol)
     bad = DualPointSC(pt.lam_s + 1e-3, pt.lam_c, pt.gamma_a, pt.gamma_b)
     ids = {v.constraint_id for v in check_dp_feasible(inst, bad, tol=1e-7)}
@@ -238,7 +240,7 @@ def test_checkers_flag_injected_violations():
     assert all(np.isfinite(v.residual) for v in found)
 
     uni = SwInstance(JointPmf(np.full((2, 2), 0.25)), CodeSizes(1, 1))
-    swsol = solve(build_lp_sw(uni))
+    swsol = certified_solve(build_lp_sw(uni))
     swpt = dual_point_sw_from_solution(uni, swsol)
     bad = DualPointSW(swpt.lam_s_12, swpt.lam_s_21, swpt.lam_c + 5e-4,
                       swpt.mu_s_1, swpt.mu_s_2, swpt.mu_c_1, swpt.mu_c_2,
@@ -277,7 +279,7 @@ def _pair():
     return SwInstance(random_joint(np.random.default_rng(23), 3, 2), CodeSizes(2, 1))
 
 
-@pytest.mark.parametrize("inst, build, dual, check", [
+each_lp = pytest.mark.parametrize("inst, build, dual, check", [
     (_lossy_sc(), build_lp_sc, dual_point_sc_from_solution, check_dp_feasible),
     (_pair(), lambda i: build_lpsi(i, 1),
      lambda i, s: dual_point_si_from_solution(i, 1, s), check_dpsi_feasible),
@@ -286,6 +288,20 @@ def _pair():
     (_pair(), build_lp_je, dual_point_je_from_solution, check_dpje_feasible),
     (_pair(), build_lp_sw, dual_point_sw_from_solution, check_dpsw_feasible),
 ], ids=["sc", "si1", "si2", "je", "sw"])
+
+
+@each_lp
+def test_checkers_reject_wrong_gamma_shapes(inst, build, dual, check):
+    # a gamma of the wrong length neither broadcasts nor fails inside numpy
+    pt = dual(inst, LpSolution("Optimal", 0.0, None, np.zeros(build(inst).rhs.size)))
+    check(inst, pt)
+    for f in [f for f in ("gamma_a", "gamma_b", "gamma_c") if hasattr(pt, f)]:
+        for bad in (np.zeros(1), np.zeros(getattr(pt, f).size + 1)):
+            with pytest.raises(PmfError):
+                check(inst, replace(pt, **{f: bad}))
+
+
+@each_lp
 def test_builder_transpose_matches_hand_written_duals(inst, build, dual, check):
     # the dual constraints of min c.x, A x = b, x >= 0 are A^T y <= c, one per
     # column; the checkers state them by hand, so at any y their residuals
@@ -420,12 +436,12 @@ def _solved_points():
     sc = _lossy_sc_m(2)
     inst = SwInstance(random_joint(np.random.default_rng(43), 3, 2), CodeSizes(2, 1))
     out = []
-    sol = solve(build_lp_sc(sc))
+    sol = certified_solve(build_lp_sc(sc))
     out.append((sc, dual_point_sc_from_solution(sc, sol), sol.value))
     for which in (1, 2):
-        sol = solve(build_lpsi(inst, which))
+        sol = certified_solve(build_lpsi(inst, which))
         out.append((inst, dual_point_si_from_solution(inst, which, sol), sol.value))
-    sol = solve(build_lp_je(inst))
+    sol = certified_solve(build_lp_je(inst))
     out.append((inst, dual_point_je_from_solution(inst, sol), sol.value))
     return out
 
@@ -441,7 +457,7 @@ def test_objective_ignores_stored_gammas():
 def test_si_point_in_table_layout():
     inst = SwInstance(random_joint(np.random.default_rng(47), 3, 2), CodeSizes(2, 1))
     for which in (1, 2):
-        sol = solve(build_lpsi(inst, which))
+        sol = certified_solve(build_lpsi(inst, which))
         rows = si_indexer(inst, which)[1]
         pt = dual_point_si_from_solution(inst, which, sol)
         for name in ("lam_s", "lam_c", "gamma_a", "gamma_b"):

@@ -303,14 +303,6 @@ def meta_je(inst: SwInstance) -> BoundReport:
 # side information at the decoder
 
 
-def _oriented(inst: SwInstance, which: int):
-    if which == 1:
-        return inst.joint.mass, inst.sizes.M1, "12"
-    if which == 2:
-        return inst.joint.mass.T, inst.sizes.M2, "21"
-    raise PmfError(f"which must be 1 or 2, got {which!r}")
-
-
 def _covered_mass_lp(inst: SwInstance, caps: str):
     """(model, reader): max sum mu P over 0 <= mu <= 1, row-major over (s1, s2),
     with a <= row per cap of the families in `caps`: u caps sum mu at M1 M2,
@@ -347,22 +339,26 @@ def _meta_sw_raw(inst: SwInstance, phi_hat, phi_12, phi_21) -> float:
         [-m1 * m2 * phi_hat.max()], -m1 * phi_12.max(axis=0), -m2 * phi_21.max(axis=1)]))
 
 
+_SIDE_TAG = {1: "12", 2: "21"}
+
+
 def meta_sid(inst: SwInstance, which: int = 1) -> BoundReport:
     """sup over 0 <= phi <= P of sum(phi) - M sum_side max_enc phi: meta_sw
-    with only the encoded source's flow, so the covered-mass LP under that
-    encoder's cap family alone (w for which = 1, v for which = 2)."""
-    _, _, tag = _oriented(inst, which)
-    model, read = _covered_mass_lp(inst, "w" if which == 1 else "v")
+    of inst.oriented(which) with only encoder 1's flow, so its covered-mass
+    LP under the cap family w alone.  The witness phi is in the orientation
+    of inst."""
+    sw = inst.oriented(which)
+    model, read = _covered_mass_lp(sw, "w")
     flows = read(solve(model).dual)
-    return _report(f"meta-sid{tag}", _meta_sw_raw(inst, *flows),
-                   {"phi": flows[1] if which == 1 else flows[2]},
+    return _report(f"meta-sid{_SIDE_TAG[which]}", _meta_sw_raw(sw, *flows),
+                   {"phi": flows[1] if which == 1 else flows[1].T},
                    "side-information metaconverse")
 
 
-def _sid_curve(inst: SwInstance, which: int, improved: bool):
-    """The improved or classic side-information integrand at t, over t = 0,
-    the t in (0, 1] where some M P(enc, side) / P(side) is crossed, and 1."""
-    P, M, _ = _oriented(inst, which)
+def _sid_curve(inst: SwInstance, improved: bool):
+    """Encoder 1's improved or classic side-information integrand at t, over
+    t = 0, the t in (0, 1] where some M P(enc, side) / P(side) is crossed, and 1."""
+    P, M = inst.joint.mass, inst.sizes.M1
     side = P.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(side[None, :] > 0, M * P / side[None, :], np.nan)
@@ -382,21 +378,21 @@ def _sid_curve(inst: SwInstance, which: int, improved: bool):
 def sid_improved(inst: SwInstance, which: int = 1) -> BoundReport:
     """sup over t in (0, 1] of
     sum min{P12, Pside t / M} - M sum_side min{max_enc P12, Pside t / M}."""
-    val, t = _breakpoint_sup(*_sid_curve(inst, which, improved=True))
-    return _report(f"sid-improved{_oriented(inst, which)[2]}", val, {"t": float(t)},
+    val, t = _breakpoint_sup(*_sid_curve(inst.oriented(which), improved=True))
+    return _report(f"sid-improved{_SIDE_TAG[which]}", val, {"t": float(t)},
                    "improved side-information converse")
 
 
 def sid_improved_at(inst: SwInstance, t: float, which: int = 1) -> float:
-    return _sid_curve(inst, which, improved=True)[0](t)
+    return _sid_curve(inst.oriented(which), improved=True)[0](t)
 
 
 def sid_classic(inst: SwInstance, which: int = 1) -> BoundReport:
     """sup over t in (0, 1] of P[P(enc|side) <= t/M] - t."""
-    val, t = _breakpoint_sup(*_sid_curve(inst, which, improved=False))
-    return _report(f"sid-classic{_oriented(inst, which)[2]}", val, {"t": float(t)},
+    val, t = _breakpoint_sup(*_sid_curve(inst.oriented(which), improved=False))
+    return _report(f"sid-classic{_SIDE_TAG[which]}", val, {"t": float(t)},
                    "conditional-tail side-information converse")
 
 
 def sid_classic_at(inst: SwInstance, t: float, which: int = 1) -> float:
-    return _sid_curve(inst, which, improved=False)[0](t)
+    return _sid_curve(inst.oriented(which), improved=False)[0](t)

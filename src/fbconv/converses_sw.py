@@ -9,7 +9,8 @@ exact sup over its finite breakpoint set and the public mk_*_at.
 The constructors at the bottom turn feasible dual points of the simpler
 problems (side-information, jointly encoded) into feasible dual points of
 the distributed LP, following the check-before-construct rule: inputs are
-verified feasible first, outputs are exact up to float rounding.
+verified feasible first, outputs are exact up to float rounding.  Side 2 is
+built as side 1 of the swapped pair, SwInstance.oriented(2), exchanged back.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .relaxations import (
     DualPointSW,
     SwInstance,
     _binding_gammas,
+    _exchanged,
+    _je_table,
     _sw_table,
     check_dpje_feasible,
     check_dpsi_feasible,
@@ -194,33 +197,27 @@ def embed_sid_feasible(inst: SwInstance, dual_point_sid: DualPointSI,
 
     The encoded source's flows ride along the other channel's x = y diagonal;
     the side channel's normalization multiplier becomes a decoder-side
-    channel flow.  The objective value is preserved exactly.
+    channel flow.  The objective value is preserved exactly.  A which = 2
+    point is lifted as the which = 1 point of inst.oriented(2).
     """
     pt = dual_point_sid
     _require_feasible(check_dpsi_feasible(inst, pt, tol=input_tol),
                       f"side-information dual point (which={pt.which})")
-    n1, n2, m1, m2 = inst.dims
+    sw = inst.oriented(pt.which)
+    n1, n2, m1, m2 = sw.dims
     gb_bar = _binding_gammas(inst, pt)["gamma_b"]
-    if pt.which == 1:
-        # lam_s (s1,s2,sh1,y1), lam_c (s1,s2,x1,y1); side channel is 2
-        eye2 = np.eye(m2)
-        lam_s_12 = pt.lam_s.transpose(0, 1, 3, 2)[:, :, None, :, None, :, None] \
-            * eye2[None, None, :, None, :, None, None]
-        return _sw_point(
-            inst, lam_s_12=np.broadcast_to(lam_s_12, (n1, n2, m2, m1, m2, n1, n2)),
-            lam_c=pt.lam_c[:, :, :, None, :, None] * eye2[None, None, None, :, None, :],
-            mu_c_2=gb_bar[:, None, :, None] * eye2[None, :, None, :],
-            mu_c_12=pt.lam_c.sum(axis=3).transpose(2, 0, 1))
-    # lam_s (s2,s1,sh2,y2), lam_c (s2,s1,x2,y2); side channel is 1
-    eye1 = np.eye(m1)
-    lam_s_21 = pt.lam_s.transpose(1, 0, 3, 2)[:, :, None, None, :, None, :] \
-        * eye1[None, None, :, :, None, None, None]
-    lam_c = pt.lam_c.transpose(1, 0, 2, 3)[:, :, None, :, None, :] \
-        * eye1[None, None, :, None, :, None]
-    return _sw_point(
-        inst, lam_s_21=np.broadcast_to(lam_s_21, (n1, n2, m1, m1, m2, n1, n2)), lam_c=lam_c,
-        mu_c_1=gb_bar[:, None, None, :] * eye1[None, :, :, None],
-        mu_c_21=pt.lam_c.sum(axis=3).transpose(2, 1, 0))
+    # lam_s (s1,s2,sh1,y1), lam_c (s1,s2,x1,y1) of sw; side channel is 2
+    eye2 = np.eye(m2)
+    lam_s_12 = pt.lam_s.transpose(0, 1, 3, 2)[:, :, None, :, None, :, None] \
+        * eye2[None, None, :, None, :, None, None]
+    fields = dict(
+        lam_s_12=np.broadcast_to(lam_s_12, (n1, n2, m2, m1, m2, n1, n2)),
+        lam_c=pt.lam_c[:, :, :, None, :, None] * eye2[None, None, None, :, None, :],
+        mu_c_2=gb_bar[:, None, :, None] * eye2[None, :, None, :],
+        mu_c_12=pt.lam_c.sum(axis=3).transpose(2, 0, 1))
+    if pt.which == 2:
+        fields = _exchanged(_sw_table(sw)[2], fields)
+    return _sw_point(inst, **fields)
 
 
 def embed_je_feasible(inst: SwInstance, dual_point_je: DualPointJE,
@@ -241,6 +238,37 @@ def embed_je_feasible(inst: SwInstance, dual_point_je: DualPointJE,
                      mu_c_21=np.broadcast_to(ga_hat, (m2, n1, n2)))
 
 
+def _encoder_fields(inst: SwInstance, sid: DualPointSI, je_lam_s: np.ndarray,
+                    share: float) -> dict:
+    """Encoder 1's fields of combine_feasible and its part of the channel
+    flow, from a which = 1 point and its share of the pair flow's lam_s."""
+    n1, n2, m1, m2 = inst.dims
+    eye2 = np.eye(m2)
+    pair = np.einsum("ac, bd -> abcd", np.eye(n1), np.eye(n2))
+    # source flow: SID flow on the x2 = y2 diagonal plus the share of the
+    # pair flow, both pinned to the correct-pair diagonal
+    sid_part = sid.lam_s.transpose(0, 1, 3, 2)[:, :, None, :, None, :, None] \
+        * eye2[None, None, :, None, :, None, None]
+    je_part = je_lam_s.transpose(0, 1, 4, 5, 2, 3)[:, :, None, :, :, :, :]
+    lam_s_12 = np.broadcast_to((sid_part + share * je_part) * pair[:, :, None, None, None, :, :],
+                               (n1, n2, m2, m1, m2, n1, n2))
+    # decoder-side source flow: the share of the pair flow, pinned to the
+    # matching own-symbol diagonal
+    d1 = np.einsum("abadef -> badef", je_lam_s)      # (s2, sh1, sh2, y1, y2)
+    mu_s_2 = share * d1 * np.eye(n2)[:, None, :, None, None]
+    # decoder-side channel flow: the largest value the (D5) slack allows,
+    # including the zero cap forced by mismatched estimates
+    gb = _binding_gammas(inst, sid)["gamma_b"]
+    tot = sid.lam_s.sum(axis=0)                      # (s2, sh1, y1)
+    diag = np.einsum("asay -> say", sid.lam_s)       # (s2, sh1, y1)
+    cap = (gb[:, None, :] - (tot - diag)).min(axis=1)
+    if n2 > 1:
+        cap = np.minimum(cap, 0.0)
+    return dict(lam_s_12=lam_s_12, mu_s_2=mu_s_2,
+                mu_c_2=cap[:, None, :, None] * eye2[None, :, None, :],
+                lam_c=sid.lam_c[:, :, :, None, :, None] * eye2[None, None, None, :, None, :])
+
+
 def combine_feasible(inst: SwInstance, sid12_flows: DualPointSI,
                      sid21_flows: DualPointSI, je_flows: DualPointJE,
                      alpha: float, input_tol: float = 1e-9) -> DualPointSW:
@@ -251,7 +279,8 @@ def combine_feasible(inst: SwInstance, sid12_flows: DualPointSI,
     its channel diagonal) with an alpha split of the pair flow; the channel
     flow takes the pointwise min of the summed sub-problem channel flows
     against the error-density cap, which is what beats any convex
-    combination of the embedded points.
+    combination of the embedded points.  Encoder 2's fields are encoder 1's
+    of inst.oriented(2).
     """
     if not (0.0 < alpha < 1.0):
         raise InfeasibleInput(f"alpha must lie strictly in (0, 1), got {alpha!r}")
@@ -265,64 +294,22 @@ def combine_feasible(inst: SwInstance, sid12_flows: DualPointSI,
                       "side-information dual point (which=2)")
     _require_feasible(check_dpje_feasible(inst, hat, tol=input_tol),
                       "jointly-encoded dual point")
-    n1, n2, m1, m2 = inst.dims
-    P = inst.joint.mass
-    eye1, eye2 = np.eye(m1), np.eye(m2)
-    pair = np.einsum("ac, bd -> abcd", np.eye(n1), np.eye(n2))
-
-    # source flow 1|2: SID flow on the x2 = y2 diagonal plus alpha of the
-    # pair flow, both pinned to the correct-pair diagonal
-    sid_part = bar.lam_s.transpose(0, 1, 3, 2)[:, :, None, :, None, :, None] \
-        * eye2[None, None, :, None, :, None, None]
-    je_part = hat.lam_s.transpose(0, 1, 4, 5, 2, 3)[:, :, None, :, :, :, :]
-    pairb = pair[:, :, None, None, None, :, :]
-    lam_s_12 = np.broadcast_to((sid_part + alpha * je_part) * pairb,
-                               (n1, n2, m2, m1, m2, n1, n2))
-
-    # side 2 is stored (s2, s1, ...)
-    sid_part = til.lam_s.transpose(1, 0, 3, 2)[:, :, None, None, :, None, :] \
-        * eye1[None, None, :, :, None, None, None]
-    lam_s_21 = np.broadcast_to((sid_part + (1.0 - alpha) * je_part) * pairb,
-                               (n1, n2, m1, m1, m2, n1, n2))
+    sw = inst.oriented(2)
+    one = _encoder_fields(inst, bar, hat.lam_s, alpha)
+    hat_sw = _exchanged(_je_table(inst)[2], {"lam_s": hat.lam_s})["lam_s"]
+    # in C order, as encoder 1's fields, since the checker runs slower on
+    # permuted views; the point keeps a read-only broadcast uncopied
+    two = {k: np.broadcast_to(np.ascontiguousarray(v), v.shape) for k, v in _exchanged(
+        _sw_table(sw)[2], _encoder_fields(sw, replace(til, which=1), hat_sw, 1.0 - alpha)).items()}
 
     # channel flow: min of the summed sub-problem channel flows against the
     # diagonal error-density cap (D4's right-hand side at the correct pair)
-    cap = P[:, :, None, None, None, None] \
-        * np.einsum("xu, yv -> xyuv", eye1, eye2)[None, None, :, :, :, :]
-    summed = hat.lam_c \
-        + bar.lam_c[:, :, :, None, :, None] * eye2[None, None, None, :, None, :] \
-        + til.lam_c.transpose(1, 0, 2, 3)[:, :, None, :, None, :] \
-        * eye1[None, None, :, None, :, None]
-    lam_c = np.minimum(cap, summed)
-
-    # decoder-side source flows: the alpha split of the pair flow, pinned to
-    # the matching own-symbol diagonal
-    gb_bar = _binding_gammas(inst, bar)["gamma_b"]
-    gb_til = _binding_gammas(inst, til)["gamma_b"]
-    d1 = np.einsum("abadef -> badef", hat.lam_s)     # (s2, sh1, sh2, y1, y2)
-    mu_s_2 = alpha * d1 * np.eye(n2)[:, None, :, None, None]
-    d2 = np.einsum("abcbef -> acbef", hat.lam_s)     # (s1, sh1, sh2, y1, y2)
-    mu_s_1 = (1.0 - alpha) * d2 * np.eye(n1)[:, :, None, None, None]
-
-    # decoder-side channel flows: largest values the (D5)/(D6) slack allows,
-    # including the zero cap forced by mismatched estimates
-    tot = bar.lam_s.sum(axis=0)                      # (s2, sh1, y1)
-    diag = np.einsum("asay -> say", bar.lam_s)       # (s2, sh1, y1)
-    cap2 = (gb_bar[:, None, :] - (tot - diag)).min(axis=1)
-    if n2 > 1:
-        cap2 = np.minimum(cap2, 0.0)
-    mu_c_2 = cap2[:, None, :, None] * eye2[None, :, None, :]
-
-    tot = til.lam_s.sum(axis=0)                      # (s1, sh2, y2)
-    diag = np.einsum("baby -> aby", til.lam_s)       # (s1, sh2, y2)
-    cap1 = (gb_til[:, None, :] - (tot - diag)).min(axis=1)
-    if n1 > 1:
-        cap1 = np.minimum(cap1, 0.0)
-    mu_c_1 = cap1[:, None, None, :] * eye1[None, :, :, None]
-
+    m1, m2 = inst.sizes.M1, inst.sizes.M2
+    cap = inst.joint.mass[:, :, None, None, None, None] \
+        * np.einsum("xu, yv -> xyuv", np.eye(m1), np.eye(m2))[None, None, :, :, :, :]
+    lam_c = np.minimum(cap, hat.lam_c + one.pop("lam_c") + two.pop("lam_c"))
     mu_c_21 = lam_c.sum(axis=(4, 5)).min(axis=2).transpose(2, 0, 1)
-    return _sw_point(inst, lam_s_12=lam_s_12, lam_s_21=lam_s_21, lam_c=lam_c, mu_s_1=mu_s_1,
-                     mu_s_2=mu_s_2, mu_c_1=mu_c_1, mu_c_2=mu_c_2, mu_c_21=mu_c_21)
+    return _sw_point(inst, **one, **two, lam_c=lam_c, mu_c_21=mu_c_21)
 
 
 def mk_flows(inst: SwInstance, t: float) -> DualPointSW:

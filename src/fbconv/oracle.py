@@ -43,11 +43,10 @@ def exact_opt_sc(inst: ScInstance) -> float:
 
 def exact_opt_sid(inst: SwInstance, which: int = 1) -> float:
     """Exact minimum error of recovering one source with the other known at
-    the decoder."""
-    n1, n2, m1, m2 = inst.dims
-    P = inst.joint.mass if which == 1 else inst.joint.mass.T
-    ne = P.shape[0]
-    M = m1 if which == 1 else m2
+    the decoder: encoder 1's problem of inst.oriented(which)."""
+    sw = inst.oriented(which)
+    ne, _, M, _ = sw.dims
+    P = sw.joint.mass
     _guard(M ** ne)
     best = -1.0
     for f in product(range(M), repeat=ne):

@@ -14,6 +14,8 @@ framework).  This module builds those LPs densely for
 and owns the dual-side machinery: typed dual points, feasibility checkers
 that report per-constraint residuals, dual objectives in penalty (min) form,
 and the closed-form dual points generated by a single nonnegative flow phi.
+Side 2 of the side-information problem is built and checked as side 1 of
+the swapped pair, SwInstance.oriented(2).
 
 Each LP is written once, as a table over one-letter index names:
 
@@ -117,6 +119,15 @@ class SwInstance:
         n1, n2 = self.joint.sizes
         return n1, n2, self.sizes.M1, self.sizes.M2
 
+    def oriented(self, which: int) -> "SwInstance":
+        """The instance with source `which` as S1: itself for 1, the swapped
+        pair (mass transposed, M1 and M2 exchanged) for 2."""
+        if which == 1:
+            return self
+        if which == 2:
+            return SwInstance(JointPmf(self.joint.mass.T), CodeSizes(self.sizes.M2, self.sizes.M1))
+        raise PmfError(f"which must be 1 or 2, got {which!r}")
+
 
 def sw_je_instance(inst: SwInstance) -> ScInstance:
     """The jointly-encoded relaxation of a distributed instance: one encoder
@@ -138,11 +149,8 @@ def _sc_table(inst: ScInstance):
     return sizes, cols, rows
 
 
-def _si_table(inst: SwInstance, which: int):
-    if which not in (1, 2):
-        raise PmfError(f"which must be 1 or 2, got {which!r}")
-    n1, n2, m1, m2 = inst.dims
-    ne, ns, M = (n1, n2, m1) if which == 1 else (n2, n1, m2)
+def _si_table(inst: SwInstance):   # side 2's is the table of inst.oriented(2)
+    ne, ns, M, _ = inst.dims
     sizes = dict(e=ne, s=ns, x=M, y=M, h=ne)
     cols = [("Q1", "ex"), ("Qd", "syh"), ("W", "esxyh")]
     rows = [("gamma_a", "e", "Q1", None), ("gamma_b", "sy", "Qd", None),
@@ -173,6 +181,23 @@ def _sw_table(inst: SwInstance):
             ("lam_s_12", "abyuvcd", "W", "V"), ("lam_s_21", "abxuvcd", "W", "U"),
             ("lam_c", "abxyuv", "W", "T")]
     return _pair_sizes(inst), cols, rows
+
+
+_EXCHANGE = str.maketrans("abxyuvcd", "bayxvudc")   # the letters of S1 <-> those of S2
+
+
+def _exchanged(rows, fields: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Fields of a point of one pair as the swapped pair's fields, permuted
+    views: the exchange maps _je_table and _sw_table onto themselves, each
+    family onto the one over its exchanged letters, and is an involution."""
+    by_letters = {frozenset(letters): (name, letters) for name, letters, _, _ in rows}
+    out = {}
+    for name, letters, _, _ in rows:
+        if name in fields:
+            moved = letters.translate(_EXCHANGE)
+            image, image_letters = by_letters[frozenset(moved)]
+            out[image] = np.einsum(f"{moved}->{image_letters}", fields[name])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +237,7 @@ def sc_indexer(inst: ScInstance) -> Tuple[TensorIndex, TensorIndex]:
 
 
 def si_indexer(inst: SwInstance, which: int) -> Tuple[TensorIndex, TensorIndex]:
-    return _layouts(*_si_table(inst, which))
+    return _layouts(*_si_table(inst.oriented(which)))
 
 
 def je_indexer(inst: SwInstance) -> Tuple[TensorIndex, TensorIndex]:
@@ -278,11 +303,10 @@ def build_lp_sc(inst: ScInstance) -> LpModel:
 
 def build_lpsi(inst: SwInstance, which: int = 1) -> LpModel:
     """LP relaxation of coding S_which with the other source at the decoder."""
-    table = _si_table(inst, which)
-    sizes = table[0]
-    P = inst.joint.mass if which == 1 else inst.joint.mass.T
-    return _build(table, lambda: np.einsum("es, eh, xy -> esxyh", P, 1.0 - np.eye(sizes["e"]),
-                                           np.eye(sizes["x"])), "side-information LP")
+    sw = inst.oriented(which)
+    ne, _, M, _ = sw.dims
+    return _build(_si_table(sw), lambda: np.einsum(
+        "es, eh, xy -> esxyh", sw.joint.mass, 1.0 - np.eye(ne), np.eye(M)), "side-information LP")
 
 
 def build_lp_je(inst: SwInstance) -> LpModel:
@@ -314,10 +338,7 @@ class _DualPoint:
     def __post_init__(self):
         for f in fields(self):
             val = getattr(self, f.name)
-            if f.name == "which":
-                if val not in (1, 2):
-                    raise PmfError(f"which must be 1 or 2, got {val!r}")
-            elif val is not None:
+            if f.name != "which" and val is not None:   # which: see SwInstance.oriented
                 object.__setattr__(self, f.name, _read_only(val))
 
 
@@ -334,8 +355,8 @@ class DualPointSC(_DualPoint):
 @dataclass(frozen=True)
 class DualPointSI(_DualPoint):
     """Multipliers for a side-information LP; `which` names the encoded
-    source.  Axes follow the encoded source first, as in si_indexer, so for
-    which = 2 they start (s2, s1)."""
+    source.  A which = 2 point is the which = 1 point of inst.oriented(2):
+    axes follow the encoded source first, so for which = 2 they start (s2, s1)."""
 
     which: int
     lam_s: np.ndarray            # (s_enc, s_side, sh_enc, y_enc)
@@ -374,7 +395,7 @@ class DualPointSW(_DualPoint):
 
 def _table_of(inst, pt: _DualPoint):
     if isinstance(pt, DualPointSI):
-        return _si_table(inst, pt.which)
+        return _si_table(inst.oriented(pt.which))
     return {DualPointSC: _sc_table, DualPointJE: _je_table,
             DualPointSW: _sw_table}[type(pt)](inst)
 
@@ -481,11 +502,10 @@ def check_dpje_feasible(inst: SwInstance, pt: DualPointJE,
 def check_dpsi_feasible(inst: SwInstance, pt: DualPointSI,
                         tol: float = 1e-12) -> List[ConstraintViolation]:
     _check_shapes(inst, pt)
-    n1, n2, m1, m2 = inst.dims
-    if pt.which == 1:
-        P, ne, M, ids = inst.joint.mass, n1, m1, ("B1", "B2", "B3")
-    else:
-        P, ne, M, ids = inst.joint.mass.T, n2, m2, ("C1", "C2", "C3")
+    sw = inst.oriented(pt.which)   # side 2 is checked as side 1 of the swapped pair
+    ne, _, M, _ = sw.dims
+    P = sw.joint.mass
+    ids = ("B1", "B2", "B3") if pt.which == 1 else ("C1", "C2", "C3")
     out: List[ConstraintViolation] = []
     if pt.gamma_a is not None:
         # (B1): gamma_a(se) <= sum_{ss, y} lam_c(se, ss, x, y)
@@ -599,13 +619,11 @@ def dp_flows_sc(inst: ScInstance, phi: np.ndarray) -> DualPointSC:
 
 
 def dpsi_flows(inst: SwInstance, which: int, phi: np.ndarray) -> DualPointSI:
-    """Side-information dual point from 0 <= phi <= P (joint-shaped)."""
-    n1, n2, m1, m2 = inst.dims
-    phi = np.asarray(phi, dtype=float)
-    if which == 1:
-        pe, ne, ns, M = phi, n1, n2, m1
-    else:
-        pe, ne, ns, M = phi.T, n2, n1, m2
+    """Side-information dual point from 0 <= phi <= P (joint-shaped): the
+    which = 1 point of inst.oriented(which) from phi in that orientation."""
+    ne, ns, M, _ = inst.oriented(which).dims
+    pe = np.asarray(phi, dtype=float)
+    pe = pe if which == 1 else pe.T
     lam_s = -np.einsum("es, eh -> esh", pe, np.eye(ne))[:, :, :, None]
     lam_s = np.broadcast_to(lam_s, (ne, ns, ne, M))
     lam_c = pe[:, :, None, None] * np.eye(M)[None, None, :, :]

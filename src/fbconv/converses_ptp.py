@@ -24,7 +24,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .lp_core import LpModel, solve
+from .lp_core import LpModel, _dense_rows, _row_arrays, solve
 from .probability import CodeSizes, PmfError, SinglePmf, ZeroProbability
 from .relaxations import ScInstance, SwInstance, _check_lp_size
 
@@ -117,7 +117,7 @@ def meta_lossy(inst: ScInstance) -> BoundReport:
     n, nh = win.shape
     # variables: phi(0..n-1), u
     A = np.hstack([win.T, -np.ones((nh, 1))])
-    model = LpModel("max", np.concatenate([np.ones(n), [-float(inst.M)]]), A,
+    model = LpModel("max", np.concatenate([np.ones(n), [-float(inst.M)]]), _dense_rows(A),
                     ("<=",) * nh, np.zeros(nh), lower=np.zeros(n + 1),
                     upper=np.concatenate([P, [math.inf]]))
     phi = np.clip(solve(model).primal[:n], 0.0, P)
@@ -315,11 +315,11 @@ def _covered_mass_lp(inst: SwInstance, caps: str):
     _check_lp_size(int(keep.sum()), P.size, "covered-mass LP")
     s1, s2 = np.indices((n1, n2)).reshape(2, -1)
     row = np.cumsum(keep) - 1     # the row of each kept cap among u, v(.), w(.)
-    A = np.zeros((int(keep.sum()), P.size))
-    for f, cap_of_cell in (("u", 0 * s1), ("v", 1 + s1), ("w", 1 + n1 + s2)):
-        if f in caps:
-            A[row[cap_of_cell], np.arange(P.size)] = 1.0
-    A.setflags(write=False)       # handed over: LpModel keeps it uncopied
+    kept = [row[cap_of_cell] for f, cap_of_cell in
+            (("u", 0 * s1), ("v", 1 + s1), ("w", 1 + n1 + s2)) if f in caps]
+    # each kept family caps every cell once
+    a_rows = _row_arrays(np.concatenate(kept), np.tile(np.arange(P.size), len(kept)),
+                        np.ones(len(kept) * P.size), int(keep.sum()))
     b = np.repeat([m1 * m2, m2, m1], [1, n1, n2])[keep].astype(float)
 
     def flows(dual):
@@ -328,7 +328,7 @@ def _covered_mass_lp(inst: SwInstance, caps: str):
         u, v, w = y[0], y[1:1 + n1], y[1 + n1:]
         return np.clip(u, 0.0, P), np.clip(w[None, :], 0.0, P), np.clip(v[:, None], 0.0, P)
 
-    return LpModel("max", P.reshape(-1), A, ("<=",) * b.size, b, upper=np.ones(P.size)), flows
+    return LpModel("max", P.reshape(-1), a_rows, ("<=",) * b.size, b, upper=np.ones(P.size)), flows
 
 
 def _meta_sw_raw(inst: SwInstance, phi_hat, phi_12, phi_21) -> float:

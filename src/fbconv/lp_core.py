@@ -63,18 +63,34 @@ def _read_only(a) -> np.ndarray:
     return a
 
 
+def _row_arrays(row, col, value, num_rows: int):
+    """HiGHS's row-wise (start, index, value) of entries (row, col, value), by (row, col)."""
+    order = np.lexsort((col, row))
+    start = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=num_rows))])
+    return start, np.asarray(col)[order], np.asarray(value, dtype=float)[order]
+
+
+def _dense_rows(a_matrix):
+    """_row_arrays of the nonzeros of a small dense 2-D matrix."""
+    A = np.asarray(a_matrix, dtype=float)
+    if A.ndim != 2:
+        raise DimensionMismatch(f"a dense matrix must be 2-D, got shape {A.shape}")
+    return _row_arrays(*np.nonzero(A), A[A != 0], A.shape[0])
+
+
 @dataclass(frozen=True)
 class LpModel:
-    """min or max of objective @ x subject to a_matrix @ x (relations) rhs and bounds.
+    """min or max of objective @ x subject to A @ x (relations) rhs and bounds.
 
-    lower/upper default to [0, +inf) per variable; -inf/+inf entries make a
-    variable free on that side.  A read-only float64 a_matrix is kept as
-    given, without a copy; any other a_matrix is copied.
+    A is held only as HiGHS's row-wise a_rows = (start, index, value), copied,
+    checked and frozen once: row i has value[start[i]:start[i+1]] in columns
+    index[start[i]:start[i+1]], strictly increasing.  lower/upper default to
+    [0, +inf) per variable; -inf/+inf entries make a variable free on that side.
     """
 
     sense: str
     objective: np.ndarray
-    a_matrix: np.ndarray
+    a_rows: Tuple[np.ndarray, np.ndarray, np.ndarray]
     relations: Tuple[str, ...]
     rhs: np.ndarray
     lower: Optional[np.ndarray] = None
@@ -84,36 +100,48 @@ class LpModel:
         if self.sense not in ("max", "min"):
             raise DimensionMismatch(f"sense must be 'max' or 'min', got {self.sense!r}")
         c = np.atleast_1d(np.array(self.objective, dtype=float))
-        A = _read_only(self.a_matrix)
-        if A.ndim != 2:
-            raise DimensionMismatch(f"a_matrix must be 2-D, got shape {A.shape}")
+        start, index, value = (np.array(a, dtype=t) for a, t in zip(self.a_rows, (int, int, float)))
         b = np.atleast_1d(np.array(self.rhs, dtype=float))
         rel = tuple(self.relations)
-        m, n = A.shape
-        if c.shape != (n,) or b.shape != (m,) or len(rel) != m:
+        m, n = b.size, c.size
+        if (c.ndim, b.ndim, index.ndim, len(rel), start.shape, value.shape) != \
+                (1, 1, 1, m, (m + 1,), index.shape):
             raise DimensionMismatch(
-                f"shapes disagree: objective {c.shape}, a_matrix {A.shape}, "
-                f"rhs {b.shape}, relations {len(rel)}")
+                f"shapes disagree: objective {c.shape}, start {start.shape}, index "
+                f"{index.shape}, value {value.shape}, rhs {b.shape}, relations {len(rel)}")
         for r in rel:
             if r not in RELATIONS:
                 raise DimensionMismatch(f"unknown relation {r!r}")
+        if start[0] != 0 or start[-1] != index.size or (np.diff(start) < 0).any():
+            raise DimensionMismatch(f"start must rise from 0 to the entry count {index.size}")
+        pos = np.repeat(np.arange(m) * n, np.diff(start)) + index   # row-major position of each entry
+        if ((index < 0) | (index >= n)).any() or (np.diff(pos) <= 0).any():
+            raise DimensionMismatch(f"columns must lie in [0, {n}) and rise within each row")
         lo = np.zeros(n) if self.lower is None else np.array(self.lower, dtype=float)
         up = np.full(n, np.inf) if self.upper is None else np.array(self.upper, dtype=float)
         if lo.shape != (n,) or up.shape != (n,):
             raise DimensionMismatch("bound arrays must match the variable count")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-            raise DimensionMismatch("objective, a_matrix and rhs must be finite")
+        if not (np.isfinite(c).all() and np.isfinite(value).all() and np.isfinite(b).all()):
+            raise DimensionMismatch("objective, matrix values and rhs must be finite")
         if np.any(np.isnan(lo)) or np.any(np.isnan(up)) or np.any(lo > up):
             raise DimensionMismatch("bounds must satisfy lower <= upper and not be NaN")
-        for name, val in (("objective", c), ("a_matrix", A), ("rhs", b),
-                          ("lower", lo), ("upper", up)):
+        for val in (c, start, index, value, b, lo, up):
             val.setflags(write=False)
+        for name, val in (("objective", c), ("a_rows", (start, index, value)), ("rhs", b),
+                          ("lower", lo), ("upper", up), ("relations", rel)):
             object.__setattr__(self, name, val)
-        object.__setattr__(self, "relations", rel)
 
     @property
     def num_variables(self) -> int:
         return self.objective.size
+
+    @property
+    def a_matrix(self) -> np.ndarray:
+        """A, assembled dense on each access for checks; fbconv never reads it."""
+        start, index, value = self.a_rows
+        A = np.zeros((self.rhs.size, self.num_variables))
+        A[np.repeat(np.arange(self.rhs.size), np.diff(start)), index] = value
+        return A
 
 
 @dataclass(frozen=True)
@@ -153,28 +181,31 @@ def _load_highs(directory: Optional[str] = None):
     return module
 
 
+@functools.lru_cache(maxsize=None)
+def _highs_options():
+    options = _load_highs().HighsOptions()
+    # presolve gains nothing on these LPs, and it reported a feasible,
+    # unbounded LP as infeasible (test_feasible_unbounded_not_reported_infeasible)
+    options.output_flag, options.threads, options.presolve = False, 1, "off"
+    return options
+
+
 def _run_highs(model: LpModel, cost: np.ndarray):
     """min cost x over the model's rows and bounds: (HiGHS model status,
     primal, row duals)."""
     h = _load_highs()
-    m, n = model.a_matrix.shape
+    m, n = model.rhs.size, model.num_variables
     rel = np.array(model.relations)
     lp = h.HighsLp()
     lp.num_col_, lp.num_row_ = n, m
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, model.lower, model.upper
     lp.row_lower_ = np.where(rel == "<=", -math.inf, model.rhs)
     lp.row_upper_ = np.where(rel == ">=", math.inf, model.rhs)
-    rows, cols = np.nonzero(model.a_matrix)
     mat = lp.a_matrix_
     mat.format_, mat.num_col_, mat.num_row_ = h.MatrixFormat.kRowwise, n, m
-    mat.start_ = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
-    mat.index_, mat.value_ = cols, model.a_matrix[rows, cols]
-    options = h.HighsOptions()
-    # presolve gains nothing on these LPs, and it reported a feasible,
-    # unbounded LP as infeasible (test_feasible_unbounded_not_reported_infeasible)
-    options.output_flag, options.threads, options.presolve = False, 1, "off"
+    mat.start_, mat.index_, mat.value_ = model.a_rows
     highs = h._Highs()
-    if h.HighsStatus.kError in (highs.passOptions(options), highs.passModel(lp), highs.run()):
+    if h.HighsStatus.kError in (highs.passOptions(_highs_options()), highs.passModel(lp), highs.run()):
         raise NumericalBreakdown("HiGHS reported an error")
     sol = highs.getSolution()
     return highs.getModelStatus(), np.array(sol.col_value), np.array(sol.row_dual)

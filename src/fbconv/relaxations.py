@@ -4,7 +4,7 @@ The minimum error probability of a code with given codebook sizes is a
 bilinear program over encoder/decoder conditional pmfs.  Lifting products of
 decision variables into joint variables and keeping only the marginal
 consistency constraints gives an LP lower bound (the Jose-Kulkarni
-framework).  This module builds those LPs densely for
+framework).  This module builds those LPs as HiGHS's row-wise arrays for
 
   * the point-to-point (possibly lossy) problem:        build_lp_sc
   * coding with decoder side information, either side:  build_lpsi
@@ -28,8 +28,8 @@ Each LP is written once, as a table over one-letter index names:
     when minus is None (a normalization row).
 
 Every row of a lifted relaxation has one of those two shapes, so one routine
-(_build) turns any table into the constraint matrix and rhs.  The same table
-gives:
+(_build) turns any table into the nonzeros of the constraint matrix and the
+rhs.  The same table gives:
 
   * the variable and row layouts (the *_indexer functions);
   * the layout of each typed dual point: one field per row family, named
@@ -58,19 +58,20 @@ Dual constraint identifiers:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .lp_core import LpModel, LpSolution, _read_only
+from .lp_core import LpModel, LpSolution, _read_only, _row_arrays
 from .probability import CodeSizes, DistortionSpec, JointPmf, PmfError, SinglePmf
 
-MAX_LP_ENTRIES = 2 ** 26   # dense constraint-matrix entries: 512 MiB of float64
+MAX_LP_ENTRIES = 2 ** 26   # rows x columns of one LP, which bound its nonzeros
 
 
 class InstanceTooLarge(ValueError):
-    """An LP whose dense constraint matrix would exceed MAX_LP_ENTRIES entries,
+    """An LP with more than MAX_LP_ENTRIES rows x columns,
     a code size past float range, or a DSBS expansion past its cap."""
 
 
@@ -125,8 +126,12 @@ class SwInstance:
         if which == 1:
             return self
         if which == 2:
-            return SwInstance(JointPmf(self.joint.mass.T), CodeSizes(self.sizes.M2, self.sizes.M1))
+            return self._swapped
         raise PmfError(f"which must be 1 or 2, got {which!r}")
+
+    @functools.cached_property
+    def _swapped(self) -> "SwInstance":   # built and validated once per instance
+        return SwInstance(JointPmf(self.joint.mass.T), CodeSizes(self.sizes.M2, self.sizes.M1))
 
 
 def sw_je_instance(inst: SwInstance) -> ScInstance:
@@ -266,7 +271,7 @@ def _build(table, cost, what: str) -> LpModel:
     cols, rows = _layouts(*table)
     _check_lp_size(rows.total, cols.total, what)
     letters = dict(col_blocks)
-    A = np.zeros((rows.total, cols.total))
+    entries = []                  # (row, col, value) arrays, one per block a family reads
     b = np.zeros(rows.total)
     for name, row_letters, lifted, minus in families:
         # +1 on every entry of the lifted block, in the row its row letters
@@ -274,15 +279,17 @@ def _build(table, cost, what: str) -> LpModel:
         for block, grid, value in ((lifted, letters[lifted], 1.0),
                                    (minus, row_letters, -1.0)):
             if block is not None:
-                at = dict(zip(grid, np.indices(tuple(sizes[k] for k in grid))))
-                A[rows.offsets[name] + _ravel(at, sizes, row_letters),
-                  cols.offsets[block] + _ravel(at, sizes, letters[block])] = value
+                points = np.indices(tuple(sizes[k] for k in grid)).reshape(len(grid), -1)
+                at = dict(zip(grid, points))
+                entries.append((rows.offsets[name] + _ravel(at, sizes, row_letters),
+                                cols.offsets[block] + _ravel(at, sizes, letters[block]),
+                                np.full(points.shape[1], value)))
         if minus is None:
             b[rows.slice_of(name)] = 1.0
     c = np.zeros(cols.total)
     c[cols.slice_of("W")] = cost().reshape(-1)
-    A.setflags(write=False)       # handed over: LpModel keeps it uncopied
-    return LpModel("min", c, A, ("=",) * rows.total, b)
+    a_rows = _row_arrays(*(np.concatenate(e) for e in zip(*entries)), rows.total)
+    return LpModel("min", c, a_rows, ("=",) * rows.total, b)
 
 
 def _pair_cost(inst: SwInstance) -> np.ndarray:
@@ -331,8 +338,8 @@ def build_lp_sw(inst: SwInstance) -> LpModel:
 @dataclass(frozen=True)
 class _DualPoint:
     """Fields are one multiplier tensor per row family of the LP's table, with
-    the family's letters as axes.  Every array field is frozen by LpModel's
-    rule: a read-only float64 array is kept as given, anything else copied.
+    the family's letters as axes.  Every array field is frozen by _read_only:
+    a read-only float64 array is kept as given, anything else copied.
     The gamma fields may be None."""
 
     def __post_init__(self):

@@ -17,7 +17,7 @@ import pytest
 
 from fbconv import converses_ptp, converses_sw, relaxations
 from fbconv.dsbs import DsbsSpec, dsbs_je_bound, expand_joint
-from fbconv.lp_core import LpModel, solve
+from fbconv.lp_core import LpModel, _dense_rows, solve
 from fbconv.oracle import exact_opt_sw
 from fbconv.probability import CodeSizes, DistortionSpec, JointPmf
 from fbconv.relaxations import (
@@ -116,7 +116,7 @@ def _three_flow_lp(inst):
             rows.append(r)
 
     upper = np.concatenate([P, P, P, P, np.full(1 + n1 + n2, math.inf)])
-    return certified_solve(LpModel("max", obj, np.array(rows), ("<=",) * len(rows),
+    return certified_solve(LpModel("max", obj, _dense_rows(rows), ("<=",) * len(rows),
                                    np.zeros(len(rows)), upper=upper)).value
 
 
@@ -130,7 +130,8 @@ def _threshold_lp(inst):
     obj = np.concatenate([np.ones(K), [-float(m1 * m2)],
                           np.full(n1, -float(m2)), np.full(n2, -float(m1))])
     upper = np.concatenate([inst.joint.mass.reshape(-1), np.full(1 + n1 + n2, math.inf)])
-    return certified_solve(LpModel("max", obj, A, ("<=",) * K, np.zeros(K), upper=upper)).value
+    return certified_solve(LpModel("max", obj, _dense_rows(A), ("<=",) * K, np.zeros(K),
+                                   upper=upper)).value
 
 
 def _sid_threshold_lp(inst, which):
@@ -143,7 +144,8 @@ def _sid_threshold_lp(inst, which):
     A = np.hstack([np.eye(K), -np.tile(np.eye(ns), (ne, 1))])
     obj = np.concatenate([np.ones(K), np.full(ns, -float(M))])
     upper = np.concatenate([P.reshape(-1), np.full(ns, math.inf)])
-    return certified_solve(LpModel("max", obj, A, ("<=",) * K, np.zeros(K), upper=upper)).value
+    return certified_solve(LpModel("max", obj, _dense_rows(A), ("<=",) * K, np.zeros(K),
+                                   upper=upper)).value
 
 
 def _mixed_inst(rng):
@@ -250,7 +252,7 @@ def test_covered_mass_lp_shape(monkeypatch):
     shapes = []
 
     def spy(model):
-        shapes.append(model.a_matrix.shape)
+        shapes.append((model.rhs.size, model.num_variables))
         return solve(model)
 
     monkeypatch.setattr(converses_sw, "solve", spy)

@@ -185,7 +185,7 @@ def test_sweep_loads_no_lp_solver():
         dsbs.sweep(dsbs.DsbsSpec(10, 0.11, 0.5, 0.5), [10, 50, 200])
         assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
         assert lp_core._load_highs.cache_info().currsize == 0
-        sol = lp_core.solve(lp_core.LpModel("max", [1.0], np.ones((1, 1)), ("<=",), [2.0]))
+        sol = lp_core.solve(lp_core.LpModel("max", [1.0], ([0, 1], [0], [1.0]), ("<=",), [2.0]))
         assert sol.value == 2.0
         assert lp_core._load_highs.cache_info().currsize == 1
         assert "scipy.optimize" not in sys.modules

@@ -61,6 +61,12 @@ def test_oriented_swaps_sources_and_code_sizes():
     assert np.array_equal(sw.joint.mass, inst.joint.mass.T)
     back = sw.oriented(2)
     assert back.dims == inst.dims and np.array_equal(back.joint.mass, inst.joint.mass)
+    # the swapped pair is built once per instance, while which is checked on every call
+    assert inst.oriented(2) is sw
+    for which in (0, 3, "2"):
+        with pytest.raises(PmfError, match="which must be 1 or 2"):
+            inst.oriented(which)
+    assert inst == rx.SwInstance(inst.joint, inst.sizes) and "swapped" not in repr(inst)
 
 
 def test_exchanging_the_sources_changes_no_bound():

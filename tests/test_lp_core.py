@@ -12,6 +12,7 @@ from fbconv.lp_core import (
     LpSolution,
     NumericalBreakdown,
     SolverUnavailable,
+    _dense_rows,
     _load_highs,
     solve,
 )
@@ -47,7 +48,7 @@ def scipy_reference(model):
 
 def test_textbook_max():
     # max 3x + 2y st x + y <= 4, x + 3y <= 6 -> 12 at (4, 0)
-    m = LpModel("max", [3.0, 2.0], [[1.0, 1.0], [1.0, 3.0]], ("<=", "<="), [4.0, 6.0])
+    m = LpModel("max", [3.0, 2.0], _dense_rows([[1.0, 1.0], [1.0, 3.0]]), ("<=", "<="), [4.0, 6.0])
     sol = solve(m)
     assert sol.status == "Optimal"
     assert sol.value == pytest.approx(12.0, abs=1e-9)
@@ -58,7 +59,7 @@ def test_textbook_max():
 
 def test_equality_and_free_variable():
     # min x + y st x - y = 1, x + y >= 3, y free
-    m = LpModel("min", [1.0, 1.0], [[1.0, -1.0], [1.0, 1.0]], ("=", ">="), [1.0, 3.0],
+    m = LpModel("min", [1.0, 1.0], _dense_rows([[1.0, -1.0], [1.0, 1.0]]), ("=", ">="), [1.0, 3.0],
                 lower=[0.0, -math.inf])
     sol = solve(m)
     assert sol.status == "Optimal"
@@ -67,17 +68,17 @@ def test_equality_and_free_variable():
 
 
 def test_infeasible():
-    m = LpModel("min", [1.0], [[1.0], [1.0]], ("<=", ">="), [1.0, 2.0])
+    m = LpModel("min", [1.0], _dense_rows([[1.0], [1.0]]), ("<=", ">="), [1.0, 2.0])
     assert solve(m).status == "Infeasible"
 
 
 def test_unbounded():
-    m = LpModel("max", [1.0, 0.0], [[0.0, 1.0]], ("<=",), [1.0])
+    m = LpModel("max", [1.0, 0.0], _dense_rows([[0.0, 1.0]]), ("<=",), [1.0])
     assert solve(m).status == "Unbounded"
 
 
 def test_redundant_equality_rows():
-    m = LpModel("min", [1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], ("=", "="), [1.0, 2.0])
+    m = LpModel("min", [1.0, 2.0], _dense_rows([[1.0, 1.0], [2.0, 2.0]]), ("=", "="), [1.0, 2.0])
     sol = solve(m)
     assert sol.status == "Optimal"
     assert sol.value == pytest.approx(1.0, abs=1e-9)
@@ -90,7 +91,7 @@ def test_feasible_unbounded_not_reported_infeasible():
          [-0.55, -1.09, -0.64, 0.58, 0.19], [0.72, 0.03, -1.37, 1.78, -0.56],
          [0.62, -1.95, -0.19, -2.6, -1.77]]
     b = [1.5099, -5.0586, 0.2752, 2.3611, -6.7669]
-    m = LpModel("min", [0.19, 0.11, -0.35, -0.66, -0.85], A,
+    m = LpModel("min", [0.19, 0.11, -0.35, -0.66, -0.85], _dense_rows(A),
                 ("<=", "<=", "=", "<=", "<="), b, lower=[-math.inf, -math.inf, 0, 0, 0])
     assert solve(m).status == "Unbounded"
 
@@ -107,16 +108,16 @@ def test_unbounded_or_infeasible_settled_by_feasibility_solve(monkeypatch):
         return (status.kUnboundedOrInfeasible,) + out[1:] if len(costs) == 1 else out
 
     monkeypatch.setattr(lp_core, "_run_highs", first_undecided)
-    m = LpModel("max", [1.0, 0.0], [[0.0, 1.0]], ("<=",), [1.0])
+    m = LpModel("max", [1.0, 0.0], _dense_rows([[0.0, 1.0]]), ("<=",), [1.0])
     assert solve(m).status == "Unbounded"
     assert len(costs) == 2 and not np.any(costs[1])
     costs.clear()
-    m = LpModel("min", [1.0], [[1.0], [1.0]], ("<=", ">="), [1.0, 2.0])
+    m = LpModel("min", [1.0], _dense_rows([[1.0], [1.0]]), ("<=", ">="), [1.0, 2.0])
     assert solve(m).status == "Infeasible"
 
 
 def test_finite_upper_bounds():
-    m = LpModel("max", [1.0, 1.0], [[1.0, 2.0]], ("<=",), [10.0], upper=[3.0, np.inf])
+    m = LpModel("max", [1.0, 1.0], _dense_rows([[1.0, 2.0]]), ("<=",), [10.0], upper=[3.0, np.inf])
     sol = solve(m)
     assert sol.value == pytest.approx(3.0 + 3.5, abs=1e-9)
     assert_dual_certificate(m, sol)
@@ -124,7 +125,7 @@ def test_finite_upper_bounds():
 
 def test_shifted_lower_bound():
     # min x st x >= -2 (bound), x <= 5
-    m = LpModel("min", [1.0], [[1.0]], ("<=",), [5.0], lower=[-2.0])
+    m = LpModel("min", [1.0], _dense_rows([[1.0]]), ("<=",), [5.0], lower=[-2.0])
     sol = solve(m)
     assert sol.value == pytest.approx(-2.0, abs=1e-9)
     assert_dual_certificate(m, sol)
@@ -132,29 +133,74 @@ def test_shifted_lower_bound():
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        LpModel("min", np.ones(2), np.ones((1, 3)), ("<=",), np.ones(1))
+        LpModel("min", np.ones(2), _dense_rows(np.ones((1, 3))), ("<=",), np.ones(1))
     with pytest.raises(DimensionMismatch):
-        LpModel("min", np.ones(2), np.ones((2, 2)), ("<=",), np.ones(2))
+        LpModel("min", np.ones(2), _dense_rows(np.ones((2, 2))), ("<=",), np.ones(2))
     with pytest.raises(DimensionMismatch):
-        LpModel("min", [1.0, np.nan], np.ones((1, 2)), ("<=",), np.ones(1))
+        LpModel("min", [1.0, np.nan], _dense_rows(np.ones((1, 2))), ("<=",), np.ones(1))
     with pytest.raises(DimensionMismatch):
-        LpModel("huge", np.ones(1), np.ones((1, 1)), ("<=",), np.ones(1))
-    # a non-2-D a_matrix is an error, not reshaped into rows
+        LpModel("huge", np.ones(1), _dense_rows(np.ones((1, 1))), ("<=",), np.ones(1))
+    with pytest.raises(DimensionMismatch):
+        LpModel("min", np.ones(1), _dense_rows(np.ones((1, 1))), ("<",), np.ones(1))
+    # a non-2-D matrix is an error, not reshaped into rows
     for A in (np.ones(2), np.ones((1, 1, 2)), np.zeros(0)):
         with pytest.raises(DimensionMismatch):
-            LpModel("min", np.ones(2), A, ("<=",), np.ones(1))
+            _dense_rows(A)
 
 
-def test_a_matrix_copied_unless_read_only():
+# x0 + x2 <= 1 and x1 <= 2, held row-wise, and one broken copy per rule
+GOOD_ROWS = ([0, 2, 3], [0, 2, 1], [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("start, index, value", [
+    ([0, 3, 2], [0, 2, 1], [1.0, 1.0, 1.0]),           # decreasing start
+    ([1, 2, 3], [0, 2, 1], [1.0, 1.0, 1.0]),           # start not from 0
+    ([0, 2, 2], [0, 2, 1], [1.0, 1.0, 1.0]),           # start short of the entry count
+    ([0, 2, 3], [0, 3, 1], [1.0, 1.0, 1.0]),           # column past the variable count
+    ([0, 2, 3], [0, -1, 1], [1.0, 1.0, 1.0]),          # negative column
+    ([0, 2, 3], [2, 2, 1], [1.0, 1.0, 1.0]),           # a column repeated within a row
+    ([0, 2, 3], [2, 0, 1], [1.0, 1.0, 1.0]),           # columns out of order within a row
+    ([0, 2, 3], [0, 2, 1], [1.0, np.inf, 1.0]),        # a non-finite value
+    ([0, 2, 3], [0, 2, 1], [1.0, np.nan, 1.0]),
+    ([0, 2, 3], [0, 2, 1], [1.0, 1.0]),                # value and index disagree
+    ([0, 3], [0, 1, 2], [1.0, 1.0, 1.0]),              # start length disagrees with rhs
+    ([0, 1, 2, 3], [0, 2, 1], [1.0, 1.0, 1.0]),
+])
+def test_row_arrays_validated(start, index, value):
+    rhs, rel = [1.0, 2.0], ("<=", "<=")
+    assert solve(LpModel("max", np.ones(3), GOOD_ROWS, rel, rhs)).value == pytest.approx(3.0)
+    with pytest.raises(DimensionMismatch):
+        LpModel("max", np.ones(3), (start, index, value), rel, rhs)
+
+
+def test_row_arrays_frozen_and_copied():
+    # the model owns read-only copies: changing the caller's arrays afterwards
+    # changes neither the model nor its solve
     A = np.array([[1.0, 1.0], [1.0, 3.0]])
-    A.setflags(write=False)
-    m = LpModel("max", [3.0, 2.0], A, ("<=", "<="), [4.0, 6.0])
-    assert m.a_matrix is A
-    B = np.array([[1.0, 1.0], [1.0, 3.0]])
-    m = LpModel("max", [3.0, 2.0], B, ("<=", "<="), [4.0, 6.0])
-    B[0, 0] = 100.0
-    assert m.a_matrix[0, 0] == 1.0 and not m.a_matrix.flags.writeable
-    assert solve(m).value == pytest.approx(12.0, abs=1e-9)
+    rows = _dense_rows(A)
+    m = LpModel("max", [3.0, 2.0], rows, ("<=", "<="), [4.0, 6.0])
+    before = solve(m)
+    for given, held in zip(rows, m.a_rows):
+        assert not held.flags.writeable and not np.shares_memory(given, held)
+        with pytest.raises(ValueError):
+            held[0] = 0
+        given[...] = 0
+    np.testing.assert_array_equal(m.a_matrix, A)
+    after = solve(m)
+    assert after.value == before.value == pytest.approx(12.0, abs=1e-9)
+    np.testing.assert_array_equal(after.primal, before.primal)
+    np.testing.assert_array_equal(after.dual, before.dual)
+
+
+def test_dense_rows_is_nonzero_in_row_major_order():
+    A = np.array([[0.0, 2.0, 0.0, -1.0], [0.0, 0.0, 0.0, 0.0], [5.0, 0.0, 3.0, 0.0]])
+    start, index, value = _dense_rows(A)
+    rows, cols = np.nonzero(A)
+    np.testing.assert_array_equal(start, [0, 2, 2, 4])
+    np.testing.assert_array_equal(index, cols)
+    np.testing.assert_array_equal(value, A[rows, cols])
+    m = LpModel("min", np.ones(4), (start, index, value), ("<=",) * 3, np.ones(3))
+    np.testing.assert_array_equal(m.a_matrix, A)
 
 
 def _random_model(rng, n=None, m=None):
@@ -170,7 +216,7 @@ def _random_model(rng, n=None, m=None):
     lower = np.where(rng.random(n) < 0.15, -math.inf, 0.0)
     # finite caps above x0 on some variables, so solve sees native bounds
     upper = np.where(rng.random(n) < 0.3, (x0 + rng.uniform(0, 1, size=n)).round(2), math.inf)
-    return LpModel(sense, c, A, tuple(rel), b, lower=lower, upper=upper)
+    return LpModel(sense, c, _dense_rows(A), tuple(rel), b, lower=lower, upper=upper)
 
 
 def test_random_models_against_scipy():
@@ -222,8 +268,8 @@ def test_strong_duality_and_complementary_slackness_random():
 def test_degenerate_cycling_candidate():
     # classic Beale-style degenerate LP, on which Dantzig pricing cycles
     m = LpModel("min", [-0.75, 150.0, -0.02, 6.0],
-                [[0.25, -60.0, -1.0 / 25.0, 9.0], [0.5, -90.0, -1.0 / 50.0, 3.0],
-                 [0.0, 0.0, 1.0, 0.0]], ("<=",) * 3, [0.0, 0.0, 1.0])
+                _dense_rows([[0.25, -60.0, -1.0 / 25.0, 9.0], [0.5, -90.0, -1.0 / 50.0, 3.0],
+                             [0.0, 0.0, 1.0, 0.0]]), ("<=",) * 3, [0.0, 0.0, 1.0])
     sol = solve(m)
     assert sol.status == "Optimal"
     assert sol.value == pytest.approx(-0.05, abs=1e-9)

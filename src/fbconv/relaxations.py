@@ -29,7 +29,10 @@ Each LP is written once, as a table over one-letter index names:
 
 Every row of a lifted relaxation has one of those two shapes, so one routine
 (_build) turns any table into the nonzeros of the constraint matrix and the
-rhs.  The same table gives:
+rhs.  Those depend on the sizes alone; the pmf enters only the cost.  They are
+built once per distinct table, cached for up to 32 tables and shared read-only,
+so a build only fills the cost.  Under MAX_LP_ENTRIES one table's arrays take at
+most 1.1 MiB, so the cache retains at most 35 MiB.  The same table gives:
 
   * the variable and row layouts (the *_indexer functions);
   * the layout of each typed dual point: one field per row family, named
@@ -59,7 +62,9 @@ Dual constraint identifiers:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, fields, replace
+from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -210,47 +215,38 @@ def _exchanged(rows, fields: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
 
 
 class TensorIndex:
-    """Named blocks of tensor-shaped variables (or rows) in one flat vector."""
+    """Named blocks of tensor-shaped variables (or rows) in one flat vector, read-only."""
 
     def __init__(self, blocks: List[Tuple[str, Tuple[int, ...]]]):
-        self.shapes: Dict[str, Tuple[int, ...]] = {}
-        self.offsets: Dict[str, int] = {}
-        off = 0
+        shapes, offsets, off = {}, {}, 0
         for name, shape in blocks:
-            self.shapes[name] = tuple(shape)
-            self.offsets[name] = off
-            off += int(np.prod(shape))
+            shapes[name], offsets[name] = tuple(shape), off
+            off += math.prod(shape)
+        self.shapes, self.offsets = MappingProxyType(shapes), MappingProxyType(offsets)
         self.total = off
 
     def slice_of(self, name: str) -> slice:
         off = self.offsets[name]
-        return slice(off, off + int(np.prod(self.shapes[name])))
+        return slice(off, off + math.prod(self.shapes[name]))
 
     def extract(self, vec: np.ndarray, name: str) -> np.ndarray:
         return vec[self.slice_of(name)].reshape(self.shapes[name])
 
 
-def _layouts(sizes, cols, rows) -> Tuple[TensorIndex, TensorIndex]:
-    def shape(letters):
-        return tuple(sizes[k] for k in letters)
-    return (TensorIndex([(name, shape(letters)) for name, letters in cols]),
-            TensorIndex([(name, shape(letters)) for name, letters, _, _ in rows]))
-
-
 def sc_indexer(inst: ScInstance) -> Tuple[TensorIndex, TensorIndex]:
-    return _layouts(*_sc_table(inst))
+    return _structure(_sc_table(inst))[0]
 
 
 def si_indexer(inst: SwInstance, which: int) -> Tuple[TensorIndex, TensorIndex]:
-    return _layouts(*_si_table(inst.oriented(which)))
+    return _structure(_si_table(inst.oriented(which)))[0]
 
 
 def je_indexer(inst: SwInstance) -> Tuple[TensorIndex, TensorIndex]:
-    return _layouts(*_je_table(inst))
+    return _structure(_je_table(inst))[0]
 
 
 def sw_indexer(inst: SwInstance) -> Tuple[TensorIndex, TensorIndex]:
-    return _layouts(*_sw_table(inst))
+    return _structure(_sw_table(inst))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -264,31 +260,56 @@ def _ravel(at: Dict[str, np.ndarray], sizes, letters: str) -> np.ndarray:
                                 tuple(sizes[k] for k in letters))
 
 
+@functools.lru_cache(maxsize=32)
+def _structures(sizes, col_blocks, families):
+    """((column layout, row layout), constraints) of a table made hashable;
+    constraints() builds, on its first call, the frozen (a_rows, rhs)."""
+    sizes = dict(sizes)
+    layouts = tuple(TensorIndex([(name, tuple(sizes[k] for k in letters))
+                                 for name, letters, *_ in blocks])
+                    for blocks in (col_blocks, families))
+
+    @functools.cache
+    def constraints():
+        (cols, rows), letters = layouts, dict(col_blocks)
+        entries = []              # (row, col, value) arrays, one per block a family reads
+        b = np.zeros(rows.total)
+        for name, row_letters, lifted, minus in families:
+            # +1 on every entry of the lifted block, in the row its row letters
+            # pick; -1 on the one entry of the minus block that each row reads
+            for block, grid, value in ((lifted, letters[lifted], 1.0),
+                                       (minus, row_letters, -1.0)):
+                if block is not None:
+                    points = np.indices(tuple(sizes[k] for k in grid)).reshape(len(grid), -1)
+                    at = dict(zip(grid, points))
+                    entries.append((rows.offsets[name] + _ravel(at, sizes, row_letters),
+                                    cols.offsets[block] + _ravel(at, sizes, letters[block]),
+                                    np.full(points.shape[1], value)))
+            if minus is None:
+                b[rows.slice_of(name)] = 1.0
+        a_rows = _row_arrays(*(np.concatenate(e) for e in zip(*entries)), rows.total)
+        for a in (*a_rows, b):
+            a.setflags(write=False)
+        return a_rows, b
+    return layouts, constraints
+
+
+def _structure(table):
+    sizes, cols, rows = table
+    return _structures(tuple(sizes.items()), tuple(cols), tuple(rows))
+
+
 def _build(table, cost, what: str) -> LpModel:
-    """Equality-form min LP of a table; cost(), called after the size check,
-    is the W block's cost tensor, the only nonzero part of the objective."""
+    """Equality-form min LP of a table: its structure, built once per table and
+    shared read-only, and cost(), the W block's cost tensor, built per call.  The
+    size check comes first: a table past the cap never allocates nor is cached."""
     sizes, col_blocks, families = table
-    cols, rows = _layouts(*table)
-    _check_lp_size(rows.total, cols.total, what)
-    letters = dict(col_blocks)
-    entries = []                  # (row, col, value) arrays, one per block a family reads
-    b = np.zeros(rows.total)
-    for name, row_letters, lifted, minus in families:
-        # +1 on every entry of the lifted block, in the row its row letters
-        # pick; -1 on the one entry of the minus block that each row reads
-        for block, grid, value in ((lifted, letters[lifted], 1.0),
-                                   (minus, row_letters, -1.0)):
-            if block is not None:
-                points = np.indices(tuple(sizes[k] for k in grid)).reshape(len(grid), -1)
-                at = dict(zip(grid, points))
-                entries.append((rows.offsets[name] + _ravel(at, sizes, row_letters),
-                                cols.offsets[block] + _ravel(at, sizes, letters[block]),
-                                np.full(points.shape[1], value)))
-        if minus is None:
-            b[rows.slice_of(name)] = 1.0
+    _check_lp_size(*(sum(math.prod(sizes[k] for k in letters) for _, letters, *_ in part)
+                     for part in (families, col_blocks)), what)
+    (cols, rows), constraints = _structure(table)
+    a_rows, b = constraints()
     c = np.zeros(cols.total)
     c[cols.slice_of("W")] = cost().reshape(-1)
-    a_rows = _row_arrays(*(np.concatenate(e) for e in zip(*entries)), rows.total)
     return LpModel("min", c, a_rows, ("=",) * rows.total, b)
 
 
@@ -559,9 +580,8 @@ def check_dpsw_feasible(inst: SwInstance, pt: DualPointSW,
     # P(s1, s2) 1{(sh1, sh2) != (s1, s2)} sits on x1 = y1, x2 = y2 only,
     # so it is subtracted there in place instead of built as a dense 8-D array
     mism = 1.0 - np.einsum("ac, bd -> abcd", np.eye(n1), np.eye(n2))
-    resid = pt.lam_s_12[:, :, None, :, :, :, :, :] \
-        + pt.lam_s_21[:, :, :, None, :, :, :, :] \
-        + pt.lam_c[:, :, :, :, :, :, None, None]
+    resid = pt.lam_s_12[:, :, None, :, :, :, :, :] + pt.lam_s_21[:, :, :, None, :, :, :, :]
+    resid += pt.lam_c[:, :, :, :, :, :, None, None]   # in place: one 8-D array, not two
     x1, x2 = np.arange(m1)[:, None], np.arange(m2)[None, :]
     resid[:, :, x1, x2, x1, x2] -= (P[:, :, None, None] * mism)[:, :, None, None]
     _collect(out, "D4", resid, tol)

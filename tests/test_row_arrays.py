@@ -1,4 +1,5 @@
-"""The LP builders emit exactly the row arrays of the dense matrices they replaced.
+"""The LP builders emit exactly the row arrays of the dense matrices they replaced,
+from a table's structure cached once and shared read-only.
 
 Each reference below is the dense builder the library used before it built
 the row-wise arrays directly.  np.nonzero of a dense matrix, read row-major,
@@ -12,18 +13,19 @@ import itertools
 import numpy as np
 import pytest
 
-from fbconv import converses_ptp
+from fbconv import converses_ptp, lp_core
 from fbconv import relaxations as rx
 from fbconv.probability import CodeSizes, DistortionSpec, SinglePmf
 
-from conftest import peak_mib, random_joint
+from conftest import certified_solve, peak_mib, random_joint
 
 
 def _dense_build(table):
     """(A, b) of a table: +1 on every entry of a family's lifted block in the
     row its row letters pick, -1 on the one minus-block entry each row reads."""
     sizes, col_blocks, families = table
-    cols, rows = rx._layouts(*table)
+    cols, rows = (rx.TensorIndex([(b[0], tuple(sizes[k] for k in b[1])) for b in blocks])
+                  for blocks in (col_blocks, families))
     letters = dict(col_blocks)
     A = np.zeros((rows.total, cols.total))
     b = np.zeros(rows.total)
@@ -115,3 +117,89 @@ def test_sw_build_3x3_m22_stays_small():
     # alone would take 24 MiB
     inst = rx.SwInstance(random_joint(np.random.default_rng(43), 3, 3), CodeSizes(2, 2))
     assert peak_mib(lambda: rx.build_lp_sw(inst)) < 1
+
+
+def test_interleaved_cached_builds_match_dense_reference():
+    # every dims built twice, the grid walked forward and then backward, so
+    # each kind's second build reads a structure cached between other tables
+    instances = _sw_instances()
+    for inst, kind in itertools.chain(itertools.product(instances, SW_KINDS),
+                                      itertools.product(instances[::-1], list(SW_KINDS)[::-1])):
+        build, table = SW_KINDS[kind]
+        model = build(inst)
+        A, b = _dense_build(table(inst))
+        assert_rows_of(model, A)
+        np.testing.assert_array_equal(model.rhs, b)
+
+
+def _uncached(build):
+    rx._structures.cache_clear()
+    return build()
+
+
+@pytest.mark.parametrize("kind", SW_KINDS)
+def test_same_dims_share_structure_not_cost(kind):
+    build, table = SW_KINDS[kind]
+    rng = np.random.default_rng(53)
+    insts = [rx.SwInstance(random_joint(rng, 3, 2, allow_zeros=False), CodeSizes(2, 1))
+             for _ in range(2)]
+    models = [build(inst) for inst in insts]
+    for got, want in zip(models[0].a_rows + (models[0].rhs,), models[1].a_rows + (models[1].rhs,)):
+        np.testing.assert_array_equal(got, want)
+        assert not got.flags.writeable and not want.flags.writeable
+    assert not np.array_equal(models[0].objective, models[1].objective)
+    a_rows, rhs = rx._structure(table(insts[0]))[1]()   # the shared arrays themselves
+    assert not any(a.flags.writeable for a in (*a_rows, rhs))
+    for inst, model in zip(insts, models):
+        sol, ref = certified_solve(model), lp_core.solve(_uncached(lambda: build(inst)))
+        assert sol.value == ref.value
+        np.testing.assert_array_equal(sol.primal, ref.primal)
+        np.testing.assert_array_equal(sol.dual, ref.dual)
+
+
+def test_structure_cache_stays_bounded():
+    maxsize = rx._structures.cache_parameters()["maxsize"]
+    tables = [(n, M) for n in range(1, 13) for M in (1, 2, 3)]
+    assert len(tables) > maxsize
+    for n, M in tables:
+        rx.build_lp_sc(rx.ScInstance(SinglePmf(np.full(n, 1 / n)), M, DistortionSpec.lossless(n)))
+    assert rx._structures.cache_info().currsize <= maxsize
+
+
+def test_over_cap_table_neither_allocates_nor_enters_cache():
+    inst = rx.SwInstance(random_joint(np.random.default_rng(59), 8, 8), CodeSizes(4, 4))
+    rx._structures.cache_clear()
+    with pytest.raises(rx.InstanceTooLarge):
+        rx.build_lp_sw(inst)
+    assert rx._structures.cache_info().currsize == 0
+
+
+def test_repeat_build_reuses_structure(monkeypatch):
+    inst = rx.SwInstance(random_joint(np.random.default_rng(61), 3, 2), CodeSizes(2, 1))
+    first = {k: SW_KINDS[k][0](inst) for k in SW_KINDS}
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("structure rebuilt for a cached table")
+
+    for name in ("indices", "ravel_multi_index"):
+        monkeypatch.setattr(np, name, unexpected)
+    monkeypatch.setattr(rx, "TensorIndex", unexpected)
+    for k in SW_KINDS:
+        again = SW_KINDS[k][0](inst)
+        for got, want in zip(again.a_rows + (again.rhs, again.objective),
+                             first[k].a_rows + (first[k].rhs, first[k].objective)):
+            np.testing.assert_array_equal(got, want)
+    layouts = [rx.sw_indexer(inst), rx.je_indexer(inst), rx.si_indexer(inst, 1),
+               rx.si_indexer(inst, 2)]
+    assert all(len(pair) == 2 for pair in layouts)
+
+
+def test_cached_layouts_are_shared_and_read_only():
+    rng = np.random.default_rng(67)
+    a, b = (rx.SwInstance(random_joint(rng, 3, 2), CodeSizes(2, 1)) for _ in range(2))
+    rows = rx.sw_indexer(a)[1]
+    assert rx.sw_indexer(b)[1] is rows
+    with pytest.raises(TypeError):
+        rows.shapes["lam_c"] = (1,)
+    with pytest.raises(TypeError):
+        rows.offsets["lam_c"] = 0

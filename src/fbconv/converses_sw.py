@@ -28,6 +28,7 @@ from .relaxations import (
     DualPointSW,
     SwInstance,
     _binding_gammas,
+    _check_lp_size,
     _exchanged,
     _je_table,
     _sw_table,
@@ -316,10 +317,13 @@ def mk_flows(inst: SwInstance, t: float) -> DualPointSW:
     """The distributed dual point behind the improved Miyake-Kanaya bound at
     a fixed t: marginal-weighted source flows on the channel diagonals, a
     uniform decoder-side flow worth t/(M1 M2), and the channel flow capped
-    at t times the per-pair threshold coefficient."""
+    at t times the per-pair threshold coefficient.  Its fields, and the D4
+    residual check_dpsw_feasible forms from it, grow with the LP's W block,
+    (n1 n2 M1 M2)^2 entries, which must stay within MAX_LP_ENTRIES."""
     if not (t >= 0.0 and math.isfinite(t)):
         raise InfeasibleInput(f"t must be a finite nonnegative scalar, got {t!r}")
     n1, n2, m1, m2 = inst.dims
+    _check_lp_size(k := n1 * n2 * m1 * m2, k, "mk_flows point")
     P = inst.joint.mass
     P1 = P.sum(axis=1)
     P2 = P.sum(axis=0)

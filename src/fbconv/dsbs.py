@@ -23,20 +23,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from .probability import CodeSizes, JointPmf, PmfError
-from .relaxations import InstanceTooLarge, SwInstance
+from .probability import CodeSizes, InstanceTooLarge, JointPmf, PmfError
+from .relaxations import SwInstance
 from .converses_ptp import EVENT_SLACK, BoundReport, _breakpoint_sup, _report
 
 LN2 = math.log(2.0)
 EXPAND_LIMIT = 8
 
 
-@lru_cache(maxsize=None)
 def _code_size(n: int, rate: float) -> int:
     """2^(n R) rounded to an integer, at least 1."""
     try:
@@ -58,7 +56,6 @@ def _nominal_code_size(n: int, rate: float) -> int:
     return M
 
 
-@lru_cache(maxsize=None)
 def _log_code_size(n: int, rate: float) -> float:
     """log M: of the rounded code size while 2^(n R) is a float, and
     n R ln 2 beyond that, where M itself has no float value."""
@@ -89,8 +86,8 @@ class DsbsSpec:
             raise PmfError(f"n must be a positive integer, got {self.n!r}")
         if not (0.0 < self.p < 0.5):
             raise PmfError(f"p must lie in (0, 0.5), got {self.p!r}")
-        if self.R1 < 0.0 or self.R2 < 0.0:
-            raise PmfError("rates must be nonnegative")
+        if not (0.0 <= self.R1 < math.inf and 0.0 <= self.R2 < math.inf):
+            raise PmfError(f"rates must be finite and nonnegative, got {self.R1!r}, {self.R2!r}")
 
     @property
     def M1(self) -> int:

@@ -54,11 +54,11 @@ class SolverUnavailable(LpError):
     """scipy's bundled HiGHS extension could not be found or loaded."""
 
 
-def _read_only(a) -> np.ndarray:
-    """`a` as a read-only float64 array: kept as given when it already is
+def _read_only(a, dtype=float) -> np.ndarray:
+    """`a` as a read-only array of `dtype`: kept as given when it already is
     one, copied otherwise."""
-    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable):
-        a = np.array(a, dtype=float)
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable):
+        a = np.array(a, dtype=dtype)
         a.setflags(write=False)
     return a
 
@@ -82,10 +82,12 @@ def _dense_rows(a_matrix):
 class LpModel:
     """min or max of objective @ x subject to A @ x (relations) rhs and bounds.
 
-    A is held only as HiGHS's row-wise a_rows = (start, index, value), copied,
-    checked and frozen once: row i has value[start[i]:start[i+1]] in columns
-    index[start[i]:start[i+1]], strictly increasing.  lower/upper default to
-    [0, +inf) per variable; -inf/+inf entries make a variable free on that side.
+    A is held only as HiGHS's row-wise a_rows = (start, index, value): row i
+    has value[start[i]:start[i+1]] in columns index[start[i]:start[i+1]],
+    strictly increasing.  lower/upper default to [0, +inf) per variable, and
+    -inf/+inf make a variable free on that side.  Every array is checked, and
+    held as given when read-only of its dtype (int for start and index, float
+    otherwise), else as a frozen copy.
     """
 
     sense: str
@@ -99,9 +101,9 @@ class LpModel:
     def __post_init__(self):
         if self.sense not in ("max", "min"):
             raise DimensionMismatch(f"sense must be 'max' or 'min', got {self.sense!r}")
-        c = np.atleast_1d(np.array(self.objective, dtype=float))
-        start, index, value = (np.array(a, dtype=t) for a, t in zip(self.a_rows, (int, int, float)))
-        b = np.atleast_1d(np.array(self.rhs, dtype=float))
+        c = np.atleast_1d(_read_only(self.objective))
+        start, index, value = (_read_only(a, t) for a, t in zip(self.a_rows, (int, int, float)))
+        b = np.atleast_1d(_read_only(self.rhs))
         rel = tuple(self.relations)
         m, n = b.size, c.size
         if (c.ndim, b.ndim, index.ndim, len(rel), start.shape, value.shape) != \
@@ -117,16 +119,14 @@ class LpModel:
         pos = np.repeat(np.arange(m) * n, np.diff(start)) + index   # row-major position of each entry
         if ((index < 0) | (index >= n)).any() or (np.diff(pos) <= 0).any():
             raise DimensionMismatch(f"columns must lie in [0, {n}) and rise within each row")
-        lo = np.zeros(n) if self.lower is None else np.array(self.lower, dtype=float)
-        up = np.full(n, np.inf) if self.upper is None else np.array(self.upper, dtype=float)
+        lo = _read_only(np.zeros(n) if self.lower is None else self.lower)
+        up = _read_only(np.full(n, np.inf) if self.upper is None else self.upper)
         if lo.shape != (n,) or up.shape != (n,):
             raise DimensionMismatch("bound arrays must match the variable count")
         if not (np.isfinite(c).all() and np.isfinite(value).all() and np.isfinite(b).all()):
             raise DimensionMismatch("objective, matrix values and rhs must be finite")
         if np.any(np.isnan(lo)) or np.any(np.isnan(up)) or np.any(lo > up):
             raise DimensionMismatch("bounds must satisfy lower <= upper and not be NaN")
-        for val in (c, start, index, value, b, lo, up):
-            val.setflags(write=False)
         for name, val in (("objective", c), ("a_rows", (start, index, value)), ("rhs", b),
                           ("lower", lo), ("upper", up), ("relations", rel)):
             object.__setattr__(self, name, val)

@@ -43,6 +43,11 @@ class PmfFormatError(PmfError):
     """Malformed pmf text file."""
 
 
+class InstanceTooLarge(ValueError):
+    """An LP with more than MAX_LP_ENTRIES rows x columns,
+    a code size past float range, or a DSBS expansion past its cap."""
+
+
 def _frozen_array(a) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
@@ -112,7 +117,8 @@ def validate(mass) -> Pmf:
 
 @dataclass(frozen=True)
 class CodeSizes:
-    """Codebook sizes; M2 is None for single-encoder problems."""
+    """Codebook sizes; M2 is None for single-encoder problems.  M1, and M1 M2
+    when M2 is set, must have a float value: the bounds divide by them."""
 
     M1: int
     M2: Optional[int] = None
@@ -123,6 +129,10 @@ class CodeSizes:
             if not (M >= 1 and M % 1 == 0):
                 raise PmfError(f"{name} must be a positive integer, got {M!r}")
             object.__setattr__(self, name, int(M))   # 2.0 must size and index arrays
+        try:
+            float(M := self.M1 * (self.M2 or 1))
+        except OverflowError:
+            raise InstanceTooLarge(f"code size of {M.bit_length()} bits past float range") from None
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,11 @@ Each LP is written once, as a table over one-letter index names:
     when minus is None (a normalization row).
 
 Every row of a lifted relaxation has one of those two shapes, so one routine
-(_build) turns any table into the nonzeros of the constraint matrix and the
-rhs.  Those depend on the sizes alone; the pmf enters only the cost.  They are
-built once per distinct table, cached for up to 32 tables and shared read-only,
-so a build only fills the cost.  Under MAX_LP_ENTRIES one table's arrays take at
-most 1.1 MiB, so the cache retains at most 35 MiB.  The same table gives:
+(_structures) turns any table into the nonzeros of the constraint matrix and
+the rhs.  Those depend on the sizes alone; the pmf enters only the cost.  They
+are built eagerly once per table within MAX_LP_ENTRIES, cached frozen for up to
+32 tables (at most 1.1 MiB each) and held as they are by every model of the
+table, so a build only fills the cost.  The same table gives:
 
   * the variable and row layouts (the *_indexer functions);
   * the layout of each typed dual point: one field per row family, named
@@ -70,14 +70,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .lp_core import LpModel, LpSolution, _read_only, _row_arrays
-from .probability import CodeSizes, DistortionSpec, JointPmf, PmfError, SinglePmf
+from .probability import CodeSizes, DistortionSpec, InstanceTooLarge, JointPmf, PmfError, SinglePmf
 
 MAX_LP_ENTRIES = 2 ** 26   # rows x columns of one LP, which bound its nonzeros
-
-
-class InstanceTooLarge(ValueError):
-    """An LP with more than MAX_LP_ENTRIES rows x columns,
-    a code size past float range, or a DSBS expansion past its cap."""
 
 
 def _check_lp_size(rows: int, cols: int, what: str) -> None:
@@ -234,19 +229,19 @@ class TensorIndex:
 
 
 def sc_indexer(inst: ScInstance) -> Tuple[TensorIndex, TensorIndex]:
-    return _structure(_sc_table(inst))[0]
+    return _structure(_sc_table(inst))[:2]
 
 
 def si_indexer(inst: SwInstance, which: int) -> Tuple[TensorIndex, TensorIndex]:
-    return _structure(_si_table(inst.oriented(which)))[0]
+    return _structure(_si_table(inst.oriented(which)))[:2]
 
 
 def je_indexer(inst: SwInstance) -> Tuple[TensorIndex, TensorIndex]:
-    return _structure(_je_table(inst))[0]
+    return _structure(_je_table(inst))[:2]
 
 
 def sw_indexer(inst: SwInstance) -> Tuple[TensorIndex, TensorIndex]:
-    return _structure(_sw_table(inst))[0]
+    return _structure(_sw_table(inst))[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -262,36 +257,32 @@ def _ravel(at: Dict[str, np.ndarray], sizes, letters: str) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _structures(sizes, col_blocks, families):
-    """((column layout, row layout), constraints) of a table made hashable;
-    constraints() builds, on its first call, the frozen (a_rows, rhs)."""
-    sizes = dict(sizes)
-    layouts = tuple(TensorIndex([(name, tuple(sizes[k] for k in letters))
-                                 for name, letters, *_ in blocks])
-                    for blocks in (col_blocks, families))
-
-    @functools.cache
-    def constraints():
-        (cols, rows), letters = layouts, dict(col_blocks)
-        entries = []              # (row, col, value) arrays, one per block a family reads
-        b = np.zeros(rows.total)
-        for name, row_letters, lifted, minus in families:
-            # +1 on every entry of the lifted block, in the row its row letters
-            # pick; -1 on the one entry of the minus block that each row reads
-            for block, grid, value in ((lifted, letters[lifted], 1.0),
-                                       (minus, row_letters, -1.0)):
-                if block is not None:
-                    points = np.indices(tuple(sizes[k] for k in grid)).reshape(len(grid), -1)
-                    at = dict(zip(grid, points))
-                    entries.append((rows.offsets[name] + _ravel(at, sizes, row_letters),
-                                    cols.offsets[block] + _ravel(at, sizes, letters[block]),
-                                    np.full(points.shape[1], value)))
-            if minus is None:
-                b[rows.slice_of(name)] = 1.0
-        a_rows = _row_arrays(*(np.concatenate(e) for e in zip(*entries)), rows.total)
-        for a in (*a_rows, b):
-            a.setflags(write=False)
-        return a_rows, b
-    return layouts, constraints
+    """(column layout, row layout, a_rows, rhs) of a table made hashable, all
+    frozen.  The cap is checked on the layouts, before any array exists, and
+    lru_cache keeps no call that raised, so a table past it is never cached."""
+    sizes, letters = dict(sizes), dict(col_blocks)
+    cols, rows = (TensorIndex([(name, tuple(sizes[k] for k in axes))
+                               for name, axes, *_ in blocks])
+                  for blocks in (col_blocks, families))
+    _check_lp_size(rows.total, cols.total, "LP " + " ".join(f"{n}({k})" for n, k in col_blocks))
+    entries = []              # (row, col, value) arrays, one per block a family reads
+    b = np.zeros(rows.total)
+    for name, row_letters, lifted, minus in families:
+        # +1 on every entry of the lifted block, in the row its row letters
+        # pick; -1 on the one entry of the minus block that each row reads
+        for block, grid, value in ((lifted, letters[lifted], 1.0), (minus, row_letters, -1.0)):
+            if block is not None:
+                points = np.indices(tuple(sizes[k] for k in grid)).reshape(len(grid), -1)
+                at = dict(zip(grid, points))
+                entries.append((rows.offsets[name] + _ravel(at, sizes, row_letters),
+                                cols.offsets[block] + _ravel(at, sizes, letters[block]),
+                                np.full(points.shape[1], value)))
+        if minus is None:
+            b[rows.slice_of(name)] = 1.0
+    a_rows = _row_arrays(*(np.concatenate(e) for e in zip(*entries)), rows.total)
+    for a in (*a_rows, b):
+        a.setflags(write=False)
+    return cols, rows, a_rows, b
 
 
 def _structure(table):
@@ -299,15 +290,10 @@ def _structure(table):
     return _structures(tuple(sizes.items()), tuple(cols), tuple(rows))
 
 
-def _build(table, cost, what: str) -> LpModel:
-    """Equality-form min LP of a table: its structure, built once per table and
-    shared read-only, and cost(), the W block's cost tensor, built per call.  The
-    size check comes first: a table past the cap never allocates nor is cached."""
-    sizes, col_blocks, families = table
-    _check_lp_size(*(sum(math.prod(sizes[k] for k in letters) for _, letters, *_ in part)
-                     for part in (families, col_blocks)), what)
-    (cols, rows), constraints = _structure(table)
-    a_rows, b = constraints()
+def _build(table, cost) -> LpModel:
+    """Equality-form min LP of a table: the cached structure's frozen arrays,
+    held as they are, and cost(), the W block's cost tensor, built per call."""
+    cols, rows, a_rows, b = _structure(table)
     c = np.zeros(cols.total)
     c[cols.slice_of("W")] = cost().reshape(-1)
     return LpModel("min", c, a_rows, ("=",) * rows.total, b)
@@ -326,7 +312,7 @@ def build_lp_sc(inst: ScInstance) -> LpModel:
     """Exact LP relaxation of the point-to-point error minimization."""
     exc = inst.distortion.excess().astype(float)
     return _build(_sc_table(inst), lambda: np.einsum(
-        "sh, xy -> sxyh", inst.source.mass[:, None] * exc, np.eye(inst.M)), "point-to-point LP")
+        "sh, xy -> sxyh", inst.source.mass[:, None] * exc, np.eye(inst.M)))
 
 
 def build_lpsi(inst: SwInstance, which: int = 1) -> LpModel:
@@ -334,7 +320,7 @@ def build_lpsi(inst: SwInstance, which: int = 1) -> LpModel:
     sw = inst.oriented(which)
     ne, _, M, _ = sw.dims
     return _build(_si_table(sw), lambda: np.einsum(
-        "es, eh, xy -> esxyh", sw.joint.mass, 1.0 - np.eye(ne), np.eye(M)), "side-information LP")
+        "es, eh, xy -> esxyh", sw.joint.mass, 1.0 - np.eye(ne), np.eye(M)))
 
 
 def build_lp_je(inst: SwInstance) -> LpModel:
@@ -344,12 +330,12 @@ def build_lp_je(inst: SwInstance) -> LpModel:
     different tables (pair letters against flattened ones), which the tests
     exploit.
     """
-    return _build(_je_table(inst), lambda: _pair_cost(inst), "jointly-encoded LP")
+    return _build(_je_table(inst), lambda: _pair_cost(inst))
 
 
 def build_lp_sw(inst: SwInstance) -> LpModel:
     """LP relaxation of the two-encoder problem with all twelve row families."""
-    return _build(_sw_table(inst), lambda: _pair_cost(inst), "distributed LP")
+    return _build(_sw_table(inst), lambda: _pair_cost(inst))
 
 
 # ---------------------------------------------------------------------------

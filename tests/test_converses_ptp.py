@@ -27,6 +27,7 @@ from fbconv.oracle import exact_opt_sc, exact_opt_sid
 from fbconv.probability import (
     CodeSizes,
     DistortionSpec,
+    InstanceTooLarge,
     JointPmf,
     PmfError,
     SinglePmf,
@@ -321,6 +322,17 @@ def test_lossless_bounds_reject_bad_code_size(M):
     for bound in (meta_lossless, lossless_gamma_bound):
         with pytest.raises(PmfError):
             bound(src, M)
+
+
+def test_code_size_past_float_range_is_typed():
+    # each of these once raised a bare OverflowError on float(M)
+    src, M = SinglePmf([0.5, 0.3, 0.2]), 2 ** 1100
+    lossy = lambda: ScInstance(src, M, DistortionSpec.lossless(3))
+    for call in (lambda: meta_lossless(src, M), lambda: lossless_gamma_bound(src, M),
+                 lambda: meta_lossy(lossy()), lambda: kv_tilted_improved(lossy()),
+                 lambda: palzer_timo(lossy()), lambda: hypothesis_testing_bound(lossy())):
+        with pytest.raises(InstanceTooLarge, match="float range"):
+            call()
 
 
 def test_lossless_gamma_values():

@@ -36,7 +36,7 @@ from fbconv.relaxations import (
     dual_point_je_from_solution,
     dual_point_si_from_solution,
 )
-from fbconv.converses_ptp import meta_je, meta_sid
+from fbconv.converses_ptp import meta_je, meta_sid, sid_classic, sid_improved
 from fbconv.converses_sw import (
     InfeasibleInput,
     combine_feasible,
@@ -544,6 +544,33 @@ def test_mk_flows_edges():
     for bad in (-0.5, float("inf"), float("nan")):
         with pytest.raises(InfeasibleInput):
             mk_flows(_uniform22(), bad)
+
+
+def test_mk_flows_checks_its_size_before_allocating():
+    rng = np.random.default_rng(79)
+    big = SwInstance(random_joint(rng, 8, 8), CodeSizes(16, 16))   # (8*8*16*16)^2 = 2^28
+
+    def attempt():
+        with pytest.raises(InstanceTooLarge):
+            mk_flows(big, 0.5)
+    assert peak_mib(attempt) < 4
+    with pytest.raises(InstanceTooLarge):
+        mk_flows(SwInstance(random_joint(rng, 8, 8), CodeSizes(2 ** 70, 2)), 0.5)
+    # the 8x8 / M=(4,4) DSBS point, 2^20 entries, stays allowed
+    inst = expand_joint(DsbsSpec(3, 0.11, 2 / 3, 2 / 3))
+    assert check_dpsw_feasible(inst, mk_flows(inst, 0.01), tol=1e-9) == []
+
+
+def test_code_sizes_past_float_range_are_typed():
+    # M1 M2 = 2^1200 once raised a bare OverflowError; 2^1022 is a float
+    joint = JointPmf([[0.4, 0.1], [0.2, 0.3]])
+    bounds = (meta_sw, meta_je, mk_classic, mk_improved, max_converse,
+              *(lambda inst, f=f, w=w: f(inst, w)
+                for f in (meta_sid, sid_improved, sid_classic) for w in (1, 2)))
+    for bound in bounds:
+        with pytest.raises(InstanceTooLarge, match="float range"):
+            bound(SwInstance(joint, CodeSizes(2 ** 600, 2 ** 600)))
+        assert bound(SwInstance(joint, CodeSizes(2 ** 511, 2 ** 511))).raw_value == 0.0
 
 
 def test_constructor_zero_fields_hold_no_memory():

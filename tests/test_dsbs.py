@@ -28,6 +28,7 @@ from fbconv.dsbs import (
     sweep,
     sweep_csv,
 )
+from fbconv.probability import PmfError
 from fbconv.relaxations import InstanceTooLarge
 
 P = 0.11
@@ -44,6 +45,16 @@ def test_rate_region():
     assert rate_region(DsbsSpec(10, P, H - 0.01, 1.5)) == "outside"
     assert rate_region(DsbsSpec(10, P, (1 + H) / 2, (1 + H) / 2)) == "boundary"
     assert rate_region(DsbsSpec(10, P, H, 1.0)) == "boundary"
+
+
+@pytest.mark.parametrize("rates", [(math.nan, 0.6), (0.6, math.nan), (math.inf, 0.6),
+                                   (0.6, math.inf)])
+def test_spec_rejects_rates_that_are_not_finite(rates):
+    # these rates once reached the code sizes as a bare ValueError or
+    # OverflowError, and rate_region read a NaN rate as "boundary"
+    for call in (dsbs_converse, dsbs_je_bound, dsbs_mk, rate_region, lambda spec: spec.M1):
+        with pytest.raises(PmfError, match="finite"):
+            call(DsbsSpec(10, P, *rates))
 
 
 # --- sweep output ------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fbconv.probability import (
     CodeSizes,
     DistortionSpec,
+    InstanceTooLarge,
     JointPmf,
     MassSumMismatch,
     NegativeMass,
@@ -119,6 +120,15 @@ def test_code_sizes_validation():
     # an integral float is stored as the int it stands for
     sizes = CodeSizes(2.0, np.int64(3))
     assert (sizes.M1, sizes.M2) == (2, 3) and type(sizes.M1) is type(sizes.M2) is int
+
+
+def test_code_sizes_must_have_a_float_value():
+    # 2^1024 - 1 rounds up past the largest float; M1 M2 counts, not each alone
+    CodeSizes(int(np.finfo(float).max))
+    CodeSizes(2 ** 511, 2 ** 511)
+    for bad in ((2 ** 1024 - 1,), (2 ** 1100,), (2 ** 600, 2 ** 600), (2, 2 ** 1023)):
+        with pytest.raises(InstanceTooLarge, match="float range"):
+            CodeSizes(*bad)
 
 
 def test_distortion_spec():

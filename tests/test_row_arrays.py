@@ -148,7 +148,7 @@ def test_same_dims_share_structure_not_cost(kind):
         np.testing.assert_array_equal(got, want)
         assert not got.flags.writeable and not want.flags.writeable
     assert not np.array_equal(models[0].objective, models[1].objective)
-    a_rows, rhs = rx._structure(table(insts[0]))[1]()   # the shared arrays themselves
+    a_rows, rhs = rx._structure(table(insts[0]))[2:]   # the shared arrays themselves
     assert not any(a.flags.writeable for a in (*a_rows, rhs))
     for inst, model in zip(insts, models):
         sol, ref = certified_solve(model), lp_core.solve(_uncached(lambda: build(inst)))
@@ -171,6 +171,39 @@ def test_over_cap_table_neither_allocates_nor_enters_cache():
     rx._structures.cache_clear()
     with pytest.raises(rx.InstanceTooLarge):
         rx.build_lp_sw(inst)
+    assert rx._structures.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("kind", SW_KINDS)
+def test_models_hold_the_cached_arrays(kind):
+    build, table = SW_KINDS[kind]
+    rng = np.random.default_rng(71)
+    insts = [rx.SwInstance(random_joint(rng, 3, 2), CodeSizes(2, 1)) for _ in range(2)]
+    models = [build(inst) for inst in insts]
+    for a, b in zip(models[0].a_rows + (models[0].rhs,), models[1].a_rows + (models[1].rhs,)):
+        assert np.shares_memory(a, b)
+    a_rows, rhs = rx._structure(table(insts[0]))[2:]
+    for model in models:
+        for held, cached in zip(model.a_rows + (model.rhs,), a_rows + (rhs,)):
+            assert np.shares_memory(held, cached)
+
+
+INDEXERS = {
+    "sc": lambda i: rx.sc_indexer(rx.sw_je_instance(i)),
+    "si1": lambda i: rx.si_indexer(i, 1),
+    "si2": lambda i: rx.si_indexer(i, 2),
+    "je": rx.je_indexer,
+    "sw": rx.sw_indexer,
+}
+
+
+@pytest.mark.parametrize("kind", INDEXERS)
+def test_over_cap_indexer_raises_and_leaves_cache_empty(kind):
+    # 8x8 / M=(16,16): every one of these LPs is far past MAX_LP_ENTRIES
+    inst = rx.SwInstance(random_joint(np.random.default_rng(73), 8, 8), CodeSizes(16, 16))
+    rx._structures.cache_clear()
+    with pytest.raises(rx.InstanceTooLarge, match=r"LP Q1\("):
+        INDEXERS[kind](inst)
     assert rx._structures.cache_info().currsize == 0
 
 

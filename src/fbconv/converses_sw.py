@@ -32,8 +32,7 @@ from .relaxations import (
     _exchanged,
     _je_table,
     _sw_table,
-    check_dpje_feasible,
-    check_dpsi_feasible,
+    check_feasible,
 )
 from .converses_ptp import (
     BoundReport,
@@ -176,7 +175,7 @@ def mk_improved(inst: SwInstance) -> BoundReport:
 
 def _require_feasible(violations, what):
     if violations:
-        worst = max(v.residual for v in violations)
+        worst = np.max([v.residual for v in violations])   # nan if any residual is
         raise InfeasibleInput(
             f"{what} fails feasibility: {len(violations)} violated "
             f"constraints, worst residual {worst:.3e}", violations)
@@ -185,7 +184,7 @@ def _require_feasible(violations, what):
 def _sw_point(inst: SwInstance, **fields) -> DualPointSW:
     """The SW dual point of `fields`, binding gammas, and zero (a read-only
     broadcast, which holds no memory) in every other multiplier field."""
-    sizes, _, rows = _sw_table(inst)
+    sizes, _, rows, _ = _sw_table(inst)
     zeros = {name: np.broadcast_to(0.0, tuple(sizes[k] for k in letters))
              for name, letters, _, minus in rows if minus is not None and name not in fields}
     pt = DualPointSW(**zeros, **fields)
@@ -202,7 +201,7 @@ def embed_sid_feasible(inst: SwInstance, dual_point_sid: DualPointSI,
     point is lifted as the which = 1 point of inst.oriented(2).
     """
     pt = dual_point_sid
-    _require_feasible(check_dpsi_feasible(inst, pt, tol=input_tol),
+    _require_feasible(check_feasible(inst, pt, tol=input_tol),
                       f"side-information dual point (which={pt.which})")
     sw = inst.oriented(pt.which)
     n1, n2, m1, m2 = sw.dims
@@ -227,7 +226,7 @@ def embed_je_feasible(inst: SwInstance, dual_point_je: DualPointJE,
     source flow feeds one decoder-side source flow, the pair normalization
     becomes the other encoder's channel-average flow."""
     pt = dual_point_je
-    _require_feasible(check_dpje_feasible(inst, pt, tol=input_tol),
+    _require_feasible(check_feasible(inst, pt, tol=input_tol),
                       "jointly-encoded dual point")
     n1, n2, m1, m2 = inst.dims
     ga_hat = _binding_gammas(inst, pt)["gamma_a"]
@@ -289,11 +288,11 @@ def combine_feasible(inst: SwInstance, sid12_flows: DualPointSI,
     if bar.which != 1 or til.which != 2:
         raise InfeasibleInput(
             "combine_feasible needs a which=1 point then a which=2 point")
-    _require_feasible(check_dpsi_feasible(inst, bar, tol=input_tol),
+    _require_feasible(check_feasible(inst, bar, tol=input_tol),
                       "side-information dual point (which=1)")
-    _require_feasible(check_dpsi_feasible(inst, til, tol=input_tol),
+    _require_feasible(check_feasible(inst, til, tol=input_tol),
                       "side-information dual point (which=2)")
-    _require_feasible(check_dpje_feasible(inst, hat, tol=input_tol),
+    _require_feasible(check_feasible(inst, hat, tol=input_tol),
                       "jointly-encoded dual point")
     sw = inst.oriented(2)
     one = _encoder_fields(inst, bar, hat.lam_s, alpha)
@@ -317,9 +316,9 @@ def mk_flows(inst: SwInstance, t: float) -> DualPointSW:
     """The distributed dual point behind the improved Miyake-Kanaya bound at
     a fixed t: marginal-weighted source flows on the channel diagonals, a
     uniform decoder-side flow worth t/(M1 M2), and the channel flow capped
-    at t times the per-pair threshold coefficient.  Its fields, and the D4
-    residual check_dpsw_feasible forms from it, grow with the LP's W block,
-    (n1 n2 M1 M2)^2 entries, which must stay within MAX_LP_ENTRIES."""
+    at t times the per-pair threshold coefficient.  Its fields, and the
+    residual check_feasible forms on the LP's W block (D4), grow with that
+    block, (n1 n2 M1 M2)^2 entries, which must stay within MAX_LP_ENTRIES."""
     if not (t >= 0.0 and math.isfinite(t)):
         raise InfeasibleInput(f"t must be a finite nonnegative scalar, got {t!r}")
     n1, n2, m1, m2 = inst.dims

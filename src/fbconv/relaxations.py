@@ -11,8 +11,8 @@ framework).  This module builds those LPs as HiGHS's row-wise arrays for
   * the jointly-encoded pair problem:                   build_lp_je
   * the two-encoder distributed (Slepian-Wolf) problem: build_lp_sw
 
-and owns the dual-side machinery: typed dual points, feasibility checkers
-that report per-constraint residuals, dual objectives in penalty (min) form,
+and owns the dual-side machinery: typed dual points, one feasibility checker
+that reports per-constraint residuals, dual objectives in penalty (min) form,
 and the closed-form dual points generated by a single nonnegative flow phi.
 Side 2 of the side-information problem is built and checked as side 1 of
 the swapped pair, SwInstance.oriented(2).
@@ -20,43 +20,52 @@ the swapped pair, SwInstance.oriented(2).
 Each LP is written once, as a table over one-letter index names:
 
   * a size per letter;
-  * column blocks (name, letters): a tensor of variables with one axis per
-    letter, flattened row-major, blocks laid out in table order;
+  * column blocks (name, letters, id): a tensor of variables with one axis
+    per letter, flattened row-major, blocks laid out in table order;
   * row families (name, letters, lifted, minus): one row per index tuple of
     `letters`, stating that block `lifted` summed over its letters missing
     from `letters` equals block `minus` read at the row's index, or equals 1
-    when minus is None (a normalization row).
+    when minus is None (a normalization row, gamma_*, whose letters keep
+    its block's order);
+  * the cost (diagonal, factor), zero off the W block's message diagonal
+    x = y, or x = u and y = v: the einsum subscripts of that diagonal as a
+    view of W, and a callable giving the cost there, over the other letters
+    with a unit axis per message letter.
 
 Every row of a lifted relaxation has one of those two shapes, so one routine
 (_structures) turns any table into the nonzeros of the constraint matrix and
 the rhs.  Those depend on the sizes alone; the pmf enters only the cost.  They
 are built eagerly once per table within MAX_LP_ENTRIES, cached frozen for up to
 32 tables (at most 1.1 MiB each) and held as they are by every model of the
-table, so a build only fills the cost.  The same table gives:
+table, so a build only writes the cost.  The same table gives:
 
   * the variable and row layouts (the *_indexer functions);
   * the layout of each typed dual point: one field per row family, named
     after it, with the family's letters as axes, so slicing a solver's dual
     vector is a reshape;
-  * the binding normalization multipliers (_binding_gammas): a normalization
-    row's multiplier is bounded by the families whose minus block it
-    normalizes, and the dual objectives are the sum of those bounds.
+  * the dual constraints A^T y <= c (check_feasible), one per column: a
+    block's residual is the families lifting into it, broadcast up to its
+    letters, minus the families whose minus block it is, summed down to its
+    letters, minus the cost;
+  * the binding normalization multipliers (_binding_gammas): each is bounded
+    by that summed-down term of its block; the dual objectives are their sum.
 
-The feasibility checkers take the shape of every field of a dual point from
-the tables, so a field of the wrong shape raises PmfError instead of
-broadcasting.  They state the dual constraints themselves by hand,
-independently of the tables, and so serve as an oracle for them.
+Constraint ids, per column block (SI 2|1 has C1-C3 for B1-B3):
+
+               Q1  Q2  Qd  T   U   V   W
+  SC           P1      P2              P3
+  SI 1|2       B1      B2              B3
+  JE           A1      A2              A3
+  SW           D1  D2  D3  D7  D6  D5  D4
+
+A violation's index runs over its block's letters in table order.  A block
+is skipped when a normalization field lifting into it is None; no other
+field may be None.
 
 Letters: s source and x, y encoder output / decoder input, h reconstruction
 (point-to-point); e encoded and s side source (side information); a, b the
 pair, x, y the two encoder outputs, u, v the decoder inputs, c, d the
 reconstructions (jointly encoded and distributed).
-
-Dual constraint identifiers:
-
-  P1-P3  point-to-point        A1-A3  jointly encoded pair
-  B1-B3  side information 1|2  C1-C3  side information 2|1
-  D1-D7  distributed pair
 """
 
 from __future__ import annotations
@@ -143,49 +152,64 @@ def sw_je_instance(inst: SwInstance) -> ScInstance:
 
 
 # ---------------------------------------------------------------------------
-# LP tables: (sizes, column blocks, row families)
+# LP tables: (sizes, column blocks, row families, cost); blocks and families
+# are tuples, so hashable
 
 
 def _sc_table(inst: ScInstance):
     sizes = dict(s=inst.n, x=inst.M, y=inst.M, h=inst.n_hat)
-    cols = [("Q1", "sx"), ("Qd", "yh"), ("W", "sxyh")]
-    rows = [("gamma_a", "s", "Q1", None), ("gamma_b", "y", "Qd", None),
-            ("lam_s", "shy", "W", "Qd"), ("lam_c", "xsy", "W", "Q1")]
-    return sizes, cols, rows
+    cols = (("Q1", "sx", "P1"), ("Qd", "yh", "P2"), ("W", "sxyh", "P3"))
+    rows = (("gamma_a", "s", "Q1", None), ("gamma_b", "y", "Qd", None),
+            ("lam_s", "shy", "W", "Qd"), ("lam_c", "xsy", "W", "Q1"))
+    # P(s) 1{d(s, h) > level} on x = y
+    return sizes, cols, rows, ("sxxh->sxh", lambda: (
+        inst.source.mass[:, None] * inst.distortion.excess())[:, None, :])
 
 
-def _si_table(inst: SwInstance):   # side 2's is the table of inst.oriented(2)
-    ne, ns, M, _ = inst.dims
+def _si_table(inst: SwInstance, which: int):
+    """Side `which`'s table: side 1's of inst.oriented(which), ids B or C."""
+    sw = inst.oriented(which)
+    ne, ns, M, _ = sw.dims
     sizes = dict(e=ne, s=ns, x=M, y=M, h=ne)
-    cols = [("Q1", "ex"), ("Qd", "syh"), ("W", "esxyh")]
-    rows = [("gamma_a", "e", "Q1", None), ("gamma_b", "sy", "Qd", None),
-            ("lam_s", "eshy", "W", "Qd"), ("lam_c", "esxy", "W", "Q1")]
-    return sizes, cols, rows
+    cid = "BC"[which - 1]
+    cols = (("Q1", "ex", cid + "1"), ("Qd", "syh", cid + "2"), ("W", "esxyh", cid + "3"))
+    rows = (("gamma_a", "e", "Q1", None), ("gamma_b", "sy", "Qd", None),
+            ("lam_s", "eshy", "W", "Qd"), ("lam_c", "esxy", "W", "Q1"))
+    # P(e, s) on every wrong estimate h != e, on x = y
+    return sizes, cols, rows, ("esxxh->esxh", lambda: np.einsum(
+        "es, eh -> esh", sw.joint.mass, 1.0 - np.eye(ne))[:, :, None, :])
 
 
-def _pair_sizes(inst: SwInstance) -> Dict[str, int]:
+def _pair_table(inst: SwInstance, cols, rows):
+    """A pair LP's table: its sizes and cost, P(a, b) on every wrong decoded
+    pair (c, d) != (a, b) on the encoders' own messages x = u, y = v."""
     n1, n2, m1, m2 = inst.dims
-    return dict(a=n1, b=n2, x=m1, y=m2, u=m1, v=m2, c=n1, d=n2)
+
+    def factor():
+        wrong = 1.0 - np.einsum("ac, bd -> abcd", np.eye(n1), np.eye(n2))
+        return (inst.joint.mass[:, :, None, None] * wrong)[:, :, None, None]
+    sizes = dict(a=n1, b=n2, x=m1, y=m2, u=m1, v=m2, c=n1, d=n2)
+    return sizes, cols, rows, ("abxyxycd->abxycd", factor)
 
 
 def _je_table(inst: SwInstance):
-    cols = [("Q1", "abxy"), ("Qd", "uvcd"), ("W", "abxyuvcd")]
-    rows = [("gamma_a", "ab", "Q1", None), ("gamma_b", "uv", "Qd", None),
-            ("lam_s", "abcduv", "W", "Qd"), ("lam_c", "abxyuv", "W", "Q1")]
-    return _pair_sizes(inst), cols, rows
+    cols = (("Q1", "abxy", "A1"), ("Qd", "uvcd", "A2"), ("W", "abxyuvcd", "A3"))
+    rows = (("gamma_a", "ab", "Q1", None), ("gamma_b", "uv", "Qd", None),
+            ("lam_s", "abcduv", "W", "Qd"), ("lam_c", "abxyuv", "W", "Q1"))
+    return _pair_table(inst, cols, rows)
 
 
 def _sw_table(inst: SwInstance):
-    cols = [("Q1", "ax"), ("Q2", "by"), ("Qd", "uvcd"), ("T", "abxy"),
-            ("U", "axuvcd"), ("V", "byuvcd"), ("W", "abxyuvcd")]
-    rows = [("gamma_a", "a", "Q1", None), ("gamma_b", "b", "Q2", None),
+    cols = (("Q1", "ax", "D1"), ("Q2", "by", "D2"), ("Qd", "uvcd", "D3"), ("T", "abxy", "D7"),
+            ("U", "axuvcd", "D6"), ("V", "byuvcd", "D5"), ("W", "abxyuvcd", "D4"))
+    rows = (("gamma_a", "a", "Q1", None), ("gamma_b", "b", "Q2", None),
             ("gamma_c", "uv", "Qd", None),
             ("mu_c_21", "yab", "T", "Q2"), ("mu_c_12", "xab", "T", "Q1"),
             ("mu_s_1", "acduv", "U", "Qd"), ("mu_s_2", "bcduv", "V", "Qd"),
             ("mu_c_1", "axuv", "U", "Q1"), ("mu_c_2", "byuv", "V", "Q2"),
             ("lam_s_12", "abyuvcd", "W", "V"), ("lam_s_21", "abxuvcd", "W", "U"),
-            ("lam_c", "abxyuv", "W", "T")]
-    return _pair_sizes(inst), cols, rows
+            ("lam_c", "abxyuv", "W", "T"))
+    return _pair_table(inst, cols, rows)
 
 
 _EXCHANGE = str.maketrans("abxyuvcd", "bayxvudc")   # the letters of S1 <-> those of S2
@@ -233,7 +257,7 @@ def sc_indexer(inst: ScInstance) -> Tuple[TensorIndex, TensorIndex]:
 
 
 def si_indexer(inst: SwInstance, which: int) -> Tuple[TensorIndex, TensorIndex]:
-    return _structure(_si_table(inst.oriented(which)))[:2]
+    return _structure(_si_table(inst, which))[:2]
 
 
 def je_indexer(inst: SwInstance) -> Tuple[TensorIndex, TensorIndex]:
@@ -286,41 +310,28 @@ def _structures(sizes, col_blocks, families):
 
 
 def _structure(table):
-    sizes, cols, rows = table
-    return _structures(tuple(sizes.items()), tuple(cols), tuple(rows))
+    sizes, cols, rows, _ = table
+    return _structures(tuple(sizes.items()), tuple(c[:2] for c in cols), rows)
 
 
-def _build(table, cost) -> LpModel:
+def _build(table) -> LpModel:
     """Equality-form min LP of a table: the cached structure's frozen arrays,
-    held as they are, and cost(), the W block's cost tensor, built per call."""
+    held as they are, and the cost, written through W's diagonal view."""
+    diagonal, factor = table[3]
     cols, rows, a_rows, b = _structure(table)
     c = np.zeros(cols.total)
-    c[cols.slice_of("W")] = cost().reshape(-1)
+    np.einsum(diagonal, c[cols.slice_of("W")].reshape(cols.shapes["W"]))[...] = factor()
     return LpModel("min", c, a_rows, ("=",) * rows.total, b)
-
-
-def _pair_cost(inst: SwInstance) -> np.ndarray:
-    """P(s1, s2) on every W entry that decodes the wrong pair through the
-    encoders' own messages (x = u, y = v)."""
-    n1, n2, m1, m2 = inst.dims
-    mism = 1.0 - np.einsum("ac, bd -> abcd", np.eye(n1), np.eye(n2))
-    return np.einsum("ab, abcd, xu, yv -> abxyuvcd", inst.joint.mass, mism,
-                     np.eye(m1), np.eye(m2))
 
 
 def build_lp_sc(inst: ScInstance) -> LpModel:
     """Exact LP relaxation of the point-to-point error minimization."""
-    exc = inst.distortion.excess().astype(float)
-    return _build(_sc_table(inst), lambda: np.einsum(
-        "sh, xy -> sxyh", inst.source.mass[:, None] * exc, np.eye(inst.M)))
+    return _build(_sc_table(inst))
 
 
 def build_lpsi(inst: SwInstance, which: int = 1) -> LpModel:
     """LP relaxation of coding S_which with the other source at the decoder."""
-    sw = inst.oriented(which)
-    ne, _, M, _ = sw.dims
-    return _build(_si_table(sw), lambda: np.einsum(
-        "es, eh, xy -> esxyh", sw.joint.mass, 1.0 - np.eye(ne), np.eye(M)))
+    return _build(_si_table(inst, which))
 
 
 def build_lp_je(inst: SwInstance) -> LpModel:
@@ -330,12 +341,12 @@ def build_lp_je(inst: SwInstance) -> LpModel:
     different tables (pair letters against flattened ones), which the tests
     exploit.
     """
-    return _build(_je_table(inst), lambda: _pair_cost(inst))
+    return _build(_je_table(inst))
 
 
 def build_lp_sw(inst: SwInstance) -> LpModel:
     """LP relaxation of the two-encoder problem with all twelve row families."""
-    return _build(_sw_table(inst), lambda: _pair_cost(inst))
+    return _build(_sw_table(inst))
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +358,13 @@ class _DualPoint:
     """Fields are one multiplier tensor per row family of the LP's table, with
     the family's letters as axes.  Every array field is frozen by _read_only:
     a read-only float64 array is kept as given, anything else copied.
-    The gamma fields may be None."""
+    The gamma fields may be None; any other None raises PmfError."""
 
     def __post_init__(self):
         for f in fields(self):
             val = getattr(self, f.name)
+            if val is None and not f.name.startswith("gamma"):
+                raise PmfError(f"dual point field {f.name} is None; only gamma fields may be")
             if f.name != "which" and val is not None:   # which: see SwInstance.oriented
                 object.__setattr__(self, f.name, _read_only(val))
 
@@ -409,53 +422,66 @@ class DualPointSW(_DualPoint):
 
 def _table_of(inst, pt: _DualPoint):
     if isinstance(pt, DualPointSI):
-        return _si_table(inst.oriented(pt.which))
+        return _si_table(inst, pt.which)
     return {DualPointSC: _sc_table, DualPointJE: _je_table,
             DualPointSW: _sw_table}[type(pt)](inst)
 
 
+@functools.lru_cache(maxsize=32)
+def _plan(col_blocks, families):
+    """Per column block (id, name, letters, norms, up, down): the normalization
+    families lifting into it as (name, the block's axes they lack); every
+    lifted family as (name, its axes in block order, index adding the rest);
+    the families whose minus block it is as (name, einsum summing them down)."""
+    plan = []
+    for block, letters, cid in col_blocks:
+        up, down, norms = [], [], []
+        for name, own, lifted, minus in families:
+            if lifted == block:
+                up.append((name, tuple(own.index(k) for k in letters if k in own),
+                           tuple(slice(None) if k in own else None for k in letters)))
+                if minus is None:
+                    norms.append((name, tuple(i for i, k in enumerate(letters) if k not in own)))
+            if minus == block:
+                down.append((name, f"{own}->{letters}"))
+        plan.append((cid, block, letters, tuple(norms), tuple(up), tuple(down)))
+    return tuple(plan)
+
+
+def _summed_down(pt: _DualPoint, down):
+    return (np.einsum(spec, getattr(pt, name)) for name, spec in down)
+
+
 def _binding_gammas(inst, pt: _DualPoint) -> Dict[str, np.ndarray]:
-    """Each normalization multiplier at its binding minimum, read off the
-    point's table.  A normalization family's block B has one dual constraint
-    per entry: the multiplier is at most the sum of the families whose minus
-    block is B, summed down to B's letters.  The largest feasible multiplier
-    is the min of that sum over the letters of B the family does not have."""
-    _, cols, rows = _table_of(inst, pt)
-    letters = dict(cols)
-    out = {}
-    for name, own, block, minus in rows:
-        if minus is None:
-            free = "".join(k for k in letters[block] if k not in own)
-            total = sum(np.einsum(f"{fam}->{own}{free}", getattr(pt, f))
-                        for f, fam, _, m in rows if m == block)
-            out[name] = total.min(axis=tuple(range(len(own), len(own) + len(free))))
-    return out
+    """Each normalization multiplier at its binding minimum.  A normalization
+    family's block B has one dual constraint per entry: the multiplier is at
+    most the families whose minus block is B, summed down to B's letters.
+    The largest feasible multiplier is the min of that over the letters of B
+    the family does not have."""
+    _, cols, rows, _ = _table_of(inst, pt)
+    return {name: sum(_summed_down(pt, down)).min(axis=free)
+            for _, _, _, norms, _, down in _plan(cols, rows) for name, free in norms}
 
 
 @dataclass(frozen=True)
 class ConstraintViolation:
+    """One violated dual constraint: the id of its column block, the entry's
+    index over the block's letters in table order, and its residual, the
+    entry of A^T y - c (NaN counts as violated)."""
+
     constraint_id: str
     index: Tuple[int, ...]
     residual: float
 
 
-def _collect(out: List[ConstraintViolation], cid: str, resid: np.ndarray, tol: float) -> None:
-    bad = resid > tol
-    if not bad.any():   # the common case skips the index scan; NaN is never > tol
-        return
-    for idx in np.argwhere(bad):
-        out.append(ConstraintViolation(cid, tuple(int(i) for i in idx),
-                                       float(resid[tuple(idx)])))
-
-
 # ---------------------------------------------------------------------------
-# feasibility checkers
+# feasibility checker
 
 
 def _check_shapes(inst, pt: _DualPoint) -> None:
     """Raise PmfError unless every field of pt that is set has the shape its
     row family has in the point's table."""
-    sizes, _, rows = _table_of(inst, pt)
+    sizes, _, rows, _ = _table_of(inst, pt)
     for name, letters, _, _ in rows:
         val = getattr(pt, name)
         want = tuple(sizes[k] for k in letters)
@@ -463,130 +489,36 @@ def _check_shapes(inst, pt: _DualPoint) -> None:
             raise PmfError(f"dual point field {name} has shape {val.shape}, expected {want}")
 
 
-def check_dp_feasible(inst: ScInstance, pt: DualPointSC,
-                      tol: float = 1e-12) -> List[ConstraintViolation]:
+def check_feasible(inst, pt: _DualPoint, tol: float = 1e-12) -> List[ConstraintViolation]:
+    """One record per entry of A^T y - c, the dual constraints of pt's LP at
+    y = pt, that is not <= tol; see the module docstring for ids and indices.
+    Each block's residual is one array, accumulated in place, and the cost
+    is subtracted on W's message diagonal only."""
     _check_shapes(inst, pt)
-    M = inst.M
-    P = inst.source.mass
-    exc = inst.distortion.excess().astype(float)
+    sizes, cols, rows, (diagonal, factor) = _table_of(inst, pt)
     out: List[ConstraintViolation] = []
-    if pt.gamma_a is not None:
-        # (P1): gamma_a(s) <= sum_y lam_c(x, s, y), for all (x, s)
-        resid = pt.gamma_a[None, :] - pt.lam_c.sum(axis=2)
-        _collect(out, "P1", resid, tol)
-    if pt.gamma_b is not None:
-        # (P2): gamma_b(y) <= sum_s lam_s(s, sh, y), for all (y, sh)
-        resid = pt.gamma_b[:, None] - pt.lam_s.sum(axis=0).T
-        _collect(out, "P2", resid, tol)
-    # (P3) over (s, x, y, sh): lam_s(s,sh,y) + lam_c(x,s,y) <= P(s)
-    # 1{d(s,sh) > level} 1{y=x}; the right side is subtracted in place on x = y
-    resid = pt.lam_s.transpose(0, 2, 1)[:, None, :, :] + \
-        pt.lam_c.transpose(1, 0, 2)[:, :, :, None]
-    x = np.arange(M)
-    resid[:, x, x, :] -= (P[:, None] * exc)[:, None, :]
-    _collect(out, "P3", resid, tol)
+    for cid, block, letters, norms, up, down in _plan(cols, rows):
+        if any(getattr(pt, name) is None for name, _ in norms):
+            continue
+        terms = [(np.add, getattr(pt, name).transpose(axes)[at]) for name, axes, at in up]
+        terms += [(np.subtract, t) for t in _summed_down(pt, down)]
+        (_, first), (op, second), *rest = terms
+        resid = op(first, second, out=np.empty(tuple(sizes[k] for k in letters)))
+        for op, t in rest:
+            op(resid, t, out=resid)
+        if block == "W":
+            diag = np.einsum(diagonal, resid)   # a view: the cost is zero off it
+            diag -= factor()
+        ok = resid <= tol   # False on NaN
+        if not ok.all():   # the common case skips the index scan
+            out += [ConstraintViolation(cid, tuple(int(i) for i in idx), float(resid[tuple(idx)]))
+                    for idx in np.argwhere(~ok)]
     return out
 
 
-def check_dpje_feasible(inst: SwInstance, pt: DualPointJE,
-                        tol: float = 1e-12) -> List[ConstraintViolation]:
-    _check_shapes(inst, pt)
-    n1, n2, m1, m2 = inst.dims
-    P = inst.joint.mass
-    out: List[ConstraintViolation] = []
-    if pt.gamma_a is not None:
-        # (A1): gamma_a(s1,s2) <= sum_{y1,y2} lam_c(s1,s2,x1,x2,y1,y2)
-        resid = pt.gamma_a[:, :, None, None] - pt.lam_c.sum(axis=(4, 5))
-        _collect(out, "A1", resid, tol)
-    if pt.gamma_b is not None:
-        # (A2): gamma_b(y1,y2) <= sum_{s1,s2} lam_s(.., sh1, sh2, y1, y2)
-        resid = pt.gamma_b[None, None, :, :] - pt.lam_s.sum(axis=(0, 1))
-        _collect(out, "A2", resid, tol)
-    # (A3) over (s1,s2,sh1,sh2,x1,x2,y1,y2); the right side
-    # P(s1,s2) 1{(sh1,sh2) != (s1,s2)} is subtracted in place on x1 = y1, x2 = y2
-    mism = 1.0 - np.einsum("ac, bd -> abcd", np.eye(n1), np.eye(n2))
-    resid = pt.lam_s[:, :, :, :, None, None, :, :] + \
-        pt.lam_c[:, :, None, None, :, :, :, :]
-    x1, x2 = np.arange(m1)[:, None], np.arange(m2)[None, :]
-    resid[:, :, :, :, x1, x2, x1, x2] -= (P[:, :, None, None] * mism)[..., None, None]
-    _collect(out, "A3", resid, tol)
-    return out
-
-
-def check_dpsi_feasible(inst: SwInstance, pt: DualPointSI,
-                        tol: float = 1e-12) -> List[ConstraintViolation]:
-    _check_shapes(inst, pt)
-    sw = inst.oriented(pt.which)   # side 2 is checked as side 1 of the swapped pair
-    ne, _, M, _ = sw.dims
-    P = sw.joint.mass
-    ids = ("B1", "B2", "B3") if pt.which == 1 else ("C1", "C2", "C3")
-    out: List[ConstraintViolation] = []
-    if pt.gamma_a is not None:
-        # (B1): gamma_a(se) <= sum_{ss, y} lam_c(se, ss, x, y)
-        resid = pt.gamma_a[:, None] - pt.lam_c.sum(axis=(1, 3))
-        _collect(out, ids[0], resid, tol)
-    if pt.gamma_b is not None:
-        # (B2) over (ss, sh, y): lam_s.sum(0) has axes (ss, sh, y)
-        resid = pt.gamma_b[:, None, :] - pt.lam_s.sum(axis=0)
-        _collect(out, ids[1], resid, tol)
-    # (B3) over (se, ss, sh, x, y): lam_s(se,ss,sh,y) + lam_c(se,ss,x,y)
-    # <= P(se,ss) 1{se != sh} 1{y=x}; the right side is subtracted in place on x = y
-    resid = pt.lam_s[:, :, :, None, :] + pt.lam_c[:, :, None, :, :]
-    x = np.arange(M)
-    resid[:, :, :, x, x] -= (P[:, :, None] * (1.0 - np.eye(ne))[:, None, :])[..., None]
-    _collect(out, ids[2], resid, tol)
-    return out
-
-
-def check_dpsw_feasible(inst: SwInstance, pt: DualPointSW,
-                        tol: float = 1e-12) -> List[ConstraintViolation]:
-    """Residual check of (D1)-(D7); returns one record per violated entry."""
-    _check_shapes(inst, pt)
-    n1, n2, m1, m2 = inst.dims
-    P = inst.joint.mass
-    out: List[ConstraintViolation] = []
-
-    if pt.gamma_a is not None:
-        # (D1) over (s1, x1)
-        resid = pt.gamma_a[:, None] - pt.mu_c_1.sum(axis=(2, 3)) \
-            - pt.mu_c_12.sum(axis=2).T
-        _collect(out, "D1", resid, tol)
-    if pt.gamma_b is not None:
-        # (D2) over (s2, x2); mu_c_21 axes are (x2, s1, s2)
-        resid = pt.gamma_b[:, None] - pt.mu_c_2.sum(axis=(2, 3)) \
-            - pt.mu_c_21.sum(axis=1).T
-        _collect(out, "D2", resid, tol)
-    if pt.gamma_c is not None:
-        # (D3) over (y1, y2, sh1, sh2)
-        dec = pt.mu_s_1.sum(axis=0) + pt.mu_s_2.sum(axis=0)  # (sh1, sh2, y1, y2)
-        resid = pt.gamma_c[:, :, None, None] - dec.transpose(2, 3, 0, 1)
-        _collect(out, "D3", resid, tol)
-
-    # (D4) over (s1, s2, x1, x2, y1, y2, sh1, sh2); the right side
-    # P(s1, s2) 1{(sh1, sh2) != (s1, s2)} sits on x1 = y1, x2 = y2 only,
-    # so it is subtracted there in place instead of built as a dense 8-D array
-    mism = 1.0 - np.einsum("ac, bd -> abcd", np.eye(n1), np.eye(n2))
-    resid = pt.lam_s_12[:, :, None, :, :, :, :, :] + pt.lam_s_21[:, :, :, None, :, :, :, :]
-    resid += pt.lam_c[:, :, :, :, :, :, None, None]   # in place: one 8-D array, not two
-    x1, x2 = np.arange(m1)[:, None], np.arange(m2)[None, :]
-    resid[:, :, x1, x2, x1, x2] -= (P[:, :, None, None] * mism)[:, :, None, None]
-    _collect(out, "D4", resid, tol)
-
-    # (D5) over (s2, x2, y1, y2, sh1, sh2)
-    lhs = pt.mu_s_2.transpose(0, 3, 4, 1, 2)[:, None, :, :, :, :] \
-        + pt.mu_c_2[:, :, :, :, None, None]
-    _collect(out, "D5", lhs - pt.lam_s_12.sum(axis=0), tol)
-
-    # (D6) over (s1, x1, y1, y2, sh1, sh2)
-    lhs = pt.mu_s_1.transpose(0, 3, 4, 1, 2)[:, None, :, :, :, :] \
-        + pt.mu_c_1[:, :, :, :, None, None]
-    _collect(out, "D6", lhs - pt.lam_s_21.sum(axis=1), tol)
-
-    # (D7) over (s1, s2, x1, x2)
-    lhs = pt.mu_c_12.transpose(1, 2, 0)[:, :, :, None] \
-        + pt.mu_c_21.transpose(1, 2, 0)[:, :, None, :]
-    _collect(out, "D7", lhs - pt.lam_c.sum(axis=(4, 5)), tol)
-    return out
+# the per-LP names of check_feasible
+check_dp_feasible = check_dpsi_feasible = check_dpje_feasible = check_dpsw_feasible = \
+    check_feasible
 
 
 # ---------------------------------------------------------------------------
@@ -598,20 +530,7 @@ def _objective(inst, pt: _DualPoint) -> float:
     return float(sum(g.sum() for g in _binding_gammas(inst, pt).values()))
 
 
-def dp_objective(inst: ScInstance, pt: DualPointSC) -> float:
-    return _objective(inst, pt)
-
-
-def dpje_objective(inst: SwInstance, pt: DualPointJE) -> float:
-    return _objective(inst, pt)
-
-
-def dpsi_objective(inst: SwInstance, pt: DualPointSI) -> float:
-    return _objective(inst, pt)
-
-
-def dpsw_objective(inst: SwInstance, pt: DualPointSW) -> float:
-    return _objective(inst, pt)
+dp_objective = dpje_objective = dpsi_objective = dpsw_objective = _objective
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,20 @@
-"""Shared random-instance generators, an LP dual certificate and a memory probe.
+"""Shared random-instance generators, an LP dual certificate, the dual
+checker held against its hand-written oracle, and a memory probe.
 
 All randomness is seeded per test; generators occasionally zero out entries
 (then renormalize exactly) so zero-mass corner cases get exercised.
 """
 
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 
+from dual_oracle import HAND_AXES, HAND_CHECKERS
 from fbconv.lp_core import solve
 from fbconv.probability import CodeSizes, JointPmf, SinglePmf
+from fbconv.relaxations import _table_of, check_feasible
 
 
 def random_single(rng, n, allow_zeros=True):
@@ -68,6 +73,49 @@ def certified_solve(model):
     if sol.status == "Optimal":
         assert_dual_certificate(model, sol)
     return sol
+
+
+def assert_checkers_agree(inst, pt, tol):
+    """check_feasible(inst, pt, tol), asserting that the hand-written oracle
+    reports the same violations: the same ids, the same indices once its
+    axes are mapped onto the block's letters, and residuals to 1e-12."""
+    letters = {cid: axes for _, axes, cid in _table_of(inst, pt)[1]}
+
+    def moved(v):
+        hand = HAND_AXES.get(v.constraint_id, letters[v.constraint_id])
+        return v.constraint_id, tuple(v.index[hand.index(k)] for k in letters[v.constraint_id])
+
+    found = check_feasible(inst, pt, tol=tol)
+    got = sorted(((v.constraint_id, v.index), v.residual) for v in found)
+    want = sorted((moved(v), v.residual) for v in HAND_CHECKERS[type(pt)](inst, pt, tol=tol))
+    assert [k for k, _ in got] == [k for k, _ in want]
+    np.testing.assert_allclose([r for _, r in got], [r for _, r in want], rtol=0, atol=1e-12)
+    return found
+
+
+def _perturbed(pt, rng):
+    """pt with three entries of every set multiplier field moved by up to 1e-3."""
+    moved = {}
+    for f in dataclasses.fields(pt):
+        val = getattr(pt, f.name)
+        if f.name != "which" and val is not None:
+            val = np.array(val)
+            flat = val.reshape(-1)
+            at = rng.choice(flat.size, size=min(3, flat.size), replace=False)
+            flat[at] += rng.uniform(-1e-3, 1e-3, at.size)
+            moved[f.name] = val
+    return dataclasses.replace(pt, **moved)
+
+
+def check_with_oracle(inst, pt, tol):
+    """check_feasible(inst, pt, tol), once the hand-written oracle agrees with
+    it on pt at tol, on every residual of pt where its LP has at most 20,000
+    columns, and on a perturbed copy of pt at tol."""
+    sizes, cols, _, _ = _table_of(inst, pt)
+    if sum(math.prod(sizes[k] for k in axes) for _, axes, _ in cols) <= 20_000:
+        assert_checkers_agree(inst, pt, -np.inf)
+    assert_checkers_agree(inst, _perturbed(pt, np.random.default_rng(0)), tol)
+    return assert_checkers_agree(inst, pt, tol)
 
 
 def peak_mib(fn):

@@ -27,7 +27,6 @@ from fbconv.relaxations import (
     build_lp_je,
     build_lp_sw,
     build_lpsi,
-    check_dpsw_feasible,
     dpje_flows,
     dpje_objective,
     dpsi_flows,
@@ -52,7 +51,7 @@ from fbconv.converses_sw import (
     mk_improved_at,
 )
 
-from conftest import certified_solve, peak_mib, random_joint, random_single
+from conftest import certified_solve, check_with_oracle, peak_mib, random_joint, random_single
 
 
 def _sw(mass, M1, M2):
@@ -414,7 +413,7 @@ def test_embed_sid_feasible_flows():
             phi = rng.random(inst.joint.mass.shape) * inst.joint.mass
             pt = dpsi_flows(inst, which, phi)
             out = embed_sid_feasible(inst, pt)
-            assert check_dpsw_feasible(inst, out, tol=1e-12) == []
+            assert check_with_oracle(inst, out, 1e-12) == []
             assert dpsw_objective(inst, out) == pytest.approx(
                 dpsi_objective(inst, pt), abs=1e-12)
 
@@ -429,7 +428,7 @@ def test_embed_sid_anchor_and_edges():
     zero = dpsi_flows(inst, 2, np.zeros((2, 2)))
     out = embed_sid_feasible(inst, zero)
     assert dpsw_objective(inst, out) == pytest.approx(0.0, abs=1e-15)
-    assert check_dpsw_feasible(inst, out, tol=1e-12) == []
+    assert check_with_oracle(inst, out, 1e-12) == []
 
     with pytest.raises(InfeasibleInput):
         embed_sid_feasible(inst, dpsi_flows(inst, 1, inst.joint.mass + 1.0))
@@ -442,7 +441,7 @@ def test_embed_je_feasible_flows():
         phi = rng.random(inst.joint.mass.shape) * inst.joint.mass
         pt = dpje_flows(inst, phi)
         out = embed_je_feasible(inst, pt)
-        assert check_dpsw_feasible(inst, out, tol=1e-12) == []
+        assert check_with_oracle(inst, out, 1e-12) == []
         assert dpsw_objective(inst, out) == pytest.approx(
             dpje_objective(inst, pt), abs=1e-12)
 
@@ -469,7 +468,7 @@ def test_combine_feasible_anchor_alpha_independent():
         out = combine_feasible(inst, dpsi_flows(inst, 1, p12),
                                dpsi_flows(inst, 2, p21),
                                dpje_flows(inst, ph), alpha)
-        assert check_dpsw_feasible(inst, out, tol=1e-12) == []
+        assert check_with_oracle(inst, out, 1e-12) == []
         vals.append(dpsw_objective(inst, out))
     assert vals[0] == pytest.approx(0.75, abs=1e-9)
     assert max(vals) - min(vals) <= 1e-12
@@ -484,7 +483,7 @@ def test_combine_feasible_random():
         out = combine_feasible(inst, dpsi_flows(inst, 1, p12),
                                dpsi_flows(inst, 2, p21),
                                dpje_flows(inst, ph), 0.3)
-        assert check_dpsw_feasible(inst, out, tol=1e-12) == []
+        assert check_with_oracle(inst, out, 1e-12) == []
         # the combined objective collapses to the fixed-flow metaconverse
         assert dpsw_objective(inst, out) == pytest.approx(
             meta_sw_eta(inst, ph, p12, p21).raw_value, abs=1e-9)
@@ -518,10 +517,29 @@ def test_combine_feasible_rejects():
     assert dpsw_objective(inst, out) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_synthesis_rejects_nan_flows():
+    # a NaN residual is a violation: once it passed every input check, and
+    # dpsw_objective of the synthesized point was nan
+    inst = SwInstance(random_joint(np.random.default_rng(26), 3, 3), CodeSizes(2, 2))
+    P = inst.joint.mass
+    phi = 0.5 * P
+    phi[1, 2] = np.nan
+    ok = 0.5 * P
+    with pytest.raises(InfeasibleInput, match="worst residual nan"):
+        embed_je_feasible(inst, dpje_flows(inst, phi))
+    for which in (1, 2):
+        with pytest.raises(InfeasibleInput):
+            embed_sid_feasible(inst, dpsi_flows(inst, which, phi))
+    for flows in ((phi, ok, ok), (ok, phi, ok), (ok, ok, phi)):
+        with pytest.raises(InfeasibleInput):
+            combine_feasible(inst, dpsi_flows(inst, 1, flows[0]), dpsi_flows(inst, 2, flows[1]),
+                             dpje_flows(inst, flows[2]), 0.5)
+
+
 def test_mk_flows_matches_scalar_bounds():
     inst = _uniform22()
     out = mk_flows(inst, 0.25)
-    assert check_dpsw_feasible(inst, out, tol=1e-12) == []
+    assert check_with_oracle(inst, out, 1e-12) == []
     assert dpsw_objective(inst, out) == pytest.approx(0.25, abs=1e-12)
 
     rng = np.random.default_rng(23)
@@ -529,7 +547,7 @@ def test_mk_flows_matches_scalar_bounds():
         inst = _random_inst(rng)
         for t in (0.1, 0.5, 1.0 - 1e-9):
             out = mk_flows(inst, t)
-            assert check_dpsw_feasible(inst, out, tol=1e-12) == []
+            assert check_with_oracle(inst, out, 1e-12) == []
             obj = dpsw_objective(inst, out)
             assert obj == pytest.approx(mk_improved_at(inst, t), abs=1e-9)
             assert obj >= mk_classic_at(inst, t) - 1e-9
@@ -539,7 +557,7 @@ def test_mk_flows_edges():
     inst = _sw([[1.0, 0.0], [0.0, 0.0]], 1, 1)
     for t in (0.2, 0.9):
         out = mk_flows(inst, t)
-        assert check_dpsw_feasible(inst, out, tol=1e-12) == []
+        assert check_with_oracle(inst, out, 1e-12) == []
         assert dpsw_objective(inst, out) <= 1e-12
     for bad in (-0.5, float("inf"), float("nan")):
         with pytest.raises(InfeasibleInput):
@@ -558,7 +576,7 @@ def test_mk_flows_checks_its_size_before_allocating():
         mk_flows(SwInstance(random_joint(rng, 8, 8), CodeSizes(2 ** 70, 2)), 0.5)
     # the 8x8 / M=(4,4) DSBS point, 2^20 entries, stays allowed
     inst = expand_joint(DsbsSpec(3, 0.11, 2 / 3, 2 / 3))
-    assert check_dpsw_feasible(inst, mk_flows(inst, 0.01), tol=1e-9) == []
+    assert check_with_oracle(inst, mk_flows(inst, 0.01), 1e-9) == []
 
 
 def test_code_sizes_past_float_range_are_typed():
@@ -610,6 +628,7 @@ def test_constructed_points_below_lp_value():
             mk_flows(inst, 0.4),
         ]
         for pt in pts:
+            assert check_with_oracle(inst, pt, 1e-12) == []
             assert dpsw_objective(inst, pt) <= top + 1e-7
 
 
@@ -623,12 +642,12 @@ def test_embed_solver_extracted_duals():
             sol = certified_solve(build_lpsi(inst, which))
             pt = dual_point_si_from_solution(inst, which, sol)
             out = embed_sid_feasible(inst, pt, input_tol=1e-7)
-            assert check_dpsw_feasible(inst, out, tol=1e-7) == []
+            assert check_with_oracle(inst, out, 1e-7) == []
             assert dpsw_objective(inst, out) >= sol.value - 1e-7
             assert dpsw_objective(inst, out) <= top + 1e-7
         sol = certified_solve(build_lp_je(inst))
         out = embed_je_feasible(inst, dual_point_je_from_solution(inst, sol),
                                 input_tol=1e-7)
-        assert check_dpsw_feasible(inst, out, tol=1e-7) == []
+        assert check_with_oracle(inst, out, 1e-7) == []
         assert dpsw_objective(inst, out) >= sol.value - 1e-7
         assert dpsw_objective(inst, out) <= top + 1e-7

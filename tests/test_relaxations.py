@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,9 +21,8 @@ from fbconv.relaxations import (
     build_lp_sw,
     build_lpsi,
     check_dp_feasible,
-    check_dpje_feasible,
-    check_dpsi_feasible,
     check_dpsw_feasible,
+    check_feasible,
     dp_flows_sc,
     dp_objective,
     dpje_flows,
@@ -42,7 +41,9 @@ from fbconv.relaxations import (
     sw_je_instance,
 )
 
-from conftest import certified_solve, peak_mib, random_joint, random_single
+from conftest import (assert_checkers_agree, certified_solve, check_with_oracle, peak_mib,
+                      random_joint, random_single)
+from dual_oracle import HAND_CHECKERS
 
 
 def _sc(mass, M):
@@ -96,7 +97,7 @@ def test_sc_lp_sandwich_and_duals():
         assert sol.value <= exact_opt_sc(inst) + 1e-9
         assert sol.value >= -1e-9
         pt = dual_point_sc_from_solution(inst, sol)
-        assert check_dp_feasible(inst, pt, tol=1e-7) == []
+        assert check_with_oracle(inst, pt, 1e-7) == []
         assert dp_objective(inst, pt) == pytest.approx(sol.value, abs=1e-7)
 
 
@@ -107,7 +108,7 @@ def test_sc_lossy_lp_below_oracle():
     assert sol.status == "Optimal"
     assert sol.value <= exact_opt_sc(inst) + 1e-9
     pt = dual_point_sc_from_solution(inst, sol)
-    assert check_dp_feasible(inst, pt, tol=1e-7) == []
+    assert check_with_oracle(inst, pt, 1e-7) == []
 
 
 def test_je_builders_agree():
@@ -119,7 +120,7 @@ def test_je_builders_agree():
         assert a.status == b.status == "Optimal"
         assert a.value == pytest.approx(b.value, abs=1e-7)
         pt = dual_point_je_from_solution(inst, b)
-        assert check_dpje_feasible(inst, pt, tol=1e-7) == []
+        assert check_with_oracle(inst, pt, 1e-7) == []
         assert dpje_objective(inst, pt) == pytest.approx(b.value, abs=1e-7)
 
 
@@ -129,7 +130,7 @@ def test_lpsi_anchors_and_duals():
         sol = certified_solve(build_lpsi(uni, which))
         assert sol.value == pytest.approx(0.5, abs=1e-9)
         pt = dual_point_si_from_solution(uni, which, sol)
-        assert check_dpsi_feasible(uni, pt, tol=1e-7) == []
+        assert check_with_oracle(uni, pt, 1e-7) == []
         assert dpsi_objective(uni, pt) == pytest.approx(0.5, abs=1e-7)
 
 
@@ -142,7 +143,7 @@ def test_lpsi_below_oracle():
             assert sol.status == "Optimal"
             assert sol.value <= exact_opt_sid(inst, which) + 1e-9
             pt = dual_point_si_from_solution(inst, which, sol)
-            assert check_dpsi_feasible(inst, pt, tol=1e-7) == []
+            assert check_with_oracle(inst, pt, 1e-7) == []
             assert dpsi_objective(inst, pt) == pytest.approx(sol.value, abs=1e-7)
 
 
@@ -151,7 +152,7 @@ def test_sw_lp_uniform_anchor():
     sol = certified_solve(build_lp_sw(inst))
     assert sol.value == pytest.approx(0.75, abs=1e-9)
     pt = dual_point_sw_from_solution(inst, sol)
-    assert check_dpsw_feasible(inst, pt, tol=1e-7) == []
+    assert check_with_oracle(inst, pt, 1e-7) == []
     assert dpsw_objective(inst, pt) == pytest.approx(0.75, abs=1e-7)
 
 
@@ -166,7 +167,7 @@ def test_sw_lp_random_duals_and_oracle():
         assert sol.value <= exact_opt_sw(inst) + 1e-9
         assert sol.value >= -1e-9
         pt = dual_point_sw_from_solution(inst, sol)
-        assert check_dpsw_feasible(inst, pt, tol=1e-7) == []
+        assert check_with_oracle(inst, pt, 1e-7) == []
         assert dpsw_objective(inst, pt) == pytest.approx(sol.value, abs=1e-7)
 
 
@@ -180,7 +181,7 @@ def test_sw_lp_3x3_m22_between_meta_sw_and_exact():
         assert meta_sw(inst).raw_value <= sol.value + 1e-9
         assert sol.value <= exact_opt_sw(inst) + 1e-9
         pt = dual_point_sw_from_solution(inst, sol)
-        assert check_dpsw_feasible(inst, pt, tol=1e-9) == []
+        assert check_with_oracle(inst, pt, 1e-9) == []
         assert dpsw_objective(inst, pt) == pytest.approx(sol.value, abs=1e-9)
 
 
@@ -202,7 +203,7 @@ def test_flow_points_feasible_and_valued():
         inst = _sc(random_single(rng, n).mass, int(rng.integers(1, 4)))
         phi = rng.uniform(0, 1, n) * inst.source.mass
         pt = dp_flows_sc(inst, phi)
-        assert check_dp_feasible(inst, pt, tol=1e-12) == []
+        assert check_with_oracle(inst, pt, 1e-12) == []
         want = phi.sum() - inst.M * (phi[:, None] * inst.distortion.within()).sum(0).max()
         assert dp_objective(inst, pt) == pytest.approx(want, abs=1e-12)
 
@@ -213,13 +214,13 @@ def test_flow_points_feasible_and_valued():
         phi = rng.uniform(0, 1, joint.sizes) * joint.mass
         for which in (1, 2):
             pt = dpsi_flows(inst, which, phi)
-            assert check_dpsi_feasible(inst, pt, tol=1e-12) == []
+            assert check_with_oracle(inst, pt, 1e-12) == []
             M = inst.sizes.M1 if which == 1 else inst.sizes.M2
             pe = phi if which == 1 else phi.T
             want = phi.sum() - M * pe.max(axis=0).sum()
             assert dpsi_objective(inst, pt) == pytest.approx(want, abs=1e-12)
         pt = dpje_flows(inst, phi)
-        assert check_dpje_feasible(inst, pt, tol=1e-12) == []
+        assert check_with_oracle(inst, pt, 1e-12) == []
         want = phi.sum() - inst.sizes.M1 * inst.sizes.M2 * phi.max()
         assert dpje_objective(inst, pt) == pytest.approx(want, abs=1e-12)
 
@@ -231,13 +232,16 @@ def test_checkers_flag_injected_violations():
     bad = DualPointSC(pt.lam_s + 1e-3, pt.lam_c, pt.gamma_a, pt.gamma_b)
     ids = {v.constraint_id for v in check_dp_feasible(inst, bad, tol=1e-7)}
     assert "P3" in ids
-    # a NaN entry is never reported, and does not hide a violation beside it
+    # a NaN entry is reported, in P2 and in P3 on either message, and does
+    # not hide a violation beside it
     lam_s = pt.lam_s + 1e-3
     lam_s[0, 0, 0] = np.nan
     found = check_dp_feasible(inst, DualPointSC(lam_s, pt.lam_c, pt.gamma_a, pt.gamma_b),
                               tol=1e-7)
-    assert "P3" in {v.constraint_id for v in found}
-    assert all(np.isfinite(v.residual) for v in found)
+    assert {(v.constraint_id, v.index) for v in found if np.isnan(v.residual)} == \
+        {("P2", (0, 0)), ("P3", (0, 0, 0, 0)), ("P3", (0, 1, 0, 0))}
+    assert any(v.constraint_id == "P3" and v.residual > 0 for v in found)
+    assert_checkers_agree(inst, DualPointSC(lam_s, pt.lam_c, pt.gamma_a, pt.gamma_b), 1e-7)
 
     uni = SwInstance(JointPmf(np.full((2, 2), 0.25)), CodeSizes(1, 1))
     swsol = certified_solve(build_lp_sw(uni))
@@ -264,6 +268,20 @@ def test_checker_shape_validation():
         check_dp_feasible(inst, DualPointSC(np.zeros((3, 2, 2)), np.zeros((2, 2, 2))))
 
 
+def test_dual_points_reject_a_missing_multiplier():
+    # only a normalization (gamma) field may be None; once a None lam_c
+    # failed as an AttributeError inside the checker
+    with pytest.raises(PmfError, match="lam_c"):
+        check_dp_feasible(_sc([0.6, 0.4], 2), DualPointSC(np.zeros((2, 2, 2)), None))
+    for cls, extra in ((DualPointSC, {}), (DualPointSI, {"which": 1}), (DualPointJE, {}),
+                       (DualPointSW, {})):
+        names = [f.name for f in fields(cls) if f.name not in extra]
+        for name in names:
+            if not name.startswith("gamma"):
+                with pytest.raises(PmfError, match=name):
+                    cls(**extra, **{n: None if n == name else np.zeros(1) for n in names})
+
+
 def test_dual_point_arrays_read_only():
     pt = DualPointJE(np.zeros((2, 2, 2, 2, 1, 1)), np.zeros((2, 2, 1, 1, 1, 1)))
     with pytest.raises(ValueError):
@@ -279,37 +297,35 @@ def _pair():
     return SwInstance(random_joint(np.random.default_rng(23), 3, 2), CodeSizes(2, 1))
 
 
-each_lp = pytest.mark.parametrize("inst, build, dual, check", [
-    (_lossy_sc(), build_lp_sc, dual_point_sc_from_solution, check_dp_feasible),
-    (_pair(), lambda i: build_lpsi(i, 1),
-     lambda i, s: dual_point_si_from_solution(i, 1, s), check_dpsi_feasible),
-    (_pair(), lambda i: build_lpsi(i, 2),
-     lambda i, s: dual_point_si_from_solution(i, 2, s), check_dpsi_feasible),
-    (_pair(), build_lp_je, dual_point_je_from_solution, check_dpje_feasible),
-    (_pair(), build_lp_sw, dual_point_sw_from_solution, check_dpsw_feasible),
+each_lp = pytest.mark.parametrize("inst, build, dual", [
+    (_lossy_sc(), build_lp_sc, dual_point_sc_from_solution),
+    (_pair(), lambda i: build_lpsi(i, 1), lambda i, s: dual_point_si_from_solution(i, 1, s)),
+    (_pair(), lambda i: build_lpsi(i, 2), lambda i, s: dual_point_si_from_solution(i, 2, s)),
+    (_pair(), build_lp_je, dual_point_je_from_solution),
+    (_pair(), build_lp_sw, dual_point_sw_from_solution),
 ], ids=["sc", "si1", "si2", "je", "sw"])
 
 
 @each_lp
-def test_checkers_reject_wrong_gamma_shapes(inst, build, dual, check):
+def test_checkers_reject_wrong_gamma_shapes(inst, build, dual):
     # a gamma of the wrong length neither broadcasts nor fails inside numpy
     pt = dual(inst, LpSolution("Optimal", 0.0, None, np.zeros(build(inst).rhs.size)))
-    check(inst, pt)
+    check_feasible(inst, pt)
     for f in [f for f in ("gamma_a", "gamma_b", "gamma_c") if hasattr(pt, f)]:
         for bad in (np.zeros(1), np.zeros(getattr(pt, f).size + 1)):
             with pytest.raises(PmfError):
-                check(inst, replace(pt, **{f: bad}))
+                check_feasible(inst, replace(pt, **{f: bad}))
 
 
 @each_lp
-def test_builder_transpose_matches_hand_written_duals(inst, build, dual, check):
+def test_builder_transpose_matches_hand_written_duals(inst, build, dual):
     # the dual constraints of min c.x, A x = b, x >= 0 are A^T y <= c, one per
-    # column; the checkers state them by hand, so at any y their residuals
-    # must be the entries of A^T y - c in some order
+    # column; the oracle states them by hand, so at any y its residuals must
+    # be the entries of A^T y - c in some order
     model = build(inst)
     y = np.random.default_rng(29).normal(size=model.rhs.size)
     pt = dual(inst, LpSolution("Optimal", 0.0, None, y))
-    resid = np.sort([v.residual for v in check(inst, pt, tol=-np.inf)])
+    resid = np.sort([v.residual for v in HAND_CHECKERS[type(pt)](inst, pt, tol=-np.inf)])
     want = np.sort(model.a_matrix.T @ y - model.objective)
     assert resid.shape == want.shape
     assert np.abs(resid - want).max() <= 1e-12
@@ -321,42 +337,49 @@ def _dense_records(resid, tol):
 
 
 # the joint-family constraints as they were first written: the right side
-# built as a dense array over every index and subtracted whole
+# built as a dense array over every index and subtracted whole, both sides
+# over the W block's letters
+
+def _cost_p3(inst):
+    return np.einsum("s, sh, xy -> sxyh", inst.source.mass,
+                     inst.distortion.excess().astype(float), np.eye(inst.M))
+
 
 def _dense_p3(inst, pt):
-    rhs = np.einsum("s, sh, xy -> sxyh", inst.source.mass,
-                    inst.distortion.excess().astype(float), np.eye(inst.M))
     lhs = pt.lam_s.transpose(0, 2, 1)[:, None, :, :] + \
         pt.lam_c.transpose(1, 0, 2)[:, :, :, None]
-    return lhs - rhs
+    return lhs - _cost_p3(inst)
+
+
+def _cost_b3(inst, which):
+    P = inst.oriented(which).joint.mass
+    M = inst.oriented(which).sizes.M1
+    return np.einsum("es, eh, xy -> esxyh", P, 1.0 - np.eye(P.shape[0]), np.eye(M))
 
 
 def _dense_b3(inst, pt):
-    P = inst.joint.mass if pt.which == 1 else inst.joint.mass.T
-    ne, M = P.shape[0], pt.lam_c.shape[2]
-    rhs = np.einsum("es, eh, xy -> eshxy", P, 1.0 - np.eye(ne), np.eye(M))
-    return pt.lam_s[:, :, :, None, :] + pt.lam_c[:, :, None, :, :] - rhs
+    lhs = pt.lam_s.transpose(0, 1, 3, 2)[:, :, None, :, :] + pt.lam_c[:, :, :, :, None]
+    return lhs - _cost_b3(inst, pt.which)
+
+
+def _cost_a3(inst):
+    n1, n2, m1, m2 = inst.dims
+    mism = 1.0 - np.einsum("ac, bd -> abcd", np.eye(n1), np.eye(n2))
+    return np.einsum("ab, abcd, xu, yv -> abxyuvcd", inst.joint.mass, mism,
+                     np.eye(m1), np.eye(m2))
 
 
 def _dense_a3(inst, pt):
-    n1, n2, m1, m2 = inst.dims
-    mism = 1.0 - np.einsum("ac, bd -> abcd", np.eye(n1), np.eye(n2))
-    rhs = np.einsum("ab, abcd, xu, yv -> abcdxyuv", inst.joint.mass, mism,
-                    np.eye(m1), np.eye(m2))
-    lhs = pt.lam_s[:, :, :, :, None, None, :, :] + \
-        pt.lam_c[:, :, None, None, :, :, :, :]
-    return lhs - rhs
+    lhs = pt.lam_s.transpose(0, 1, 4, 5, 2, 3)[:, :, None, None, :, :, :, :] + \
+        pt.lam_c[:, :, :, :, :, :, None, None]
+    return lhs - _cost_a3(inst)
 
 
 def _dense_d4(inst, pt):
-    n1, n2, m1, m2 = inst.dims
-    mism = 1.0 - np.einsum("ac, bd -> abcd", np.eye(n1), np.eye(n2))
-    rhs = np.einsum("ab, abcd, xu, yv -> abxyuvcd", inst.joint.mass, mism,
-                    np.eye(m1), np.eye(m2))
     lhs = pt.lam_s_12[:, :, None, :, :, :, :, :] \
         + pt.lam_s_21[:, :, :, None, :, :, :, :] \
         + pt.lam_c[:, :, :, :, :, :, None, None]
-    return lhs - rhs
+    return lhs - _cost_a3(inst)
 
 
 def _lossy_sc_m(M):
@@ -365,36 +388,51 @@ def _lossy_sc_m(M):
 
 
 def _cases(dims):
-    """(instance, point class, row layout, checker, joint family id, dense
-    formula, extra fields) for each LP on one pair of alphabet and code sizes."""
+    """(instance, point class, row layout, W block's id, dense residual, its
+    dense cost, built LP, extra fields) for each LP on one pair of alphabet
+    and code sizes."""
     n1, n2, m1, m2 = dims
     inst = SwInstance(random_joint(np.random.default_rng(31), n1, n2), CodeSizes(m1, m2))
     sc = _lossy_sc_m(m1)
-    out = [(sc, DualPointSC, sc_indexer(sc)[1], check_dp_feasible, "P3", _dense_p3, {}),
-           (inst, DualPointJE, je_indexer(inst)[1], check_dpje_feasible, "A3",
-            _dense_a3, {}),
-           (inst, DualPointSW, sw_indexer(inst)[1], check_dpsw_feasible, "D4",
-            _dense_d4, {})]
+    out = [(sc, DualPointSC, sc_indexer(sc)[1], "P3", _dense_p3, _cost_p3(sc),
+            build_lp_sc(sc), {}),
+           (inst, DualPointJE, je_indexer(inst)[1], "A3", _dense_a3, _cost_a3(inst),
+            build_lp_je(inst), {}),
+           (inst, DualPointSW, sw_indexer(inst)[1], "D4", _dense_d4, _cost_a3(inst),
+            build_lp_sw(inst), {})]
     for which, cid in ((1, "B3"), (2, "C3")):
-        out.append((inst, DualPointSI, si_indexer(inst, which)[1], check_dpsi_feasible,
-                    cid, _dense_b3, {"which": which}))
+        out.append((inst, DualPointSI, si_indexer(inst, which)[1], cid, _dense_b3,
+                    _cost_b3(inst, which), build_lpsi(inst, which), {"which": which}))
     return out
 
 
-@pytest.mark.parametrize("dims", [(2, 2, 1, 1), (3, 2, 2, 1), (2, 3, 2, 3), (3, 3, 3, 2)])
+DIMS = [(2, 2, 1, 1), (3, 2, 2, 1), (2, 3, 2, 3), (3, 3, 3, 2)]
+
+
+@pytest.mark.parametrize("dims", DIMS)
 def test_check_dpsw_d4_matches_dense_formula(dims):
-    # the joint family of every checker, each subtracting its right side in
-    # place on the message diagonal: (D4), (P3), (A3), (B3) and (C3)
+    # the W block of every LP, whose cost check_feasible subtracts in place on
+    # the message diagonal: (D4), (P3), (A3), (B3) and (C3)
     rng = np.random.default_rng(31)
-    for inst, cls, rows, check, cid, dense, extra in _cases(dims):
+    for inst, cls, rows, cid, dense, _, _, extra in _cases(dims):
         # entries of the size of P, so about half the joint residuals are positive
         size = inst.n if isinstance(inst, ScInstance) else inst.dims[0] * inst.dims[1]
         pt = cls(**extra, **{name: rng.uniform(0.0, 0.4 / size, size=shape)
                              for name, shape in rows.shapes.items()})
         for tol in (-np.inf, 0.0):
             got = [(v.index, v.residual)
-                   for v in check(inst, pt, tol=tol) if v.constraint_id == cid]
+                   for v in assert_checkers_agree(inst, pt, tol) if v.constraint_id == cid]
             assert got == _dense_records(dense(inst, pt), tol)
+
+
+@pytest.mark.parametrize("dims", DIMS)
+def test_build_cost_is_the_dense_formula(dims):
+    # the cost each builder writes through W's message diagonal is, bit for
+    # bit, the dense einsum over every W entry, and zero off the W block
+    for *_, cost, model, _ in _cases(dims):
+        want = np.zeros(model.num_variables)
+        want[-cost.size:] = cost.reshape(-1)   # W is the last block of every table
+        assert model.objective.tobytes() == want.tobytes()
 
 
 # the binding normalization multipliers as each was first written by hand,
@@ -416,14 +454,15 @@ def _hand_gammas(pt):
             "gamma_c": dec.min(axis=(0, 1))}
 
 
-@pytest.mark.parametrize("dims", [(2, 2, 1, 1), (3, 2, 2, 1), (2, 3, 2, 3), (3, 3, 3, 2)])
+@pytest.mark.parametrize("dims", DIMS)
 def test_binding_gammas_match_hand_formulas(dims):
     rng = np.random.default_rng(41)
-    for inst, cls, rows, _, _, _, extra in _cases(dims):
+    for inst, cls, rows, *_, extra in _cases(dims):
         for _ in range(3):
             pt = cls(**extra, **{name: rng.normal(size=shape)
                                  for name, shape in rows.shapes.items()
                                  if not name.startswith("gamma")})
+            assert_checkers_agree(inst, pt, 0.0)   # every normalization block skipped
             got, want = _binding_gammas(inst, pt), _hand_gammas(pt)
             assert got.keys() == want.keys()
             for k in want:

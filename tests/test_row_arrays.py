@@ -23,10 +23,10 @@ from conftest import certified_solve, peak_mib, random_joint
 def _dense_build(table):
     """(A, b) of a table: +1 on every entry of a family's lifted block in the
     row its row letters pick, -1 on the one minus-block entry each row reads."""
-    sizes, col_blocks, families = table
+    sizes, col_blocks, families, _ = table
     cols, rows = (rx.TensorIndex([(b[0], tuple(sizes[k] for k in b[1])) for b in blocks])
                   for blocks in (col_blocks, families))
-    letters = dict(col_blocks)
+    letters = {b[0]: b[1] for b in col_blocks}
     A = np.zeros((rows.total, cols.total))
     b = np.zeros(rows.total)
     for name, row_letters, lifted, minus in families:
@@ -75,8 +75,8 @@ def _sw_instances():
 SW_KINDS = {
     "sc": (lambda i: rx.build_lp_sc(rx.sw_je_instance(i)),
            lambda i: rx._sc_table(rx.sw_je_instance(i))),
-    "si1": (lambda i: rx.build_lpsi(i, 1), lambda i: rx._si_table(i)),
-    "si2": (lambda i: rx.build_lpsi(i, 2), lambda i: rx._si_table(i.oriented(2))),
+    "si1": (lambda i: rx.build_lpsi(i, 1), lambda i: rx._si_table(i, 1)),
+    "si2": (lambda i: rx.build_lpsi(i, 2), lambda i: rx._si_table(i, 2)),
     "je": (rx.build_lp_je, rx._je_table),
     "sw": (rx.build_lp_sw, rx._sw_table),
 }

@@ -37,7 +37,16 @@ Every row of a lifted relaxation has one of those two shapes, so one routine
 the rhs.  Those depend on the sizes alone; the pmf enters only the cost.  They
 are built eagerly once per table within MAX_LP_ENTRIES, cached frozen for up to
 32 tables (at most 1.1 MiB each) and held as they are by every model of the
-table, so a build only writes the cost.  The same table gives:
+table, so a build only writes the cost.
+
+Each cached entry also holds the table's lp_core.WarmStart, evicted with
+it: the cost at the uniform pmf of the table's sizes, set by the first
+build, then from the first solve on a HighsLp copy of the arrays and the
+optimal basis at that cost, from which every solve of an SI, JE or SW model
+runs the primal simplex.  For SW 3x3 / M=(2,2) (1750 x 1812, 6,612
+nonzeros) that is under 0.25 MiB.  The point-to-point table's cost depends
+on its distortion, which its structure does not fix, so SC models carry no
+WarmStart and solve cold.  The same table gives:
 
   * the variable and row layouts (the *_indexer functions);
   * the layout of each typed dual point: one field per row family, named
@@ -78,7 +87,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .lp_core import LpModel, LpSolution, _read_only, _row_arrays
+from .lp_core import LpModel, LpSolution, WarmStart, _read_only, _row_arrays
 from .probability import CodeSizes, DistortionSpec, InstanceTooLarge, JointPmf, PmfError, SinglePmf
 
 MAX_LP_ENTRIES = 2 ** 26   # rows x columns of one LP, which bound its nonzeros
@@ -281,9 +290,11 @@ def _ravel(at: Dict[str, np.ndarray], sizes, letters: str) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _structures(sizes, col_blocks, families):
-    """(column layout, row layout, a_rows, rhs) of a table made hashable, all
-    frozen.  The cap is checked on the layouts, before any array exists, and
-    lru_cache keeps no call that raised, so a table past it is never cached."""
+    """(column layout, row layout, a_rows, rhs, WarmStart) of a table made
+    hashable, all frozen but the WarmStart, empty until a build sets its
+    reference and a solve its HiGHS state.  The cap is checked on the
+    layouts, before any array exists, and lru_cache keeps no call that
+    raised, so a table past it is never cached."""
     sizes, letters = dict(sizes), dict(col_blocks)
     cols, rows = (TensorIndex([(name, tuple(sizes[k] for k in axes))
                                for name, axes, *_ in blocks])
@@ -306,7 +317,7 @@ def _structures(sizes, col_blocks, families):
     a_rows = _row_arrays(*(np.concatenate(e) for e in zip(*entries)), rows.total)
     for a in (*a_rows, b):
         a.setflags(write=False)
-    return cols, rows, a_rows, b
+    return cols, rows, a_rows, b, WarmStart()
 
 
 def _structure(table):
@@ -314,24 +325,42 @@ def _structure(table):
     return _structures(tuple(sizes.items()), tuple(c[:2] for c in cols), rows)
 
 
-def _build(table) -> LpModel:
-    """Equality-form min LP of a table: the cached structure's frozen arrays,
-    held as they are, and the cost, written through W's diagonal view."""
+def _cost(table, cols: TensorIndex) -> np.ndarray:
+    """A table's cost vector, written through W's diagonal view."""
     diagonal, factor = table[3]
-    cols, rows, a_rows, b = _structure(table)
     c = np.zeros(cols.total)
     np.einsum(diagonal, c[cols.slice_of("W")].reshape(cols.shapes["W"]))[...] = factor()
-    return LpModel("min", c, a_rows, ("=",) * rows.total, b)
+    return c
+
+
+def _uniform(inst: SwInstance) -> SwInstance:
+    n1, n2 = inst.joint.sizes
+    return SwInstance(JointPmf(np.full((n1, n2), 1.0 / (n1 * n2))), inst.sizes)
+
+
+def _build(table_of, inst, warm: bool = True) -> LpModel:
+    """Equality-form min LP of the table table_of(inst): the cached
+    structure's frozen arrays, held as they are, and the cost.  With `warm`,
+    the model holds the structure's WarmStart, whose reference is the cost
+    of table_of at the uniform pmf of inst's sizes."""
+    table = table_of(inst)
+    cols, rows, a_rows, b, start = _structure(table)
+    if not warm:
+        start = None
+    elif start.reference is None:
+        start.reference = _cost(table_of(_uniform(inst)), cols)
+    return LpModel("min", _cost(table, cols), a_rows, ("=",) * rows.total, b, warm=start)
 
 
 def build_lp_sc(inst: ScInstance) -> LpModel:
-    """Exact LP relaxation of the point-to-point error minimization."""
-    return _build(_sc_table(inst))
+    """Exact LP relaxation of the point-to-point error minimization.  Its
+    structure does not fix its distortion, so its solves stay cold."""
+    return _build(_sc_table, inst, warm=False)
 
 
 def build_lpsi(inst: SwInstance, which: int = 1) -> LpModel:
     """LP relaxation of coding S_which with the other source at the decoder."""
-    return _build(_si_table(inst, which))
+    return _build(functools.partial(_si_table, which=which), inst)
 
 
 def build_lp_je(inst: SwInstance) -> LpModel:
@@ -341,12 +370,12 @@ def build_lp_je(inst: SwInstance) -> LpModel:
     different tables (pair letters against flattened ones), which the tests
     exploit.
     """
-    return _build(_je_table(inst))
+    return _build(_je_table, inst)
 
 
 def build_lp_sw(inst: SwInstance) -> LpModel:
     """LP relaxation of the two-encoder problem with all twelve row families."""
-    return _build(_sw_table(inst))
+    return _build(_sw_table, inst)
 
 
 # ---------------------------------------------------------------------------
@@ -478,24 +507,19 @@ class ConstraintViolation:
 # feasibility checker
 
 
-def _check_shapes(inst, pt: _DualPoint) -> None:
-    """Raise PmfError unless every field of pt that is set has the shape its
-    row family has in the point's table."""
-    sizes, _, rows, _ = _table_of(inst, pt)
+def check_feasible(inst, pt: _DualPoint, tol: float = 1e-12) -> List[ConstraintViolation]:
+    """One record per entry of A^T y - c, the dual constraints of pt's LP at
+    y = pt, that is not <= tol; see the module docstring for ids and indices.
+    Raises PmfError unless every field of pt that is set has the shape its
+    row family has in the table.  Each block's residual is one array,
+    accumulated in place, and the cost is subtracted on W's message diagonal
+    only."""
+    sizes, cols, rows, (diagonal, factor) = _table_of(inst, pt)
     for name, letters, _, _ in rows:
         val = getattr(pt, name)
         want = tuple(sizes[k] for k in letters)
         if val is not None and val.shape != want:
             raise PmfError(f"dual point field {name} has shape {val.shape}, expected {want}")
-
-
-def check_feasible(inst, pt: _DualPoint, tol: float = 1e-12) -> List[ConstraintViolation]:
-    """One record per entry of A^T y - c, the dual constraints of pt's LP at
-    y = pt, that is not <= tol; see the module docstring for ids and indices.
-    Each block's residual is one array, accumulated in place, and the cost
-    is subtracted on W's message diagonal only."""
-    _check_shapes(inst, pt)
-    sizes, cols, rows, (diagonal, factor) = _table_of(inst, pt)
     out: List[ConstraintViolation] = []
     for cid, block, letters, norms, up, down in _plan(cols, rows):
         if any(getattr(pt, name) is None for name, _ in norms):

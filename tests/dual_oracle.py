@@ -12,6 +12,7 @@ from typing import List
 
 import numpy as np
 
+from fbconv.probability import PmfError
 from fbconv.relaxations import (
     ConstraintViolation,
     DualPointJE,
@@ -20,12 +21,23 @@ from fbconv.relaxations import (
     DualPointSW,
     ScInstance,
     SwInstance,
-    _check_shapes,
+    _table_of,
 )
 
 # the letters of a hand formula's axes, where they differ from its block's
 HAND_AXES = {"P1": "xs", "B2": "shy", "C2": "shy", "B3": "eshxy", "C3": "eshxy",
              "A2": "cduv", "A3": "abcdxyuv"}
+
+
+def _check_shapes(inst, pt) -> None:
+    """Raise PmfError unless every field of pt that is set has the shape its
+    row family has in the point's table, as check_feasible does."""
+    sizes, _, rows, _ = _table_of(inst, pt)
+    for name, letters, _, _ in rows:
+        val = getattr(pt, name)
+        want = tuple(sizes[k] for k in letters)
+        if val is not None and val.shape != want:
+            raise PmfError(f"dual point field {name} has shape {val.shape}, expected {want}")
 
 
 def _collect(out: List[ConstraintViolation], cid: str, resid: np.ndarray, tol: float) -> None:

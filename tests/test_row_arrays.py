@@ -148,7 +148,7 @@ def test_same_dims_share_structure_not_cost(kind):
         np.testing.assert_array_equal(got, want)
         assert not got.flags.writeable and not want.flags.writeable
     assert not np.array_equal(models[0].objective, models[1].objective)
-    a_rows, rhs = rx._structure(table(insts[0]))[2:]   # the shared arrays themselves
+    a_rows, rhs = rx._structure(table(insts[0]))[2:4]   # the shared arrays themselves
     assert not any(a.flags.writeable for a in (*a_rows, rhs))
     for inst, model in zip(insts, models):
         sol, ref = certified_solve(model), lp_core.solve(_uncached(lambda: build(inst)))
@@ -182,7 +182,7 @@ def test_models_hold_the_cached_arrays(kind):
     models = [build(inst) for inst in insts]
     for a, b in zip(models[0].a_rows + (models[0].rhs,), models[1].a_rows + (models[1].rhs,)):
         assert np.shares_memory(a, b)
-    a_rows, rhs = rx._structure(table(insts[0]))[2:]
+    a_rows, rhs = rx._structure(table(insts[0]))[2:4]
     for model in models:
         for held, cached in zip(model.a_rows + (model.rhs,), a_rows + (rhs,)):
             assert np.shares_memory(held, cached)

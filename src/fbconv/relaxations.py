@@ -507,19 +507,25 @@ class ConstraintViolation:
 # feasibility checker
 
 
-def check_feasible(inst, pt: _DualPoint, tol: float = 1e-12) -> List[ConstraintViolation]:
-    """One record per entry of A^T y - c, the dual constraints of pt's LP at
-    y = pt, that is not <= tol; see the module docstring for ids and indices.
-    Raises PmfError unless every field of pt that is set has the shape its
-    row family has in the table.  Each block's residual is one array,
-    accumulated in place, and the cost is subtracted on W's message diagonal
-    only."""
-    sizes, cols, rows, (diagonal, factor) = _table_of(inst, pt)
+def _check_shapes(table, pt: _DualPoint) -> None:
+    """Raise PmfError unless every field of pt that is set has the shape its
+    row family has in the table."""
+    sizes, _, rows, _ = table
     for name, letters, _, _ in rows:
         val = getattr(pt, name)
         want = tuple(sizes[k] for k in letters)
         if val is not None and val.shape != want:
             raise PmfError(f"dual point field {name} has shape {val.shape}, expected {want}")
+
+
+def check_feasible(inst, pt: _DualPoint, tol: float = 1e-12) -> List[ConstraintViolation]:
+    """One record per entry of A^T y - c, the dual constraints of pt's LP at
+    y = pt, that is not <= tol; see the module docstring for ids and indices.
+    Each block's residual is one array, accumulated in place, and the cost
+    is subtracted on W's message diagonal only."""
+    table = _table_of(inst, pt)
+    _check_shapes(table, pt)
+    sizes, cols, rows, (diagonal, factor) = table
     out: List[ConstraintViolation] = []
     for cid, block, letters, norms, up, down in _plan(cols, rows):
         if any(getattr(pt, name) is None for name, _ in norms):

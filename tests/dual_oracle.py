@@ -12,7 +12,6 @@ from typing import List
 
 import numpy as np
 
-from fbconv.probability import PmfError
 from fbconv.relaxations import (
     ConstraintViolation,
     DualPointJE,
@@ -21,23 +20,13 @@ from fbconv.relaxations import (
     DualPointSW,
     ScInstance,
     SwInstance,
+    _check_shapes,
     _table_of,
 )
 
 # the letters of a hand formula's axes, where they differ from its block's
 HAND_AXES = {"P1": "xs", "B2": "shy", "C2": "shy", "B3": "eshxy", "C3": "eshxy",
              "A2": "cduv", "A3": "abcdxyuv"}
-
-
-def _check_shapes(inst, pt) -> None:
-    """Raise PmfError unless every field of pt that is set has the shape its
-    row family has in the point's table, as check_feasible does."""
-    sizes, _, rows, _ = _table_of(inst, pt)
-    for name, letters, _, _ in rows:
-        val = getattr(pt, name)
-        want = tuple(sizes[k] for k in letters)
-        if val is not None and val.shape != want:
-            raise PmfError(f"dual point field {name} has shape {val.shape}, expected {want}")
 
 
 def _collect(out: List[ConstraintViolation], cid: str, resid: np.ndarray, tol: float) -> None:
@@ -51,7 +40,7 @@ def _collect(out: List[ConstraintViolation], cid: str, resid: np.ndarray, tol: f
 
 def check_dp_feasible(inst: ScInstance, pt: DualPointSC,
                       tol: float = 1e-12) -> List[ConstraintViolation]:
-    _check_shapes(inst, pt)
+    _check_shapes(_table_of(inst, pt), pt)
     M = inst.M
     P = inst.source.mass
     exc = inst.distortion.excess().astype(float)
@@ -76,7 +65,7 @@ def check_dp_feasible(inst: ScInstance, pt: DualPointSC,
 
 def check_dpje_feasible(inst: SwInstance, pt: DualPointJE,
                         tol: float = 1e-12) -> List[ConstraintViolation]:
-    _check_shapes(inst, pt)
+    _check_shapes(_table_of(inst, pt), pt)
     n1, n2, m1, m2 = inst.dims
     P = inst.joint.mass
     out: List[ConstraintViolation] = []
@@ -101,7 +90,7 @@ def check_dpje_feasible(inst: SwInstance, pt: DualPointJE,
 
 def check_dpsi_feasible(inst: SwInstance, pt: DualPointSI,
                         tol: float = 1e-12) -> List[ConstraintViolation]:
-    _check_shapes(inst, pt)
+    _check_shapes(_table_of(inst, pt), pt)
     sw = inst.oriented(pt.which)   # side 2 is checked as side 1 of the swapped pair
     ne, _, M, _ = sw.dims
     P = sw.joint.mass
@@ -127,7 +116,7 @@ def check_dpsi_feasible(inst: SwInstance, pt: DualPointSI,
 def check_dpsw_feasible(inst: SwInstance, pt: DualPointSW,
                         tol: float = 1e-12) -> List[ConstraintViolation]:
     """Residual check of (D1)-(D7); returns one record per violated entry."""
-    _check_shapes(inst, pt)
+    _check_shapes(_table_of(inst, pt), pt)
     n1, n2, m1, m2 = inst.dims
     P = inst.joint.mass
     out: List[ConstraintViolation] = []

@@ -17,9 +17,12 @@ gets exactly one multiplier.  It takes one of two paths:
     relaxation LPs that takes about 45 iterations where the cold solve
     takes about 320.
 
-Each solve runs in a fresh HiGHS instance on one thread with its output
-off, so a result depends on the model (and its WarmStart's reference)
-alone, never on earlier solves.  The extension
+Each thread holds one HiGHS instance, made at the thread's first solve and
+run single-threaded with its output off.  Every solve resets it with passModel, which
+drops the previous model, basis and solution, so a result depends on the
+model (and its WarmStart's reference) alone, never on earlier solves or on
+the thread; the instance keeps its last LP until the thread's next solve.
+No instance is shared between threads.  The extension
 scipy/optimize/_highspy/_core is loaded alone, by file path, on the first
 solve: importing it by name runs scipy/optimize/__init__ (about +0.3 s and
 +23 MB of peak RSS, against +0.02 s and +2.5 MB alone).  No fbconv module
@@ -46,6 +49,7 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Tuple
@@ -107,6 +111,8 @@ class LpModel:
     otherwise), else as a frozen copy.  `warm`, the WarmStart of the models
     with this model's rows, rhs and bounds, sends its solves down the warm
     path; fbconv.relaxations sets it, and None solves cold.
+    _with_objective makes a model that differs in its objective and
+    WarmStart alone, checking only the new objective.
     """
 
     sense: str
@@ -151,6 +157,18 @@ class LpModel:
                           ("lower", lo), ("upper", up), ("relations", rel)):
             object.__setattr__(self, name, val)
 
+    def _with_objective(self, objective, warm: Optional["WarmStart"]) -> "LpModel":
+        """This model with another objective and WarmStart.  Every other
+        field is held as the same object, already checked, so only the
+        objective's shape and finiteness are."""
+        c = _read_only(objective)
+        if c.shape != self.objective.shape or not np.isfinite(c).all():
+            raise DimensionMismatch(f"objective must be {self.objective.shape} and finite, "
+                                    f"got shape {c.shape}")
+        model = object.__new__(LpModel)   # skips __init__, so __post_init__ too
+        model.__dict__.update(self.__dict__, objective=c, warm=warm)
+        return model
+
     @property
     def num_variables(self) -> int:
         return self.objective.size
@@ -166,6 +184,8 @@ class LpModel:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """A solve's outcome; solve returns primal and dual read-only."""
+
     status: str  # "Optimal" | "Infeasible" | "Unbounded"
     value: float
     primal: Optional[np.ndarray]
@@ -177,7 +197,8 @@ class WarmStart:
     same rows, relations, rhs and bounds.  `reference` is a cost to
     minimize; the first warm solve fills `lp` from its model at that cost
     and keeps, as `basis`, the optimal basis there.  No solve writes to
-    either after that: each sets its own cost in its own HiGHS instance."""
+    either after that: each solve passes `lp` to its thread's HiGHS
+    instance and sets its own cost there."""
 
     __slots__ = ("reference", "lp", "basis")
 
@@ -253,10 +274,16 @@ def _highs_lp(model: LpModel, cost: np.ndarray):
     return lp
 
 
+_thread = threading.local()   # .highs: the thread's HiGHS instance, made by its first solve
+
+
 def _run(lp, basis=None, cost=None):
-    """A fresh HiGHS instance that has run on `lp`: the dual simplex from
-    scratch, or given a basis, the primal simplex from it at `cost`."""
-    highs = _load_highs()._Highs()
+    """The thread's HiGHS instance, reset by passModel and run on `lp`: the
+    dual simplex from scratch, or given a basis, the primal simplex from it
+    at `cost`."""
+    highs = getattr(_thread, "highs", None)
+    if highs is None:
+        highs = _thread.highs = _load_highs()._Highs()
     statuses = [highs.passOptions(_highs_options(basis is not None)), highs.passModel(lp)]
     if basis is not None:
         statuses.append(highs.changeColsCost(cost.size, np.arange(cost.size, dtype=np.int32), cost))
@@ -298,7 +325,10 @@ def solve(model: LpModel) -> LpSolution:
         status = _run_highs(model, np.zeros(model.num_variables))[0]
         status = S.kUnbounded if status == S.kOptimal else status
     if status == S.kOptimal:
-        return LpSolution("Optimal", float(model.objective @ x), x, sgn * y)
+        y = sgn * y
+        x.setflags(write=False)
+        y.setflags(write=False)
+        return LpSolution("Optimal", float(model.objective @ x), x, y)
     if status in (S.kInfeasible, S.kUnbounded):
         return LpSolution("Infeasible" if status == S.kInfeasible else "Unbounded",
                           math.nan, None, None)

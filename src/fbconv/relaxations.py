@@ -35,18 +35,22 @@ Each LP is written once, as a table over one-letter index names:
 Every row of a lifted relaxation has one of those two shapes, so one routine
 (_structures) turns any table into the nonzeros of the constraint matrix and
 the rhs.  Those depend on the sizes alone; the pmf enters only the cost.  They
-are built eagerly once per table within MAX_LP_ENTRIES, cached frozen for up to
-32 tables (at most 1.1 MiB each) and held as they are by every model of the
-table, so a build only writes the cost.
+are built eagerly once per table within MAX_LP_ENTRIES and cached for up to
+32 tables.  An entry is the column and row layouts and one LpModel, checked
+once when the entry is built: the frozen a_rows, rhs, relations and bounds,
+a zero objective, and the table's lp_core.WarmStart.  Every build returns
+that model with its own cost (LpModel._with_objective), holding all the rest
+as the same objects, so a build writes and checks the cost alone.
 
-Each cached entry also holds the table's lp_core.WarmStart, evicted with
-it: the cost at the uniform pmf of the table's sizes, set by the first
-build, then from the first solve on a HighsLp copy of the arrays and the
-optimal basis at that cost, from which every solve of an SI, JE or SW model
-runs the primal simplex.  For SW 3x3 / M=(2,2) (1750 x 1812, 6,612
-nonzeros) that is under 0.25 MiB.  The point-to-point table's cost depends
-on its distortion, which its structure does not fix, so SC models carry no
-WarmStart and solve cold.  The same table gives:
+The WarmStart holds the cost at the uniform pmf of the table's sizes, set
+by the first build, then from the first solve on a HighsLp copy of the
+arrays and the optimal basis at that cost, from which every solve of an SI,
+JE or SW model runs the primal simplex.  It is evicted with its entry.  For
+SW 3x3 / M=(2,2) (1750 x 1812, 6,612 nonzeros) an entry holds about 0.4 MiB:
+the arrays 0.13 MiB, the bounds and zero objective 0.04 MiB, and the
+WarmStart under 0.23 MiB.  The point-to-point table's cost depends on its
+distortion, which its structure does not fix, so SC models carry no
+WarmStart and solve cold, and an SC entry's stays empty.  The same table gives:
 
   * the variable and row layouts (the *_indexer functions);
   * the layout of each typed dual point: one field per row family, named
@@ -290,11 +294,11 @@ def _ravel(at: Dict[str, np.ndarray], sizes, letters: str) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _structures(sizes, col_blocks, families):
-    """(column layout, row layout, a_rows, rhs, WarmStart) of a table made
-    hashable, all frozen but the WarmStart, empty until a build sets its
-    reference and a solve its HiGHS state.  The cap is checked on the
-    layouts, before any array exists, and lru_cache keeps no call that
-    raised, so a table past it is never cached."""
+    """(column layout, row layout, model) of a table made hashable.  The
+    model is the table's equality-form min LP at a zero cost, with its
+    WarmStart, empty until a build sets its reference and a solve its HiGHS
+    state.  The cap is checked on the layouts, before any array exists, and
+    lru_cache keeps no call that raised, so a table past it is never cached."""
     sizes, letters = dict(sizes), dict(col_blocks)
     cols, rows = (TensorIndex([(name, tuple(sizes[k] for k in axes))
                                for name, axes, *_ in blocks])
@@ -317,7 +321,8 @@ def _structures(sizes, col_blocks, families):
     a_rows = _row_arrays(*(np.concatenate(e) for e in zip(*entries)), rows.total)
     for a in (*a_rows, b):
         a.setflags(write=False)
-    return cols, rows, a_rows, b, WarmStart()
+    model = LpModel("min", np.zeros(cols.total), a_rows, ("=",) * rows.total, b, warm=WarmStart())
+    return cols, rows, model
 
 
 def _structure(table):
@@ -326,10 +331,11 @@ def _structure(table):
 
 
 def _cost(table, cols: TensorIndex) -> np.ndarray:
-    """A table's cost vector, written through W's diagonal view."""
+    """A table's cost vector, written through W's diagonal view, read-only."""
     diagonal, factor = table[3]
     c = np.zeros(cols.total)
     np.einsum(diagonal, c[cols.slice_of("W")].reshape(cols.shapes["W"]))[...] = factor()
+    c.setflags(write=False)
     return c
 
 
@@ -340,16 +346,15 @@ def _uniform(inst: SwInstance) -> SwInstance:
 
 def _build(table_of, inst, warm: bool = True) -> LpModel:
     """Equality-form min LP of the table table_of(inst): the cached
-    structure's frozen arrays, held as they are, and the cost.  With `warm`,
-    the model holds the structure's WarmStart, whose reference is the cost
-    of table_of at the uniform pmf of inst's sizes."""
+    structure's model with the table's cost.  With `warm`, the model holds
+    the structure's WarmStart, whose reference is the cost of table_of at
+    the uniform pmf of inst's sizes; without, none."""
     table = table_of(inst)
-    cols, rows, a_rows, b, start = _structure(table)
-    if not warm:
-        start = None
-    elif start.reference is None:
+    cols, _, model = _structure(table)
+    start = model.warm if warm else None
+    if warm and start.reference is None:
         start.reference = _cost(table_of(_uniform(inst)), cols)
-    return LpModel("min", _cost(table, cols), a_rows, ("=",) * rows.total, b, warm=start)
+    return model._with_objective(_cost(table, cols), start)
 
 
 def build_lp_sc(inst: ScInstance) -> LpModel:

@@ -1,10 +1,15 @@
 import math
+import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.optimize
 
 from fbconv import lp_core
+from fbconv import relaxations as rx
+from fbconv.converses_ptp import _covered_mass_lp
 from fbconv.lp_core import (
     DimensionMismatch,
     LpError,
@@ -16,8 +21,9 @@ from fbconv.lp_core import (
     _load_highs,
     solve,
 )
+from fbconv.probability import CodeSizes, JointPmf
 
-from conftest import assert_dual_certificate
+from conftest import assert_dual_certificate, random_joint
 
 
 def scipy_reference(model):
@@ -280,3 +286,97 @@ def test_missing_extension_raises_typed_error(tmp_path):
     with pytest.raises(SolverUnavailable):
         _load_highs(str(tmp_path))
     assert issubclass(SolverUnavailable, LpError)
+
+
+# ---------------------------------------------------------------------------
+# one HiGHS instance per thread, reset on every solve
+
+
+def _bits(sol):
+    """A solve's status, value, primal and dual, as bytes."""
+    return (sol.status, np.float64(sol.value).tobytes(),
+            *(None if a is None else a.tobytes() for a in (sol.primal, sol.dual)))
+
+
+def _in_fresh_thread(fn, *args):
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn(*args)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and len(out) == 1
+    return out[0]
+
+
+def test_solves_sharing_a_thread_match_a_fresh_thread(monkeypatch):
+    rng = np.random.default_rng(83)
+    inst, other = (rx.SwInstance(random_joint(rng, 3, 2), CodeSizes(2, 1)) for _ in range(2))
+    unbounded = LpModel("max", [1.0, 0.0], _dense_rows([[0.0, 1.0]]), ("<=",), [1.0])
+    # two SW models of one table: each warm solve must start from the
+    # table's basis, not from where the other left the instance
+    models = [rx.build_lp_sw(inst), rx.build_lp_sw(other), rx.build_lp_je(inst),
+              rx.build_lpsi(inst, 1), rx.build_lpsi(inst, 2),
+              rx.build_lp_sc(rx.sw_je_instance(inst)), _covered_mass_lp(inst, "uvw")[0],
+              LpModel("min", [1.0], _dense_rows([[1.0], [1.0]]), ("<=", ">="), [1.0, 2.0]),
+              unbounded]
+    # HiGHS answers this LP "unbounded" at once; answering "unbounded or
+    # infeasible" instead sends it down the zero-cost feasibility re-solve
+    S, real, resolves = lp_core._load_highs().HighsModelStatus, lp_core._run_highs, []
+
+    def undecided(model, cost):
+        out = real(model, cost)
+        if model is not unbounded:
+            return out
+        resolves.append(not cost.any())
+        return out if resolves[-1] else (S.kUnboundedOrInfeasible,) + out[1:]
+
+    monkeypatch.setattr(lp_core, "_run_highs", undecided)
+    first = [_in_fresh_thread(lambda m: _bits(solve(m)), m) for m in models]
+    assert [s[0] for s in first[-3:]] == ["Optimal", "Infeasible", "Unbounded"]
+    assert resolves == [False, True]
+    order = list(range(len(models))) * 3
+    random.Random(89).shuffle(order)
+    for i in order:
+        assert _bits(solve(models[i])) == first[i], i
+    assert resolves.count(True) == 4
+
+
+# the relax_lp benchmark's inputs at seed 1: (|S1|, |S2|, M1, M2), masses
+# drawn Dirichlet(1) in this order from default_rng(1)
+RELAX_DIMS = [(3, 2, 1, 1), (3, 3, 1, 1), (3, 3, 1, 1), (3, 2, 2, 1), (3, 2, 2, 1),
+              (3, 2, 2, 1), (2, 3, 1, 2), (2, 3, 1, 2), (3, 3, 2, 1)]
+
+
+def test_two_threads_hold_their_own_instances():
+    rng = np.random.default_rng(1)
+    insts = [rx.SwInstance(JointPmf(rng.dirichlet(np.ones(n1 * n2)).reshape(n1, n2)),
+                           CodeSizes(m1, m2)) for n1, n2, m1, m2 in RELAX_DIMS]
+    builders = (rx.build_lp_sw, rx.build_lp_je, lambda i: rx.build_lpsi(i, 1),
+                lambda i: rx.build_lpsi(i, 2))
+    held = {}
+
+    def op(inst):
+        out = [_bits(solve(build(inst))) for build in builders]
+        held[threading.get_ident()] = lp_core._thread.highs
+        return out
+
+    rx._structures.cache_clear()
+    serial = [op(inst) for inst in insts]
+    main = held.pop(threading.get_ident())
+    # each of the first two ops waits for the other, so both workers start
+    # and each solves at least one op
+    both = threading.Barrier(2, timeout=60)
+
+    def first_op(inst):
+        out = op(inst)
+        both.wait()
+        return out
+
+    rx._structures.cache_clear()   # the workers find the WarmStarts themselves
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        head = [pool.submit(first_op, inst) for inst in insts[:2]]
+        rest = list(pool.map(op, insts[2:]))
+        threaded = [f.result() for f in head] + rest
+    assert threaded == serial
+    assert len(held) == 2
+    a, b = held.values()
+    assert a is not b and main is not a and main is not b

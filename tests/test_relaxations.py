@@ -493,6 +493,26 @@ def test_objective_ignores_stored_gammas():
         assert objective[type(pt)](inst, raised) == pytest.approx(value, abs=1e-7)
 
 
+def test_dual_points_are_views_of_the_read_only_solution():
+    # solve returns read-only arrays, so slicing keeps each field as a view
+    inst = SwInstance(random_joint(np.random.default_rng(49), 3, 2), CodeSizes(2, 1))
+    sc = sw_je_instance(inst)
+    cases = [(build_lp_sc(sc), lambda s: dual_point_sc_from_solution(sc, s)),
+             (build_lpsi(inst, 1), lambda s: dual_point_si_from_solution(inst, 1, s)),
+             (build_lpsi(inst, 2), lambda s: dual_point_si_from_solution(inst, 2, s)),
+             (build_lp_je(inst), lambda s: dual_point_je_from_solution(inst, s)),
+             (build_lp_sw(inst), lambda s: dual_point_sw_from_solution(inst, s))]
+    for model, dual in cases:
+        sol = certified_solve(model)
+        assert not sol.primal.flags.writeable and not sol.dual.flags.writeable
+        with pytest.raises(ValueError):
+            sol.dual[0] = 0.0
+        pt = dual(sol)
+        for f in fields(pt):
+            if f.name != "which":
+                assert np.shares_memory(getattr(pt, f.name), sol.dual), f.name
+
+
 def test_si_point_in_table_layout():
     inst = SwInstance(random_joint(np.random.default_rng(47), 3, 2), CodeSizes(2, 1))
     for which in (1, 2):

@@ -148,7 +148,8 @@ def test_same_dims_share_structure_not_cost(kind):
         np.testing.assert_array_equal(got, want)
         assert not got.flags.writeable and not want.flags.writeable
     assert not np.array_equal(models[0].objective, models[1].objective)
-    a_rows, rhs = rx._structure(table(insts[0]))[2:4]   # the shared arrays themselves
+    cached = rx._structure(table(insts[0]))[2]   # the model holding the shared arrays
+    a_rows, rhs = cached.a_rows, cached.rhs
     assert not any(a.flags.writeable for a in (*a_rows, rhs))
     for inst, model in zip(insts, models):
         sol, ref = certified_solve(model), lp_core.solve(_uncached(lambda: build(inst)))
@@ -182,7 +183,8 @@ def test_models_hold_the_cached_arrays(kind):
     models = [build(inst) for inst in insts]
     for a, b in zip(models[0].a_rows + (models[0].rhs,), models[1].a_rows + (models[1].rhs,)):
         assert np.shares_memory(a, b)
-    a_rows, rhs = rx._structure(table(insts[0]))[2:4]
+    cached = rx._structure(table(insts[0]))[2]
+    a_rows, rhs = cached.a_rows, cached.rhs
     for model in models:
         for held, cached in zip(model.a_rows + (model.rhs,), a_rows + (rhs,)):
             assert np.shares_memory(held, cached)
@@ -225,6 +227,44 @@ def test_repeat_build_reuses_structure(monkeypatch):
     layouts = [rx.sw_indexer(inst), rx.je_indexer(inst), rx.si_indexer(inst, 1),
                rx.si_indexer(inst, 2)]
     assert all(len(pair) == 2 for pair in layouts)
+
+
+def test_repeat_build_checks_the_cost_alone(monkeypatch):
+    inst = rx.SwInstance(random_joint(np.random.default_rng(61), 3, 2), CodeSizes(2, 1))
+    first = {k: SW_KINDS[k][0](inst) for k in SW_KINDS}
+    checked = []
+    check = lp_core.LpModel.__post_init__
+
+    def counted(model):
+        checked.append(model)
+        check(model)
+
+    monkeypatch.setattr(lp_core.LpModel, "__post_init__", counted)
+    for k in SW_KINDS:
+        again = SW_KINDS[k][0](inst)
+        for name in ("a_rows", "rhs", "relations", "lower", "upper"):
+            assert getattr(again, name) is getattr(first[k], name), (k, name)
+        assert again.objective is not first[k].objective
+        np.testing.assert_array_equal(again.objective, first[k].objective)
+    assert checked == []
+
+
+@pytest.mark.parametrize("kind", SW_KINDS)
+def test_cost_only_build_rejects_a_bad_cost(kind):
+    inst = rx.SwInstance(random_joint(np.random.default_rng(79), 3, 2), CodeSizes(2, 1))
+    model = SW_KINDS[kind][0](inst)
+    n = model.num_variables
+    for bad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((1, n)), np.zeros(())):
+        with pytest.raises(lp_core.DimensionMismatch):
+            model._with_objective(bad, model.warm)
+    for value in (np.nan, np.inf, -np.inf):
+        cost = model.objective.copy()
+        cost[n // 2] = value
+        with pytest.raises(lp_core.DimensionMismatch):
+            model._with_objective(cost, model.warm)
+    same = model._with_objective(model.objective.copy(), model.warm)
+    assert same.warm is model.warm and same.a_rows is model.a_rows
+    assert not same.objective.flags.writeable
 
 
 def test_cached_layouts_are_shared_and_read_only():

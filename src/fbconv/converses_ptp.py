@@ -5,11 +5,21 @@ coding problem.  The phi-supremum forms are solved exactly: lossy as an LP,
 lossless by a sort, side-information as a covered-mass LP (its row duals are
 the witness).  The scalar forms are reparameterized through t = exp(-b).
 Each is one curve: a private builder checks the input, computes the
-per-instance constants once and returns (integrand, candidates).  The sup is
-the max of the integrand over the candidates, the breakpoints where some
+per-instance constants once and returns (integrand, candidates, cells).  The
+integrand maps a 1-D array of points to their values in one numpy pass over
+a (points x cells) array, every sum over a C-contiguous row of it.  The sup
+is the max of the integrand over the candidates, the breakpoints where some
 min{.,.} or closed threshold event switches plus the end where the bound is
-0, as the integrand is piecewise linear between them; the public *_at
-evaluates the same integrand.
+0, as the integrand is piecewise linear between them.  _breakpoint_sup feeds
+the candidates in blocks of at most _SUP_BLOCK entries, so memory is bounded
+by the block, not by candidates x cells.  The public *_at evaluates the same
+integrand on a batch of one; a row's sum does not depend on how many rows
+the batch holds, so *_at at a witness reproduces raw_value exactly.
+
+The covered-mass LP behind meta_sid and meta_sw depends on the pmf through
+its cost alone.  Its structure (rows, rhs, bounds) is built and checked once
+per (n1, n2, M1, M2, caps) in a private lru_cache, and each call holds it
+with its own cost; its solves stay cold.
 
 Closed events are evaluated as P <= threshold with a relative 1e-12 slack so
 that a witness t that equals a breakpoint up to float rounding still lands
@@ -18,6 +28,7 @@ on the intended side.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -75,11 +86,30 @@ def _formula_sum(terms) -> float:
     return math.fsum(terms) - 2.0 * np.finfo(float).eps * float(np.abs(terms).sum())
 
 
-def _breakpoint_sup(fn, cands):
-    """(max of fn over the candidate points, first candidate attaining it)."""
-    vals = np.array([fn(c) for c in cands])
+_SUP_BLOCK = 2 ** 16   # entries of one (points x cells) temporary, 0.5 MiB of floats
+
+
+def _breakpoint_sup(fn, cands, cells: int):
+    """(max of fn over the candidate points, first candidate attaining it).
+    fn maps a 1-D array of points to their values through temporaries of
+    `cells` entries per point; it sees at most _SUP_BLOCK // cells points at
+    a time, and at least one."""
+    step = max(1, _SUP_BLOCK // cells)
+    vals = np.concatenate([fn(cands[i:i + step]) for i in range(0, cands.size, step)])
     k = int(np.argmax(vals))
     return vals[k], cands[k]
+
+
+def _at(curve, x, real_line: bool = False) -> float:
+    """A curve's integrand at the single point x, as a batch of one.  x is a
+    t, finite and nonnegative, or with real_line a b, where +-inf are valid;
+    NaN is never valid."""
+    x = float(x)
+    if real_line and math.isnan(x):
+        raise PmfError("b must not be NaN")
+    if not real_line and not (x >= 0.0 and math.isfinite(x)):
+        raise PmfError(f"t must be finite and nonnegative, got {x!r}")
+    return float(curve[0](np.array([x]))[0])
 
 
 @dataclass(frozen=True)
@@ -162,8 +192,8 @@ def _kv_curve(inst: ScInstance, j: Optional[TiltedInfo]):
         w = np.where(P > 0, P * np.exp(jv), 0.0)
         breaks = inst.M * np.exp(-jv[P > 0])
     pen = float((w[:, None] * inst.distortion.within()).sum(axis=0).max())
-    return (lambda t: float(np.minimum(P, w * t / inst.M).sum() - t * pen),
-            np.unique(np.concatenate([breaks, [0.0]])))
+    return (lambda t: np.minimum(P, w * t[:, None] / inst.M).sum(axis=1) - t * pen,
+            np.unique(np.concatenate([breaks, [0.0]])), P.size)
 
 
 def kv_tilted_improved(inst: ScInstance, j: Optional[TiltedInfo] = None) -> BoundReport:
@@ -175,7 +205,7 @@ def kv_tilted_improved(inst: ScInstance, j: Optional[TiltedInfo] = None) -> Boun
 
 
 def kv_tilted_at(inst: ScInstance, t: float, j: Optional[TiltedInfo] = None) -> float:
-    return _kv_curve(inst, j)[0](t)
+    return _at(_kv_curve(inst, j), t)
 
 
 def _palzer_curve(inst: ScInstance, j: Optional[TiltedInfo]):
@@ -189,11 +219,14 @@ def _palzer_curve(inst: ScInstance, j: Optional[TiltedInfo]):
         jv = _tilt(P, j)
 
     def fn(beta):
-        thr = beta if math.isinf(beta) else beta - abs(beta) * EVENT_SLACK - 1e-300
-        head = P * (jv >= thr)
-        return float(head.sum()) - inst.M * float((head[:, None] * win).sum(axis=0).max())
+        fin = np.isfinite(beta)    # an infinite b is its own threshold
+        thr = beta.copy()
+        thr[fin] = beta[fin] - np.abs(beta[fin]) * EVENT_SLACK - 1e-300
+        head = P * (jv >= thr[:, None])
+        return head.sum(axis=1) - inst.M * (head[:, None, :] * win.T).sum(axis=2).max(axis=1)
 
-    return fn, np.unique(np.concatenate([jv[np.isfinite(jv)], [-math.inf, math.inf]]))
+    return (fn, np.unique(np.concatenate([jv[np.isfinite(jv)], [-math.inf, math.inf]])),
+            win.size)
 
 
 def palzer_timo(inst: ScInstance, j: Optional[TiltedInfo] = None) -> BoundReport:
@@ -204,7 +237,7 @@ def palzer_timo(inst: ScInstance, j: Optional[TiltedInfo] = None) -> BoundReport
 
 
 def palzer_timo_at(inst: ScInstance, beta: float, j: Optional[TiltedInfo] = None) -> float:
-    return _palzer_curve(inst, j)[0](beta)
+    return _at(_palzer_curve(inst, j), beta, real_line=True)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +309,8 @@ def _gamma_curve(source: SinglePmf, M: int):
     M = CodeSizes(M).M1   # PmfError unless M >= 1 is integral
     P = source.mass
     caps = np.concatenate([[0.0], P[(P > 0) & (M * P <= 1.0)], [1.0 / M]])
-    return (lambda t: float(P[closed_leq(P, t / M)].sum() - t),
-            np.unique(np.minimum(M * caps, 1.0)))
+    return (lambda t: np.where(closed_leq(P, (t / M)[:, None]), P, 0.0).sum(axis=1) - t,
+            np.unique(np.minimum(M * caps, 1.0)), P.size)
 
 
 def lossless_gamma_bound(source: SinglePmf, M: int) -> BoundReport:
@@ -288,7 +321,7 @@ def lossless_gamma_bound(source: SinglePmf, M: int) -> BoundReport:
 
 
 def lossless_gamma_at(source: SinglePmf, M: int, t: float) -> float:
-    return _gamma_curve(source, M)[0](t)
+    return _at(_gamma_curve(source, M), t)
 
 
 def meta_je(inst: SwInstance) -> BoundReport:
@@ -303,24 +336,42 @@ def meta_je(inst: SwInstance) -> BoundReport:
 # side information at the decoder
 
 
-def _covered_mass_lp(inst: SwInstance, caps: str):
-    """(model, reader): max sum mu P over 0 <= mu <= 1, row-major over (s1, s2),
-    with a <= row per cap of the families in `caps`: u caps sum mu at M1 M2,
-    v(s1) each row sum at M2, w(s2) each column sum at M1.  The reader maps
-    the row duals to the flows they price, (min{P, u}, min{P, w(s2)},
-    min{P, v(s1)}) = (phi_hat, phi_12, phi_21), 0 for a family not kept."""
-    n1, n2, m1, m2 = inst.dims
-    P = inst.joint.mass
+@functools.lru_cache(maxsize=64)
+def _covered_mass_structure(n1: int, n2: int, m1: int, m2: int, caps: str):
+    """(keep, model) of the covered-mass LP of these sizes and cap families:
+    keep marks the kept caps among u, v(.), w(.), and model is the LP at a
+    zero cost, checked once.  64 entries hold the three structures of each
+    of the 15 inputs of the sw_bounds benchmark."""
     keep = np.repeat([c in caps for c in "uvw"], [1, n1, n2])
-    _check_lp_size(int(keep.sum()), P.size, "covered-mass LP")
     s1, s2 = np.indices((n1, n2)).reshape(2, -1)
     row = np.cumsum(keep) - 1     # the row of each kept cap among u, v(.), w(.)
     kept = [row[cap_of_cell] for f, cap_of_cell in
             (("u", 0 * s1), ("v", 1 + s1), ("w", 1 + n1 + s2)) if f in caps]
     # each kept family caps every cell once
-    a_rows = _row_arrays(np.concatenate(kept), np.tile(np.arange(P.size), len(kept)),
-                        np.ones(len(kept) * P.size), int(keep.sum()))
+    a_rows = _row_arrays(np.concatenate(kept), np.tile(np.arange(n1 * n2), len(kept)),
+                         np.ones(len(kept) * n1 * n2), int(keep.sum()))
     b = np.repeat([m1 * m2, m2, m1], [1, n1, n2])[keep].astype(float)
+    for a in (*a_rows, b):
+        a.setflags(write=False)
+    model = LpModel("max", np.zeros(n1 * n2), a_rows, ("<=",) * b.size, b,
+                    upper=np.ones(n1 * n2))
+    return keep, model
+
+
+def _covered_mass_lp(inst: SwInstance, caps: str):
+    """(model, reader): max sum mu P over 0 <= mu <= 1, row-major over (s1, s2),
+    with a <= row per cap of the families in `caps`: u caps sum mu at M1 M2,
+    v(s1) each row sum at M2, w(s2) each column sum at M1.  The reader maps
+    the row duals to the flows they price, (min{P, u}, min{P, w(s2)},
+    min{P, v(s1)}) = (phi_hat, phi_12, phi_21), 0 for a family not kept.
+    The structure comes from _covered_mass_structure, cached per sizes and
+    caps, and the model holds it as it is with P as its cost, so a call
+    checks the cost alone.  The size cap is checked first, on every call."""
+    n1, n2, m1, m2 = inst.dims
+    P = inst.joint.mass
+    _check_lp_size(("u" in caps) + n1 * ("v" in caps) + n2 * ("w" in caps), P.size,
+                   "covered-mass LP")
+    keep, model = _covered_mass_structure(n1, n2, m1, m2, caps)
 
     def flows(dual):
         y = np.zeros(keep.size)
@@ -328,7 +379,7 @@ def _covered_mass_lp(inst: SwInstance, caps: str):
         u, v, w = y[0], y[1:1 + n1], y[1 + n1:]
         return np.clip(u, 0.0, P), np.clip(w[None, :], 0.0, P), np.clip(v[:, None], 0.0, P)
 
-    return LpModel("max", P.reshape(-1), a_rows, ("<=",) * b.size, b, upper=np.ones(P.size)), flows
+    return model._with_objective(P.reshape(-1), None), flows
 
 
 def _meta_sw_raw(inst: SwInstance, phi_hat, phi_12, phi_21) -> float:
@@ -356,23 +407,22 @@ def meta_sid(inst: SwInstance, which: int = 1) -> BoundReport:
 
 
 def _sid_curve(inst: SwInstance, improved: bool):
-    """Encoder 1's improved or classic side-information integrand at t, over
-    t = 0, the t in (0, 1] where some M P(enc, side) / P(side) is crossed, and 1."""
+    """Encoder 1's improved or classic side-information integrand at an array
+    of t, over t = 0, the t in (0, 1] where some M P(enc, side) / P(side) is
+    crossed, and 1."""
     P, M = inst.joint.mass, inst.sizes.M1
     side = P.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(side[None, :] > 0, M * P / side[None, :], np.nan)
     cands = np.unique(np.concatenate([ratio[np.isfinite(ratio) & (ratio > 0) & (ratio <= 1.0)],
                                       [0.0, 1.0]]))
+    p, side_of = P.reshape(-1), np.tile(side, P.shape[0])   # per cell, row-major
     if not improved:
-        return lambda t: float(P[closed_leq(P, side[None, :] * (t / M))].sum() - t), cands
+        return (lambda t: np.where(closed_leq(p, side_of * (t[:, None] / M)), p, 0.0).sum(axis=1)
+                - t), cands, p.size
     top = P.max(axis=0)
-
-    def fn(t):
-        cap = side * t / M
-        return float(np.minimum(P, cap[None, :]).sum() - M * np.minimum(top, cap).sum())
-
-    return fn, cands
+    return (lambda t: np.minimum(p, side_of * t[:, None] / M).sum(axis=1)
+            - M * np.minimum(top, side * t[:, None] / M).sum(axis=1)), cands, p.size
 
 
 def sid_improved(inst: SwInstance, which: int = 1) -> BoundReport:
@@ -384,7 +434,7 @@ def sid_improved(inst: SwInstance, which: int = 1) -> BoundReport:
 
 
 def sid_improved_at(inst: SwInstance, t: float, which: int = 1) -> float:
-    return _sid_curve(inst.oriented(which), improved=True)[0](t)
+    return _at(_sid_curve(inst.oriented(which), improved=True), t)
 
 
 def sid_classic(inst: SwInstance, which: int = 1) -> BoundReport:
@@ -395,4 +445,4 @@ def sid_classic(inst: SwInstance, which: int = 1) -> BoundReport:
 
 
 def sid_classic_at(inst: SwInstance, t: float, which: int = 1) -> float:
-    return _sid_curve(inst.oriented(which), improved=False)[0](t)
+    return _at(_sid_curve(inst.oriented(which), improved=False), t)

@@ -2,9 +2,12 @@
 
 The three-flow metaconverse is solved exactly as the covered-mass LP of
 converses_ptp under all three cap families, whose row duals are its
-thresholds.  The scalar Miyake-Kanaya style bounds are curves, as in the
-point-to-point module: one integrand in t = exp(-b), read by both the
-exact sup over its finite breakpoint set and the public mk_*_at.
+thresholds; that LP's structure is cached per sizes, so a call builds its
+cost alone.  The scalar Miyake-Kanaya style bounds are curves, as in the
+point-to-point module: one integrand in t = exp(-b) over a 1-D array of t,
+one (t x pairs) numpy pass, read by both the exact sup over its finite
+breakpoint set, in blocks of at most converses_ptp._SUP_BLOCK entries, and
+the public mk_*_at, as a batch of one.
 
 The constructors at the bottom turn feasible dual points of the simpler
 problems (side-information, jointly encoded) into feasible dual points of
@@ -36,6 +39,7 @@ from .relaxations import (
 )
 from .converses_ptp import (
     BoundReport,
+    _at,
     _breakpoint_sup,
     _covered_mass_lp,
     _meta_sw_raw,
@@ -135,27 +139,29 @@ def _mk_coef(inst: SwInstance) -> np.ndarray:
 
 
 def _mk_curve(inst: SwInstance, improved: bool):
-    """The classic or improved Miyake-Kanaya integrand at t, over t = 0 and
-    the t in (0, 1) where some P = t * coef is crossed."""
+    """The classic or improved Miyake-Kanaya integrand at an array of t, over
+    t = 0 and the t in (0, 1) where some P = t * coef is crossed."""
     P = inst.joint.mass
     coef = _mk_coef(inst)
     t_atom = P / coef            # coef >= 1/(M1 M2) > 0
     cands = np.unique(np.concatenate([t_atom[(t_atom > 0) & (t_atom < 1.0)], [0.0]]))
+    p, c = P.reshape(-1), coef.reshape(-1)
     if improved:
-        return lambda t: float(np.minimum(P, t * coef).sum() - 3.0 * t), cands
-    return lambda t: float(P[closed_leq(P, t * coef)].sum() - 3.0 * t), cands
+        return lambda t: np.minimum(p, t[:, None] * c).sum(axis=1) - 3.0 * t, cands, p.size
+    return (lambda t: np.where(closed_leq(p, t[:, None] * c), p, 0.0).sum(axis=1) - 3.0 * t,
+            cands, p.size)
 
 
 def mk_classic_at(inst: SwInstance, t: float) -> float:
     """P[joint or either conditional density exceeds its log M budget] - 3t,
     the union expressed through the per-pair threshold P <= t * coef."""
-    return _mk_curve(inst, improved=False)[0](t)
+    return _at(_mk_curve(inst, improved=False), t)
 
 
 def mk_improved_at(inst: SwInstance, t: float) -> float:
     """mk_classic_at plus t * coef on every pair outside the union event;
     both terms together are sum min{P, t * coef} - 3t."""
-    return _mk_curve(inst, improved=True)[0](t)
+    return _at(_mk_curve(inst, improved=True), t)
 
 
 def mk_classic(inst: SwInstance) -> BoundReport:

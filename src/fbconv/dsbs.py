@@ -180,7 +180,8 @@ def _sup(curve) -> Tuple[float, dict]:
     the module docstring.  log t reproduces the sup where t underflows to 0."""
     raw, switches = curve
     cands = np.unique(np.concatenate([[-math.inf], switches[switches < 0.0], [-1e-9]]))
-    val, lt = _breakpoint_sup(raw, cands)
+    # raw takes one log t at a time and holds no (points x cells) temporary
+    val, lt = _breakpoint_sup(lambda lts: np.array([raw(lt) for lt in lts]), cands, 1)
     return val, {"t": math.exp(lt), "log_t": float(lt)}
 
 

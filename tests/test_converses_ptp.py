@@ -231,7 +231,8 @@ def alpha_sup_form(P: SinglePmf, Q: SinglePmf, mstar: float) -> float:
         raise PmfError("P and Q must share an alphabet")
     pos = q > 0
     betas = np.unique(np.concatenate([[0.0], p[pos] / q[pos]]))
-    val, _ = _breakpoint_sup(lambda b: float(np.minimum(p, b * q).sum() - b * mstar), betas)
+    val, _ = _breakpoint_sup(
+        lambda b: np.minimum(p, b[:, None] * q).sum(axis=1) - b * mstar, betas, p.size)
     return float(val)
 
 

@@ -10,6 +10,7 @@ Frozen anchors were computed by hand before the module was written:
 
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +18,9 @@ import pytest
 
 from fbconv import converses_ptp, converses_sw, relaxations
 from fbconv.dsbs import DsbsSpec, dsbs_je_bound, expand_joint
-from fbconv.lp_core import LpModel, _dense_rows, solve
+from fbconv.lp_core import LpModel, _dense_rows, _row_arrays, solve
 from fbconv.oracle import exact_opt_sw
-from fbconv.probability import CodeSizes, DistortionSpec, JointPmf
+from fbconv.probability import CodeSizes, DistortionSpec, JointPmf, PmfError, SinglePmf
 from fbconv.relaxations import (
     InstanceTooLarge,
     ScInstance,
@@ -264,6 +265,75 @@ def test_covered_mass_lp_shape(monkeypatch):
     assert shapes == [(1 + 4 + 3, 12), (3, 12), (4, 12)]
 
 
+def _reference_covered_mass_lp(inst, caps):
+    """The covered-mass LP built from scratch on every call, with no cache:
+    the reference for the cached model of _covered_mass_lp."""
+    n1, n2, m1, m2 = inst.dims
+    P = inst.joint.mass
+    keep = np.repeat([c in caps for c in "uvw"], [1, n1, n2])
+    s1, s2 = np.indices((n1, n2)).reshape(2, -1)
+    row = np.cumsum(keep) - 1
+    kept = [row[cap_of_cell] for f, cap_of_cell in
+            (("u", 0 * s1), ("v", 1 + s1), ("w", 1 + n1 + s2)) if f in caps]
+    a_rows = _row_arrays(np.concatenate(kept), np.tile(np.arange(P.size), len(kept)),
+                         np.ones(len(kept) * P.size), int(keep.sum()))
+    b = np.repeat([m1 * m2, m2, m1], [1, n1, n2])[keep].astype(float)
+    return LpModel("max", P.reshape(-1), a_rows, ("<=",) * b.size, b, upper=np.ones(P.size))
+
+
+def _models_solved(monkeypatch):
+    """The list that every model meta_sw and meta_sid solve is appended to."""
+    models = []
+
+    def spy(model):
+        models.append(model)
+        return solve(model)
+
+    monkeypatch.setattr(converses_sw, "solve", spy)
+    monkeypatch.setattr(converses_ptp, "solve", spy)
+    return models
+
+
+def test_repeat_covered_mass_lp_checks_the_cost_alone(monkeypatch):
+    inst = _sw(random_joint(np.random.default_rng(71), 4, 3).mass, 2, 3)
+    bounds = (meta_sw, lambda i: meta_sid(i, 1), lambda i: meta_sid(i, 2))
+    models = _models_solved(monkeypatch)
+    first = [bound(inst) for bound in bounds]
+    checked = []
+    check = LpModel.__post_init__
+
+    def counted(model):
+        checked.append(model)
+        check(model)
+
+    monkeypatch.setattr(LpModel, "__post_init__", counted)
+    again = [bound(inst) for bound in bounds]
+    assert checked == []
+    assert [r.raw_value for r in again] == [r.raw_value for r in first]
+    for old, new in zip(models[:3], models[3:]):
+        for name in ("a_rows", "rhs", "upper"):
+            assert getattr(new, name) is getattr(old, name), name
+        assert new.warm is None
+
+
+def test_cached_covered_mass_lp_solves_match_the_reference():
+    rng = np.random.default_rng(73)
+    cases = [(inst.oriented(which), caps, which) for inst in
+             [_random_inst(rng, max_n=5, max_m=3) for _ in range(6)] + [_mixed_inst(rng)
+                                                                       for _ in range(6)]
+             for caps in ("uvw", "w") for which in (1, 2)]
+    for order in range(3):
+        converses_ptp._covered_mass_structure.cache_clear()
+        for k in rng.permutation(len(cases)) if order else range(len(cases)):
+            sw, caps, which = cases[k]
+            got, want = (solve(m) for m in (converses_ptp._covered_mass_lp(sw, caps)[0],
+                                            _reference_covered_mass_lp(sw, caps)))
+            assert got.status == want.status == "Optimal"
+            assert got.value == want.value, (k, caps, which)
+            np.testing.assert_array_equal(got.primal, want.primal)
+            np.testing.assert_array_equal(got.dual, want.dual)
+
+
 def test_metaconverse_memory_64x64():
     rng = np.random.default_rng(30)
     inst = _sw(rng.dirichlet(np.ones(64 * 64)).reshape(64, 64), 3, 3)
@@ -399,6 +469,93 @@ def test_mk_witness_reeval_and_sup():
         for rep, at, key, points in cases:
             assert at(rep.witness[key]) == rep.raw_value, rep.name
             assert max(at(float(x)) for x in points) <= rep.raw_value + 1e-12, rep.name
+
+
+def _scalar_sups(seed=18):
+    """Every scalar sup on the instances test_mk_witness_reeval_and_sup draws,
+    as (name, thunk) pairs."""
+    cp = converses_ptp
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(10):
+        inst = _random_inst(rng, max_m=3)
+        src = random_single(rng, int(rng.integers(2, 6)))
+        n, M = src.alphabet_size, int(rng.integers(1, 4))
+        d = rng.integers(0, 3, size=(n, n)).astype(float)
+        np.fill_diagonal(d, 0.0)
+        sc = ScInstance(src, M, DistortionSpec(d, float(rng.choice([0.0, 1.0]))))
+        out += [lambda inst=inst: mk_classic(inst), lambda inst=inst: mk_improved(inst),
+                lambda src=src, M=M: cp.lossless_gamma_bound(src, M)]
+        for w in (1, 2):
+            out += [lambda inst=inst, w=w: cp.sid_improved(inst, w),
+                    lambda inst=inst, w=w: cp.sid_classic(inst, w)]
+        for j in (None, cp.TiltedInfo(rng.normal(0.0, 2.0, n))):
+            out += [lambda sc=sc, j=j: cp.kv_tilted_improved(sc, j),
+                    lambda sc=sc, j=j: cp.palzer_timo(sc, j)]
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 40])
+def test_scalar_sups_do_not_depend_on_the_block(monkeypatch, block):
+    # one candidate per block, or a few with a shorter last block: each
+    # candidate's value is a row sum of its own, so nothing may move
+    sups = _scalar_sups()
+    want = [sup() for sup in sups]
+    monkeypatch.setattr(converses_ptp, "_SUP_BLOCK", block)
+    for sup, rep in zip(sups, want):
+        got = sup()
+        assert got.raw_value == rep.raw_value, rep.name
+        assert got.witness == rep.witness, rep.name
+
+
+def test_curve_sups_memory_60x60():
+    # about 3,600 candidates over 3,600 cells: one (candidates x cells)
+    # temporary would take 100 MiB, one block takes 0.5 MiB
+    rng = np.random.default_rng(75)
+    inst = _sw(rng.dirichlet(np.ones(60 * 60)).reshape(60, 60), 3, 3)
+    for bound in (converses_ptp.sid_improved, converses_ptp.sid_classic, mk_improved,
+                  mk_classic):
+        assert peak_mib(lambda: bound(inst)) < 4, bound.__name__
+
+
+def _at_calls():
+    cp = converses_ptp
+    inst = _sw(random_joint(np.random.default_rng(77), 3, 2).mass, 2, 1)
+    sc = ScInstance(random_single(np.random.default_rng(78), 3, allow_zeros=False), 2,
+                    DistortionSpec(np.eye(3) == 0, 0.0))
+    return {"sid_improved_at": lambda t: cp.sid_improved_at(inst, t, 2),
+            "sid_classic_at": lambda t: cp.sid_classic_at(inst, t, 1),
+            "mk_classic_at": lambda t: mk_classic_at(inst, t),
+            "mk_improved_at": lambda t: mk_improved_at(inst, t),
+            "lossless_gamma_at": lambda t: cp.lossless_gamma_at(sc.source, 2, t),
+            "kv_tilted_at": lambda t: cp.kv_tilted_at(sc, t),
+            "palzer_timo_at": lambda b: cp.palzer_timo_at(sc, b)}
+
+
+@pytest.mark.parametrize("name", list(_at_calls()))
+def test_at_rejects_a_point_outside_its_domain(name):
+    at = _at_calls()[name]
+    bad = [math.nan] if name == "palzer_timo_at" else [math.nan, math.inf, -math.inf, -1.0]
+    for x in bad:
+        with pytest.raises(PmfError):
+            at(x)
+    good = [-math.inf, math.inf, -3.0, 0.0] if name == "palzer_timo_at" else [0.0, 0.5, 7.0]
+    for x in good:
+        assert math.isfinite(at(x)) and at(x) <= 1.0 + 1e-12
+
+
+def test_palzer_infinite_thresholds_raise_no_warning():
+    cp = converses_ptp
+    # a zero-mass symbol makes the built-in j = +inf there
+    sc = ScInstance(SinglePmf([0.5, 0.3, 0.2, 0.0]), 1, DistortionSpec(np.eye(4) == 0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for j in (None, cp.TiltedInfo([0.1, 2.0, -1.0, 5.0])):
+            rep = cp.palzer_timo(sc, j)
+            assert cp.palzer_timo_at(sc, rep.witness["beta"], j) == rep.raw_value
+            assert cp.palzer_timo_at(sc, math.inf, j) == 0.0
+            # b = -inf keeps every symbol: 1 - M max P
+            assert cp.palzer_timo_at(sc, -math.inf, j) == 0.5
 
 
 # ---------------------------------------------------------------------------

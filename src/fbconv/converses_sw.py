@@ -26,6 +26,8 @@ import numpy as np
 from .lp_core import solve
 from .probability import PmfError
 from .relaxations import (
+    _JE_ROWS,
+    _SW_ROWS,
     DualPointJE,
     DualPointSI,
     DualPointSW,
@@ -33,7 +35,6 @@ from .relaxations import (
     _binding_gammas,
     _check_lp_size,
     _exchanged,
-    _je_table,
     _sw_table,
     check_feasible,
 )
@@ -190,9 +191,9 @@ def _require_feasible(violations, what):
 def _sw_point(inst: SwInstance, **fields) -> DualPointSW:
     """The SW dual point of `fields`, binding gammas, and zero (a read-only
     broadcast, which holds no memory) in every other multiplier field."""
-    sizes, _, rows, _ = _sw_table(inst)
+    sizes = _sw_table(inst)[0]
     zeros = {name: np.broadcast_to(0.0, tuple(sizes[k] for k in letters))
-             for name, letters, _, minus in rows if minus is not None and name not in fields}
+             for name, letters, _, minus in _SW_ROWS if minus is not None and name not in fields}
     pt = DualPointSW(**zeros, **fields)
     return replace(pt, **_binding_gammas(inst, pt))
 
@@ -222,7 +223,7 @@ def embed_sid_feasible(inst: SwInstance, dual_point_sid: DualPointSI,
         mu_c_2=gb_bar[:, None, :, None] * eye2[None, :, None, :],
         mu_c_12=pt.lam_c.sum(axis=3).transpose(2, 0, 1))
     if pt.which == 2:
-        fields = _exchanged(_sw_table(sw)[2], fields)
+        fields = _exchanged(_SW_ROWS, fields)
     return _sw_point(inst, **fields)
 
 
@@ -302,11 +303,11 @@ def combine_feasible(inst: SwInstance, sid12_flows: DualPointSI,
                       "jointly-encoded dual point")
     sw = inst.oriented(2)
     one = _encoder_fields(inst, bar, hat.lam_s, alpha)
-    hat_sw = _exchanged(_je_table(inst)[2], {"lam_s": hat.lam_s})["lam_s"]
+    hat_sw = _exchanged(_JE_ROWS, {"lam_s": hat.lam_s})["lam_s"]
     # in C order, as encoder 1's fields, since the checker runs slower on
     # permuted views; the point keeps a read-only broadcast uncopied
     two = {k: np.broadcast_to(np.ascontiguousarray(v), v.shape) for k, v in _exchanged(
-        _sw_table(sw)[2], _encoder_fields(sw, replace(til, which=1), hat_sw, 1.0 - alpha)).items()}
+        _SW_ROWS, _encoder_fields(sw, replace(til, which=1), hat_sw, 1.0 - alpha)).items()}
 
     # channel flow: min of the summed sub-problem channel flows against the
     # diagonal error-density cap (D4's right-hand side at the correct pair)

@@ -27,7 +27,7 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from .probability import CodeSizes, InstanceTooLarge, JointPmf, PmfError
+from .probability import CodeSizes, InstanceTooLarge, JointPmf, PmfError, _real
 from .relaxations import SwInstance
 from .converses_ptp import EVENT_SLACK, BoundReport, _breakpoint_sup, _report
 
@@ -84,9 +84,10 @@ class DsbsSpec:
         if not (isinstance(self.n, (int, np.integer)) and not isinstance(self.n, bool)
                 and self.n >= 1):
             raise PmfError(f"n must be a positive integer, got {self.n!r}")
-        if not (0.0 < self.p < 0.5):
+        if not (_real(self.p) and 0.0 < self.p < 0.5):
             raise PmfError(f"p must lie in (0, 0.5), got {self.p!r}")
-        if not (0.0 <= self.R1 < math.inf and 0.0 <= self.R2 < math.inf):
+        if not (_real(self.R1) and _real(self.R2)
+                and 0.0 <= self.R1 < math.inf and 0.0 <= self.R2 < math.inf):
             raise PmfError(f"rates must be finite and nonnegative, got {self.R1!r}, {self.R2!r}")
 
     @property
@@ -253,12 +254,12 @@ class SweepRow:
 
 
 def sweep(spec: DsbsSpec, n_list: Iterable[int]) -> List[SweepRow]:
-    """All three bounds at each blocklength; rows sorted by (n, bound name)."""
+    """All three bounds at each blocklength; rows sorted by (n, bound name).
+    PmfError for an n that DsbsSpec rejects."""
     rows = []
-    for n in sorted({int(x) for x in n_list}):
-        cur = DsbsSpec(n, spec.p, spec.R1, spec.R2)
+    for cur in sorted({DsbsSpec(n, spec.p, spec.R1, spec.R2) for n in n_list}, key=lambda s: s.n):
         for rep in (dsbs_converse(cur), dsbs_je_bound(cur), dsbs_mk(cur)):
-            rows.append(SweepRow(n, rep.name, rep.raw_value, rep.clamped_value,
+            rows.append(SweepRow(int(cur.n), rep.name, rep.raw_value, rep.clamped_value,
                                  float(rep.witness["t"])))
     rows.sort(key=lambda r: (r.n, r.bound_name))
     return rows

@@ -15,6 +15,7 @@ Indices are 0-based; omitted entries are zero.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
@@ -48,8 +49,16 @@ class InstanceTooLarge(ValueError):
     a code size past float range, or a DSBS expansion past its cap."""
 
 
+def _real(value) -> bool:
+    """Whether value is a real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _frozen_array(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
+    try:
+        out = np.array(a, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise PmfError(f"expected an array of real numbers: {e}") from None
     out.setflags(write=False)
     return out
 
@@ -107,7 +116,7 @@ Pmf = Union[SinglePmf, JointPmf]
 
 def validate(mass) -> Pmf:
     """Wrap a raw array as SinglePmf or JointPmf after checking it really is a pmf."""
-    arr = np.asarray(mass, dtype=float)
+    arr = _frozen_array(mass)
     if arr.ndim == 1:
         return SinglePmf(arr)
     if arr.ndim == 2:
@@ -126,7 +135,7 @@ class CodeSizes:
     def __post_init__(self):
         for name in ("M1", "M2") if self.M2 is not None else ("M1",):
             M = getattr(self, name)
-            if not (M >= 1 and M % 1 == 0):
+            if not (_real(M) and M >= 1 and M % 1 == 0):
                 raise PmfError(f"{name} must be a positive integer, got {M!r}")
             object.__setattr__(self, name, int(M))   # 2.0 must size and index arrays
         try:
@@ -148,8 +157,8 @@ class DistortionSpec:
             raise PmfError("d_matrix must be 2-D (|S| x |Shat|)")
         if np.any(np.isnan(self.d_matrix)) or np.any(self.d_matrix < 0):
             raise PmfError("distortion entries must lie in [0, +inf]")
-        if not (self.level >= 0):
-            raise PmfError(f"distortion level must be >= 0, got {self.level!r}")
+        if not (_real(self.level) and self.level >= 0):
+            raise PmfError(f"distortion level must be a real number >= 0, got {self.level!r}")
 
     @classmethod
     def lossless(cls, n: int) -> "DistortionSpec":

@@ -52,10 +52,11 @@ WarmStart under 0.23 MiB.  The point-to-point table's cost depends on its
 distortion, which its structure does not fix, so SC models carry no
 WarmStart and solve cold, and an SC entry's stays empty.  The same table gives:
 
-  * the variable and row layouts (the *_indexer functions);
-  * the layout of each typed dual point: one field per row family, named
-    after it, with the family's letters as axes, so slicing a solver's dual
-    vector is a reshape;
+  * the variable and row layouts (_layouts);
+  * each typed dual point class (DualPointSC, SI, JE and SW), made from the
+    table's row families: one field per family, named after it, with the
+    family's letters as axes, so slicing a solver's dual vector
+    (dual_point_from_solution) is a reshape;
   * the dual constraints A^T y <= c (check_feasible), one per column: a
     block's residual is the families lifting into it, broadcast up to its
     letters, minus the families whose minus block it is, summed down to its
@@ -71,9 +72,8 @@ Constraint ids, per column block (SI 2|1 has C1-C3 for B1-B3):
   JE           A1      A2              A3
   SW           D1  D2  D3  D7  D6  D5  D4
 
-A violation's index runs over its block's letters in table order.  A block
-is skipped when a normalization field lifting into it is None; no other
-field may be None.
+check_feasible skips a block when a normalization field lifting into it is
+None; no other field may be None.
 
 Letters: s source and x, y encoder output / decoder input, h reconstruction
 (point-to-point); e encoded and s side source (side information); a, b the
@@ -85,7 +85,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, make_dataclass, replace
 from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
 
@@ -156,26 +156,32 @@ class SwInstance:
         return SwInstance(JointPmf(self.joint.mass.T), CodeSizes(self.sizes.M2, self.sizes.M1))
 
 
-def sw_je_instance(inst: SwInstance) -> ScInstance:
-    """The jointly-encoded relaxation of a distributed instance: one encoder
-    sees the pair, alphabet flattened in row-major order, M = M1*M2."""
-    n1, n2, m1, m2 = inst.dims
-    flat = SinglePmf(inst.joint.mass.reshape(-1))
-    return ScInstance(flat, m1 * m2, DistortionSpec.lossless(n1 * n2))
-
-
 # ---------------------------------------------------------------------------
 # LP tables: (sizes, column blocks, row families, cost); blocks and families
-# are tuples, so hashable
+# are tuples, so hashable.  The row families of each kind, which also make
+# its dual point class:
+
+_SC_ROWS = (("gamma_a", "s", "Q1", None), ("gamma_b", "y", "Qd", None),
+            ("lam_s", "shy", "W", "Qd"), ("lam_c", "xsy", "W", "Q1"))
+# either side's: the side's id is in its column blocks
+_SI_ROWS = (("gamma_a", "e", "Q1", None), ("gamma_b", "sy", "Qd", None),
+            ("lam_s", "eshy", "W", "Qd"), ("lam_c", "esxy", "W", "Q1"))
+_JE_ROWS = (("gamma_a", "ab", "Q1", None), ("gamma_b", "uv", "Qd", None),
+            ("lam_s", "abcduv", "W", "Qd"), ("lam_c", "abxyuv", "W", "Q1"))
+_SW_ROWS = (("gamma_a", "a", "Q1", None), ("gamma_b", "b", "Q2", None),
+            ("gamma_c", "uv", "Qd", None),
+            ("mu_c_21", "yab", "T", "Q2"), ("mu_c_12", "xab", "T", "Q1"),
+            ("mu_s_1", "acduv", "U", "Qd"), ("mu_s_2", "bcduv", "V", "Qd"),
+            ("mu_c_1", "axuv", "U", "Q1"), ("mu_c_2", "byuv", "V", "Q2"),
+            ("lam_s_12", "abyuvcd", "W", "V"), ("lam_s_21", "abxuvcd", "W", "U"),
+            ("lam_c", "abxyuv", "W", "T"))
 
 
 def _sc_table(inst: ScInstance):
     sizes = dict(s=inst.n, x=inst.M, y=inst.M, h=inst.n_hat)
     cols = (("Q1", "sx", "P1"), ("Qd", "yh", "P2"), ("W", "sxyh", "P3"))
-    rows = (("gamma_a", "s", "Q1", None), ("gamma_b", "y", "Qd", None),
-            ("lam_s", "shy", "W", "Qd"), ("lam_c", "xsy", "W", "Q1"))
     # P(s) 1{d(s, h) > level} on x = y
-    return sizes, cols, rows, ("sxxh->sxh", lambda: (
+    return sizes, cols, _SC_ROWS, ("sxxh->sxh", lambda: (
         inst.source.mass[:, None] * inst.distortion.excess())[:, None, :])
 
 
@@ -186,10 +192,8 @@ def _si_table(inst: SwInstance, which: int):
     sizes = dict(e=ne, s=ns, x=M, y=M, h=ne)
     cid = "BC"[which - 1]
     cols = (("Q1", "ex", cid + "1"), ("Qd", "syh", cid + "2"), ("W", "esxyh", cid + "3"))
-    rows = (("gamma_a", "e", "Q1", None), ("gamma_b", "sy", "Qd", None),
-            ("lam_s", "eshy", "W", "Qd"), ("lam_c", "esxy", "W", "Q1"))
     # P(e, s) on every wrong estimate h != e, on x = y
-    return sizes, cols, rows, ("esxxh->esxh", lambda: np.einsum(
+    return sizes, cols, _SI_ROWS, ("esxxh->esxh", lambda: np.einsum(
         "es, eh -> esh", sw.joint.mass, 1.0 - np.eye(ne))[:, :, None, :])
 
 
@@ -207,22 +211,13 @@ def _pair_table(inst: SwInstance, cols, rows):
 
 def _je_table(inst: SwInstance):
     cols = (("Q1", "abxy", "A1"), ("Qd", "uvcd", "A2"), ("W", "abxyuvcd", "A3"))
-    rows = (("gamma_a", "ab", "Q1", None), ("gamma_b", "uv", "Qd", None),
-            ("lam_s", "abcduv", "W", "Qd"), ("lam_c", "abxyuv", "W", "Q1"))
-    return _pair_table(inst, cols, rows)
+    return _pair_table(inst, cols, _JE_ROWS)
 
 
 def _sw_table(inst: SwInstance):
     cols = (("Q1", "ax", "D1"), ("Q2", "by", "D2"), ("Qd", "uvcd", "D3"), ("T", "abxy", "D7"),
             ("U", "axuvcd", "D6"), ("V", "byuvcd", "D5"), ("W", "abxyuvcd", "D4"))
-    rows = (("gamma_a", "a", "Q1", None), ("gamma_b", "b", "Q2", None),
-            ("gamma_c", "uv", "Qd", None),
-            ("mu_c_21", "yab", "T", "Q2"), ("mu_c_12", "xab", "T", "Q1"),
-            ("mu_s_1", "acduv", "U", "Qd"), ("mu_s_2", "bcduv", "V", "Qd"),
-            ("mu_c_1", "axuv", "U", "Q1"), ("mu_c_2", "byuv", "V", "Q2"),
-            ("lam_s_12", "abyuvcd", "W", "V"), ("lam_s_21", "abxuvcd", "W", "U"),
-            ("lam_c", "abxyuv", "W", "T"))
-    return _pair_table(inst, cols, rows)
+    return _pair_table(inst, cols, _SW_ROWS)
 
 
 _EXCHANGE = str.maketrans("abxyuvcd", "bayxvudc")   # the letters of S1 <-> those of S2
@@ -263,22 +258,6 @@ class TensorIndex:
 
     def extract(self, vec: np.ndarray, name: str) -> np.ndarray:
         return vec[self.slice_of(name)].reshape(self.shapes[name])
-
-
-def sc_indexer(inst: ScInstance) -> Tuple[TensorIndex, TensorIndex]:
-    return _structure(_sc_table(inst))[:2]
-
-
-def si_indexer(inst: SwInstance, which: int) -> Tuple[TensorIndex, TensorIndex]:
-    return _structure(_si_table(inst, which))[:2]
-
-
-def je_indexer(inst: SwInstance) -> Tuple[TensorIndex, TensorIndex]:
-    return _structure(_je_table(inst))[:2]
-
-
-def sw_indexer(inst: SwInstance) -> Tuple[TensorIndex, TensorIndex]:
-    return _structure(_sw_table(inst))[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +350,9 @@ def build_lpsi(inst: SwInstance, which: int = 1) -> LpModel:
 def build_lp_je(inst: SwInstance) -> LpModel:
     """LP relaxation of the jointly-encoded pair problem in pair indices.
 
-    Value equals build_lp_sc on sw_je_instance(inst); the two come from
-    different tables (pair letters against flattened ones), which the tests
-    exploit.
+    Value equals build_lp_sc on the pair as one source, alphabet flattened
+    in row-major order, with M = M1 M2; the two come from different tables
+    (pair letters against flattened ones), which the tests exploit.
     """
     return _build(_je_table, inst)
 
@@ -403,62 +382,40 @@ class _DualPoint:
                 object.__setattr__(self, f.name, _read_only(val))
 
 
-@dataclass(frozen=True)
-class DualPointSC(_DualPoint):
-    """Multipliers for the point-to-point LP; see sc_indexer for row orders."""
-
-    lam_s: np.ndarray            # (s, sh, y)
-    lam_c: np.ndarray            # (x, s, y)
-    gamma_a: Optional[np.ndarray] = None   # (s,)
-    gamma_b: Optional[np.ndarray] = None   # (y,)
-
-
-@dataclass(frozen=True)
-class DualPointSI(_DualPoint):
-    """Multipliers for a side-information LP; `which` names the encoded
-    source.  A which = 2 point is the which = 1 point of inst.oriented(2):
-    axes follow the encoded source first, so for which = 2 they start (s2, s1)."""
-
-    which: int
-    lam_s: np.ndarray            # (s_enc, s_side, sh_enc, y_enc)
-    lam_c: np.ndarray            # (s_enc, s_side, x_enc, y_enc)
-    gamma_a: Optional[np.ndarray] = None   # (s_enc,)
-    gamma_b: Optional[np.ndarray] = None   # (s_side, y_enc)
+def _point_class(name: str, rows, summary: str, *lead) -> type:
+    """A frozen _DualPoint subclass: the `lead` fields, then one array field
+    per row family of `rows` in table order, but for the normalization
+    (gamma) families, which come last and default to None."""
+    rows = [r for r in rows if r[3] is not None] + [r for r in rows if r[3] is None]
+    spec = [(f, np.ndarray) if minus else (f, Optional[np.ndarray], field(default=None))
+            for f, _, _, minus in rows]
+    cls = make_dataclass(name, [*lead, *spec], bases=(_DualPoint,), frozen=True)
+    cls.__module__ = __name__
+    cls.__doc__ = summary + "\n\nFields, with their row family's letters as axes:\n\n" + "".join(
+        f"    {f:9}{letters}\n" for f, letters, _, _ in rows)
+    return cls
 
 
-@dataclass(frozen=True)
-class DualPointJE(_DualPoint):
-    """Multipliers for the jointly-encoded LP in pair indices."""
-
-    lam_s: np.ndarray            # (s1, s2, sh1, sh2, y1, y2)
-    lam_c: np.ndarray            # (s1, s2, x1, x2, y1, y2)
-    gamma_a: Optional[np.ndarray] = None   # (s1, s2)
-    gamma_b: Optional[np.ndarray] = None   # (y1, y2)
-
-
-@dataclass(frozen=True)
-class DualPointSW(_DualPoint):
-    """Multipliers for the distributed LP; see _sw_table for row orders."""
-
-    lam_s_12: np.ndarray         # (s1, s2, x2, y1, y2, sh1, sh2)
-    lam_s_21: np.ndarray         # (s1, s2, x1, y1, y2, sh1, sh2)
-    lam_c: np.ndarray            # (s1, s2, x1, x2, y1, y2)
-    mu_s_1: np.ndarray           # (s1, sh1, sh2, y1, y2)
-    mu_s_2: np.ndarray           # (s2, sh1, sh2, y1, y2)
-    mu_c_1: np.ndarray           # (s1, x1, y1, y2)
-    mu_c_2: np.ndarray           # (s2, x2, y1, y2)
-    mu_c_12: np.ndarray          # (x1, s1, s2)
-    mu_c_21: np.ndarray          # (x2, s1, s2)
-    gamma_a: Optional[np.ndarray] = None   # (s1,)
-    gamma_b: Optional[np.ndarray] = None   # (s2,)
-    gamma_c: Optional[np.ndarray] = None   # (y1, y2)
+DualPointSC = _point_class("DualPointSC", _SC_ROWS, "Multipliers for the point-to-point LP.")
+DualPointSI = _point_class("DualPointSI", _SI_ROWS, (
+    "Multipliers for a side-information LP; `which` names the encoded source.  A which = 2\n"
+    "point is the which = 1 point of inst.oriented(2), so its e is S2 and its s is S1."),
+    ("which", int))
+DualPointJE = _point_class("DualPointJE", _JE_ROWS, "Multipliers for the jointly-encoded LP.")
+DualPointSW = _point_class("DualPointSW", _SW_ROWS, "Multipliers for the distributed LP.")
 
 
-def _table_of(inst, pt: _DualPoint):
-    if isinstance(pt, DualPointSI):
-        return _si_table(inst, pt.which)
-    return {DualPointSC: _sc_table, DualPointJE: _je_table,
-            DualPointSW: _sw_table}[type(pt)](inst)
+def _table_of(inst, point_type: type, which: Optional[int] = None):
+    """The table of point_type's LP on inst, side `which` for DualPointSI."""
+    if point_type is DualPointSI:
+        return _si_table(inst, which)
+    tables = {DualPointSC: _sc_table, DualPointJE: _je_table, DualPointSW: _sw_table}
+    return tables[point_type](inst)
+
+
+def _layouts(inst, point_type: type, which: Optional[int] = None):
+    """The (column, row) TensorIndex layouts of point_type's LP on inst."""
+    return _structure(_table_of(inst, point_type, which))[:2]
 
 
 @functools.lru_cache(maxsize=32)
@@ -492,7 +449,7 @@ def _binding_gammas(inst, pt: _DualPoint) -> Dict[str, np.ndarray]:
     most the families whose minus block is B, summed down to B's letters.
     The largest feasible multiplier is the min of that over the letters of B
     the family does not have."""
-    _, cols, rows, _ = _table_of(inst, pt)
+    _, cols, rows, _ = _table_of(inst, type(pt), getattr(pt, "which", None))
     return {name: sum(_summed_down(pt, down)).min(axis=free)
             for _, _, _, norms, _, down in _plan(cols, rows) for name, free in norms}
 
@@ -525,10 +482,10 @@ def _check_shapes(table, pt: _DualPoint) -> None:
 
 def check_feasible(inst, pt: _DualPoint, tol: float = 1e-12) -> List[ConstraintViolation]:
     """One record per entry of A^T y - c, the dual constraints of pt's LP at
-    y = pt, that is not <= tol; see the module docstring for ids and indices.
+    y = pt, that is not <= tol; see the module docstring for ids.
     Each block's residual is one array, accumulated in place, and the cost
     is subtracted on W's message diagonal only."""
-    table = _table_of(inst, pt)
+    table = _table_of(inst, type(pt), getattr(pt, "which", None))
     _check_shapes(table, pt)
     sizes, cols, rows, (diagonal, factor) = table
     out: List[ConstraintViolation] = []
@@ -551,21 +508,10 @@ def check_feasible(inst, pt: _DualPoint, tol: float = 1e-12) -> List[ConstraintV
     return out
 
 
-# the per-LP names of check_feasible
-check_dp_feasible = check_dpsi_feasible = check_dpje_feasible = check_dpsw_feasible = \
-    check_feasible
-
-
-# ---------------------------------------------------------------------------
-# dual objectives (penalty / min form): the sum of the binding normalization
-# multipliers, so stored gamma fields are never read
-
-
-def _objective(inst, pt: _DualPoint) -> float:
+def dual_objective(inst, pt: _DualPoint) -> float:
+    """pt's dual objective in penalty (min) form: the sum of its binding
+    normalization multipliers, so stored gamma fields are never read."""
     return float(sum(g.sum() for g in _binding_gammas(inst, pt).values()))
-
-
-dp_objective = dpje_objective = dpsi_objective = dpsw_objective = _objective
 
 
 # ---------------------------------------------------------------------------
@@ -615,22 +561,36 @@ def dpje_flows(inst: SwInstance, phi_hat: np.ndarray) -> DualPointJE:
 # slicing solver output back into typed dual points
 
 
-def _fields(rows: TensorIndex, sol: LpSolution) -> Dict[str, np.ndarray]:
-    return {name: rows.extract(sol.dual, name) for name in rows.shapes}
+def dual_point_from_solution(inst, sol: LpSolution, point_type: type,
+                             which: Optional[int] = None) -> _DualPoint:
+    """The point_type dual point (side `which` for DualPointSI) of a solution
+    of its LP on inst, each field a view of sol.dual reshaped to its family's
+    letters.  PmfError unless sol holds one dual per row of that LP."""
+    rows = _layouts(inst, point_type, which)[1]
+    if sol.dual is None or sol.dual.shape != (rows.total,):
+        got = "no duals" if sol.dual is None else f"duals of shape {sol.dual.shape}"
+        raise PmfError(f"{point_type.__name__}'s LP has {rows.total} rows; the {sol.status} "
+                       f"solution has {got}")
+    lead = (which,) if point_type is DualPointSI else ()
+    return point_type(*lead, **{name: rows.extract(sol.dual, name) for name in rows.shapes})
 
 
-def dual_point_sc_from_solution(inst: ScInstance, sol: LpSolution) -> DualPointSC:
-    return DualPointSC(**_fields(sc_indexer(inst)[1], sol))
+# ---------------------------------------------------------------------------
+# the per-kind names perfbench/workloads.py still reads; they go with the
+# benchmark change that moves its imports to the names above (ROADMAP.md)
+
+
+def dual_point_si_from_solution(inst: SwInstance, which: int, sol: LpSolution) -> DualPointSI:
+    return dual_point_from_solution(inst, sol, DualPointSI, which)
 
 
 def dual_point_je_from_solution(inst: SwInstance, sol: LpSolution) -> DualPointJE:
-    return DualPointJE(**_fields(je_indexer(inst)[1], sol))
-
-
-def dual_point_si_from_solution(inst: SwInstance, which: int,
-                                sol: LpSolution) -> DualPointSI:
-    return DualPointSI(which, **_fields(si_indexer(inst, which)[1], sol))
+    return dual_point_from_solution(inst, sol, DualPointJE)
 
 
 def dual_point_sw_from_solution(inst: SwInstance, sol: LpSolution) -> DualPointSW:
-    return DualPointSW(**_fields(sw_indexer(inst)[1], sol))
+    return dual_point_from_solution(inst, sol, DualPointSW)
+
+
+check_dpsi_feasible = check_dpje_feasible = check_dpsw_feasible = check_feasible
+dpsw_objective = dual_objective

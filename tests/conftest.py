@@ -1,5 +1,6 @@
-"""Shared random-instance generators, an LP dual certificate, the dual
-checker held against its hand-written oracle, and a memory probe.
+"""Shared random-instance generators, the jointly-encoded instance of a
+pair, an LP dual certificate, the dual checker held against its
+hand-written oracle, and a memory probe.
 
 All randomness is seeded per test; generators occasionally zero out entries
 (then renormalize exactly) so zero-mass corner cases get exercised.
@@ -13,8 +14,8 @@ import numpy as np
 
 from dual_oracle import HAND_AXES, HAND_CHECKERS
 from fbconv.lp_core import solve
-from fbconv.probability import CodeSizes, JointPmf, SinglePmf
-from fbconv.relaxations import _table_of, check_feasible
+from fbconv.probability import CodeSizes, DistortionSpec, JointPmf, SinglePmf
+from fbconv.relaxations import ScInstance, _table_of, check_feasible
 
 
 def random_single(rng, n, allow_zeros=True):
@@ -42,6 +43,14 @@ def random_joint(rng, n1, n2, allow_zeros=True):
 
 def random_sw_sizes(rng, max_m=2):
     return CodeSizes(int(rng.integers(1, max_m + 1)), int(rng.integers(1, max_m + 1)))
+
+
+def sw_je_instance(inst):
+    """The jointly-encoded relaxation of a distributed instance: one encoder
+    sees the pair, alphabet flattened in row-major order, M = M1*M2."""
+    n1, n2, m1, m2 = inst.dims
+    flat = SinglePmf(inst.joint.mass.reshape(-1))
+    return ScInstance(flat, m1 * m2, DistortionSpec.lossless(n1 * n2))
 
 
 def assert_dual_certificate(model, sol, rel=1e-9):
@@ -79,7 +88,8 @@ def assert_checkers_agree(inst, pt, tol):
     """check_feasible(inst, pt, tol), asserting that the hand-written oracle
     reports the same violations: the same ids, the same indices once its
     axes are mapped onto the block's letters, and residuals to 1e-12."""
-    letters = {cid: axes for _, axes, cid in _table_of(inst, pt)[1]}
+    _, cols, _, _ = _table_of(inst, type(pt), getattr(pt, "which", None))
+    letters = {cid: axes for _, axes, cid in cols}
 
     def moved(v):
         hand = HAND_AXES.get(v.constraint_id, letters[v.constraint_id])
@@ -111,7 +121,7 @@ def check_with_oracle(inst, pt, tol):
     """check_feasible(inst, pt, tol), once the hand-written oracle agrees with
     it on pt at tol, on every residual of pt where its LP has at most 20,000
     columns, and on a perturbed copy of pt at tol."""
-    sizes, cols, _, _ = _table_of(inst, pt)
+    sizes, cols, _, _ = _table_of(inst, type(pt), getattr(pt, "which", None))
     if sum(math.prod(sizes[k] for k in axes) for _, axes, _ in cols) <= 20_000:
         assert_checkers_agree(inst, pt, -np.inf)
     assert_checkers_agree(inst, _perturbed(pt, np.random.default_rng(0)), tol)

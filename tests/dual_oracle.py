@@ -40,7 +40,7 @@ def _collect(out: List[ConstraintViolation], cid: str, resid: np.ndarray, tol: f
 
 def check_dp_feasible(inst: ScInstance, pt: DualPointSC,
                       tol: float = 1e-12) -> List[ConstraintViolation]:
-    _check_shapes(_table_of(inst, pt), pt)
+    _check_shapes(_table_of(inst, DualPointSC), pt)
     M = inst.M
     P = inst.source.mass
     exc = inst.distortion.excess().astype(float)
@@ -65,7 +65,7 @@ def check_dp_feasible(inst: ScInstance, pt: DualPointSC,
 
 def check_dpje_feasible(inst: SwInstance, pt: DualPointJE,
                         tol: float = 1e-12) -> List[ConstraintViolation]:
-    _check_shapes(_table_of(inst, pt), pt)
+    _check_shapes(_table_of(inst, DualPointJE), pt)
     n1, n2, m1, m2 = inst.dims
     P = inst.joint.mass
     out: List[ConstraintViolation] = []
@@ -90,7 +90,7 @@ def check_dpje_feasible(inst: SwInstance, pt: DualPointJE,
 
 def check_dpsi_feasible(inst: SwInstance, pt: DualPointSI,
                         tol: float = 1e-12) -> List[ConstraintViolation]:
-    _check_shapes(_table_of(inst, pt), pt)
+    _check_shapes(_table_of(inst, DualPointSI, pt.which), pt)
     sw = inst.oriented(pt.which)   # side 2 is checked as side 1 of the swapped pair
     ne, _, M, _ = sw.dims
     P = sw.joint.mass
@@ -116,7 +116,7 @@ def check_dpsi_feasible(inst: SwInstance, pt: DualPointSI,
 def check_dpsw_feasible(inst: SwInstance, pt: DualPointSW,
                         tol: float = 1e-12) -> List[ConstraintViolation]:
     """Residual check of (D1)-(D7); returns one record per violated entry."""
-    _check_shapes(_table_of(inst, pt), pt)
+    _check_shapes(_table_of(inst, DualPointSW), pt)
     n1, n2, m1, m2 = inst.dims
     P = inst.joint.mass
     out: List[ConstraintViolation] = []

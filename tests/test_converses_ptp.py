@@ -33,9 +33,9 @@ from fbconv.probability import (
     SinglePmf,
     ZeroProbability,
 )
-from fbconv.relaxations import ScInstance, SwInstance, build_lp_sc, sw_je_instance
+from fbconv.relaxations import ScInstance, SwInstance, build_lp_sc
 
-from conftest import certified_solve, random_joint, random_single
+from conftest import certified_solve, random_joint, random_single, sw_je_instance
 
 
 def _lossless(p, M):

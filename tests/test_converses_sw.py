@@ -22,6 +22,8 @@ from fbconv.lp_core import LpModel, _dense_rows, _row_arrays, solve
 from fbconv.oracle import exact_opt_sw
 from fbconv.probability import CodeSizes, DistortionSpec, JointPmf, PmfError, SinglePmf
 from fbconv.relaxations import (
+    DualPointJE,
+    DualPointSI,
     InstanceTooLarge,
     ScInstance,
     SwInstance,
@@ -29,12 +31,9 @@ from fbconv.relaxations import (
     build_lp_sw,
     build_lpsi,
     dpje_flows,
-    dpje_objective,
     dpsi_flows,
-    dpsi_objective,
-    dpsw_objective,
-    dual_point_je_from_solution,
-    dual_point_si_from_solution,
+    dual_objective,
+    dual_point_from_solution,
 )
 from fbconv.converses_ptp import meta_je, meta_sid, sid_classic, sid_improved
 from fbconv.converses_sw import (
@@ -571,8 +570,8 @@ def test_embed_sid_feasible_flows():
             pt = dpsi_flows(inst, which, phi)
             out = embed_sid_feasible(inst, pt)
             assert check_with_oracle(inst, out, 1e-12) == []
-            assert dpsw_objective(inst, out) == pytest.approx(
-                dpsi_objective(inst, pt), abs=1e-12)
+            assert dual_objective(inst, out) == pytest.approx(
+                dual_objective(inst, pt), abs=1e-12)
 
 
 def test_embed_sid_anchor_and_edges():
@@ -580,11 +579,11 @@ def test_embed_sid_anchor_and_edges():
     rep = meta_sid(inst, 1)
     pt = dpsi_flows(inst, 1, rep.witness["phi"])
     out = embed_sid_feasible(inst, pt)
-    assert dpsw_objective(inst, out) == pytest.approx(0.5, abs=1e-9)
+    assert dual_objective(inst, out) == pytest.approx(0.5, abs=1e-9)
 
     zero = dpsi_flows(inst, 2, np.zeros((2, 2)))
     out = embed_sid_feasible(inst, zero)
-    assert dpsw_objective(inst, out) == pytest.approx(0.0, abs=1e-15)
+    assert dual_objective(inst, out) == pytest.approx(0.0, abs=1e-15)
     assert check_with_oracle(inst, out, 1e-12) == []
 
     with pytest.raises(InfeasibleInput):
@@ -599,8 +598,8 @@ def test_embed_je_feasible_flows():
         pt = dpje_flows(inst, phi)
         out = embed_je_feasible(inst, pt)
         assert check_with_oracle(inst, out, 1e-12) == []
-        assert dpsw_objective(inst, out) == pytest.approx(
-            dpje_objective(inst, pt), abs=1e-12)
+        assert dual_objective(inst, out) == pytest.approx(
+            dual_objective(inst, pt), abs=1e-12)
 
 
 def test_embed_je_anchor_and_edges():
@@ -608,10 +607,10 @@ def test_embed_je_anchor_and_edges():
     rep = meta_je(inst)
     pt = dpje_flows(inst, rep.witness["phi"])
     out = embed_je_feasible(inst, pt)
-    assert dpsw_objective(inst, out) == pytest.approx(0.75, abs=1e-9)
+    assert dual_objective(inst, out) == pytest.approx(0.75, abs=1e-9)
 
     out = embed_je_feasible(inst, dpje_flows(inst, np.zeros((2, 2))))
-    assert dpsw_objective(inst, out) == pytest.approx(0.0, abs=1e-15)
+    assert dual_objective(inst, out) == pytest.approx(0.0, abs=1e-15)
 
     with pytest.raises(InfeasibleInput):
         embed_je_feasible(inst, dpje_flows(inst, inst.joint.mass + 1.0))
@@ -626,7 +625,7 @@ def test_combine_feasible_anchor_alpha_independent():
                                dpsi_flows(inst, 2, p21),
                                dpje_flows(inst, ph), alpha)
         assert check_with_oracle(inst, out, 1e-12) == []
-        vals.append(dpsw_objective(inst, out))
+        vals.append(dual_objective(inst, out))
     assert vals[0] == pytest.approx(0.75, abs=1e-9)
     assert max(vals) - min(vals) <= 1e-12
 
@@ -642,7 +641,7 @@ def test_combine_feasible_random():
                                dpje_flows(inst, ph), 0.3)
         assert check_with_oracle(inst, out, 1e-12) == []
         # the combined objective collapses to the fixed-flow metaconverse
-        assert dpsw_objective(inst, out) == pytest.approx(
+        assert dual_objective(inst, out) == pytest.approx(
             meta_sw_eta(inst, ph, p12, p21).raw_value, abs=1e-9)
 
 
@@ -655,7 +654,7 @@ def test_combine_feasible_optimal_matches_lp():
         out = combine_feasible(inst, dpsi_flows(inst, 1, p12),
                                dpsi_flows(inst, 2, p21),
                                dpje_flows(inst, ph), 0.5)
-        assert dpsw_objective(inst, out) == pytest.approx(rep.raw_value, abs=1e-9)
+        assert dual_objective(inst, out) == pytest.approx(rep.raw_value, abs=1e-9)
 
 
 def test_combine_feasible_rejects():
@@ -671,12 +670,12 @@ def test_combine_feasible_rejects():
     with pytest.raises(InfeasibleInput):
         combine_feasible(inst, bad, f2, fj, 0.5)
     out = combine_feasible(inst, f1, f2, fj, 0.5)
-    assert dpsw_objective(inst, out) == pytest.approx(0.0, abs=1e-15)
+    assert dual_objective(inst, out) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_synthesis_rejects_nan_flows():
     # a NaN residual is a violation: once it passed every input check, and
-    # dpsw_objective of the synthesized point was nan
+    # dual_objective of the synthesized point was nan
     inst = SwInstance(random_joint(np.random.default_rng(26), 3, 3), CodeSizes(2, 2))
     P = inst.joint.mass
     phi = 0.5 * P
@@ -697,7 +696,7 @@ def test_mk_flows_matches_scalar_bounds():
     inst = _uniform22()
     out = mk_flows(inst, 0.25)
     assert check_with_oracle(inst, out, 1e-12) == []
-    assert dpsw_objective(inst, out) == pytest.approx(0.25, abs=1e-12)
+    assert dual_objective(inst, out) == pytest.approx(0.25, abs=1e-12)
 
     rng = np.random.default_rng(23)
     for _ in range(12):
@@ -705,7 +704,7 @@ def test_mk_flows_matches_scalar_bounds():
         for t in (0.1, 0.5, 1.0 - 1e-9):
             out = mk_flows(inst, t)
             assert check_with_oracle(inst, out, 1e-12) == []
-            obj = dpsw_objective(inst, out)
+            obj = dual_objective(inst, out)
             assert obj == pytest.approx(mk_improved_at(inst, t), abs=1e-9)
             assert obj >= mk_classic_at(inst, t) - 1e-9
 
@@ -715,7 +714,7 @@ def test_mk_flows_edges():
     for t in (0.2, 0.9):
         out = mk_flows(inst, t)
         assert check_with_oracle(inst, out, 1e-12) == []
-        assert dpsw_objective(inst, out) <= 1e-12
+        assert dual_objective(inst, out) <= 1e-12
     for bad in (-0.5, float("inf"), float("nan")):
         with pytest.raises(InfeasibleInput):
             mk_flows(_uniform22(), bad)
@@ -786,7 +785,7 @@ def test_constructed_points_below_lp_value():
         ]
         for pt in pts:
             assert check_with_oracle(inst, pt, 1e-12) == []
-            assert dpsw_objective(inst, pt) <= top + 1e-7
+            assert dual_objective(inst, pt) <= top + 1e-7
 
 
 def test_embed_solver_extracted_duals():
@@ -797,14 +796,14 @@ def test_embed_solver_extracted_duals():
         top = certified_solve(build_lp_sw(inst)).value
         for which in (1, 2):
             sol = certified_solve(build_lpsi(inst, which))
-            pt = dual_point_si_from_solution(inst, which, sol)
+            pt = dual_point_from_solution(inst, sol, DualPointSI, which)
             out = embed_sid_feasible(inst, pt, input_tol=1e-7)
             assert check_with_oracle(inst, out, 1e-7) == []
-            assert dpsw_objective(inst, out) >= sol.value - 1e-7
-            assert dpsw_objective(inst, out) <= top + 1e-7
+            assert dual_objective(inst, out) >= sol.value - 1e-7
+            assert dual_objective(inst, out) <= top + 1e-7
         sol = certified_solve(build_lp_je(inst))
-        out = embed_je_feasible(inst, dual_point_je_from_solution(inst, sol),
+        out = embed_je_feasible(inst, dual_point_from_solution(inst, sol, DualPointJE),
                                 input_tol=1e-7)
         assert check_with_oracle(inst, out, 1e-7) == []
-        assert dpsw_objective(inst, out) >= sol.value - 1e-7
-        assert dpsw_objective(inst, out) <= top + 1e-7
+        assert dual_objective(inst, out) >= sol.value - 1e-7
+        assert dual_objective(inst, out) <= top + 1e-7

@@ -57,7 +57,22 @@ def test_spec_rejects_rates_that_are_not_finite(rates):
             call(DsbsSpec(10, P, *rates))
 
 
+@pytest.mark.parametrize("args", [(3, "0.1", 0.5, 0.5), (3, None, 0.5, 0.5), (3, 0.1, None, 0.5),
+                                  (3, 0.1, 0.5, "0.5"), (3, 0.1, True, 0.5), (True, 0.1, 0.5, 0.5)])
+def test_spec_rejects_what_is_not_a_number(args):
+    # a str or None p or rate once raised a bare TypeError
+    with pytest.raises(PmfError):
+        DsbsSpec(*args)
+
+
 # --- sweep output ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_list", [[2.5], [True], [10, 20.0], ["10"], [None]])
+def test_sweep_rejects_a_blocklength_the_spec_rejects(n_list):
+    # 2.5 and True once ran as n = 2 and n = 1
+    with pytest.raises(PmfError, match="n must be a positive integer"):
+        sweep(DsbsSpec(10, P, 0.6, 0.7), n_list)
 
 
 def test_sweep_csv_header_and_round_trip():

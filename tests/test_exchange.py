@@ -30,8 +30,9 @@ def test_bad_which_raises_pmf_error(which):
     sol = solve(rx.build_lpsi(inst, 1))
     calls = [
         lambda: rx.build_lpsi(inst, which),
-        lambda: rx.si_indexer(inst, which),
+        lambda: rx._layouts(inst, rx.DualPointSI, which),
         lambda: rx.dpsi_flows(inst, which, inst.joint.mass),
+        lambda: rx.dual_point_from_solution(inst, sol, rx.DualPointSI, which),
         lambda: rx.dual_point_si_from_solution(inst, which, sol),
         lambda: cp.meta_sid(inst, which),
         lambda: cp.sid_improved(inst, which),
@@ -45,12 +46,12 @@ def test_bad_which_raises_pmf_error(which):
         with pytest.raises(PmfError, match="which must be 1 or 2"):
             call()
     # a point built with a bad which fails at its first use, in oriented
-    pt = rx.dual_point_si_from_solution(inst, 1, sol)
+    pt = rx.dual_point_from_solution(inst, sol, rx.DualPointSI, 1)
     bad = rx.DualPointSI(which, pt.lam_s, pt.lam_c)
     with pytest.raises(PmfError, match="which must be 1 or 2"):
-        rx.check_dpsi_feasible(inst, bad)
+        rx.check_feasible(inst, bad)
     with pytest.raises(PmfError, match="which must be 1 or 2"):
-        rx.dpsi_objective(inst, bad)
+        rx.dual_objective(inst, bad)
 
 
 def test_oriented_swaps_sources_and_code_sizes():

@@ -23,7 +23,7 @@ from fbconv.lp_core import (
 )
 from fbconv.probability import CodeSizes, JointPmf
 
-from conftest import assert_dual_certificate, random_joint
+from conftest import assert_dual_certificate, random_joint, sw_je_instance
 
 
 def scipy_reference(model):
@@ -315,7 +315,7 @@ def test_solves_sharing_a_thread_match_a_fresh_thread(monkeypatch):
     # table's basis, not from where the other left the instance
     models = [rx.build_lp_sw(inst), rx.build_lp_sw(other), rx.build_lp_je(inst),
               rx.build_lpsi(inst, 1), rx.build_lpsi(inst, 2),
-              rx.build_lp_sc(rx.sw_je_instance(inst)), _covered_mass_lp(inst, "uvw")[0],
+              rx.build_lp_sc(sw_je_instance(inst)), _covered_mass_lp(inst, "uvw")[0],
               LpModel("min", [1.0], _dense_rows([[1.0], [1.0]]), ("<=", ">="), [1.0, 2.0]),
               unbounded]
     # HiGHS answers this LP "unbounded" at once; answering "unbounded or

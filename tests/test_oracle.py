@@ -3,9 +3,9 @@ import pytest
 
 from fbconv.oracle import EnumerationTooLarge, exact_opt_sc, exact_opt_sid, exact_opt_sw
 from fbconv.probability import CodeSizes, DistortionSpec, JointPmf, SinglePmf
-from fbconv.relaxations import ScInstance, SwInstance, sw_je_instance
+from fbconv.relaxations import ScInstance, SwInstance
 
-from conftest import random_joint, random_single
+from conftest import random_joint, random_single, sw_je_instance
 
 
 def test_sc_anchors():

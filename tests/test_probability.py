@@ -122,6 +122,29 @@ def test_code_sizes_validation():
     assert (sizes.M1, sizes.M2) == (2, 3) and type(sizes.M1) is type(sizes.M2) is int
 
 
+@pytest.mark.parametrize("sizes", [(True,), (False,), ("3",), (None,), (np.bool_(True),),
+                                   (2, True), (2, "1")])
+def test_code_sizes_reject_what_is_not_a_number(sizes):
+    # True once gave M1 = 1, and "3" and None a bare TypeError
+    with pytest.raises(PmfError, match="positive integer"):
+        CodeSizes(*sizes)
+
+
+@pytest.mark.parametrize("make", [SinglePmf, JointPmf, validate])
+@pytest.mark.parametrize("mass", ["abc", [0.5, "x"], {"a": 1.0}])
+def test_pmfs_reject_what_is_not_a_number(make, mass):
+    # SinglePmf("abc") once raised numpy's ValueError
+    with pytest.raises(PmfError, match="real numbers"):
+        make(mass)
+
+
+@pytest.mark.parametrize("d, level", [([[0, 1]], "x"), ([[0, 1]], None), ([[0, 1]], True),
+                                      ("ab", 0.0)])
+def test_distortion_spec_rejects_what_is_not_a_number(d, level):
+    with pytest.raises(PmfError):
+        DistortionSpec(d, level)
+
+
 def test_code_sizes_must_have_a_float_value():
     # 2^1024 - 1 rounds up past the largest float; M1 M2 counts, not each alone
     CodeSizes(int(np.finfo(float).max))

@@ -20,29 +20,18 @@ from fbconv.relaxations import (
     build_lp_sc,
     build_lp_sw,
     build_lpsi,
-    check_dp_feasible,
-    check_dpsw_feasible,
+    _layouts,
     check_feasible,
     dp_flows_sc,
-    dp_objective,
     dpje_flows,
-    dpje_objective,
     dpsi_flows,
-    dpsi_objective,
-    dpsw_objective,
-    dual_point_je_from_solution,
-    dual_point_sc_from_solution,
+    dual_objective,
+    dual_point_from_solution,
     dual_point_si_from_solution,
-    dual_point_sw_from_solution,
-    je_indexer,
-    sc_indexer,
-    si_indexer,
-    sw_indexer,
-    sw_je_instance,
 )
 
 from conftest import (assert_checkers_agree, certified_solve, check_with_oracle, peak_mib,
-                      random_joint, random_single)
+                      random_joint, random_single, sw_je_instance)
 from dual_oracle import HAND_CHECKERS
 
 
@@ -52,10 +41,10 @@ def _sc(mass, M):
 
 
 def test_variable_counts():
-    cols, rows = sc_indexer(_sc([0.5, 0.5], 2))
+    cols, rows = _layouts(_sc([0.5, 0.5], 2), DualPointSC)
     assert cols.total == 24
     inst = SwInstance(JointPmf(np.full((2, 2), 0.25)), CodeSizes(2, 2))
-    cols, rows = sw_indexer(inst)
+    cols, rows = _layouts(inst, DualPointSW)
     assert cols.total == 424
     assert rows.total == 440
 
@@ -96,9 +85,9 @@ def test_sc_lp_sandwich_and_duals():
         assert sol.status == "Optimal"
         assert sol.value <= exact_opt_sc(inst) + 1e-9
         assert sol.value >= -1e-9
-        pt = dual_point_sc_from_solution(inst, sol)
+        pt = dual_point_from_solution(inst, sol, DualPointSC)
         assert check_with_oracle(inst, pt, 1e-7) == []
-        assert dp_objective(inst, pt) == pytest.approx(sol.value, abs=1e-7)
+        assert dual_objective(inst, pt) == pytest.approx(sol.value, abs=1e-7)
 
 
 def test_sc_lossy_lp_below_oracle():
@@ -107,7 +96,7 @@ def test_sc_lossy_lp_below_oracle():
     sol = certified_solve(build_lp_sc(inst))
     assert sol.status == "Optimal"
     assert sol.value <= exact_opt_sc(inst) + 1e-9
-    pt = dual_point_sc_from_solution(inst, sol)
+    pt = dual_point_from_solution(inst, sol, DualPointSC)
     assert check_with_oracle(inst, pt, 1e-7) == []
 
 
@@ -119,9 +108,9 @@ def test_je_builders_agree():
         b = certified_solve(build_lp_je(inst))
         assert a.status == b.status == "Optimal"
         assert a.value == pytest.approx(b.value, abs=1e-7)
-        pt = dual_point_je_from_solution(inst, b)
+        pt = dual_point_from_solution(inst, b, DualPointJE)
         assert check_with_oracle(inst, pt, 1e-7) == []
-        assert dpje_objective(inst, pt) == pytest.approx(b.value, abs=1e-7)
+        assert dual_objective(inst, pt) == pytest.approx(b.value, abs=1e-7)
 
 
 def test_lpsi_anchors_and_duals():
@@ -129,9 +118,9 @@ def test_lpsi_anchors_and_duals():
     for which in (1, 2):
         sol = certified_solve(build_lpsi(uni, which))
         assert sol.value == pytest.approx(0.5, abs=1e-9)
-        pt = dual_point_si_from_solution(uni, which, sol)
+        pt = dual_point_from_solution(uni, sol, DualPointSI, which)
         assert check_with_oracle(uni, pt, 1e-7) == []
-        assert dpsi_objective(uni, pt) == pytest.approx(0.5, abs=1e-7)
+        assert dual_objective(uni, pt) == pytest.approx(0.5, abs=1e-7)
 
 
 def test_lpsi_below_oracle():
@@ -142,18 +131,18 @@ def test_lpsi_below_oracle():
             sol = certified_solve(build_lpsi(inst, which))
             assert sol.status == "Optimal"
             assert sol.value <= exact_opt_sid(inst, which) + 1e-9
-            pt = dual_point_si_from_solution(inst, which, sol)
+            pt = dual_point_from_solution(inst, sol, DualPointSI, which)
             assert check_with_oracle(inst, pt, 1e-7) == []
-            assert dpsi_objective(inst, pt) == pytest.approx(sol.value, abs=1e-7)
+            assert dual_objective(inst, pt) == pytest.approx(sol.value, abs=1e-7)
 
 
 def test_sw_lp_uniform_anchor():
     inst = SwInstance(JointPmf(np.full((2, 2), 0.25)), CodeSizes(1, 1))
     sol = certified_solve(build_lp_sw(inst))
     assert sol.value == pytest.approx(0.75, abs=1e-9)
-    pt = dual_point_sw_from_solution(inst, sol)
+    pt = dual_point_from_solution(inst, sol, DualPointSW)
     assert check_with_oracle(inst, pt, 1e-7) == []
-    assert dpsw_objective(inst, pt) == pytest.approx(0.75, abs=1e-7)
+    assert dual_objective(inst, pt) == pytest.approx(0.75, abs=1e-7)
 
 
 def test_sw_lp_random_duals_and_oracle():
@@ -166,9 +155,9 @@ def test_sw_lp_random_duals_and_oracle():
         assert sol.status == "Optimal"
         assert sol.value <= exact_opt_sw(inst) + 1e-9
         assert sol.value >= -1e-9
-        pt = dual_point_sw_from_solution(inst, sol)
+        pt = dual_point_from_solution(inst, sol, DualPointSW)
         assert check_with_oracle(inst, pt, 1e-7) == []
-        assert dpsw_objective(inst, pt) == pytest.approx(sol.value, abs=1e-7)
+        assert dual_objective(inst, pt) == pytest.approx(sol.value, abs=1e-7)
 
 
 def test_sw_lp_3x3_m22_between_meta_sw_and_exact():
@@ -180,9 +169,9 @@ def test_sw_lp_3x3_m22_between_meta_sw_and_exact():
         assert sol.status == "Optimal"
         assert meta_sw(inst).raw_value <= sol.value + 1e-9
         assert sol.value <= exact_opt_sw(inst) + 1e-9
-        pt = dual_point_sw_from_solution(inst, sol)
+        pt = dual_point_from_solution(inst, sol, DualPointSW)
         assert check_with_oracle(inst, pt, 1e-9) == []
-        assert dpsw_objective(inst, pt) == pytest.approx(sol.value, abs=1e-9)
+        assert dual_objective(inst, pt) == pytest.approx(sol.value, abs=1e-9)
 
 
 def test_sw_lp_between_je_and_exact():
@@ -205,7 +194,7 @@ def test_flow_points_feasible_and_valued():
         pt = dp_flows_sc(inst, phi)
         assert check_with_oracle(inst, pt, 1e-12) == []
         want = phi.sum() - inst.M * (phi[:, None] * inst.distortion.within()).sum(0).max()
-        assert dp_objective(inst, pt) == pytest.approx(want, abs=1e-12)
+        assert dual_objective(inst, pt) == pytest.approx(want, abs=1e-12)
 
     for _ in range(20):
         joint = random_joint(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
@@ -218,25 +207,25 @@ def test_flow_points_feasible_and_valued():
             M = inst.sizes.M1 if which == 1 else inst.sizes.M2
             pe = phi if which == 1 else phi.T
             want = phi.sum() - M * pe.max(axis=0).sum()
-            assert dpsi_objective(inst, pt) == pytest.approx(want, abs=1e-12)
+            assert dual_objective(inst, pt) == pytest.approx(want, abs=1e-12)
         pt = dpje_flows(inst, phi)
         assert check_with_oracle(inst, pt, 1e-12) == []
         want = phi.sum() - inst.sizes.M1 * inst.sizes.M2 * phi.max()
-        assert dpje_objective(inst, pt) == pytest.approx(want, abs=1e-12)
+        assert dual_objective(inst, pt) == pytest.approx(want, abs=1e-12)
 
 
 def test_checkers_flag_injected_violations():
     inst = _sc([0.6, 0.4], 2)
     sol = certified_solve(build_lp_sc(inst))
-    pt = dual_point_sc_from_solution(inst, sol)
+    pt = dual_point_from_solution(inst, sol, DualPointSC)
     bad = DualPointSC(pt.lam_s + 1e-3, pt.lam_c, pt.gamma_a, pt.gamma_b)
-    ids = {v.constraint_id for v in check_dp_feasible(inst, bad, tol=1e-7)}
+    ids = {v.constraint_id for v in check_feasible(inst, bad, tol=1e-7)}
     assert "P3" in ids
     # a NaN entry is reported, in P2 and in P3 on either message, and does
     # not hide a violation beside it
     lam_s = pt.lam_s + 1e-3
     lam_s[0, 0, 0] = np.nan
-    found = check_dp_feasible(inst, DualPointSC(lam_s, pt.lam_c, pt.gamma_a, pt.gamma_b),
+    found = check_feasible(inst, DualPointSC(lam_s, pt.lam_c, pt.gamma_a, pt.gamma_b),
                               tol=1e-7)
     assert {(v.constraint_id, v.index) for v in found if np.isnan(v.residual)} == \
         {("P2", (0, 0)), ("P3", (0, 0, 0, 0)), ("P3", (0, 1, 0, 0))}
@@ -245,34 +234,28 @@ def test_checkers_flag_injected_violations():
 
     uni = SwInstance(JointPmf(np.full((2, 2), 0.25)), CodeSizes(1, 1))
     swsol = certified_solve(build_lp_sw(uni))
-    swpt = dual_point_sw_from_solution(uni, swsol)
-    bad = DualPointSW(swpt.lam_s_12, swpt.lam_s_21, swpt.lam_c + 5e-4,
-                      swpt.mu_s_1, swpt.mu_s_2, swpt.mu_c_1, swpt.mu_c_2,
-                      swpt.mu_c_12, swpt.mu_c_21,
-                      swpt.gamma_a, swpt.gamma_b, swpt.gamma_c)
-    ids = {v.constraint_id for v in check_dpsw_feasible(uni, bad, tol=1e-7)}
+    swpt = dual_point_from_solution(uni, swsol, DualPointSW)
+    bad = replace(swpt, lam_c=swpt.lam_c + 5e-4)
+    ids = {v.constraint_id for v in check_feasible(uni, bad, tol=1e-7)}
     assert ids and ids <= {"D4"}
-    bad2 = DualPointSW(swpt.lam_s_12, swpt.lam_s_21, swpt.lam_c,
-                       swpt.mu_s_1 + 5e-4, swpt.mu_s_2, swpt.mu_c_1, swpt.mu_c_2,
-                       swpt.mu_c_12, swpt.mu_c_21,
-                       swpt.gamma_a, swpt.gamma_b, swpt.gamma_c)
-    ids = {v.constraint_id for v in check_dpsw_feasible(uni, bad2, tol=1e-7)}
+    bad2 = replace(swpt, mu_s_1=swpt.mu_s_1 + 5e-4)
+    ids = {v.constraint_id for v in check_feasible(uni, bad2, tol=1e-7)}
     assert "D6" in ids
-    v = check_dpsw_feasible(uni, bad2, tol=1e-7)[0]
+    v = check_feasible(uni, bad2, tol=1e-7)[0]
     assert v.residual > 0
 
 
 def test_checker_shape_validation():
     inst = _sc([0.6, 0.4], 2)
     with pytest.raises(PmfError):
-        check_dp_feasible(inst, DualPointSC(np.zeros((3, 2, 2)), np.zeros((2, 2, 2))))
+        check_feasible(inst, DualPointSC(np.zeros((3, 2, 2)), np.zeros((2, 2, 2))))
 
 
 def test_dual_points_reject_a_missing_multiplier():
     # only a normalization (gamma) field may be None; once a None lam_c
     # failed as an AttributeError inside the checker
     with pytest.raises(PmfError, match="lam_c"):
-        check_dp_feasible(_sc([0.6, 0.4], 2), DualPointSC(np.zeros((2, 2, 2)), None))
+        check_feasible(_sc([0.6, 0.4], 2), DualPointSC(np.zeros((2, 2, 2)), None))
     for cls, extra in ((DualPointSC, {}), (DualPointSI, {"which": 1}), (DualPointJE, {}),
                        (DualPointSW, {})):
         names = [f.name for f in fields(cls) if f.name not in extra]
@@ -297,19 +280,20 @@ def _pair():
     return SwInstance(random_joint(np.random.default_rng(23), 3, 2), CodeSizes(2, 1))
 
 
-each_lp = pytest.mark.parametrize("inst, build, dual", [
-    (_lossy_sc(), build_lp_sc, dual_point_sc_from_solution),
-    (_pair(), lambda i: build_lpsi(i, 1), lambda i, s: dual_point_si_from_solution(i, 1, s)),
-    (_pair(), lambda i: build_lpsi(i, 2), lambda i, s: dual_point_si_from_solution(i, 2, s)),
-    (_pair(), build_lp_je, dual_point_je_from_solution),
-    (_pair(), build_lp_sw, dual_point_sw_from_solution),
+each_lp = pytest.mark.parametrize("inst, build, kind", [
+    (_lossy_sc(), build_lp_sc, (DualPointSC,)),
+    (_pair(), lambda i: build_lpsi(i, 1), (DualPointSI, 1)),
+    (_pair(), lambda i: build_lpsi(i, 2), (DualPointSI, 2)),
+    (_pair(), build_lp_je, (DualPointJE,)),
+    (_pair(), build_lp_sw, (DualPointSW,)),
 ], ids=["sc", "si1", "si2", "je", "sw"])
 
 
 @each_lp
-def test_checkers_reject_wrong_gamma_shapes(inst, build, dual):
+def test_checkers_reject_wrong_gamma_shapes(inst, build, kind):
     # a gamma of the wrong length neither broadcasts nor fails inside numpy
-    pt = dual(inst, LpSolution("Optimal", 0.0, None, np.zeros(build(inst).rhs.size)))
+    pt = dual_point_from_solution(inst, LpSolution("Optimal", 0.0, None,
+                                                   np.zeros(build(inst).rhs.size)), *kind)
     check_feasible(inst, pt)
     for f in [f for f in ("gamma_a", "gamma_b", "gamma_c") if hasattr(pt, f)]:
         for bad in (np.zeros(1), np.zeros(getattr(pt, f).size + 1)):
@@ -318,17 +302,41 @@ def test_checkers_reject_wrong_gamma_shapes(inst, build, dual):
 
 
 @each_lp
-def test_builder_transpose_matches_hand_written_duals(inst, build, dual):
+def test_builder_transpose_matches_hand_written_duals(inst, build, kind):
     # the dual constraints of min c.x, A x = b, x >= 0 are A^T y <= c, one per
     # column; the oracle states them by hand, so at any y its residuals must
     # be the entries of A^T y - c in some order
     model = build(inst)
     y = np.random.default_rng(29).normal(size=model.rhs.size)
-    pt = dual(inst, LpSolution("Optimal", 0.0, None, y))
+    pt = dual_point_from_solution(inst, LpSolution("Optimal", 0.0, None, y), *kind)
     resid = np.sort([v.residual for v in HAND_CHECKERS[type(pt)](inst, pt, tol=-np.inf)])
     want = np.sort(model.a_matrix.T @ y - model.objective)
     assert resid.shape == want.shape
     assert np.abs(resid - want).max() <= 1e-12
+
+
+@each_lp
+def test_slicer_rejects_a_solution_without_duals(inst, build, kind):
+    # a None dual once failed as "'NoneType' object is not subscriptable"
+    with pytest.raises(PmfError, match="no duals"):
+        dual_point_from_solution(inst, LpSolution("Infeasible", np.nan, None, None), *kind)
+
+
+@each_lp
+def test_slicer_rejects_duals_of_another_length(inst, build, kind):
+    n = build(inst).rhs.size
+    for dual in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((1, n))):
+        with pytest.raises(PmfError, match=f"has {n} rows"):
+            dual_point_from_solution(inst, LpSolution("Optimal", 0.0, None, dual), *kind)
+
+
+def test_slicer_rejects_another_lps_duals():
+    # SW's 341 and JE's 104 duals, sliced as SI side 1's 67 rows, once gave
+    # points of objective 0.0 (15 violations) and -1.0
+    inst = SwInstance(JointPmf(np.full((3, 2), 1 / 6)), CodeSizes(2, 1))
+    for build in (build_lp_sw, build_lp_je):
+        with pytest.raises(PmfError, match="DualPointSI's LP has 67 rows"):
+            dual_point_si_from_solution(inst, 1, certified_solve(build(inst)))
 
 
 def _dense_records(resid, tol):
@@ -394,14 +402,14 @@ def _cases(dims):
     n1, n2, m1, m2 = dims
     inst = SwInstance(random_joint(np.random.default_rng(31), n1, n2), CodeSizes(m1, m2))
     sc = _lossy_sc_m(m1)
-    out = [(sc, DualPointSC, sc_indexer(sc)[1], "P3", _dense_p3, _cost_p3(sc),
+    out = [(sc, DualPointSC, _layouts(sc, DualPointSC)[1], "P3", _dense_p3, _cost_p3(sc),
             build_lp_sc(sc), {}),
-           (inst, DualPointJE, je_indexer(inst)[1], "A3", _dense_a3, _cost_a3(inst),
+           (inst, DualPointJE, _layouts(inst, DualPointJE)[1], "A3", _dense_a3, _cost_a3(inst),
             build_lp_je(inst), {}),
-           (inst, DualPointSW, sw_indexer(inst)[1], "D4", _dense_d4, _cost_a3(inst),
+           (inst, DualPointSW, _layouts(inst, DualPointSW)[1], "D4", _dense_d4, _cost_a3(inst),
             build_lp_sw(inst), {})]
     for which, cid in ((1, "B3"), (2, "C3")):
-        out.append((inst, DualPointSI, si_indexer(inst, which)[1], cid, _dense_b3,
+        out.append((inst, DualPointSI, _layouts(inst, DualPointSI, which)[1], cid, _dense_b3,
                     _cost_b3(inst, which), build_lpsi(inst, which), {"which": which}))
     return out
 
@@ -476,32 +484,30 @@ def _solved_points():
     inst = SwInstance(random_joint(np.random.default_rng(43), 3, 2), CodeSizes(2, 1))
     out = []
     sol = certified_solve(build_lp_sc(sc))
-    out.append((sc, dual_point_sc_from_solution(sc, sol), sol.value))
+    out.append((sc, dual_point_from_solution(sc, sol, DualPointSC), sol.value))
     for which in (1, 2):
         sol = certified_solve(build_lpsi(inst, which))
-        out.append((inst, dual_point_si_from_solution(inst, which, sol), sol.value))
+        out.append((inst, dual_point_from_solution(inst, sol, DualPointSI, which), sol.value))
     sol = certified_solve(build_lp_je(inst))
-    out.append((inst, dual_point_je_from_solution(inst, sol), sol.value))
+    out.append((inst, dual_point_from_solution(inst, sol, DualPointJE), sol.value))
     return out
 
 
 def test_objective_ignores_stored_gammas():
-    objective = {DualPointSC: dp_objective, DualPointSI: dpsi_objective,
-                 DualPointJE: dpje_objective}
     for inst, pt, value in _solved_points():
         raised = replace(pt, gamma_a=pt.gamma_a + 0.1)
-        assert objective[type(pt)](inst, raised) == pytest.approx(value, abs=1e-7)
+        assert dual_objective(inst, raised) == pytest.approx(value, abs=1e-7)
 
 
 def test_dual_points_are_views_of_the_read_only_solution():
     # solve returns read-only arrays, so slicing keeps each field as a view
     inst = SwInstance(random_joint(np.random.default_rng(49), 3, 2), CodeSizes(2, 1))
     sc = sw_je_instance(inst)
-    cases = [(build_lp_sc(sc), lambda s: dual_point_sc_from_solution(sc, s)),
-             (build_lpsi(inst, 1), lambda s: dual_point_si_from_solution(inst, 1, s)),
-             (build_lpsi(inst, 2), lambda s: dual_point_si_from_solution(inst, 2, s)),
-             (build_lp_je(inst), lambda s: dual_point_je_from_solution(inst, s)),
-             (build_lp_sw(inst), lambda s: dual_point_sw_from_solution(inst, s))]
+    cases = [(build_lp_sc(sc), lambda s: dual_point_from_solution(sc, s, DualPointSC)),
+             (build_lpsi(inst, 1), lambda s: dual_point_from_solution(inst, s, DualPointSI, 1)),
+             (build_lpsi(inst, 2), lambda s: dual_point_from_solution(inst, s, DualPointSI, 2)),
+             (build_lp_je(inst), lambda s: dual_point_from_solution(inst, s, DualPointJE)),
+             (build_lp_sw(inst), lambda s: dual_point_from_solution(inst, s, DualPointSW))]
     for model, dual in cases:
         sol = certified_solve(model)
         assert not sol.primal.flags.writeable and not sol.dual.flags.writeable
@@ -517,7 +523,7 @@ def test_si_point_in_table_layout():
     inst = SwInstance(random_joint(np.random.default_rng(47), 3, 2), CodeSizes(2, 1))
     for which in (1, 2):
         sol = certified_solve(build_lpsi(inst, which))
-        rows = si_indexer(inst, which)[1]
-        pt = dual_point_si_from_solution(inst, which, sol)
+        rows = _layouts(inst, DualPointSI, which)[1]
+        pt = dual_point_from_solution(inst, sol, DualPointSI, which)
         for name in ("lam_s", "lam_c", "gamma_a", "gamma_b"):
             assert np.array_equal(getattr(pt, name), rows.extract(sol.dual, name))

@@ -17,7 +17,7 @@ from fbconv import converses_ptp, lp_core
 from fbconv import relaxations as rx
 from fbconv.probability import CodeSizes, DistortionSpec, SinglePmf
 
-from conftest import certified_solve, peak_mib, random_joint
+from conftest import certified_solve, peak_mib, random_joint, sw_je_instance
 
 
 def _dense_build(table):
@@ -73,8 +73,8 @@ def _sw_instances():
 
 
 SW_KINDS = {
-    "sc": (lambda i: rx.build_lp_sc(rx.sw_je_instance(i)),
-           lambda i: rx._sc_table(rx.sw_je_instance(i))),
+    "sc": (lambda i: rx.build_lp_sc(sw_je_instance(i)),
+           lambda i: rx._sc_table(sw_je_instance(i))),
     "si1": (lambda i: rx.build_lpsi(i, 1), lambda i: rx._si_table(i, 1)),
     "si2": (lambda i: rx.build_lpsi(i, 2), lambda i: rx._si_table(i, 2)),
     "je": (rx.build_lp_je, rx._je_table),
@@ -190,22 +190,22 @@ def test_models_hold_the_cached_arrays(kind):
             assert np.shares_memory(held, cached)
 
 
-INDEXERS = {
-    "sc": lambda i: rx.sc_indexer(rx.sw_je_instance(i)),
-    "si1": lambda i: rx.si_indexer(i, 1),
-    "si2": lambda i: rx.si_indexer(i, 2),
-    "je": rx.je_indexer,
-    "sw": rx.sw_indexer,
+LAYOUTS = {
+    "sc": lambda i: rx._layouts(sw_je_instance(i), rx.DualPointSC),
+    "si1": lambda i: rx._layouts(i, rx.DualPointSI, 1),
+    "si2": lambda i: rx._layouts(i, rx.DualPointSI, 2),
+    "je": lambda i: rx._layouts(i, rx.DualPointJE),
+    "sw": lambda i: rx._layouts(i, rx.DualPointSW),
 }
 
 
-@pytest.mark.parametrize("kind", INDEXERS)
+@pytest.mark.parametrize("kind", LAYOUTS)
 def test_over_cap_indexer_raises_and_leaves_cache_empty(kind):
     # 8x8 / M=(16,16): every one of these LPs is far past MAX_LP_ENTRIES
     inst = rx.SwInstance(random_joint(np.random.default_rng(73), 8, 8), CodeSizes(16, 16))
     rx._structures.cache_clear()
     with pytest.raises(rx.InstanceTooLarge, match=r"LP Q1\("):
-        INDEXERS[kind](inst)
+        LAYOUTS[kind](inst)
     assert rx._structures.cache_info().currsize == 0
 
 
@@ -224,8 +224,8 @@ def test_repeat_build_reuses_structure(monkeypatch):
         for got, want in zip(again.a_rows + (again.rhs, again.objective),
                              first[k].a_rows + (first[k].rhs, first[k].objective)):
             np.testing.assert_array_equal(got, want)
-    layouts = [rx.sw_indexer(inst), rx.je_indexer(inst), rx.si_indexer(inst, 1),
-               rx.si_indexer(inst, 2)]
+    layouts = [rx._layouts(inst, rx.DualPointSW), rx._layouts(inst, rx.DualPointJE),
+               rx._layouts(inst, rx.DualPointSI, 1), rx._layouts(inst, rx.DualPointSI, 2)]
     assert all(len(pair) == 2 for pair in layouts)
 
 
@@ -270,8 +270,8 @@ def test_cost_only_build_rejects_a_bad_cost(kind):
 def test_cached_layouts_are_shared_and_read_only():
     rng = np.random.default_rng(67)
     a, b = (rx.SwInstance(random_joint(rng, 3, 2), CodeSizes(2, 1)) for _ in range(2))
-    rows = rx.sw_indexer(a)[1]
-    assert rx.sw_indexer(b)[1] is rows
+    rows = rx._layouts(a, rx.DualPointSW)[1]
+    assert rx._layouts(b, rx.DualPointSW)[1] is rows
     with pytest.raises(TypeError):
         rows.shapes["lam_c"] = (1,)
     with pytest.raises(TypeError):

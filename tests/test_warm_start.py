@@ -19,15 +19,19 @@ from fbconv import lp_core
 from fbconv import relaxations as rx
 from fbconv.probability import CodeSizes, JointPmf
 
-from conftest import certified_solve, check_with_oracle, random_joint
+from conftest import certified_solve, check_with_oracle, random_joint, sw_je_instance
 
 KINDS = {   # builder, dual slicer, table
-    "si1": (lambda i: rx.build_lpsi(i, 1), lambda i, s: rx.dual_point_si_from_solution(i, 1, s),
+    "si1": (lambda i: rx.build_lpsi(i, 1),
+            lambda i, s: rx.dual_point_from_solution(i, s, rx.DualPointSI, 1),
             lambda i: rx._si_table(i, 1)),
-    "si2": (lambda i: rx.build_lpsi(i, 2), lambda i, s: rx.dual_point_si_from_solution(i, 2, s),
+    "si2": (lambda i: rx.build_lpsi(i, 2),
+            lambda i, s: rx.dual_point_from_solution(i, s, rx.DualPointSI, 2),
             lambda i: rx._si_table(i, 2)),
-    "je": (rx.build_lp_je, rx.dual_point_je_from_solution, rx._je_table),
-    "sw": (rx.build_lp_sw, rx.dual_point_sw_from_solution, rx._sw_table),
+    "je": (rx.build_lp_je, lambda i, s: rx.dual_point_from_solution(i, s, rx.DualPointJE),
+           rx._je_table),
+    "sw": (rx.build_lp_sw, lambda i, s: rx.dual_point_from_solution(i, s, rx.DualPointSW),
+           rx._sw_table),
 }
 
 # (|S1|, |S2|, M1, M2) with codebooks below the alphabets, where the LPs are
@@ -55,7 +59,7 @@ def test_relaxation_models_share_their_tables_warm_start():
         a, b = build(inst), build(inst)
         assert isinstance(a.warm, lp_core.WarmStart)
         assert a.warm is b.warm is rx._structure(table(inst))[2].warm
-    assert rx.build_lp_sc(rx.sw_je_instance(inst)).warm is None
+    assert rx.build_lp_sc(sw_je_instance(inst)).warm is None
 
 
 @pytest.mark.parametrize("kind", KINDS)

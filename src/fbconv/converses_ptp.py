@@ -165,10 +165,11 @@ def _meta_lossy_raw(inst: ScInstance, phi: np.ndarray) -> float:
 
 
 def meta_lossy_z(inst: ScInstance, z) -> BoundReport:
-    """The lossy metaconverse integrand at a fixed nonnegative z (no sup)."""
+    """The lossy metaconverse integrand at a fixed nonnegative z (no sup).
+    +inf is a valid entry, as min{P, inf} = P; NaN is not."""
     z = np.asarray(z, dtype=float)
-    if z.shape != inst.source.mass.shape or np.any(z < 0):
-        raise PmfError("z must be a nonnegative vector over the source alphabet")
+    if z.shape != inst.source.mass.shape or not np.all(z >= 0):   # False on NaN
+        raise PmfError("z must be a nonnegative vector, not NaN, over the source alphabet")
     return _report("meta-lossy-z", _meta_lossy_raw(inst, np.minimum(inst.source.mass, z)),
                    {"z": z.copy()}, "lossy metaconverse at fixed flow")
 

@@ -14,10 +14,14 @@ problems (side-information, jointly encoded) into feasible dual points of
 the distributed LP, following the check-before-construct rule: inputs are
 verified feasible first, outputs are exact up to float rounding.  Side 2 is
 built as side 1 of the swapped pair, SwInstance.oriented(2), exchanged back.
+They write every field in the SW table's letters (relaxations._lay), each
+stating once which of its inputs' letters are which SW letters, and
+relaxations._point makes the point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 
@@ -35,7 +39,8 @@ from .relaxations import (
     _binding_gammas,
     _check_lp_size,
     _exchanged,
-    _sw_table,
+    _lay,
+    _point,
     check_feasible,
 )
 from .converses_ptp import (
@@ -94,13 +99,14 @@ def meta_sw(inst: SwInstance) -> BoundReport:
 
 def meta_sw_eta(inst: SwInstance, eta1, eta2, eta3) -> BoundReport:
     """The metaconverse integrand at fixed nonnegative eta tensors (no sup):
-    phi_hat = min{P, eta1}, phi_12 = min{P, eta2}, phi_21 = min{P, eta3}."""
+    phi_hat = min{P, eta1}, phi_12 = min{P, eta2}, phi_21 = min{P, eta3}.
+    +inf is a valid entry, as min{P, inf} = P; NaN is not."""
     P = inst.joint.mass
     es = []
     for e in (eta1, eta2, eta3):
         e = np.asarray(e, dtype=float)
-        if e.shape != P.shape or np.any(e < 0):
-            raise PmfError("eta tensors must be nonnegative with the joint shape")
+        if e.shape != P.shape or not np.all(e >= 0):   # False on NaN
+            raise PmfError("eta tensors must be nonnegative, not NaN, with the joint shape")
         es.append(e)
     e1, e2, e3 = es
     raw = _meta_sw_raw(inst, np.minimum(P, e1), np.minimum(P, e2), np.minimum(P, e3))
@@ -188,14 +194,24 @@ def _require_feasible(violations, what):
             f"constraints, worst residual {worst:.3e}", violations)
 
 
-def _sw_point(inst: SwInstance, **fields) -> DualPointSW:
-    """The SW dual point of `fields`, binding gammas, and zero (a read-only
-    broadcast, which holds no memory) in every other multiplier field."""
-    sizes = _sw_table(inst)[0]
-    zeros = {name: np.broadcast_to(0.0, tuple(sizes[k] for k in letters))
-             for name, letters, _, minus in _SW_ROWS if minus is not None and name not in fields}
-    pt = DualPointSW(**zeros, **fields)
-    return replace(pt, **_binding_gammas(inst, pt))
+_sw = functools.partial(_lay, _SW_ROWS)   # a field of the SW point, in the SW table's letters
+
+
+def _channel(inst: SwInstance, lam_c: np.ndarray, **fields) -> DualPointSW:
+    """The SW point of `fields` with the channel flow lam_c and, as mu_c_21,
+    the min over x of lam_c summed over u and v."""
+    mu_c_21 = _sw("mu_c_21", "aby", lam_c.sum(axis=(4, 5)).min(axis=2))
+    return _point(inst, DualPointSW, lam_c=lam_c, mu_c_21=mu_c_21, **fields)
+
+
+def _side_channel(sid: DualPointSI, m2: int, mu: np.ndarray) -> dict:
+    """A which = 1 SI point's source and channel flows on the SW side
+    channel's y = v diagonal, and mu_c_2 from mu over the SI point's s, y.
+    The SI point's e, s, h, x, y are the SW pair's a, b, c, x, u."""
+    eye2 = np.eye(m2)
+    return dict(lam_s_12=_sw("lam_s_12", "abcu,yv", sid.lam_s, eye2),
+                lam_c=_sw("lam_c", "abxu,yv", sid.lam_c, eye2),
+                mu_c_2=_sw("mu_c_2", "bu,yv", mu, eye2))
 
 
 def embed_sid_feasible(inst: SwInstance, dual_point_sid: DualPointSI,
@@ -210,21 +226,12 @@ def embed_sid_feasible(inst: SwInstance, dual_point_sid: DualPointSI,
     pt = dual_point_sid
     _require_feasible(check_feasible(inst, pt, tol=input_tol),
                       f"side-information dual point (which={pt.which})")
-    sw = inst.oriented(pt.which)
-    n1, n2, m1, m2 = sw.dims
     gb_bar = _binding_gammas(inst, pt)["gamma_b"]
-    # lam_s (s1,s2,sh1,y1), lam_c (s1,s2,x1,y1) of sw; side channel is 2
-    eye2 = np.eye(m2)
-    lam_s_12 = pt.lam_s.transpose(0, 1, 3, 2)[:, :, None, :, None, :, None] \
-        * eye2[None, None, :, None, :, None, None]
-    fields = dict(
-        lam_s_12=np.broadcast_to(lam_s_12, (n1, n2, m2, m1, m2, n1, n2)),
-        lam_c=pt.lam_c[:, :, :, None, :, None] * eye2[None, None, None, :, None, :],
-        mu_c_2=gb_bar[:, None, :, None] * eye2[None, :, None, :],
-        mu_c_12=pt.lam_c.sum(axis=3).transpose(2, 0, 1))
+    fields = _side_channel(pt, inst.oriented(pt.which).sizes.M2, gb_bar)
+    fields["mu_c_12"] = _sw("mu_c_12", "abx", pt.lam_c.sum(axis=3))
     if pt.which == 2:
         fields = _exchanged(_SW_ROWS, fields)
-    return _sw_point(inst, **fields)
+    return _point(inst, DualPointSW, **fields)
 
 
 def embed_je_feasible(inst: SwInstance, dual_point_je: DualPointJE,
@@ -235,45 +242,35 @@ def embed_je_feasible(inst: SwInstance, dual_point_je: DualPointJE,
     pt = dual_point_je
     _require_feasible(check_feasible(inst, pt, tol=input_tol),
                       "jointly-encoded dual point")
-    n1, n2, m1, m2 = inst.dims
     ga_hat = _binding_gammas(inst, pt)["gamma_a"]
-    # lam_s (s1,s2,sh1,sh2,y1,y2) -> (s1,s2,x2,y1,y2,sh1,sh2)
-    lam_s_12 = np.broadcast_to(pt.lam_s.transpose(0, 1, 4, 5, 2, 3)[:, :, None],
-                               (n1, n2, m2, m1, m2, n1, n2))
-    # mu_s_2(s2, sh1, sh2, y1, y2) = sum_s1 lam_s(s1, s2, sh1, sh2, y1, y2)
-    return _sw_point(inst, lam_s_12=lam_s_12, lam_c=pt.lam_c, mu_s_2=pt.lam_s.sum(axis=0),
-                     mu_c_21=np.broadcast_to(ga_hat, (m2, n1, n2)))
+    # the JE point's letters are the SW pair's own; mu_s_2 sums lam_s over a
+    return _point(inst, DualPointSW, lam_s_12=_sw("lam_s_12", "abcduv", pt.lam_s),
+                  lam_c=pt.lam_c, mu_s_2=pt.lam_s.sum(axis=0),
+                  mu_c_21=_sw("mu_c_21", "ab", ga_hat))
 
 
 def _encoder_fields(inst: SwInstance, sid: DualPointSI, je_lam_s: np.ndarray,
                     share: float) -> dict:
     """Encoder 1's fields of combine_feasible and its part of the channel
     flow, from a which = 1 point and its share of the pair flow's lam_s."""
-    n1, n2, m1, m2 = inst.dims
-    eye2 = np.eye(m2)
-    pair = np.einsum("ac, bd -> abcd", np.eye(n1), np.eye(n2))
-    # source flow: SID flow on the x2 = y2 diagonal plus the share of the
-    # pair flow, both pinned to the correct-pair diagonal
-    sid_part = sid.lam_s.transpose(0, 1, 3, 2)[:, :, None, :, None, :, None] \
-        * eye2[None, None, :, None, :, None, None]
-    je_part = je_lam_s.transpose(0, 1, 4, 5, 2, 3)[:, :, None, :, :, :, :]
-    lam_s_12 = np.broadcast_to((sid_part + share * je_part) * pair[:, :, None, None, None, :, :],
-                               (n1, n2, m2, m1, m2, n1, n2))
-    # decoder-side source flow: the share of the pair flow, pinned to the
-    # matching own-symbol diagonal
-    d1 = np.einsum("abadef -> badef", je_lam_s)      # (s2, sh1, sh2, y1, y2)
-    mu_s_2 = share * d1 * np.eye(n2)[:, None, :, None, None]
+    n1, n2, _, m2 = inst.dims
     # decoder-side channel flow: the largest value the (D5) slack allows,
-    # including the zero cap forced by mismatched estimates
+    # including the zero cap forced by mismatched estimates; over s, h, y
     gb = _binding_gammas(inst, sid)["gamma_b"]
-    tot = sid.lam_s.sum(axis=0)                      # (s2, sh1, y1)
-    diag = np.einsum("asay -> say", sid.lam_s)       # (s2, sh1, y1)
+    tot = sid.lam_s.sum(axis=0)
+    diag = np.einsum("asay -> say", sid.lam_s)
     cap = (gb[:, None, :] - (tot - diag)).min(axis=1)
     if n2 > 1:
         cap = np.minimum(cap, 0.0)
-    return dict(lam_s_12=lam_s_12, mu_s_2=mu_s_2,
-                mu_c_2=cap[:, None, :, None] * eye2[None, :, None, :],
-                lam_c=sid.lam_c[:, :, :, None, :, None] * eye2[None, None, None, :, None, :])
+    out = _side_channel(sid, m2, cap)
+    # source flow: the SI flow plus the share of the pair flow, whose letters
+    # are the SW pair's own, both pinned to the correct pair c = a, d = b
+    out["lam_s_12"] = (out["lam_s_12"] + share * _sw("lam_s_12", "abcduv", je_lam_s)) \
+        * _sw("lam_s_12", "ac,bd", np.eye(n1), np.eye(n2))
+    # decoder-side source flow: the share of the pair flow at a = c, pinned
+    # to the matching own-symbol diagonal d = b
+    out["mu_s_2"] = share * _sw("mu_s_2", "cbcduv,bd", je_lam_s, np.eye(n2))
+    return out
 
 
 def combine_feasible(inst: SwInstance, sid12_flows: DualPointSI,
@@ -304,19 +301,14 @@ def combine_feasible(inst: SwInstance, sid12_flows: DualPointSI,
     sw = inst.oriented(2)
     one = _encoder_fields(inst, bar, hat.lam_s, alpha)
     hat_sw = _exchanged(_JE_ROWS, {"lam_s": hat.lam_s})["lam_s"]
-    # in C order, as encoder 1's fields, since the checker runs slower on
-    # permuted views; the point keeps a read-only broadcast uncopied
-    two = {k: np.broadcast_to(np.ascontiguousarray(v), v.shape) for k, v in _exchanged(
-        _SW_ROWS, _encoder_fields(sw, replace(til, which=1), hat_sw, 1.0 - alpha)).items()}
+    two = _exchanged(_SW_ROWS, _encoder_fields(sw, replace(til, which=1), hat_sw, 1.0 - alpha))
 
     # channel flow: min of the summed sub-problem channel flows against the
     # diagonal error-density cap (D4's right-hand side at the correct pair)
     m1, m2 = inst.sizes.M1, inst.sizes.M2
-    cap = inst.joint.mass[:, :, None, None, None, None] \
-        * np.einsum("xu, yv -> xyuv", np.eye(m1), np.eye(m2))[None, None, :, :, :, :]
+    cap = _sw("lam_c", "xu,yv,ab", np.eye(m1), np.eye(m2), inst.joint.mass)
     lam_c = np.minimum(cap, hat.lam_c + one.pop("lam_c") + two.pop("lam_c"))
-    mu_c_21 = lam_c.sum(axis=(4, 5)).min(axis=2).transpose(2, 0, 1)
-    return _sw_point(inst, **one, **two, lam_c=lam_c, mu_c_21=mu_c_21)
+    return _channel(inst, lam_c, **one, **two)
 
 
 def mk_flows(inst: SwInstance, t: float) -> DualPointSW:
@@ -333,29 +325,12 @@ def mk_flows(inst: SwInstance, t: float) -> DualPointSW:
     P = inst.joint.mass
     P1 = P.sum(axis=1)
     P2 = P.sum(axis=0)
-    eye1, eye2 = np.eye(m1), np.eye(m2)
-    pair = np.einsum("ac, bd -> abcd", np.eye(n1), np.eye(n2))
-    pairb = pair[:, :, None, None, None, :, :]
-
-    lam_s_12 = np.broadcast_to(
-        -(t / m1) * P2[None, :, None, None, None, None, None]
-        * eye2[None, None, :, None, :, None, None] * pairb,
-        (n1, n2, m2, m1, m2, n1, n2))
-    lam_s_21 = np.broadcast_to(
-        (-(t / m2) * P1[:, None, None, None, None, None, None]
-         * eye1[None, None, :, :, None, None, None]
-         - t / (m1 * m2)) * pairb,
-        (n1, n2, m1, m1, m2, n1, n2))
-    diag_ch = np.einsum("xu, yv -> xyuv", eye1, eye2)
-    lam_c = np.minimum(P, t * _mk_coef(inst))[:, :, None, None, None, None] \
-        * diag_ch[None, None, :, :, :, :]
-
-    mu_s_1 = np.broadcast_to(-(t / (m1 * m2)) * np.eye(n1)[:, :, None, None, None],
-                             (n1, n1, n2, m1, m2))
-    mu_c_1 = np.broadcast_to(-(t / m2) * P1[:, None, None, None] * eye1[None, :, :, None],
-                             (n1, m1, m1, m2))
-    mu_c_2 = np.broadcast_to(-(t / m1) * P2[:, None, None, None] * eye2[None, :, None, :],
-                             (n2, m2, m1, m2))
-    mu_c_21 = lam_c.sum(axis=(4, 5)).min(axis=2).transpose(2, 0, 1)
-    return _sw_point(inst, lam_s_12=lam_s_12, lam_s_21=lam_s_21, lam_c=lam_c, mu_s_1=mu_s_1,
-                     mu_c_1=mu_c_1, mu_c_2=mu_c_2, mu_c_21=mu_c_21)
+    eye1, eye2, pair = np.eye(m1), np.eye(m2), (np.eye(n1), np.eye(n2))
+    return _channel(
+        inst, _sw("lam_c", "xu,yv,ab", eye1, eye2, np.minimum(P, t * _mk_coef(inst))),
+        lam_s_12=_sw("lam_s_12", "b,ac,bd,yv", -(t / m1) * P2, *pair, eye2),
+        lam_s_21=(_sw("lam_s_21", "a,xu", -(t / m2) * P1, eye1) - t / (m1 * m2))
+        * _sw("lam_s_21", "ac,bd", *pair),
+        mu_s_1=_sw("mu_s_1", "ac", -(t / (m1 * m2)) * np.eye(n1)),
+        mu_c_1=_sw("mu_c_1", "a,xu", -(t / m2) * P1, eye1),
+        mu_c_2=_sw("mu_c_2", "b,yv", -(t / m1) * P2, eye2))

@@ -62,7 +62,12 @@ WarmStart and solve cold, and an SC entry's stays empty.  The same table gives:
     letters, minus the families whose minus block it is, summed down to its
     letters, minus the cost;
   * the binding normalization multipliers (_binding_gammas): each is bounded
-    by that summed-down term of its block; the dual objectives are their sum.
+    by that summed-down term of its block; the dual objectives are their sum;
+  * the field placement (_lay): a field as the product of operands, each
+    named by the family letters its axes hold, so every dual-point
+    constructor writes its fields in its table's letters;
+  * the point maker (_point): the given fields broadcast to their families'
+    shapes, zero in every other multiplier field, and the binding gammas.
 
 Constraint ids, per column block (SI 2|1 has C1-C3 for B1-B3):
 
@@ -85,6 +90,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, fields, make_dataclass, replace
 from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
@@ -144,11 +150,13 @@ class SwInstance:
 
     def oriented(self, which: int) -> "SwInstance":
         """The instance with source `which` as S1: itself for 1, the swapped
-        pair (mass transposed, M1 and M2 exchanged) for 2."""
-        if which == 1:
-            return self
-        if which == 2:
-            return self._swapped
+        pair (mass transposed, M1 and M2 exchanged) for 2.  which must be
+        the integer 1 or 2; a bool or a float is refused."""
+        if isinstance(which, numbers.Integral) and not isinstance(which, bool):
+            if which == 1:
+                return self
+            if which == 2:
+                return self._swapped
         raise PmfError(f"which must be 1 or 2, got {which!r}")
 
     @functools.cached_property
@@ -515,6 +523,65 @@ def dual_objective(inst, pt: _DualPoint) -> float:
 
 
 # ---------------------------------------------------------------------------
+# dual-point fields in a table's letters
+
+
+@functools.lru_cache(maxsize=64)
+def _placement(rows, name: str, spec: str):
+    """Per operand of _lay(rows, name, spec, ...): the einsum reading its
+    diagonal (None when it repeats no letter), the transpose putting its
+    letters in family order, and the index adding a unit axis per family
+    letter it lacks."""
+    letters = next(own for family, own, _, _ in rows if family == name)
+    out = []
+    for held in spec.split(","):
+        own = "".join(dict.fromkeys(held))
+        out.append((None if own == held else f"{held}->{own}",
+                    tuple(sorted(range(len(own)), key=lambda i: letters.index(own[i]))),
+                    tuple(slice(None) if k in own else None for k in letters)))
+    return tuple(out)
+
+
+def _lay(rows, name: str, spec: str, *operands) -> np.ndarray:
+    """Field `name` of a table's row families over its family's letters: the
+    product of `operands`, left to right, each placed on the letters the
+    comma-separated `spec` gives it in its own axis order.  A letter repeated
+    within one operand reads its diagonal; a family letter that no operand
+    holds gets size 1, for _point to broadcast."""
+    out = None
+    for (diagonal, axes, at), op in zip(_placement(rows, name, spec), operands, strict=True):
+        op = (op if diagonal is None else np.einsum(diagonal, op)).transpose(axes)[at]
+        out = op if out is None else out * op
+    return out
+
+
+def _frozen(value, shape) -> np.ndarray:
+    """value as a read-only view of `shape`: a broadcast where value lacks an
+    axis (np.broadcast_to, about 4 us), a plain view (0.4 us) where not.  A
+    writable value, which the caller made, is first put in C order, copied
+    only when it is not, as the checker and the binding gammas run slower on
+    permuted views; a read-only one, a field of another point, is kept."""
+    value = np.asarray(value)
+    if value.flags.writeable:
+        value = np.ascontiguousarray(value)
+    view = value.view() if value.shape == shape else np.broadcast_to(value, shape)
+    view.setflags(write=False)
+    return view
+
+
+def _point(inst, point_type: type, *lead, **fields) -> _DualPoint:
+    """The point_type dual point on inst (lead: `which` for DualPointSI) with
+    `fields`, each a read-only view of its family's shape (_frozen), a zero
+    broadcast, which holds no memory, in every other multiplier field, and
+    the binding gammas."""
+    sizes, _, rows, _ = _table_of(inst, point_type, *lead)
+    full = {name: _frozen(fields.pop(name, 0.0), tuple(sizes[k] for k in letters))
+            for name, letters, _, minus in rows if minus is not None}
+    pt = point_type(*lead, **full, **fields)   # TypeError on a name that is no family
+    return replace(pt, **_binding_gammas(inst, pt))
+
+
+# ---------------------------------------------------------------------------
 # dual points generated by a nonnegative flow phi
 
 
@@ -522,39 +589,32 @@ def dp_flows_sc(inst: ScInstance, phi: np.ndarray) -> DualPointSC:
     """Dual point of the point-to-point LP generated by 0 <= phi <= P:
     lam_c routes phi along the y = x diagonal, lam_s pays it back on
     within-distortion reconstructions."""
-    n, M, nh = inst.n, inst.M, inst.n_hat
     phi = np.asarray(phi, dtype=float)
     win = inst.distortion.within().astype(float)
-    lam_c = np.einsum("xy, s -> xsy", np.eye(M), phi)
-    lam_s = np.broadcast_to(-(phi[:, None] * win)[:, :, None], (n, nh, M))
-    pt = DualPointSC(lam_s, lam_c)
-    return replace(pt, **_binding_gammas(inst, pt))
+    return _point(inst, DualPointSC, lam_s=-_lay(_SC_ROWS, "lam_s", "s,sh", phi, win),
+                  lam_c=_lay(_SC_ROWS, "lam_c", "xy,s", np.eye(inst.M), phi))
 
 
 def dpsi_flows(inst: SwInstance, which: int, phi: np.ndarray) -> DualPointSI:
     """Side-information dual point from 0 <= phi <= P (joint-shaped): the
-    which = 1 point of inst.oriented(which) from phi in that orientation."""
-    ne, ns, M, _ = inst.oriented(which).dims
-    pe = np.asarray(phi, dtype=float)
-    pe = pe if which == 1 else pe.T
-    lam_s = -np.einsum("es, eh -> esh", pe, np.eye(ne))[:, :, :, None]
-    lam_s = np.broadcast_to(lam_s, (ne, ns, ne, M))
-    lam_c = pe[:, :, None, None] * np.eye(M)[None, None, :, :]
-    pt = DualPointSI(which, lam_s, lam_c)
-    return replace(pt, **_binding_gammas(inst, pt))
+    which = 1 point of inst.oriented(which) from phi in that orientation.
+    phi's axes, S1 then S2, are that table's e, s for which = 1 and s, e
+    for which = 2."""
+    ne, _, M, _ = inst.oriented(which).dims
+    phi = np.asarray(phi, dtype=float)
+    held = "es" if which == 1 else "se"
+    return _point(inst, DualPointSI, which,
+                  lam_s=-_lay(_SI_ROWS, "lam_s", held + ",eh", phi, np.eye(ne)),
+                  lam_c=_lay(_SI_ROWS, "lam_c", held + ",xy", phi, np.eye(M)))
 
 
 def dpje_flows(inst: SwInstance, phi_hat: np.ndarray) -> DualPointJE:
     """Jointly-encoded dual point from 0 <= phi_hat <= P (joint-shaped)."""
     n1, n2, m1, m2 = inst.dims
     ph = np.asarray(phi_hat, dtype=float)
-    same = np.einsum("ac, bd -> abcd", np.eye(n1), np.eye(n2))
-    lam_s = -np.einsum("ab, abcd -> abcd", ph, same)[:, :, :, :, None, None]
-    lam_s = np.broadcast_to(lam_s, (n1, n2, n1, n2, m1, m2))
-    diag = np.einsum("xu, yv -> xyuv", np.eye(m1), np.eye(m2))
-    lam_c = ph[:, :, None, None, None, None] * diag[None, None, :, :, :, :]
-    pt = DualPointJE(lam_s, lam_c)
-    return replace(pt, **_binding_gammas(inst, pt))
+    return _point(inst, DualPointJE,
+                  lam_s=-_lay(_JE_ROWS, "lam_s", "ab,ac,bd", ph, np.eye(n1), np.eye(n2)),
+                  lam_c=_lay(_JE_ROWS, "lam_c", "xu,yv,ab", np.eye(m1), np.eye(m2), ph))
 
 
 # ---------------------------------------------------------------------------

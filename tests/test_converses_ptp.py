@@ -129,6 +129,16 @@ def test_meta_lossy_z_rejects_bad_input():
         meta_lossy_z(inst, [0.1, 0.2, 0.3])
 
 
+def test_meta_lossy_z_rejects_nan_and_takes_inf():
+    # a NaN z reported raw_value nan with clamped_value 0.0
+    inst = _lossless([0.5, 0.3, 0.2], 1)
+    with pytest.raises(PmfError, match="not NaN"):
+        meta_lossy_z(inst, [0.1, np.nan, 0.1])
+    # min{P, inf} = P
+    P = inst.source.mass
+    assert meta_lossy_z(inst, [np.inf] * 3).raw_value == meta_lossy_z(inst, P).raw_value
+
+
 # --- tilted and tail bounds -------------------------------------------------
 
 

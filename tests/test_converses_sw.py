@@ -354,6 +354,20 @@ def test_meta_sw_eta_trivials():
         meta_sw_eta(inst, -sat, z, z)
 
 
+def test_meta_sw_eta_rejects_nan_and_takes_inf():
+    # a NaN eta reported raw_value nan with clamped_value 0.0
+    inst = _dsbs1()
+    P, z = inst.joint.mass, np.zeros((2, 2))
+    for at in range(3):
+        etas = [z, z, z]
+        etas[at] = np.array([[0.1, np.nan], [0.0, 0.2]])
+        with pytest.raises(PmfError, match="not NaN"):
+            meta_sw_eta(inst, *etas)
+    # min{P, inf} = P
+    inf = np.full((2, 2), np.inf)
+    assert meta_sw_eta(inst, inf, z, inf).raw_value == meta_sw_eta(inst, P, z, P).raw_value
+
+
 def test_meta_sw_eta_below_lp():
     rng = np.random.default_rng(12)
     for _ in range(15):

@@ -18,7 +18,8 @@ from fbconv import relaxations as rx
 from fbconv.lp_core import solve
 from fbconv.probability import CodeSizes, JointPmf, PmfError
 
-BAD_WHICH = (0, 3, "2")
+# a float reached "BC"[which - 1] as a bare TypeError, and True read side 1
+BAD_WHICH = (0, 3, "2", 1.0, 2.0, True, np.float64(2.0))
 
 
 @pytest.mark.parametrize("which", BAD_WHICH)
@@ -63,7 +64,7 @@ def test_oriented_swaps_sources_and_code_sizes():
     back = sw.oriented(2)
     assert back.dims == inst.dims and np.array_equal(back.joint.mass, inst.joint.mass)
     # the swapped pair is built once per instance, while which is checked on every call
-    assert inst.oriented(2) is sw
+    assert inst.oriented(2) is sw and inst.oriented(np.int64(2)) is sw
     for which in (0, 3, "2"):
         with pytest.raises(PmfError, match="which must be 1 or 2"):
             inst.oriented(which)

@@ -16,6 +16,9 @@ from fbconv.relaxations import (
     ScInstance,
     SwInstance,
     _binding_gammas,
+    _lay,
+    _point,
+    _table_of,
     build_lp_je,
     build_lp_sc,
     build_lp_sw,
@@ -527,3 +530,56 @@ def test_si_point_in_table_layout():
         pt = dual_point_from_solution(inst, sol, DualPointSI, which)
         for name in ("lam_s", "lam_c", "gamma_a", "gamma_b"):
             assert np.array_equal(getattr(pt, name), rows.extract(sol.dual, name))
+
+
+def _tables():
+    """One instance per row table, with distinct sizes on letters that are
+    not read together on a diagonal, so that a misplaced axis shows."""
+    inst = SwInstance(random_joint(np.random.default_rng(53), 3, 2), CodeSizes(4, 5))
+    sc = ScInstance(SinglePmf([0.5, 0.3, 0.2]), 2, DistortionSpec(np.ones((3, 4)), 0.5))
+    return {"sc": (sc, DualPointSC, ()), "si": (inst, DualPointSI, (2,)),
+            "je": (inst, DualPointJE, ()), "sw": (inst, DualPointSW, ())}
+
+
+# (table, family, spec): a repeated letter, unheld letters and transposed
+# operands on each of the four row tables
+LAYS = [("sc", "lam_s", "s,sh"), ("sc", "lam_c", "xy,s"),
+        ("si", "lam_s", "se,eh"), ("si", "lam_c", "ese,yx"),
+        ("je", "lam_s", "ab,ac,bd"), ("je", "lam_c", "vu,abxy"),
+        ("sw", "lam_s_12", "abcu,yv"), ("sw", "mu_s_2", "cbcduv,bd"),
+        ("sw", "mu_c_21", "aby"), ("sw", "lam_s_12", "b,yv,ac,bd")]
+
+
+@pytest.mark.parametrize("kind, name, spec", LAYS)
+def test_lay_is_einsum_to_the_letters_it_holds(kind, name, spec):
+    inst, point_type, lead = _tables()[kind]
+    sizes, _, rows, _ = _table_of(inst, point_type, *lead)
+    letters = dict((f, own) for f, own, _, _ in rows)[name]
+    rng = np.random.default_rng(len(spec))
+    operands = [rng.standard_normal(tuple(sizes[k] for k in held)) for held in spec.split(",")]
+    held = "".join(k for k in letters if k in spec)
+    want = np.einsum(f"{spec}->{held}", *operands)
+    got = _lay(rows, name, spec, *operands)
+    assert got.shape == tuple(sizes[k] if k in held else 1 for k in letters)
+    full = tuple(sizes[k] for k in letters)
+    np.testing.assert_allclose(np.broadcast_to(got, full),
+                               np.broadcast_to(want.reshape(got.shape), full), rtol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["sc", "si", "je", "sw"])
+def test_point_broadcasts_read_only_fields_and_binds_the_gammas(kind):
+    inst, point_type, lead = _tables()[kind]
+    sizes, _, rows, _ = _table_of(inst, point_type, *lead)
+    name, letters = next((f, own) for f, own, _, minus in rows if minus is not None)
+    given = -np.random.default_rng(59).random(sizes[letters[0]])   # on the family's first letter
+    pt = _point(inst, point_type, *lead, **{name: _lay(rows, name, letters[0], given)})
+    gammas = _binding_gammas(inst, pt)
+    for f, own, _, minus in rows:
+        val = getattr(pt, f)
+        assert val.shape == tuple(sizes[k] for k in own) and not val.flags.writeable, f
+        if minus is None:
+            assert np.array_equal(val, gammas[f]), f
+        elif f == name:
+            assert np.array_equal(val, np.broadcast_to(_lay(rows, f, own[0], given), val.shape))
+        else:
+            assert not val.any(), f

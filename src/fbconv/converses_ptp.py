@@ -16,12 +16,21 @@ by the block, not by candidates x cells.  The public *_at evaluates the same
 integrand on a batch of one; a row's sum does not depend on how many rows
 the batch holds, so *_at at a witness reproduces raw_value exactly.
 
+Six of the curves, the tilted-flow, lossless-tail and side-information ones
+here and the Miyake-Kanaya ones of converses_sw, are threshold curves, each
+made by _threshold_curve from its per-cell masses p, coefficients c and a
+penalty: sum over cells of min{p, t c}, or of p 1{p <= t c}, minus
+penalty(t).  Both forms switch only at the t = p / c, so the candidates are
+t = 0, every p / c in (0, top] of a cell with mass, and top when it is
+finite; a penalty must be linear between them.  The breakpoint p / c of
+every cell with mass must be finite and positive.
+
 The covered-mass LP behind meta_sid and meta_sw depends on the pmf through
 its cost alone.  Its structure (rows, rhs, bounds) is built and checked once
 per (n1, n2, M1, M2, caps) in a private lru_cache, and each call holds it
 with its own cost; its solves stay cold.
 
-Closed events are evaluated as P <= threshold with a relative 1e-12 slack so
+Closed events are evaluated as p <= t c with a relative 1e-12 slack so
 that a witness t that equals a breakpoint up to float rounding still lands
 on the intended side.
 """
@@ -40,12 +49,6 @@ from .probability import CodeSizes, PmfError, SinglePmf, ZeroProbability
 from .relaxations import ScInstance, SwInstance, _check_lp_size
 
 EVENT_SLACK = 1e-12
-
-
-def closed_leq(values: np.ndarray, threshold) -> np.ndarray:
-    """Indicator of the closed event values <= threshold, ulp-tolerant."""
-    thr = np.asarray(threshold, dtype=float)
-    return values <= thr * (1.0 + EVENT_SLACK) + 1e-300
 
 
 @dataclass(frozen=True)
@@ -110,6 +113,30 @@ def _at(curve, x, real_line: bool = False) -> float:
     if not real_line and not (x >= 0.0 and math.isfinite(x)):
         raise PmfError(f"t must be finite and nonnegative, got {x!r}")
     return float(curve[0](np.array([x]))[0])
+
+
+def _threshold_curve(p, c, penalty, closed: bool, top: float = 1.0):
+    """The threshold curve of per-cell masses p and coefficients c (c
+    broadcast to p's shape): sum p 1{p <= t c}, through the relative
+    EVENT_SLACK, when closed, else sum min{p, t c}, less penalty(t), over
+    t = 0, every p / c in (0, top] of a cell with mass, and top when finite.
+    PmfError unless the breakpoint p / c of every cell with p > 0 is finite
+    and positive, so c there is too."""
+    p = np.asarray(p, dtype=float)
+    c = (c + np.zeros_like(p)).ravel()
+    p = p.ravel()
+    pos = p > 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        breaks = p[pos] / c[pos]
+    if not np.all((breaks > 0) & (breaks < math.inf)):   # False on NaN
+        raise PmfError("every cell with mass needs a finite positive breakpoint p / c")
+    cands = np.unique(np.concatenate([[0.0], breaks[breaks <= top],
+                                      [top] if math.isfinite(top) else []]))
+    if closed:
+        lift = c * (1.0 + EVENT_SLACK)
+        return (lambda t: np.where(p <= t[:, None] * lift + 1e-300, p, 0.0).sum(axis=1)
+                - penalty(t)), cands, p.size
+    return lambda t: np.minimum(p, t[:, None] * c).sum(axis=1) - penalty(t), cands, p.size
 
 
 @dataclass(frozen=True)
@@ -181,20 +208,15 @@ def _tilt(P: np.ndarray, j: TiltedInfo) -> np.ndarray:
 
 
 def _kv_curve(inst: ScInstance, j: Optional[TiltedInfo]):
-    """The tilted-flow integrand, w(s) = P(s) exp(j(s)), over t = 0 and the
-    M exp(-j(s)).  For the built-in lossless tilt, P exp(h) = 1 extends by
-    continuity to zero-mass symbols, whose breakpoints vanish."""
+    """The tilted-flow curve: masses P, coefficients w / M with w(s) =
+    P(s) exp(j(s)), penalty t max_sh sum_s w(s) 1{within(s, sh)}.  For the
+    built-in lossless tilt, P exp(h) = 1 extends by continuity to zero-mass
+    symbols.  A weight past float range, 0 or inf, is refused by the builder."""
     P = inst.source.mass
-    if j is None:
-        w = np.ones_like(P)
-        breaks = inst.M * P[P > 0]
-    else:
-        jv = _tilt(P, j)
-        w = np.where(P > 0, P * np.exp(jv), 0.0)
-        breaks = inst.M * np.exp(-jv[P > 0])
-    pen = float((w[:, None] * inst.distortion.within()).sum(axis=0).max())
-    return (lambda t: np.minimum(P, w * t[:, None] / inst.M).sum(axis=1) - t * pen,
-            np.unique(np.concatenate([breaks, [0.0]])), P.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.ones_like(P) if j is None else np.where(P > 0, P * np.exp(_tilt(P, j)), 0.0)
+        pen = float((w[:, None] * inst.distortion.within()).sum(axis=0).max())
+    return _threshold_curve(P, w / inst.M, lambda t: t * pen, closed=False, top=math.inf)
 
 
 def kv_tilted_improved(inst: ScInstance, j: Optional[TiltedInfo] = None) -> BoundReport:
@@ -247,10 +269,14 @@ def palzer_timo_at(inst: ScInstance, beta: float, j: Optional[TiltedInfo] = None
 
 def np_alpha(P: SinglePmf, Q: SinglePmf, theta: float) -> float:
     """Minimum type-I error P[T] over randomized tests with Q-miss <= theta,
-    by greedy likelihood-ratio filling with one fractional atom."""
+    by greedy likelihood-ratio filling with one fractional atom: O(n log n),
+    where a sup over the ratio breakpoints would be O(n^2).  theta must be
+    nonnegative, as no Q-miss is below 0; from theta = 1 on the value is 0."""
     p, q = P.mass, Q.mass
     if p.shape != q.shape:
         raise PmfError("P and Q must share an alphabet")
+    if not float(theta) >= 0.0:   # True on NaN
+        raise PmfError(f"theta must be a nonnegative Q-miss, got {theta!r}")
     need = 1.0 - float(theta)
     if need <= 0.0:
         return 0.0
@@ -305,13 +331,10 @@ def meta_lossless(source: SinglePmf, M: int) -> BoundReport:
 
 
 def _gamma_curve(source: SinglePmf, M: int):
-    """P[P(S) <= t/M] - t over t = 0, the t = M P(s) <= 1 where the closed
-    event gains an atom, and t = 1 (min{M c, 1} guards the rounding of M / M)."""
+    """The lossless-tail curve: masses P, coefficient 1 / M, penalty t,
+    closed, so P[P(S) <= t/M] - t."""
     M = CodeSizes(M).M1   # PmfError unless M >= 1 is integral
-    P = source.mass
-    caps = np.concatenate([[0.0], P[(P > 0) & (M * P <= 1.0)], [1.0 / M]])
-    return (lambda t: np.where(closed_leq(P, (t / M)[:, None]), P, 0.0).sum(axis=1) - t,
-            np.unique(np.minimum(M * caps, 1.0)), P.size)
+    return _threshold_curve(source.mass, 1.0 / M, lambda t: t, closed=True)
 
 
 def lossless_gamma_bound(source: SinglePmf, M: int) -> BoundReport:
@@ -408,22 +431,16 @@ def meta_sid(inst: SwInstance, which: int = 1) -> BoundReport:
 
 
 def _sid_curve(inst: SwInstance, improved: bool):
-    """Encoder 1's improved or classic side-information integrand at an array
-    of t, over t = 0, the t in (0, 1] where some M P(enc, side) / P(side) is
-    crossed, and 1."""
+    """Encoder 1's side-information curve: masses P(enc, side), coefficients
+    Pside / M; classic closed with penalty t, improved open with penalty
+    M sum_side min{max_enc P, t Pside / M}, whose kinks are breakpoints."""
     P, M = inst.joint.mass, inst.sizes.M1
-    side = P.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(side[None, :] > 0, M * P / side[None, :], np.nan)
-    cands = np.unique(np.concatenate([ratio[np.isfinite(ratio) & (ratio > 0) & (ratio <= 1.0)],
-                                      [0.0, 1.0]]))
-    p, side_of = P.reshape(-1), np.tile(side, P.shape[0])   # per cell, row-major
+    coef = P.sum(axis=0) / M      # per side letter, broadcast over the rows
     if not improved:
-        return (lambda t: np.where(closed_leq(p, side_of * (t[:, None] / M)), p, 0.0).sum(axis=1)
-                - t), cands, p.size
+        return _threshold_curve(P, coef, lambda t: t, closed=True)
     top = P.max(axis=0)
-    return (lambda t: np.minimum(p, side_of * t[:, None] / M).sum(axis=1)
-            - M * np.minimum(top, side * t[:, None] / M).sum(axis=1)), cands, p.size
+    return _threshold_curve(
+        P, coef, lambda t: M * np.minimum(top, t[:, None] * coef).sum(axis=1), closed=False)
 
 
 def sid_improved(inst: SwInstance, which: int = 1) -> BoundReport:

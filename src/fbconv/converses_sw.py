@@ -3,11 +3,11 @@
 The three-flow metaconverse is solved exactly as the covered-mass LP of
 converses_ptp under all three cap families, whose row duals are its
 thresholds; that LP's structure is cached per sizes, so a call builds its
-cost alone.  The scalar Miyake-Kanaya style bounds are curves, as in the
-point-to-point module: one integrand in t = exp(-b) over a 1-D array of t,
-one (t x pairs) numpy pass, read by both the exact sup over its finite
-breakpoint set, in blocks of at most converses_ptp._SUP_BLOCK entries, and
-the public mk_*_at, as a batch of one.
+cost alone.  The scalar Miyake-Kanaya style bounds are threshold curves of
+converses_ptp._threshold_curve, in t = exp(-b): masses P, coefficients
+_mk_coef and penalty 3t, one (t x pairs) numpy pass, read by both the exact
+sup over its finite breakpoint set, in blocks of at most
+converses_ptp._SUP_BLOCK entries, and the public mk_*_at, as a batch of one.
 
 The constructors at the bottom turn feasible dual points of the simpler
 problems (side-information, jointly encoded) into feasible dual points of
@@ -50,7 +50,7 @@ from .converses_ptp import (
     _covered_mass_lp,
     _meta_sw_raw,
     _report,
-    closed_leq,
+    _threshold_curve,
     meta_je,
     meta_sid,
 )
@@ -134,29 +134,18 @@ def max_converse(inst: SwInstance) -> BoundReport:
 def _mk_coef(inst: SwInstance) -> np.ndarray:
     """Per-pair max{1/(M1 M2), P2(s2)/M1, P1(s1)/M2}: the largest of the
     three density thresholds at unit t."""
-    n1, n2, m1, m2 = inst.dims
+    _, _, m1, m2 = inst.dims
     P = inst.joint.mass
-    P1 = P.sum(axis=1)
-    P2 = P.sum(axis=0)
-    return np.maximum.reduce([
-        np.full((n1, n2), 1.0 / (m1 * m2)),
-        np.broadcast_to(P2[None, :] / m1, (n1, n2)),
-        np.broadcast_to(P1[:, None] / m2, (n1, n2)),
-    ])
+    return np.maximum(np.maximum(P.sum(axis=0)[None, :] / m1, P.sum(axis=1)[:, None] / m2),
+                      1.0 / (m1 * m2))
 
 
 def _mk_curve(inst: SwInstance, improved: bool):
-    """The classic or improved Miyake-Kanaya integrand at an array of t, over
-    t = 0 and the t in (0, 1) where some P = t * coef is crossed."""
-    P = inst.joint.mass
-    coef = _mk_coef(inst)
-    t_atom = P / coef            # coef >= 1/(M1 M2) > 0
-    cands = np.unique(np.concatenate([t_atom[(t_atom > 0) & (t_atom < 1.0)], [0.0]]))
-    p, c = P.reshape(-1), coef.reshape(-1)
-    if improved:
-        return lambda t: np.minimum(p, t[:, None] * c).sum(axis=1) - 3.0 * t, cands, p.size
-    return (lambda t: np.where(closed_leq(p, t[:, None] * c), p, 0.0).sum(axis=1) - 3.0 * t,
-            cands, p.size)
+    """The classic (closed) or improved Miyake-Kanaya curve: masses P,
+    coefficients _mk_coef, penalty 3t; its breakpoints past t = 1 are
+    dropped, as from t = 1 on the curve is below -2, and at t = 0 at least 0."""
+    return _threshold_curve(inst.joint.mass, _mk_coef(inst), lambda t: 3.0 * t,
+                            closed=not improved)
 
 
 def mk_classic_at(inst: SwInstance, t: float) -> float:

@@ -9,7 +9,10 @@ and the plain-text pmf file format used by the CLI:
     <i> <p>               <i> <j> <p>
     ...                   ...
 
-Indices are 0-based; omitted entries are zero.
+The header pmf<k> gives the rank k, 1 or 2, and k alphabet sizes; each entry
+line holds k 0-based indices and a mass.  Omitted entries are zero, and an
+index may be listed at most once.  A header of more than MAX_LP_ENTRIES
+entries raises InstanceTooLarge before any array is allocated.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 MASS_TOL = 1e-12
+# rows x columns of one LP (a bound on its nonzeros), and the cells of one pmf file
+MAX_LP_ENTRIES = 2 ** 26
 
 
 class PmfError(ValueError):
@@ -45,8 +50,9 @@ class PmfFormatError(PmfError):
 
 
 class InstanceTooLarge(ValueError):
-    """An LP with more than MAX_LP_ENTRIES rows x columns,
-    a code size past float range, or a DSBS expansion past its cap."""
+    """An LP with more than MAX_LP_ENTRIES rows x columns, a pmf file header
+    of more than MAX_LP_ENTRIES entries, a code size past float range, or a
+    DSBS expansion past its cap."""
 
 
 def _real(value) -> bool:
@@ -241,64 +247,46 @@ def average_entropy(pmf: Pmf, given: Optional[int] = None) -> float:
 # pmf text format
 
 
+def _token(cast, tok: str):
+    try:
+        return cast(tok)
+    except ValueError as e:
+        raise PmfFormatError(f"unparsable pmf token: {e}") from e
+
+
 def parse_pmf_text(text: str) -> Pmf:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [ln.split() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln[0].startswith("#")]
     if not lines:
         raise PmfFormatError("empty pmf file")
-    head = lines[0].split()
-    try:
-        if head[0] == "pmf1":
-            if len(head) != 2:
-                raise PmfFormatError(f"bad header {lines[0]!r}")
-            n = int(head[1])
-            if n < 1:
-                raise PmfFormatError("alphabet size must be >= 1")
-            mass = np.zeros(n)
-            for ln in lines[1:]:
-                parts = ln.split()
-                if len(parts) != 2:
-                    raise PmfFormatError(f"bad pmf1 entry {ln!r}")
-                i, p = int(parts[0]), float(parts[1])
-                if not 0 <= i < n:
-                    raise PmfFormatError(f"index {i} out of range [0, {n})")
-                mass[i] = p
-            return SinglePmf(mass)
-        if head[0] == "pmf2":
-            if len(head) != 3:
-                raise PmfFormatError(f"bad header {lines[0]!r}")
-            n1, n2 = int(head[1]), int(head[2])
-            if n1 < 1 or n2 < 1:
-                raise PmfFormatError("alphabet sizes must be >= 1")
-            mass = np.zeros((n1, n2))
-            for ln in lines[1:]:
-                parts = ln.split()
-                if len(parts) != 3:
-                    raise PmfFormatError(f"bad pmf2 entry {ln!r}")
-                i, j, p = int(parts[0]), int(parts[1]), float(parts[2])
-                if not (0 <= i < n1 and 0 <= j < n2):
-                    raise PmfFormatError(f"index ({i},{j}) out of range")
-                mass[i, j] = p
-            return JointPmf(mass)
-    except PmfError:
-        raise
-    except ValueError as e:
-        raise PmfFormatError(f"unparsable pmf line: {e}") from e
-    raise PmfFormatError(f"unknown pmf header {lines[0]!r}")
+    head = lines[0]
+    if head[0] not in ("pmf1", "pmf2"):
+        raise PmfFormatError(f"unknown pmf header {' '.join(head)!r}")
+    k = int(head[0][3:])
+    if len(head) != 1 + k:
+        raise PmfFormatError(f"bad header {' '.join(head)!r}")
+    shape = tuple(_token(int, n) for n in head[1:])
+    if min(shape) < 1:
+        raise PmfFormatError("alphabet sizes must be >= 1")
+    if math.prod(shape) > MAX_LP_ENTRIES:
+        raise InstanceTooLarge(f"pmf header {shape} has more than {MAX_LP_ENTRIES} entries")
+    mass, seen = np.zeros(shape), set()
+    for ln in lines[1:]:
+        if len(ln) != 1 + k:
+            raise PmfFormatError(f"bad pmf{k} entry {' '.join(ln)!r}")
+        idx = tuple(_token(int, i) for i in ln[:k])
+        if not all(0 <= i < n for i, n in zip(idx, shape)):
+            raise PmfFormatError(f"index {idx} out of range {shape}")
+        if idx in seen:
+            raise PmfFormatError(f"index {idx} listed twice")
+        seen.add(idx)
+        mass[idx] = _token(float, ln[k])
+    return validate(mass)
 
 
 def format_pmf_text(pmf: Pmf) -> str:
-    out = []
-    if isinstance(pmf, SinglePmf):
-        out.append(f"pmf1 {pmf.alphabet_size}")
-        for i, p in enumerate(pmf.mass):
-            if p != 0.0:
-                out.append(f"{i} {float(p)!r}")
-    else:
-        n1, n2 = pmf.sizes
-        out.append(f"pmf2 {n1} {n2}")
-        for i in range(n1):
-            for j in range(n2):
-                if pmf.mass[i, j] != 0.0:
-                    out.append(f"{i} {j} {float(pmf.mass[i, j])!r}")
+    mass = pmf.mass
+    out = [f"pmf{mass.ndim} " + " ".join(map(str, mass.shape))]
+    out += [" ".join(map(str, idx)) + f" {float(mass[tuple(idx)])!r}"
+            for idx in np.argwhere(mass != 0.0)]
     return "\n".join(out) + "\n"

@@ -98,9 +98,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .lp_core import LpModel, LpSolution, WarmStart, _read_only, _row_arrays
-from .probability import CodeSizes, DistortionSpec, InstanceTooLarge, JointPmf, PmfError, SinglePmf
-
-MAX_LP_ENTRIES = 2 ** 26   # rows x columns of one LP, which bound its nonzeros
+from .probability import (MAX_LP_ENTRIES, CodeSizes, DistortionSpec, InstanceTooLarge,
+                          JointPmf, PmfError, SinglePmf)
 
 
 def _check_lp_size(rows: int, cols: int, what: str) -> None:

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from fbconv import converses_ptp
 from fbconv.converses_ptp import (
     TiltedInfo,
     _breakpoint_sup,
+    _threshold_curve,
     hypothesis_testing_bound,
     kv_tilted_at,
     kv_tilted_improved,
@@ -192,6 +196,34 @@ def test_kv_witness_reevaluates():
         assert kv_tilted_at(inst, rep.witness["t"]) == rep.raw_value
 
 
+@pytest.mark.parametrize("j", [[800.0, 0.0, 0.0], [710.0, 0.0, 0.0], [-800.0, 0.0, 1.0]])
+def test_kv_refuses_a_tilt_past_float_range(j):
+    # P e^j overflows to inf for the first two, underflows to 0 for the third
+    inst = _lossless([0.5, 0.3, 0.2], 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a RuntimeWarning would not be a PmfError
+        with pytest.raises(PmfError):
+            kv_tilted_improved(inst, TiltedInfo(j))
+        with pytest.raises(PmfError):
+            kv_tilted_at(inst, 0.3, TiltedInfo(j))
+
+
+def test_kv_is_invariant_to_a_constant_tilt_shift():
+    # w = P e^(j + c) scales every coefficient and the penalty by e^c, and t by e^-c
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        n = int(rng.integers(2, 6))
+        src = random_single(rng, n)
+        d = rng.integers(0, 3, size=(n, n)).astype(float)
+        np.fill_diagonal(d, 0.0)
+        inst = ScInstance(src, int(rng.integers(1, n + 1)), DistortionSpec(d, 1.0))
+        jv = rng.normal(size=n)
+        base = kv_tilted_improved(inst, TiltedInfo(jv)).raw_value
+        for c in (-30.0, -5.0, 7.0, 40.0):
+            assert kv_tilted_improved(inst, TiltedInfo(jv + c)).raw_value \
+                == pytest.approx(base, abs=1e-12)
+
+
 def test_palzer_timo_values():
     assert palzer_timo(_lossless([0.25] * 4, 2)).raw_value == pytest.approx(
         0.5, abs=1e-9)
@@ -231,6 +263,15 @@ def test_np_alpha_trivial_cases():
     assert np_alpha(P, Q, 1.0) == 0.0
     assert np_alpha(P, Q, 0.0) == pytest.approx(1.0, abs=1e-12)
     assert np_alpha(P, P, 0.25) == pytest.approx(0.75, abs=1e-12)
+
+
+def test_np_alpha_refuses_a_negative_or_nan_theta():
+    P = SinglePmf([0.3, 0.7])
+    for theta in (math.nan, -1.0, -1e-300):
+        with pytest.raises(PmfError):
+            np_alpha(P, P, theta)
+    for theta in (1.0, 2.0, math.inf):
+        assert np_alpha(P, P, theta) == 0.0
 
 
 def alpha_sup_form(P: SinglePmf, Q: SinglePmf, mstar: float) -> float:
@@ -362,6 +403,65 @@ def test_lossless_gamma_witness_reevaluates():
         M = int(rng.integers(1, 4))
         rep = lossless_gamma_bound(src, M)
         assert lossless_gamma_at(src, M, rep.witness["t"]) == rep.raw_value
+
+
+# --- the threshold-curve builder ---------------------------------------------
+
+
+def _cell_loop(p, c, pen, closed, t, counted=-1):
+    """The threshold integrand at one t, cell by cell; the cell `counted` is
+    in the closed event whatever the float comparison says."""
+    if closed:
+        head = sum(pi for i, (pi, ci) in enumerate(zip(p, c)) if pi <= t * ci or i == counted)
+    else:
+        head = sum(min(pi, t * ci) for pi, ci in zip(p, c))
+    return head - float(pen(np.array([t]))[0])
+
+
+@pytest.mark.parametrize("kinked", [False, True])
+@pytest.mark.parametrize("closed", [False, True])
+def test_threshold_curve_matches_a_cell_loop_and_a_dense_grid(closed, kinked):
+    rng = np.random.default_rng(89 + 2 * closed + kinked)
+    for trial in range(60):
+        n = int(rng.integers(1, 9))
+        p = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.75)   # some zero-mass cells
+        c = rng.uniform(0.05, 2.0, n)
+        top = 1.0 if trial % 3 else math.inf   # with top = 1 some switches p / c lie above it
+        pos = p > 0
+        breaks = p[pos] / c[pos]
+        slope = rng.uniform(0.0, 3.0)
+        if kinked:   # slope t plus nondecreasing pieces a min{k, t}, kinks k at switches
+            kinks = rng.choice(breaks[breaks <= top], size=min(2, int((breaks <= top).sum())),
+                               replace=False) if np.any(breaks <= top) else np.array([])
+            a = rng.uniform(0.0, 2.0, kinks.size)
+            pen = lambda t: slope * t + (a * np.minimum(kinks, t[:, None])).sum(axis=1)
+        else:
+            pen = lambda t: slope * t
+        fn, cands, cells = _threshold_curve(p, c, pen, closed, top)
+        assert cells == n
+        expect = np.concatenate([[0.0], breaks[breaks <= top], [top] if top < math.inf else []])
+        np.testing.assert_array_equal(cands, np.unique(expect))
+
+        far = min(top, 1.5 * breaks.max()) if breaks.size else 1.0
+        ts = rng.uniform(0.0, far, 20)
+        for t, v in zip(ts, fn(ts)):
+            assert v == pytest.approx(_cell_loop(p, c, pen, closed, t), abs=1e-12)
+        for k in np.flatnonzero(pos):   # at its switch a closed event counts its cell
+            t = p[k] / c[k]
+            assert fn(np.array([t]))[0] == pytest.approx(
+                _cell_loop(p, c, pen, closed, t, counted=k), abs=1e-12)
+
+        val, _ = _breakpoint_sup(fn, cands, cells)
+        grid = np.linspace(0.0, far, 4001)
+        assert val >= fn(grid).max() - 1e-12
+
+
+def test_threshold_curve_refuses_a_bad_coefficient_on_a_cell_with_mass():
+    pen = lambda t: t
+    _threshold_curve([0.0, 1.0], [0.0, 2.0], pen, closed=False)   # zero mass: any c
+    for c in ([1.0, 0.0], [1.0, -1.0], [1.0, math.inf], [1.0, math.nan], [1.0, 1e-320]):
+        with pytest.raises(PmfError):
+            _threshold_curve([0.0, 1.0], c, pen, closed=True)
 
 
 # --- pair bounds ------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbconv.probability import (
+    MAX_LP_ENTRIES,
     CodeSizes,
     DistortionSpec,
     InstanceTooLarge,
@@ -191,6 +193,27 @@ def test_parse_errors():
         parse_pmf_text("pmf1 2\n0 0.5\n1 0.6\n")
     with pytest.raises(PmfError):
         parse_pmf_text("pmf1 2\n0 nan\n1 0.5\n")
+
+
+def test_parse_refuses_a_header_past_the_size_cap():
+    # 10^10 cells of floats would be 74.5 GiB; nothing is allocated before the check
+    with pytest.raises(InstanceTooLarge):
+        parse_pmf_text("pmf2 100000 100000\n0 0 1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceTooLarge):
+            parse_pmf_text(f"pmf1 {MAX_LP_ENTRIES + 1}\n0 1\n")
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20   # not the 512 MiB array
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_refuses_a_repeated_index():
+    # the listed masses sum to 1.5, which a later entry must not hide by overwriting
+    with pytest.raises(PmfFormatError, match="twice"):
+        parse_pmf_text("pmf1 2\n0 0.5\n0 0.5\n1 0.5\n")
+    with pytest.raises(PmfFormatError, match="twice"):
+        parse_pmf_text("pmf2 2 2\n0 0 0.5\n1 1 0.5\n1 1 0.0\n")
 
 
 @settings(max_examples=40, deadline=None)

@@ -209,25 +209,37 @@ def _tilt(P: np.ndarray, j: TiltedInfo) -> np.ndarray:
 
 def _kv_curve(inst: ScInstance, j: Optional[TiltedInfo]):
     """The tilted-flow curve: masses P, coefficients w / M with w(s) =
-    P(s) exp(j(s)), penalty t max_sh sum_s w(s) 1{within(s, sh)}.  For the
+    P(s) exp(j(s) - j*), penalty t max_sh sum_s w(s) 1{within(s, sh)}, where
+    j* is the largest j over the symbols with mass.  Adding a constant to j
+    scales w by its exponential and t by the inverse, so j* changes no
+    value, only the scale of t, and keeps every weight at most 1.  For the
     built-in lossless tilt, P exp(h) = 1 extends by continuity to zero-mass
-    symbols.  A weight past float range, 0 or inf, is refused by the builder."""
+    symbols.  A tilt whose spread leaves float range, so that a weight is 0
+    or its breakpoint inf, is refused by the builder."""
     P = inst.source.mass
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = np.ones_like(P) if j is None else np.where(P > 0, P * np.exp(_tilt(P, j)), 0.0)
-        pen = float((w[:, None] * inst.distortion.within()).sum(axis=0).max())
+    w, pos = np.ones_like(P), P > 0
+    if j is not None:
+        jv = _tilt(P, j)[pos]
+        with np.errstate(over="ignore"):   # a spread past float max: weight 0, refused below
+            w[~pos], w[pos] = 0.0, P[pos] * np.exp(jv - jv.max())
+    pen = float((w[:, None] * inst.distortion.within()).sum(axis=0).max())
     return _threshold_curve(P, w / inst.M, lambda t: t * pen, closed=False, top=math.inf)
 
 
 def kv_tilted_improved(inst: ScInstance, j: Optional[TiltedInfo] = None) -> BoundReport:
     """Tilted-flow converse: sup over t > 0 of
-    sum_s min{P(s), w(s) t / M} - t * max_sh sum_s w(s) 1{within(s, sh)}."""
+    sum_s min{P(s), w(s) t / M} - t * max_sh sum_s w(s) 1{within(s, sh)},
+    with w(s) = P(s) exp(j(s) - j*) and j* the largest j over the symbols
+    with mass (w = 1 for the built-in lossless tilt).  The sup does not
+    depend on j*; the witness t is on the scale of these weights."""
     val, t = _breakpoint_sup(*_kv_curve(inst, j))
     return _report("kv-improved", val, {"t": float(t)},
                    "improved Kostina-Verdu tilted converse")
 
 
 def kv_tilted_at(inst: ScInstance, t: float, j: Optional[TiltedInfo] = None) -> float:
+    """The kv_tilted_improved objective at t, with t on the scale of the
+    shifted weights P(s) exp(j(s) - j*) that its docstring states."""
     return _at(_kv_curve(inst, j), t)
 
 

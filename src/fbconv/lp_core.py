@@ -5,17 +5,28 @@ dual simplex is that of Huangfu & Hall (Math. Prog. Comp. 2018): variable
 bounds stay bounds and the relations become row bounds, so each stated row
 gets exactly one multiplier.  It takes one of two paths:
 
-  * cold, for a model without a WarmStart: the model is filled into a fresh
-    HighsLp and HiGHS's dual simplex starts from scratch;
-  * warm, for a model with one: every model sharing the WarmStart has the
-    same rows, rhs and bounds and differs in its cost alone.  The first
-    such solve fills one HighsLp, solves it cold at the WarmStart's
-    reference cost and keeps the optimal basis.  Every solve then passes
-    that HighsLp, changes its cost with changeColsCost and runs the primal
-    simplex from that basis: a change of cost keeps a basis primal
-    feasible, so the primal simplex starts in its phase 2.  On the
-    relaxation LPs that takes about 45 iterations where the cold solve
-    takes about 320.
+  * cold, for a model without a WarmStart, or whose cost breaks its
+    WarmStart's symmetry: the model is filled into a fresh HighsLp and
+    HiGHS's dual simplex starts from scratch;
+  * warm, for a model with one whose cost is constant on every column orbit
+    of its WarmStart.  A WarmStart holds the quotient of an LP by a
+    symmetry: a partition of the columns and one of the rows into orbits
+    such that every row of an orbit has the same coefficient sums over each
+    column orbit, every column of an orbit the same sums over each row
+    orbit, and the rhs, relations and bounds are constant on orbits.  The
+    quotient has one variable z(J) per column orbit J and one row per row
+    orbit R, its representative's coefficients summed over each J; the cost
+    of z(J) is |J| times the cost at J's representative.  The first warm
+    solve fills one HighsLp of the quotient, solves it cold at the
+    WarmStart's reference cost and keeps the optimal basis.  Every solve
+    then passes that HighsLp, changes its cost with changeColsCost and runs
+    the primal simplex from that basis: a change of cost keeps a basis
+    primal feasible, so the primal simplex starts in its phase 2.  The
+    optimum (z, w) lifts to x = z(J(j)) and y = w(R(i)) / |R(i)|: x meets
+    every row, as its orbit's sums are its representative's; A^T y - c is
+    (A_red^T w - c_red)(J(j)) / |J(j)|, as a column's sums are its orbit's;
+    and rhs y = rhs_red w.  So the lifted pair is an optimal primal and a
+    dual certificate of the full model, of its size.
 
 Each thread holds one HiGHS instance, made at the thread's first solve and
 run single-threaded with its output off.  Every solve resets it with passModel, which
@@ -75,6 +86,10 @@ class SolverUnavailable(LpError):
     """scipy's bundled HiGHS extension could not be found or loaded."""
 
 
+class OrbitMismatch(LpError):
+    """A partition of a model's columns and rows that is no symmetry of it."""
+
+
 def _read_only(a, dtype=float) -> np.ndarray:
     """`a` as a read-only array of `dtype`: kept as given when it already is
     one, copied otherwise."""
@@ -110,7 +125,8 @@ class LpModel:
     held as given when read-only of its dtype (int for start and index, float
     otherwise), else as a frozen copy.  `warm`, the WarmStart of the models
     with this model's rows, rhs and bounds, sends its solves down the warm
-    path; fbconv.relaxations sets it, and None solves cold.
+    path while the objective is constant on its column orbits;
+    fbconv.relaxations sets it, and None solves cold.
     _with_objective makes a model that differs in its objective and
     WarmStart alone, checking only the new objective.
     """
@@ -192,18 +208,85 @@ class LpSolution:
     dual: Optional[np.ndarray]
 
 
+def _orbit_sums(row, col, value, row_orbit, col_orbit):
+    """The entries (R, J, s) of a quotient matrix, by (R, J): s is the sum of
+    the values of row orbit R's representative row over column orbit J.
+    OrbitMismatch unless every row of R has that sum over every J."""
+    num_j = int(col_orbit.max(initial=-1)) + 1
+    keys, at = np.unique(row * num_j + col_orbit[col], return_inverse=True)
+    at = at.reshape(-1)   # flat whatever shape this numpy gives the inverse
+    sums = np.bincount(at, weights=value, minlength=keys.size)   # per (row, J)
+    keys, sums = keys[sums != 0], sums[sums != 0]
+    orbit_keys, at = np.unique(row_orbit[keys // num_j] * num_j + keys % num_j,
+                               return_inverse=True)
+    at = at.reshape(-1)
+    count = np.bincount(at, minlength=orbit_keys.size)
+    mean = np.bincount(at, weights=sums, minlength=orbit_keys.size) / count
+    R = orbit_keys // num_j
+    if (mean[at] != sums).any() or (count != np.bincount(row_orbit)[R]).any():
+        raise OrbitMismatch("the rows of an orbit differ in their sums over a column orbit")
+    return R, orbit_keys % num_j, mean
+
+
+def _representatives(orbit: np.ndarray) -> np.ndarray:
+    """The first member of each orbit; OrbitMismatch unless the orbits are
+    numbered 0, 1, ... without a gap."""
+    ids, first = np.unique(orbit, return_index=True)
+    if ids.size and (ids[0] != 0 or ids[-1] != ids.size - 1):
+        raise OrbitMismatch("orbits must be numbered 0, 1, ... without a gap")
+    return first
+
+
 class WarmStart:
-    """Solver state shared by models that differ in their cost alone: the
-    same rows, relations, rhs and bounds.  `reference` is a cost to
-    minimize; the first warm solve fills `lp` from its model at that cost
-    and keeps, as `basis`, the optimal basis there.  No solve writes to
-    either after that: each solve passes `lp` to its thread's HiGHS
-    instance and sets its own cost there."""
+    """Solver state shared by the models that differ in their cost alone, on
+    the quotient of their LP by a symmetry (see the module docstring).
+    WarmStart(model, col_orbit, row_orbit) checks that the partitions are a
+    symmetry of the model's rows, rhs, relations and bounds, raising
+    OrbitMismatch if not, and builds `quotient`, the quotient LpModel at a
+    zero cost.  The identity partitions give the model itself.
 
-    __slots__ = ("reference", "lp", "basis")
+    `reference` is a reduced cost to minimize, set by the caller.  The first
+    warm solve fills `lp` from the quotient at that cost, keeps as `basis`
+    the optimal basis there, and then drops `quotient`, which `lp` now
+    holds: lp and basis are set before quotient is dropped, so a solve that
+    finds it None finds them set.  No solve writes to lp or basis after
+    that: each solve passes `lp` to its thread's HiGHS instance and sets its
+    own reduced cost there."""
 
-    def __init__(self):
+    __slots__ = ("quotient", "col_orbit", "row_orbit", "col_rep", "col_size", "row_size",
+                 "reference", "lp", "basis")
+
+    def __init__(self, model: LpModel, col_orbit, row_orbit):
+        col_orbit, row_orbit = _read_only(col_orbit, int), _read_only(row_orbit, int)
+        if col_orbit.shape != model.objective.shape or row_orbit.shape != model.rhs.shape:
+            raise DimensionMismatch(f"orbit maps of shapes {col_orbit.shape} and "
+                                    f"{row_orbit.shape} for a {model.rhs.size} x "
+                                    f"{model.num_variables} model")
+        col_rep, row_rep = _representatives(col_orbit), _representatives(row_orbit)
+        relations = np.array(model.relations)
+        for orbit, rep, arrays in ((col_orbit, col_rep, (model.lower, model.upper)),
+                                   (row_orbit, row_rep, (model.rhs, relations))):
+            if any((a[rep][orbit] != a).any() for a in arrays):
+                raise OrbitMismatch("the bounds, rhs or relations differ within an orbit")
+        start, index, value = model.a_rows
+        row = np.repeat(np.arange(model.rhs.size), np.diff(start))
+        R, J, s = _orbit_sums(row, index, value, row_orbit, col_orbit)
+        _orbit_sums(index, row, value, col_orbit, row_orbit)   # by columns, for the dual
+        self.quotient = LpModel(model.sense, np.zeros(col_rep.size),
+                                _row_arrays(R, J, s, row_rep.size),
+                                tuple(model.relations[i] for i in row_rep), model.rhs[row_rep],
+                                model.lower[col_rep], model.upper[col_rep])
+        self.col_orbit, self.row_orbit, self.col_rep = col_orbit, row_orbit, col_rep
+        self.col_size, self.row_size = np.bincount(col_orbit), np.bincount(row_orbit)
         self.reference = self.lp = self.basis = None
+
+    def reduce(self, cost: np.ndarray) -> Optional[np.ndarray]:
+        """The quotient's cost of a full `cost`, each column orbit's sum, or
+        None unless `cost` is constant on every column orbit."""
+        at_rep = cost[self.col_rep]
+        if not np.array_equal(at_rep[self.col_orbit], cost):
+            return None
+        return at_rep * self.col_size
 
 
 _HIGHS_NAME = "scipy.optimize._highspy._core"
@@ -296,23 +379,30 @@ def _run(lp, basis=None, cost=None):
 
 def _run_highs(model: LpModel, cost: np.ndarray):
     """min cost x over the model's rows and bounds: (HiGHS model status,
-    primal, row duals).  A model with a WarmStart runs the primal simplex
-    from its basis, found first if need be; any other runs the dual simplex
-    from scratch."""
+    primal, row duals).  A model with a WarmStart whose orbits `cost` is
+    constant on runs the primal simplex on the quotient from its basis,
+    found first if need be, and lifts the result; any other runs the dual
+    simplex on the full model from scratch."""
     warm = model.warm
-    if warm is None:
+    reduced = None if warm is None else warm.reduce(cost)
+    if reduced is None:
         highs = _run(_highs_lp(model, cost))
     else:
-        if warm.basis is None:
-            lp = _highs_lp(model, warm.reference)
+        quotient = warm.quotient   # None once a solve has filled lp and basis
+        if quotient is not None:
+            lp = _highs_lp(quotient, warm.reference)
             first = _run(lp)
             if first.getModelStatus() != _load_highs().HighsModelStatus.kOptimal:
                 raise NumericalBreakdown(f"HiGHS found no optimum at the reference cost: "
                                          f"{first.getModelStatus().name}")
             warm.lp, warm.basis = lp, first.getBasis()
-        highs = _run(warm.lp, warm.basis, cost)
+            warm.quotient = None
+        highs = _run(warm.lp, warm.basis, reduced)
     sol = highs.getSolution()
-    return highs.getModelStatus(), np.array(sol.col_value), np.array(sol.row_dual)
+    status, x, y = highs.getModelStatus(), np.array(sol.col_value), np.array(sol.row_dual)
+    if reduced is not None and status == _load_highs().HighsModelStatus.kOptimal:
+        x, y = x[warm.col_orbit], (y / warm.row_size)[warm.row_orbit]
+    return status, x, y
 
 
 def solve(model: LpModel) -> LpSolution:

@@ -30,7 +30,12 @@ Each LP is written once, as a table over one-letter index names:
   * the cost (diagonal, factor), zero off the W block's message diagonal
     x = y, or x = u and y = v: the einsum subscripts of that diagonal as a
     view of W, and a callable giving the cost there, over the other letters
-    with a unit axis per message letter.
+    with a unit axis per message letter;
+  * the message groups: per encoder, the letters that one relabelling of
+    its messages moves together, "xy" for SI, "xu" and "yv" for JE and SW.
+    Every row family and the cost map onto themselves under it.  SC's
+    table names none (None): its cost depends on its distortion, which its
+    structure does not fix, so it has no reference to start from.
 
 Every row of a lifted relaxation has one of those two shapes, so one routine
 (_structures) turns any table into the nonzeros of the constraint matrix and
@@ -38,19 +43,30 @@ the rhs.  Those depend on the sizes alone; the pmf enters only the cost.  They
 are built eagerly once per table within MAX_LP_ENTRIES and cached for up to
 32 tables.  An entry is the column and row layouts and one LpModel, checked
 once when the entry is built: the frozen a_rows, rhs, relations and bounds,
-a zero objective, and the table's lp_core.WarmStart.  Every build returns
-that model with its own cost (LpModel._with_objective), holding all the rest
-as the same objects, so a build writes and checks the cost alone.
+a zero objective, and, given message groups, the table's
+lp_core.WarmStart.  Every build returns that model with its own cost
+(LpModel._with_objective), holding all the rest as the same objects, so a
+build writes and checks the cost alone.
 
-The WarmStart holds the cost at the uniform pmf of the table's sizes, set
-by the first build, then from the first solve on a HighsLp copy of the
-arrays and the optimal basis at that cost, from which every solve of an SI,
-JE or SW model runs the primal simplex.  It is evicted with its entry.  For
-SW 3x3 / M=(2,2) (1750 x 1812, 6,612 nonzeros) an entry holds about 0.4 MiB:
-the arrays 0.13 MiB, the bounds and zero objective 0.04 MiB, and the
-WarmStart under 0.23 MiB.  The point-to-point table's cost depends on its
-distortion, which its structure does not fix, so SC models carry no
-WarmStart and solve cold, and an SC entry's stays empty.  The same table gives:
+The WarmStart is the quotient of the LP by the message groups (_orbit_map
+gives each column and row its orbit; lp_core.WarmStart checks that the
+orbits are a symmetry of the rows and rhs and sums each orbit's
+representative row over the column orbits).  Its orbits do not grow with
+the codebooks: the SW quotient at 3x3 is 451 x 456 for every M1, M2 >= 2,
+at 4x4 / M=(2,2) it is 1273 x 1320, and with single messages it is the LP
+itself.  The first build sets its reference, the quotient's cost at the
+uniform pmf of the table's sizes, and raises OrbitMismatch if that cost is
+not constant on the orbits, as then the groups are no symmetry of the
+table.  The first solve replaces the quotient by its HighsLp and the
+optimal basis at the reference, from which every solve of an SI, JE or SW
+model runs the primal simplex before lifting its optimum to the full LP.
+It is evicted with its entry.  For SW 3x3 / M=(2,2) (1750 x 1812, 6,612
+nonzeros) a solved entry holds about 0.27 MiB: the arrays 0.13 MiB, the
+bounds and zero objective 0.04 MiB, and the WarmStart 0.09 MiB, of which
+0.04 MiB are the orbit maps and at most 0.05 MiB the quotient's HighsLp
+(1,665 nonzeros) and basis.  The point-to-point table names no message
+groups, so an SC entry builds no WarmStart and SC models solve cold.  The
+same table gives:
 
   * the variable and row layouts (_layouts);
   * each typed dual point class (DualPointSC, SI, JE and SW), made from the
@@ -97,7 +113,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .lp_core import LpModel, LpSolution, WarmStart, _read_only, _row_arrays
+from .lp_core import LpModel, LpSolution, OrbitMismatch, WarmStart, _read_only, _row_arrays
 from .probability import (MAX_LP_ENTRIES, CodeSizes, DistortionSpec, InstanceTooLarge,
                           JointPmf, PmfError, SinglePmf)
 
@@ -164,9 +180,9 @@ class SwInstance:
 
 
 # ---------------------------------------------------------------------------
-# LP tables: (sizes, column blocks, row families, cost); blocks and families
-# are tuples, so hashable.  The row families of each kind, which also make
-# its dual point class:
+# LP tables: (sizes, column blocks, row families, cost, message groups);
+# blocks, families and groups are tuples, so hashable.  The row families of
+# each kind, which also make its dual point class:
 
 _SC_ROWS = (("gamma_a", "s", "Q1", None), ("gamma_b", "y", "Qd", None),
             ("lam_s", "shy", "W", "Qd"), ("lam_c", "xsy", "W", "Q1"))
@@ -182,6 +198,10 @@ _SW_ROWS = (("gamma_a", "a", "Q1", None), ("gamma_b", "b", "Q2", None),
             ("mu_c_1", "axuv", "U", "Q1"), ("mu_c_2", "byuv", "V", "Q2"),
             ("lam_s_12", "abyuvcd", "W", "V"), ("lam_s_21", "abxuvcd", "W", "U"),
             ("lam_c", "abxyuv", "W", "T"))
+# the letters that one relabelling of an encoder's messages moves together:
+# the encoder's output and the decoder's input
+_SI_GROUPS = ("xy",)
+_PAIR_GROUPS = ("xu", "yv")
 
 
 def _sc_table(inst: ScInstance):
@@ -189,7 +209,7 @@ def _sc_table(inst: ScInstance):
     cols = (("Q1", "sx", "P1"), ("Qd", "yh", "P2"), ("W", "sxyh", "P3"))
     # P(s) 1{d(s, h) > level} on x = y
     return sizes, cols, _SC_ROWS, ("sxxh->sxh", lambda: (
-        inst.source.mass[:, None] * inst.distortion.excess())[:, None, :])
+        inst.source.mass[:, None] * inst.distortion.excess())[:, None, :]), None
 
 
 def _si_table(inst: SwInstance, which: int):
@@ -201,7 +221,7 @@ def _si_table(inst: SwInstance, which: int):
     cols = (("Q1", "ex", cid + "1"), ("Qd", "syh", cid + "2"), ("W", "esxyh", cid + "3"))
     # P(e, s) on every wrong estimate h != e, on x = y
     return sizes, cols, _SI_ROWS, ("esxxh->esxh", lambda: np.einsum(
-        "es, eh -> esh", sw.joint.mass, 1.0 - np.eye(ne))[:, :, None, :])
+        "es, eh -> esh", sw.joint.mass, 1.0 - np.eye(ne))[:, :, None, :]), _SI_GROUPS
 
 
 def _pair_table(inst: SwInstance, cols, rows):
@@ -213,7 +233,7 @@ def _pair_table(inst: SwInstance, cols, rows):
         wrong = 1.0 - np.einsum("ac, bd -> abcd", np.eye(n1), np.eye(n2))
         return (inst.joint.mass[:, :, None, None] * wrong)[:, :, None, None]
     sizes = dict(a=n1, b=n2, x=m1, y=m2, u=m1, v=m2, c=n1, d=n2)
-    return sizes, cols, rows, ("abxyxycd->abxycd", factor)
+    return sizes, cols, rows, ("abxyxycd->abxycd", factor), _PAIR_GROUPS
 
 
 def _je_table(inst: SwInstance):
@@ -278,12 +298,46 @@ def _ravel(at: Dict[str, np.ndarray], sizes, letters: str) -> np.ndarray:
                                 tuple(sizes[k] for k in letters))
 
 
+def _orbit_map(blocks, sizes, groups) -> np.ndarray:
+    """The orbit of each entry of the blocks (or families), laid out in
+    order, under relabelling each group's letters by one permutation.  An
+    entry's orbit is its canonical member: per group, the group's letters in
+    the entry's axis order relabelled 0, 1, ... in order of first value,
+    the least member in row-major order.  Orbits are numbered by that
+    member, so trivial groups give the identity.  OrbitMismatch unless each
+    group's letters are letters of the table of one size."""
+    for group in groups:
+        if not all(k in sizes for k in group) or len({sizes[k] for k in group}) != 1:
+            raise OrbitMismatch(f"message group {group!r} is not of table letters of one size")
+    keys, offset = [], 0
+    for _, letters, *_ in blocks:
+        shape = tuple(sizes[k] for k in letters)
+        points = np.indices(shape).reshape(len(letters), -1)
+        for group in groups:
+            held = [i for i, k in enumerate(letters) if k in group]
+            labels, fresh = [], np.zeros(points.shape[1], dtype=int)
+            for n, i in enumerate(held):
+                label, new = fresh.copy(), np.ones(points.shape[1], dtype=bool)
+                for j, earlier in zip(held[:n], labels):
+                    same = points[j] == points[i]
+                    label[same], new[same] = earlier[same], False
+                labels.append(label)
+                fresh += new
+            for i, label in zip(held, labels):
+                points[i] = label
+        keys.append(offset + np.ravel_multi_index(points, shape))
+        offset += math.prod(shape)
+    return np.unique(np.concatenate(keys), return_inverse=True)[1].reshape(-1)
+
+
 @functools.lru_cache(maxsize=32)
-def _structures(sizes, col_blocks, families):
+def _structures(sizes, col_blocks, families, groups):
     """(column layout, row layout, model) of a table made hashable.  The
-    model is the table's equality-form min LP at a zero cost, with its
-    WarmStart, empty until a build sets its reference and a solve its HiGHS
-    state.  The cap is checked on the layouts, before any array exists, and
+    model is the table's equality-form min LP at a zero cost, with, unless
+    groups is None, the WarmStart of its quotient by the message groups,
+    whose construction checks that the orbits are a symmetry of the rows
+    and rhs; its reference is empty until a build sets it and its basis
+    until a solve does.  The cap is checked on the layouts, before any array exists, and
     lru_cache keeps no call that raised, so a table past it is never cached."""
     sizes, letters = dict(sizes), dict(col_blocks)
     cols, rows = (TensorIndex([(name, tuple(sizes[k] for k in axes))
@@ -307,13 +361,17 @@ def _structures(sizes, col_blocks, families):
     a_rows = _row_arrays(*(np.concatenate(e) for e in zip(*entries)), rows.total)
     for a in (*a_rows, b):
         a.setflags(write=False)
-    model = LpModel("min", np.zeros(cols.total), a_rows, ("=",) * rows.total, b, warm=WarmStart())
-    return cols, rows, model
+    model = LpModel("min", np.zeros(cols.total), a_rows, ("=",) * rows.total, b)
+    if groups is None:
+        return cols, rows, model
+    warm = WarmStart(model, _orbit_map(col_blocks, sizes, groups),
+                     _orbit_map(families, sizes, groups))
+    return cols, rows, model._with_objective(model.objective, warm)
 
 
 def _structure(table):
-    sizes, cols, rows, _ = table
-    return _structures(tuple(sizes.items()), tuple(c[:2] for c in cols), rows)
+    sizes, cols, rows, _, groups = table
+    return _structures(tuple(sizes.items()), tuple(c[:2] for c in cols), rows, groups)
 
 
 def _cost(table, cols: TensorIndex) -> np.ndarray:
@@ -330,23 +388,27 @@ def _uniform(inst: SwInstance) -> SwInstance:
     return SwInstance(JointPmf(np.full((n1, n2), 1.0 / (n1 * n2))), inst.sizes)
 
 
-def _build(table_of, inst, warm: bool = True) -> LpModel:
+def _build(table_of, inst) -> LpModel:
     """Equality-form min LP of the table table_of(inst): the cached
-    structure's model with the table's cost.  With `warm`, the model holds
-    the structure's WarmStart, whose reference is the cost of table_of at
-    the uniform pmf of inst's sizes; without, none."""
+    structure's model with the table's cost, and its WarmStart, if any,
+    whose reference is the quotient's cost of table_of at the uniform pmf
+    of inst's sizes.  OrbitMismatch when that cost is not constant on the
+    orbits: the table's message groups are then no symmetry of its cost."""
     table = table_of(inst)
     cols, _, model = _structure(table)
-    start = model.warm if warm else None
-    if warm and start.reference is None:
-        start.reference = _cost(table_of(_uniform(inst)), cols)
+    start = model.warm
+    if start is not None and start.reference is None:
+        reference = start.reduce(_cost(table_of(_uniform(inst)), cols))
+        if reference is None:
+            raise OrbitMismatch(f"the message groups {table[4]} are no symmetry of the cost")
+        start.reference = reference
     return model._with_objective(_cost(table, cols), start)
 
 
 def build_lp_sc(inst: ScInstance) -> LpModel:
     """Exact LP relaxation of the point-to-point error minimization.  Its
     structure does not fix its distortion, so its solves stay cold."""
-    return _build(_sc_table, inst, warm=False)
+    return _build(_sc_table, inst)
 
 
 def build_lpsi(inst: SwInstance, which: int = 1) -> LpModel:
@@ -456,7 +518,7 @@ def _binding_gammas(inst, pt: _DualPoint) -> Dict[str, np.ndarray]:
     most the families whose minus block is B, summed down to B's letters.
     The largest feasible multiplier is the min of that over the letters of B
     the family does not have."""
-    _, cols, rows, _ = _table_of(inst, type(pt), getattr(pt, "which", None))
+    _, cols, rows, _, _ = _table_of(inst, type(pt), getattr(pt, "which", None))
     return {name: sum(_summed_down(pt, down)).min(axis=free)
             for _, _, _, norms, _, down in _plan(cols, rows) for name, free in norms}
 
@@ -479,7 +541,7 @@ class ConstraintViolation:
 def _check_shapes(table, pt: _DualPoint) -> None:
     """Raise PmfError unless every field of pt that is set has the shape its
     row family has in the table."""
-    sizes, _, rows, _ = table
+    sizes, _, rows, _, _ = table
     for name, letters, _, _ in rows:
         val = getattr(pt, name)
         want = tuple(sizes[k] for k in letters)
@@ -494,7 +556,7 @@ def check_feasible(inst, pt: _DualPoint, tol: float = 1e-12) -> List[ConstraintV
     is subtracted on W's message diagonal only."""
     table = _table_of(inst, type(pt), getattr(pt, "which", None))
     _check_shapes(table, pt)
-    sizes, cols, rows, (diagonal, factor) = table
+    sizes, cols, rows, (diagonal, factor), _ = table
     out: List[ConstraintViolation] = []
     for cid, block, letters, norms, up, down in _plan(cols, rows):
         if any(getattr(pt, name) is None for name, _ in norms):
@@ -573,7 +635,7 @@ def _point(inst, point_type: type, *lead, **fields) -> _DualPoint:
     `fields`, each a read-only view of its family's shape (_frozen), a zero
     broadcast, which holds no memory, in every other multiplier field, and
     the binding gammas."""
-    sizes, _, rows, _ = _table_of(inst, point_type, *lead)
+    sizes, _, rows, _, _ = _table_of(inst, point_type, *lead)
     full = {name: _frozen(fields.pop(name, 0.0), tuple(sizes[k] for k in letters))
             for name, letters, _, minus in rows if minus is not None}
     pt = point_type(*lead, **full, **fields)   # TypeError on a name that is no family

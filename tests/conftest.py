@@ -1,5 +1,5 @@
 """Shared random-instance generators, the jointly-encoded instance of a
-pair, an LP dual certificate, the dual checker held against its
+pair, an LP primal and dual certificate, the dual checker held against its
 hand-written oracle, and a memory probe.
 
 All randomness is seeded per test; generators occasionally zero out entries
@@ -53,21 +53,40 @@ def sw_je_instance(inst):
     return ScInstance(flat, m1 * m2, DistortionSpec.lossless(n1 * n2))
 
 
-def assert_dual_certificate(model, sol, rel=1e-9):
-    """Assert that sol.dual certifies sol.value for the Optimal solve sol of
-    model, in the sign convention of the lp_core docstring: the row
-    multipliers have their signs, each reduced cost of c - A^T y is nonzero
-    only on a finite bound, and rhs y plus the bound terms equals sol.value.
-    Tolerances are rel times max(1, |value|, max |c|)."""
+def _products(model, x, y):
+    """(A x, A^T y) from the model's row-wise arrays, without densifying A."""
+    start, index, value = model.a_rows
+    row = np.repeat(np.arange(model.rhs.size), np.diff(start))
+    return (np.bincount(row, weights=value * x[index], minlength=model.rhs.size),
+            np.bincount(index, weights=value * y[row], minlength=model.num_variables))
+
+
+def assert_certificate(model, sol, rel=1e-9):
+    """Assert that sol.primal is feasible with objective sol.value and that
+    sol.dual certifies sol.value for the Optimal solve sol of model, in the
+    sign convention of the lp_core docstring: the row multipliers have their
+    signs, each reduced cost of c - A^T y is nonzero only on a finite bound,
+    and rhs y plus the bound terms equals sol.value.  The dual and value
+    tolerances are rel times max(1, |value|, max |c|); the primal's rows and
+    bounds are also held to rel times max |rhs|."""
     assert sol.status == "Optimal"
     tol = rel * max(1.0, abs(sol.value), float(np.abs(model.objective).max(initial=0.0)))
-    y = sol.dual
+    row_tol = max(tol, rel * float(np.abs(model.rhs).max(initial=0.0)))
+    x, y = sol.primal, sol.dual
+    assert x.shape == model.objective.shape and y.shape == model.rhs.shape
     relations = np.array(model.relations)
+    ax, aty = _products(model, x, y)
+    slack = ax - model.rhs
+    assert np.all(np.abs(slack[relations == "="]) <= row_tol)
+    assert np.all(slack[relations == "<="] <= row_tol)
+    assert np.all(slack[relations == ">="] >= -row_tol)
+    assert np.all(x >= model.lower - row_tol) and np.all(x <= model.upper + row_tol)
+    assert abs(float(model.objective @ x) - sol.value) <= tol
     # flip a min model into the max convention: y >= 0 on <=, y <= 0 on >=
     sgn = 1.0 if model.sense == "max" else -1.0
     assert np.all(sgn * y[relations == "<="] >= -tol)
     assert np.all(sgn * y[relations == ">="] <= tol)
-    r = model.objective - model.a_matrix.T @ y
+    r = model.objective - aty
     r = np.where(np.abs(r) <= tol, 0.0, r)
     # the bound each reduced cost reads: upper where it pushes x up, lower where down
     on = r != 0
@@ -77,10 +96,11 @@ def assert_dual_certificate(model, sol, rel=1e-9):
 
 
 def certified_solve(model):
-    """lp_core.solve, asserting the dual certificate of an Optimal result."""
+    """lp_core.solve, asserting the primal and the dual certificate of an
+    Optimal result against the model itself."""
     sol = solve(model)
     if sol.status == "Optimal":
-        assert_dual_certificate(model, sol)
+        assert_certificate(model, sol)
     return sol
 
 
@@ -88,7 +108,7 @@ def assert_checkers_agree(inst, pt, tol):
     """check_feasible(inst, pt, tol), asserting that the hand-written oracle
     reports the same violations: the same ids, the same indices once its
     axes are mapped onto the block's letters, and residuals to 1e-12."""
-    _, cols, _, _ = _table_of(inst, type(pt), getattr(pt, "which", None))
+    _, cols, _, _, _ = _table_of(inst, type(pt), getattr(pt, "which", None))
     letters = {cid: axes for _, axes, cid in cols}
 
     def moved(v):
@@ -121,7 +141,7 @@ def check_with_oracle(inst, pt, tol):
     """check_feasible(inst, pt, tol), once the hand-written oracle agrees with
     it on pt at tol, on every residual of pt where its LP has at most 20,000
     columns, and on a perturbed copy of pt at tol."""
-    sizes, cols, _, _ = _table_of(inst, type(pt), getattr(pt, "which", None))
+    sizes, cols, _, _, _ = _table_of(inst, type(pt), getattr(pt, "which", None))
     if sum(math.prod(sizes[k] for k in axes) for _, axes, _ in cols) <= 20_000:
         assert_checkers_agree(inst, pt, -np.inf)
     assert_checkers_agree(inst, _perturbed(pt, np.random.default_rng(0)), tol)

@@ -196,9 +196,11 @@ def test_kv_witness_reevaluates():
         assert kv_tilted_at(inst, rep.witness["t"]) == rep.raw_value
 
 
-@pytest.mark.parametrize("j", [[800.0, 0.0, 0.0], [710.0, 0.0, 0.0], [-800.0, 0.0, 1.0]])
+@pytest.mark.parametrize("j", [[800.0, 0.0, 0.0], [710.0, 0.0, 0.0], [-800.0, 0.0, 1.0],
+                               [1e308, -1e308, 0.0]])
 def test_kv_refuses_a_tilt_past_float_range(j):
-    # P e^j overflows to inf for the first two, underflows to 0 for the third
+    # the spread of j leaves float range: a weight P e^(j - max j) is 0 or
+    # subnormal, and for the last the subtraction itself overflows
     inst = _lossless([0.5, 0.3, 0.2], 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # a RuntimeWarning would not be a PmfError
@@ -222,6 +224,29 @@ def test_kv_is_invariant_to_a_constant_tilt_shift():
         for c in (-30.0, -5.0, 7.0, 40.0):
             assert kv_tilted_improved(inst, TiltedInfo(jv + c)).raw_value \
                 == pytest.approx(base, abs=1e-12)
+
+
+@pytest.mark.parametrize("shift", [710.0, 1e4, -1e4])
+def test_kv_takes_a_tilt_whose_values_leave_float_range_but_whose_spread_does_not(shift):
+    # P e^j overflows or underflows for every symbol here, yet the bound
+    # only sees j up to a constant
+    inst = _lossless([0.5, 0.3, 0.2], 2)
+    assert kv_tilted_improved(inst, TiltedInfo([shift] * 3)).raw_value == \
+        kv_tilted_improved(inst, TiltedInfo([0.0] * 3)).raw_value
+    rng = np.random.default_rng(43)
+    for _ in range(50):
+        n = int(rng.integers(2, 6))
+        src = random_single(rng, n)
+        d = rng.integers(0, 3, size=(n, n)).astype(float)
+        np.fill_diagonal(d, 0.0)
+        inst = ScInstance(src, int(rng.integers(1, n + 1)), DistortionSpec(d, 1.0))
+        jv = rng.normal(scale=3.0, size=n)
+        rep = kv_tilted_improved(inst, TiltedInfo(jv + shift))
+        assert rep.raw_value == pytest.approx(
+            kv_tilted_improved(inst, TiltedInfo(jv)).raw_value, abs=1e-12)
+        t = rep.witness["t"]
+        assert t == 0.0 or t >= np.finfo(float).tiny
+        assert kv_tilted_at(inst, t, TiltedInfo(jv + shift)) == rep.raw_value
 
 
 def test_palzer_timo_values():

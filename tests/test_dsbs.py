@@ -200,15 +200,19 @@ def test_converse_at_matches_meta_sw_eta(n, rates):
 
 
 def test_sweep_loads_no_lp_solver():
-    # the DSBS bounds solve no LP and need numpy alone, so no scipy module is
-    # loaded until the first solve, and that loads the HiGHS extension without
-    # scipy.optimize or scipy.special
+    # the DSBS bounds solve no LP and need numpy alone, and building an SW
+    # relaxation, its quotient included, solves none either, so no scipy
+    # module is loaded until the first solve, and that loads the HiGHS
+    # extension without scipy.optimize or scipy.special
     code = textwrap.dedent("""
         import sys
         import numpy as np
         import fbconv.converses_sw, fbconv.oracle
-        from fbconv import dsbs, lp_core
+        from fbconv import dsbs, lp_core, relaxations
+        from fbconv.probability import CodeSizes, JointPmf
         dsbs.sweep(dsbs.DsbsSpec(10, 0.11, 0.5, 0.5), [10, 50, 200])
+        inst = relaxations.SwInstance(JointPmf(np.full((3, 3), 1 / 9)), CodeSizes(2, 2))
+        assert relaxations.build_lp_sw(inst).warm.quotient is not None
         assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
         assert lp_core._load_highs.cache_info().currsize == 0
         sol = lp_core.solve(lp_core.LpModel("max", [1.0], ([0, 1], [0], [1.0]), ("<=",), [2.0]))

@@ -99,7 +99,7 @@ def _exchange_is_involutive_bijection(table):
     distinct letter sizes onto a point of the swapped pair's table, every
     family onto a different one, and back onto the point itself."""
     inst = rx.SwInstance(JointPmf(np.full((2, 3), 1.0 / 6.0)), CodeSizes(4, 5))
-    sizes, _, rows, _ = table(inst)
+    sizes, _, rows, _, _ = table(inst)
     sw_sizes = table(inst.oriented(2))[0]
     rng = np.random.default_rng(7)
     point = {name: rng.random(tuple(sizes[k] for k in letters)) for name, letters, _, _ in rows}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import threading
@@ -16,14 +17,16 @@ from fbconv.lp_core import (
     LpModel,
     LpSolution,
     NumericalBreakdown,
+    OrbitMismatch,
     SolverUnavailable,
+    WarmStart,
     _dense_rows,
     _load_highs,
     solve,
 )
 from fbconv.probability import CodeSizes, JointPmf
 
-from conftest import assert_dual_certificate, random_joint, sw_je_instance
+from conftest import assert_certificate, certified_solve, random_joint, sw_je_instance
 
 
 def scipy_reference(model):
@@ -60,7 +63,7 @@ def test_textbook_max():
     assert sol.value == pytest.approx(12.0, abs=1e-9)
     np.testing.assert_allclose(sol.primal, [4.0, 0.0], atol=1e-9)
     np.testing.assert_allclose(sol.dual, [3.0, 0.0], atol=1e-9)
-    assert_dual_certificate(m, sol)
+    assert_certificate(m, sol)
 
 
 def test_equality_and_free_variable():
@@ -70,7 +73,7 @@ def test_equality_and_free_variable():
     sol = solve(m)
     assert sol.status == "Optimal"
     assert sol.value == pytest.approx(3.0, abs=1e-9)
-    assert_dual_certificate(m, sol)
+    assert_certificate(m, sol)
 
 
 def test_infeasible():
@@ -88,7 +91,7 @@ def test_redundant_equality_rows():
     sol = solve(m)
     assert sol.status == "Optimal"
     assert sol.value == pytest.approx(1.0, abs=1e-9)
-    assert_dual_certificate(m, sol)
+    assert_certificate(m, sol)
 
 
 def test_feasible_unbounded_not_reported_infeasible():
@@ -126,7 +129,7 @@ def test_finite_upper_bounds():
     m = LpModel("max", [1.0, 1.0], _dense_rows([[1.0, 2.0]]), ("<=",), [10.0], upper=[3.0, np.inf])
     sol = solve(m)
     assert sol.value == pytest.approx(3.0 + 3.5, abs=1e-9)
-    assert_dual_certificate(m, sol)
+    assert_certificate(m, sol)
 
 
 def test_shifted_lower_bound():
@@ -134,7 +137,7 @@ def test_shifted_lower_bound():
     m = LpModel("min", [1.0], _dense_rows([[1.0]]), ("<=",), [5.0], lower=[-2.0])
     sol = solve(m)
     assert sol.value == pytest.approx(-2.0, abs=1e-9)
-    assert_dual_certificate(m, sol)
+    assert_certificate(m, sol)
 
 
 def test_dimension_mismatch():
@@ -248,7 +251,7 @@ def test_random_models_against_scipy():
                     assert ax >= v - 1e-9
                 else:
                     assert ax == pytest.approx(v, abs=1e-9)
-            assert_dual_certificate(m, sol)
+            assert_certificate(m, sol)
     assert n_opt > 150  # the generator is meant to mostly produce solvable LPs
     assert n_capped > 50
 
@@ -263,7 +266,7 @@ def test_strong_duality_and_complementary_slackness_random():
             sol = solve(m)
             if sol.status != "Optimal":
                 continue
-            assert_dual_certificate(m, sol)
+            assert_certificate(m, sol)
             # a multiplier is nonzero only on a row the primal makes tight
             slack = m.rhs - m.a_matrix @ sol.primal
             assert np.all(np.abs(sol.dual * slack) <= 1e-7 * max(1.0, abs(sol.value)))
@@ -279,7 +282,7 @@ def test_degenerate_cycling_candidate():
     sol = solve(m)
     assert sol.status == "Optimal"
     assert sol.value == pytest.approx(-0.05, abs=1e-9)
-    assert_dual_certificate(m, sol)
+    assert_certificate(m, sol)
 
 
 def test_missing_extension_raises_typed_error(tmp_path):
@@ -296,6 +299,49 @@ def _bits(sol):
     """A solve's status, value, primal and dual, as bytes."""
     return (sol.status, np.float64(sol.value).tobytes(),
             *(None if a is None else a.tobytes() for a in (sol.primal, sol.dual)))
+
+
+def test_a_symmetric_model_solves_on_its_quotient_and_lifts():
+    # x0 + x1 = 1 and x1 + x2 = 1 map onto each other when x0 and x2 swap
+    model = LpModel("min", [1.0, 3.0, 1.0], _dense_rows([[1, 1, 0], [0, 1, 1]]), ("=", "="),
+                    [1.0, 1.0])
+    warm = WarmStart(model, [0, 1, 0], [0, 0])
+    np.testing.assert_array_equal(warm.quotient.a_matrix, [[1.0, 1.0]])
+    np.testing.assert_array_equal(warm.quotient.rhs, [1.0])
+    warm.reference = warm.reduce(model.objective)
+    np.testing.assert_array_equal(warm.reference, [2.0, 3.0])
+    sol = certified_solve(dataclasses.replace(model, warm=warm))
+    assert warm.quotient is None and warm.basis is not None
+    assert sol.value == 2.0
+    np.testing.assert_array_equal(sol.primal, [1.0, 0.0, 1.0])
+    np.testing.assert_array_equal(sol.dual, [1.0, 1.0])   # w = 2 over the orbit's two rows
+    # a cost that tells x0 from x2 solves the full model cold
+    off = dataclasses.replace(model, objective=[1.0, 3.0, 2.0], warm=warm)
+    assert warm.reduce(off.objective) is None
+    assert certified_solve(off).value == solve(dataclasses.replace(off, warm=None)).value == 3.0
+
+
+@pytest.mark.parametrize("rows, rhs, relations, upper, col_orbit, row_orbit", [
+    ([[1, 1], [1, 0]], [1, 1], "==", None, [0, 1], [0, 0]),   # rows with other sums
+    ([[1, 1], [1, 0]], [1, 0.5], "==", None, [0, 0], [0, 1]),   # columns with other sums
+    ([[1, 0], [0, 1]], [1, 2], "==", None, [0, 0], [0, 0]),   # rhs
+    ([[1, 0], [0, 1]], [1, 1], "<>", None, [0, 0], [0, 0]),   # relations
+    ([[1, 1]], [1], "=", [1.0, 2.0], [0, 0], [0]),   # bounds
+    ([[1, 1]], [1], "=", None, [0, 2], [0]),   # orbit numbers with a gap
+])
+def test_a_partition_that_is_no_symmetry_is_refused(rows, rhs, relations, upper, col_orbit,
+                                                     row_orbit):
+    rel = tuple({"=": "=", "<": "<=", ">": ">="}[r] for r in relations)
+    model = LpModel("min", [1.0, 1.0], _dense_rows(rows), rel, rhs, upper=upper)
+    with pytest.raises(OrbitMismatch):
+        WarmStart(model, col_orbit, row_orbit)
+
+
+def test_orbit_maps_must_match_the_model():
+    model = LpModel("min", [1.0, 1.0], _dense_rows([[1, 1]]), ("=",), [1.0])
+    for col_orbit, row_orbit in (([0], [0]), ([0, 0], [0, 0])):
+        with pytest.raises(DimensionMismatch):
+            WarmStart(model, col_orbit, row_orbit)
 
 
 def _in_fresh_thread(fn, *args):

@@ -553,7 +553,7 @@ LAYS = [("sc", "lam_s", "s,sh"), ("sc", "lam_c", "xy,s"),
 @pytest.mark.parametrize("kind, name, spec", LAYS)
 def test_lay_is_einsum_to_the_letters_it_holds(kind, name, spec):
     inst, point_type, lead = _tables()[kind]
-    sizes, _, rows, _ = _table_of(inst, point_type, *lead)
+    sizes, _, rows, _, _ = _table_of(inst, point_type, *lead)
     letters = dict((f, own) for f, own, _, _ in rows)[name]
     rng = np.random.default_rng(len(spec))
     operands = [rng.standard_normal(tuple(sizes[k] for k in held)) for held in spec.split(",")]
@@ -569,7 +569,7 @@ def test_lay_is_einsum_to_the_letters_it_holds(kind, name, spec):
 @pytest.mark.parametrize("kind", ["sc", "si", "je", "sw"])
 def test_point_broadcasts_read_only_fields_and_binds_the_gammas(kind):
     inst, point_type, lead = _tables()[kind]
-    sizes, _, rows, _ = _table_of(inst, point_type, *lead)
+    sizes, _, rows, _, _ = _table_of(inst, point_type, *lead)
     name, letters = next((f, own) for f, own, _, minus in rows if minus is not None)
     given = -np.random.default_rng(59).random(sizes[letters[0]])   # on the family's first letter
     pt = _point(inst, point_type, *lead, **{name: _lay(rows, name, letters[0], given)})

@@ -23,7 +23,7 @@ from conftest import certified_solve, peak_mib, random_joint, sw_je_instance
 def _dense_build(table):
     """(A, b) of a table: +1 on every entry of a family's lifted block in the
     row its row letters pick, -1 on the one minus-block entry each row reads."""
-    sizes, col_blocks, families, _ = table
+    sizes, col_blocks, families, _, _ = table
     cols, rows = (rx.TensorIndex([(b[0], tuple(sizes[k] for k in b[1])) for b in blocks])
                   for blocks in (col_blocks, families))
     letters = {b[0]: b[1] for b in col_blocks}

@@ -1,11 +1,13 @@
 """Warm-started relaxation solves: every SI, JE and SW model shares its
-table's WarmStart, and its solve runs the primal simplex from the table's
-fixed basis, the optimum at the uniform pmf.
+table's WarmStart, the quotient of its LP by the message relabellings, and
+its solve runs the primal simplex on that quotient from the table's fixed
+basis, the optimum at the uniform pmf, then lifts the result to the full LP.
 
 The LPs are degenerate, so a warm solve's primal and dual may differ from
 the cold dual simplex's.  The tests therefore hold the values to the cold
-solve's, every dual to the hand-written checkers, and each table's output
-to itself across call orders and cache states.
+solve's, every lifted primal and dual to a certificate against the full
+model, every dual to the hand-written checkers, and each table's output to
+itself across call orders and cache states.
 """
 
 import dataclasses
@@ -37,6 +39,9 @@ KINDS = {   # builder, dual slicer, table
 # (|S1|, |S2|, M1, M2) with codebooks below the alphabets, where the LPs are
 # not trivial, and each SW LP solves in a few ms
 DIMS = [(2, 2, 1, 1), (2, 3, 1, 2), (3, 2, 2, 1), (3, 3, 1, 1), (3, 3, 2, 1), (3, 2, 1, 1)]
+# both encoders with several messages, where the quotient is smallest
+# against the LP; the cold SW solve at M = (2,3) takes about 0.6 s
+QUOTIENT_DIMS = [(3, 3, 2, 2), (3, 3, 2, 3)]
 
 
 def _outputs(sol):
@@ -51,6 +56,28 @@ def _assert_bit_equal(got, want):
 
 def _cold(model):
     return lp_core.solve(dataclasses.replace(model, warm=None))
+
+
+def _sparse_joint(rng, n1, n2):
+    """A random pmf with a whole row and a whole column at zero."""
+    mass = rng.dirichlet(np.ones(n1 * n2)).reshape(n1, n2)
+    mass[rng.integers(n1)] = 0.0
+    mass[:, rng.integers(n2)] = 0.0
+    if mass.sum() == 0.0:
+        mass[0, 0] = 1.0
+    return JointPmf(mass / mass.sum())
+
+
+def _assert_symmetry_breaking_cost_solves_cold(model, rng):
+    """A copy of model whose cost is moved off every column orbit keeps the
+    WarmStart, so it must take the cold path: certified against the copy
+    and equal to the copy's solve without a WarmStart."""
+    cost = model.objective + rng.uniform(0.0, 1e-2, model.num_variables)
+    moved = dataclasses.replace(model, objective=cost)
+    assert moved.warm is model.warm
+    # the identity quotient of single messages takes every cost
+    assert (model.warm.reduce(cost) is None) == (model.warm.col_size.max() > 1)
+    assert abs(certified_solve(moved).value - _cold(moved).value) <= 1e-12
 
 
 def test_relaxation_models_share_their_tables_warm_start():
@@ -78,16 +105,23 @@ def test_output_does_not_depend_on_call_order_or_cache(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_warm_values_match_cold_and_duals_pass_the_oracle(kind):
+    # 54 instances over DIMS, then three per QUOTIENT_DIMS entry, the second
+    # of them sparse; every third one's cost is also moved off the orbits
     build, dual, _ = KINDS[kind]
-    rng = np.random.default_rng(7)
+    rng, moves = np.random.default_rng(7), np.random.default_rng(8)
+    insts = [rx.SwInstance(random_joint(rng, *DIMS[i % len(DIMS)][:2]),
+                           CodeSizes(*DIMS[i % len(DIMS)][2:])) for i in range(54)]
+    insts += [rx.SwInstance(joint(rng, n1, n2), CodeSizes(m1, m2))
+              for n1, n2, m1, m2 in QUOTIENT_DIMS
+              for joint in (random_joint, _sparse_joint, random_joint)]
     worst = 0.0
-    for i in range(54):
-        inst = rx.SwInstance(random_joint(rng, *DIMS[i % len(DIMS)][:2]),
-                             CodeSizes(*DIMS[i % len(DIMS)][2:]))
+    for i, inst in enumerate(insts):
         model = build(inst)
         sol, ref = certified_solve(model), _cold(model)
         worst = max(worst, abs(sol.value - ref.value))
         assert check_with_oracle(inst, dual(inst, sol), tol=1e-9) == []
+        if i % 3 == 0:
+            _assert_symmetry_breaking_cost_solves_cold(model, moves)
     assert worst <= 1e-12
 
 
@@ -96,17 +130,76 @@ def test_sparse_pmfs_match_cold():
     # furthest from the optimum
     rng = np.random.default_rng(11)
     for build, dual, _ in KINDS.values():
-        for n1, n2, m1, m2 in DIMS:
-            mass = rng.dirichlet(np.ones(n1 * n2)).reshape(n1, n2)
-            mass[rng.integers(n1)] = 0.0
-            mass[:, rng.integers(n2)] = 0.0
-            if mass.sum() == 0.0:
-                mass[0, 0] = 1.0
-            inst = rx.SwInstance(JointPmf(mass / mass.sum()), CodeSizes(m1, m2))
+        for n1, n2, m1, m2 in DIMS + QUOTIENT_DIMS:
+            inst = rx.SwInstance(_sparse_joint(rng, n1, n2), CodeSizes(m1, m2))
             model = build(inst)
             sol = certified_solve(model)
             assert abs(sol.value - _cold(model).value) <= 1e-12
             assert check_with_oracle(inst, dual(inst, sol), tol=1e-9) == []
+
+
+@pytest.mark.parametrize("m1, m2", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_sw_3x3_quotient_is_451_by_456_for_every_codebook(m1, m2):
+    # per block, the orbits are the non-message letters times, per encoder,
+    # {equal, unequal} when the block holds both its letters: none grow with M
+    inst = rx.SwInstance(random_joint(np.random.default_rng(19), 3, 3), CodeSizes(m1, m2))
+    warm = rx.build_lp_sw(inst).warm
+    assert (warm.row_size.size, warm.col_size.size) == (451, 456)
+
+
+def test_sw_4x4_m22_quotient_is_1273_by_1320():
+    inst = rx.SwInstance(random_joint(np.random.default_rng(23), 4, 4), CodeSizes(2, 2))
+    model = rx.build_lp_sw(inst)
+    assert (model.rhs.size, model.num_variables) == (5004, 5264)
+    assert (model.warm.row_size.size, model.warm.col_size.size) == (1273, 1320)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_single_messages_give_the_identity_quotient(kind):
+    build = KINDS[kind][0]
+    inst = rx.SwInstance(random_joint(np.random.default_rng(29), 3, 2), CodeSizes(1, 1))
+    rx._structures.cache_clear()   # a fresh WarmStart still holds its quotient
+    model = build(inst)
+    warm = model.warm
+    np.testing.assert_array_equal(warm.col_orbit, np.arange(model.num_variables))
+    np.testing.assert_array_equal(warm.row_orbit, np.arange(model.rhs.size))
+    for got, want in zip(warm.quotient.a_rows + (warm.quotient.rhs,), model.a_rows + (model.rhs,)):
+        np.testing.assert_array_equal(got, want)
+    assert warm.quotient.relations == model.relations
+
+
+@pytest.mark.parametrize("groups, attr, dims", [
+    (("xh",), "_SI_GROUPS", (3, 2, 3, 1)),    # x and h both of size 3: the cost is not invariant
+    (("xh",), "_SI_GROUPS", (3, 2, 2, 1)),    # x of size 2, h of size 3
+    (("xy", "uv"), "_PAIR_GROUPS", (3, 3, 2, 2)),
+])
+def test_a_table_naming_no_symmetry_raises_at_build(monkeypatch, groups, attr, dims):
+    monkeypatch.setattr(rx, attr, groups)
+    inst = rx.SwInstance(random_joint(np.random.default_rng(31), *dims[:2]), CodeSizes(*dims[2:]))
+    build = (lambda i: rx.build_lpsi(i, 1)) if attr == "_SI_GROUPS" else rx.build_lp_sw
+    with pytest.raises(lp_core.OrbitMismatch):
+        build(inst)
+
+
+def test_every_warm_solve_runs_on_the_quotient(monkeypatch):
+    # the only HighsLp of a table's warm models is its quotient's, filled
+    # once; a cost off the orbits fills the full LP, once per solve
+    filled, fill = [], lp_core._highs_lp
+    monkeypatch.setattr(lp_core, "_highs_lp", lambda m, c: filled.append(m) or fill(m, c))
+    rng = np.random.default_rng(37)
+    # 3x2, so that the two SI sides are two tables
+    insts = [rx.SwInstance(random_joint(rng, 3, 2), CodeSizes(2, 2)) for _ in range(3)]
+    rx._structures.cache_clear()
+    for build, _, _ in KINDS.values():
+        quotient = build(insts[0]).warm.quotient
+        for inst in insts:
+            certified_solve(build(inst))
+        assert filled == [quotient]
+        model = build(insts[0])
+        assert model.warm.quotient is None and model.warm.lp.num_col_ == model.warm.col_size.size
+        _assert_symmetry_breaking_cost_solves_cold(model, rng)
+        assert [m.num_variables for m in filled[1:]] == [model.num_variables] * 2
+        filled.clear()
 
 
 def test_evicted_table_solves_as_before():
@@ -127,20 +220,24 @@ def test_evicted_table_solves_as_before():
 
 def _held_bytes(warm) -> int:
     """An upper bound on what a solved WarmStart holds: 8 bytes for every
-    number of its HighsLp and basis, and its reference cost."""
+    number of its HighsLp and basis, and every array it holds, the orbit
+    maps and the reference cost among them."""
     lp, mat = warm.lp, warm.lp.a_matrix_
     numbers = sum(len(v) for v in (lp.col_cost_, lp.col_lower_, lp.col_upper_, lp.row_lower_,
                                    lp.row_upper_, mat.start_, mat.index_, mat.value_,
                                    warm.basis.col_status, warm.basis.row_status))
-    return 8 * numbers + warm.reference.nbytes
+    assert warm.quotient is None   # lp holds it now
+    held = [getattr(warm, name) for name in type(warm).__slots__]
+    return 8 * numbers + sum(a.nbytes for a in held if isinstance(a, np.ndarray))
 
 
 def test_held_state_of_sw_3x3_m22_stays_small():
+    # the full LP's HighsLp, basis and reference held 229 KiB
     inst = rx.SwInstance(random_joint(np.random.default_rng(17), 3, 3), CodeSizes(2, 2))
     model = rx.build_lp_sw(inst)
     certified_solve(model)
     assert model.warm.basis is not None
-    assert _held_bytes(model.warm) < 2 ** 20
+    assert _held_bytes(model.warm) < 128 * 2 ** 10
 
 
 def test_extension_without_the_warm_api_is_unavailable():

@@ -16,6 +16,14 @@ decreasing in t for mk, and every bound is 0 at t = 0.  A linear piece
 takes its max at an end, so the sup is the max over t = 0, the switches
 inside (0, 1), and the right end, which t = exp(-1e-9) stands in for.  The
 evaluators take log t and return exactly 0 at log t = -inf.
+dsbs_converse and dsbs_mk evaluate their integrand, an O(n) sum, at each
+of the about n candidates, so their sups cost O(n^2).  dsbs_je_bound ranks
+all its candidates by prefix log-sums in one numpy pass, O(n log n) with
+the bisections, and evaluates its integrand once, at the best (see there).
+
+Measured, not proved: dsbs_mk <= dsbs_converse <= dsbs_je_bound, which is
+the exact meta_sw for R1, R2 <= 1 (see dsbs_je_bound), on 300 random specs
+with R1, R2 <= 1 in the tests.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, List, Tuple
 
 import numpy as np
@@ -114,30 +123,30 @@ def _logsumexp(x: np.ndarray) -> float:
     return float(math.log1p(rest.sum()) + top)
 
 
+@lru_cache(maxsize=1)
 def _weights(spec: DsbsSpec):
-    """log C(n, k) and log q_k for k = 0..n, q_k = p^k (1-p)^(n-k)."""
+    """log C(n, k) and log q_k for k = 0..n, q_k = p^k (1-p)^(n-k), read-only.
+    The last spec's are kept: every bound reads them, dsbs_je_bound twice,
+    and their lgamma loop is most of an O(n) pass."""
     n = spec.n
     log_fact = np.array([math.lgamma(m + 1.0) for m in range(n + 1)])
     log_comb = log_fact[n] - log_fact - log_fact[::-1]
     k = np.arange(n + 1)
     log_q = k * math.log(spec.p) + (n - k) * math.log1p(-spec.p)
+    for arr in (log_comb, log_q):
+        arr.setflags(write=False)
     return log_comb, log_q
 
 
 # ---------------------------------------------------------------------------
 # the three collapsed bounds: each curve computes its constants once per spec
 # and returns (raw, switches), raw mapping log t to the bound at t and
-# switches the log t where a piece of it ends
+# switches the log t where a piece of it ends; _je_search maps an array of
+# log t to the joint-encoder bound in one pass
 
 
-def _flow_curve(spec: DsbsSpec, je: bool):
-    """The metaconverse (je False) or the joint-encoder bound (je True):
-    sum_k C(n,k) min{q_k, t c}, c = 1/M1 + 1/M2 + 2^n/(M1 M2), minus three
-    penalties exp(max_k min{a + log q_k, b + log t}), one per pair (a, b).
-    The metaconverse's pairs are (log M1, 0), (log M2, 0) and (log J, 0),
-    J = M1 M2 / 2^n.  The joint-encoder bound puts log J in every a, with
-    b = log M2/2^n, log M1/2^n and 0, which is why it beats the
-    eta-restricted one whenever M1, M2 <= 2^n.  Both share the switches."""
+def _flow_terms(spec: DsbsSpec, je: bool):
+    """log C(n,k), log q_k, log c and the penalty pairs (a, b) of _flow_curve."""
     log_comb, log_q = _weights(spec)
     lm1, lm2 = _log_sizes(spec)
     nl2 = spec.n * LN2
@@ -147,16 +156,66 @@ def _flow_curve(spec: DsbsSpec, je: bool):
         a, b = np.array([lj, lj, lj]), np.array([lm2 - nl2, lm1 - nl2, 0.0])
     else:
         a, b = np.array([lm1, lm2, lj]), np.zeros(3)
+    return log_comb, log_q, log_c, a, b
+
+
+def _flow_curve(spec: DsbsSpec, je: bool):
+    """The metaconverse (je False) or the joint-encoder bound (je True):
+    sum_k C(n,k) min{q_k, t c}, c = 1/M1 + 1/M2 + 2^n/(M1 M2), minus three
+    penalties exp(max_k min{a + log q_k, b + log t}), one per pair (a, b).
+    The metaconverse's pairs are (log M1, 0), (log M2, 0) and (log J, 0),
+    J = M1 M2 / 2^n.  The joint-encoder bound puts log J in every a, with
+    b = log M2/2^n, log M1/2^n and 0, which is why it beats the
+    eta-restricted one whenever M1, M2 <= 2^n.  Both share the switches.
+    Above one bit per symbol b > 0, and where a penalty passes float range
+    raw is -inf."""
+    log_comb, log_q, log_c, a, b = _flow_terms(spec, je)
     capped = a[:, None] + log_q
 
     def raw(log_t: float) -> float:
         term = math.exp(_logsumexp(log_comb + np.minimum(log_q, log_t + log_c)))
         # each penalty is max over k of a min; the literal form, not the k=0 shortcut
-        pen = np.exp(np.minimum(capped, b[:, None] + log_t).max(axis=1))
+        with np.errstate(over="ignore"):
+            pen = np.exp(np.minimum(capped, b[:, None] + log_t).max(axis=1))
         return term - float(pen.sum())
 
     # q_k = t c for each k, and t = each penalty's cap at k = 0, where q_k is largest
     return raw, np.concatenate([log_q - log_c, a - b + log_q[0]])
+
+
+def _je_search(spec: DsbsSpec):
+    """The joint-encoder integrand at an array of log t, in one numpy pass,
+    for the argmax search alone.  With x = log t + log c and
+    j = #{k : log q_k > x}, found by bisection on -log q, which increases as
+    p < 1/2, the first term is S(j) + t c N(j), N(j) = sum_{k<j} C(n,k) and
+    S(j) = sum_{k>=j} C(n,k) q_k, both read from prefix and suffix log-sums.
+    Each penalty is min{a + log q_0, b + log t}, as q_0 is the largest q_k.
+
+    A running log-sum rounds each partial sum to its own magnitude, and
+    log N(j) reaches n ln 2; summed in doubles it would move t c N(j) by
+    about 1e-13 at n = 3000, enough to pick a candidate worse than the
+    best by more than raw's own rounding.  So N's log-sums run in long
+    double (80-bit on x86; where it is double the search rounds that
+    coarsely), shifted by the largest log C(n,k) so that its partial sums
+    near the bulk are near 0.  S's log-sums stay at most 0 and run in
+    doubles."""
+    log_comb, log_q, log_c, a, b = _flow_terms(spec, je=True)
+    top = log_comb.max()
+    log_n = np.concatenate([[-np.inf],
+                            np.logaddexp.accumulate((log_comb - top).astype(np.longdouble))])
+    log_s = np.concatenate([np.logaddexp.accumulate((log_comb + log_q)[::-1])[::-1], [-np.inf]])
+    neg_log_q, cap = -log_q, (a + log_q[0])[:, None]
+
+    def values(log_t: np.ndarray) -> np.ndarray:
+        x = log_t + log_c
+        j = np.searchsorted(neg_log_q, -x)
+        # x + log N(j) cancels to the log of a mass before it is rounded to a double
+        log_tcn = ((x.astype(np.longdouble) + top) + log_n[j]).astype(float)
+        term = np.exp(np.logaddexp(log_s[j], log_tcn))
+        with np.errstate(over="ignore"):
+            return term - np.exp(np.minimum(cap, b[:, None] + log_t)).sum(axis=0)
+
+    return values
 
 
 def _mk_curve(spec: DsbsSpec):
@@ -176,13 +235,21 @@ def _mk_curve(spec: DsbsSpec):
     return raw, log_q - log_coef
 
 
-def _sup(curve) -> Tuple[float, dict]:
+def _sup(curve, values=None) -> Tuple[float, dict]:
     """(sup of a curve over t in [0, 1), witness {t, log t} attaining it); see
-    the module docstring.  log t reproduces the sup where t underflows to 0."""
+    the module docstring.  log t reproduces the sup where t underflows to 0.
+    values, when given, maps the array of candidate log t to the curve at
+    each in one pass; the witness is its first argmax, and the sup is raw
+    there, so it is what the witness reproduces.  Without it raw is mapped
+    over the candidates one at a time."""
     raw, switches = curve
     cands = np.unique(np.concatenate([[-math.inf], switches[switches < 0.0], [-1e-9]]))
-    # raw takes one log t at a time and holds no (points x cells) temporary
-    val, lt = _breakpoint_sup(lambda lts: np.array([raw(lt) for lt in lts]), cands, 1)
+    if values is None:
+        # raw takes one log t at a time and holds no (points x cells) temporary
+        val, lt = _breakpoint_sup(lambda lts: np.array([raw(lt) for lt in lts]), cands, 1)
+    else:
+        lt = cands[int(np.argmax(values(cands)))]
+        val = raw(lt)
     return val, {"t": math.exp(lt), "log_t": float(lt)}
 
 
@@ -205,8 +272,41 @@ def dsbs_converse_at(spec: DsbsSpec, t: float) -> float:
 
 def dsbs_je_bound(spec: DsbsSpec) -> BoundReport:
     """Exact sup over t of the collapsed joint-encoder converse (the variant
-    whose three penalty terms all carry M1 M2)."""
-    return _report("dsbs-je", *_sup(_flow_curve(spec, je=True)),
+    whose three penalty terms all carry M1 M2).
+
+    For R1, R2 <= 1 it is the exact meta_sw of expand_joint(spec).  Write
+    J = M1 M2 / 2^n, so c = 1/M1 + 1/M2 + 1/J, and y = t c.  The penalties
+    are min{J q_0, B t} with B = M2/2^n, M1/2^n and 1, and saturate at
+    t = M1 q_0, M2 q_0 and J q_0, each at least q_0 / c.  So none saturates
+    on [0, q_0 / c], and there, as (M1 + M2 + 2^n) / 2^n = J c, the
+    integrand is
+        g(y) = sum_k C(n,k) min{q_k, y} - J y.
+    Past q_0 / c the first term is constant and the penalties do not
+    decrease, so the sup is the sup of g over y >= 0 (g falls for y >= c:
+    its slope is J less the number of the 2^n difference words z with
+    q_|z| > y, fewer than 1/y <= 1/c < J as those q sum to 1).
+    meta_sw is the sup over u, v, w >= 0 of its covered-mass dual (see
+    there).  Flipping the same bits of both words keeps the pair's mass
+    and moves every word to every other; the dual's objective is concave,
+    so averaging an optimum over these maps leaves one with v and w
+    constant.  With y = 2^n (u + v + w) the first term is
+    sum_k C(n,k) min{q_k, y}, and a unit of y costs J through u, M2
+    through v and M1 through w.  While M1, M2 <= 2^n, J is the cheapest,
+    and meta_sw is the sup of g.
+    Above one bit per symbol M1 or M2 may be cheaper than J, and the bound
+    may fall below meta_sw: at n = 1, p = 0.11, R = (0, 1.5) it is 0.055
+    against 0.110.
+
+    The candidates are _sup's.  _je_search ranks them all in one numpy
+    pass, and the integrand itself, _flow_curve's literal raw, is evaluated
+    once, at the first candidate the search ranks highest; raw_value is
+    that value, so the witness reproduces it exactly through log t, and
+    through dsbs_je_at wherever log(t) gives log t back.  Candidates whose
+    values differ by less than raw's rounding, as on the plateau just below
+    1 far outside the rate region, tie: the witness may be another of them
+    than a max of raw over every candidate picks, and raw_value may differ
+    from that max in its last bits."""
+    return _report("dsbs-je", *_sup(_flow_curve(spec, je=True), _je_search(spec)),
                    "weight-collapsed joint-encoder converse")
 
 

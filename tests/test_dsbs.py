@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 import os
 import subprocess
@@ -9,11 +10,13 @@ import textwrap
 import numpy as np
 import pytest
 
-from fbconv.converses_sw import meta_sw_eta
+from fbconv import dsbs
+from fbconv.converses_sw import meta_sw, meta_sw_eta
 from fbconv.dsbs import (
     DsbsSpec,
     _flow_curve,
     _mk_curve,
+    _sup,
     _weights,
     binary_entropy,
     dsbs_converse,
@@ -159,6 +162,94 @@ def test_witness_log_t_reproduces_underflowed_sups():
         rep = sup(spec)
         assert rep.raw_value > 0.5 and rep.witness["t"] == 0.0
         assert curve[0](rep.witness["log_t"]) == rep.raw_value
+
+
+# --- the joint-encoder sup by prefix sums ------------------------------------
+
+
+def _random_specs(rng, count, n_max, r_max):
+    """count specs with p cycling through 1e-9, 1e-3, uniform and just below
+    1/2, n log-uniform in [1, n_max] and rates uniform in [0, r_max]."""
+    specs = []
+    for i in range(count):
+        p = (1e-9, 1e-3, float(rng.uniform(1e-6, 0.5 - 1e-6)), 0.4999999)[i % 4]
+        n = int(round(math.exp(rng.uniform(0.0, math.log(n_max)))))
+        specs.append(DsbsSpec(n, p, *(float(r) for r in rng.uniform(0.0, r_max, 2))))
+    return specs
+
+
+def test_je_sup_matches_the_per_candidate_sup():
+    # the oracle is the sup dsbs_converse still takes: the integrand itself at
+    # every candidate; the two may pick different candidates where those tie
+    specs = _random_specs(np.random.default_rng(0), 240, 3000, 2.0)
+    specs += [DsbsSpec(3000, p, 0.55, 1.9) for p in (1e-3, P, 0.4999999)]   # penalties overflow
+    specs.append(DsbsSpec(10000, P, 0.55, 0.55))   # t underflows at the sup
+    through_t = 0
+    for spec in specs:
+        rep = dsbs_je_bound(spec)
+        assert abs(rep.raw_value - _sup(_flow_curve(spec, je=True))[0]) <= 1e-15, spec
+        t, log_t = rep.witness["t"], rep.witness["log_t"]
+        assert _flow_curve(spec, je=True)[0](log_t) == rep.raw_value, spec
+        if t > 0.0 and math.log(t) == log_t:
+            through_t += 1
+            assert dsbs_je_at(spec, t) == rep.raw_value, spec
+    assert through_t >= len(specs) // 5
+
+
+@pytest.mark.parametrize("n", [10, 1000])
+@pytest.mark.parametrize("rates", [(0.9, 0.9), (0.55, 0.55), (0.3, 1.6)])
+def test_je_bound_evaluates_its_integrand_once(monkeypatch, n, rates):
+    # the search replaces one O(n) integrand call per candidate
+    calls = []
+    flow_curve = dsbs._flow_curve
+
+    def counted(spec, je):
+        raw, switches = flow_curve(spec, je)
+
+        def counted_raw(log_t):
+            calls.append(log_t)
+            return raw(log_t)
+
+        return counted_raw, switches
+
+    monkeypatch.setattr(dsbs, "_flow_curve", counted)
+    rep = dsbs_je_bound(DsbsSpec(n, P, *rates))
+    assert calls == [rep.witness["log_t"]]
+
+
+def test_je_bound_at_n_1e5():
+    spec = DsbsSpec(100000, P, 0.75, 0.75)
+    rep = dsbs_je_bound(spec)
+    assert math.isfinite(rep.raw_value) and 0.0 < rep.clamped_value < 1.0
+    assert _flow_curve(spec, je=True)[0](rep.witness["log_t"]) == rep.raw_value
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_je_bound_is_meta_sw_up_to_one_bit(n):
+    # exact while R1, R2 <= 1, by the argument in dsbs_je_bound's docstring;
+    # above one bit meta_sw may cover mass with a cheaper flow
+    rates = (0.0, 0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0)
+    for p in (P, 0.3):
+        for r1, r2 in itertools.combinations_with_replacement(rates, 2):
+            spec = DsbsSpec(n, p, r1, r2)
+            got, exact = dsbs_je_bound(spec).raw_value, meta_sw(expand_joint(spec)).raw_value
+            if r2 <= 1.0:
+                assert got == pytest.approx(exact, abs=1e-12), spec
+            else:
+                assert got <= exact + 1e-12, spec
+
+
+def test_je_bound_is_below_meta_sw_above_one_bit():
+    spec = DsbsSpec(1, P, 0.0, 1.5)
+    gap = meta_sw(expand_joint(spec)).raw_value - dsbs_je_bound(spec).raw_value
+    assert gap == pytest.approx(0.055, abs=1e-12)
+
+
+def test_measured_order_of_the_three_bounds():
+    # mk <= converse <= je: measured, not proved
+    for spec in _random_specs(np.random.default_rng(1), 300, 1000, 1.0):
+        mk, conv = dsbs_mk(spec).raw_value, dsbs_converse(spec).raw_value
+        assert mk <= conv + 1e-12 and conv <= dsbs_je_bound(spec).raw_value + 1e-12, spec
 
 
 @pytest.mark.parametrize("n", [1, 10, 1000, 20000])

@@ -127,9 +127,9 @@ def _logsumexp(x: np.ndarray) -> float:
 def _weights(spec: DsbsSpec):
     """log C(n, k) and log q_k for k = 0..n, q_k = p^k (1-p)^(n-k), read-only.
     The last spec's are kept: every bound reads them, dsbs_je_bound twice,
-    and their lgamma loop is most of an O(n) pass."""
+    and their lgamma calls are most of an O(n) pass."""
     n = spec.n
-    log_fact = np.array([math.lgamma(m + 1.0) for m in range(n + 1)])
+    log_fact = np.fromiter(map(math.lgamma, np.arange(1.0, n + 2.0)), float, n + 1)
     log_comb = log_fact[n] - log_fact - log_fact[::-1]
     k = np.arange(n + 1)
     log_q = k * math.log(spec.p) + (n - k) * math.log1p(-spec.p)
@@ -346,11 +346,16 @@ def rate_region(spec: DsbsSpec, tol: float = 1e-9) -> str:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One bound at one blocklength.  log_t_opt, the witness's log t, gives
+    raw_value back exactly through the bound's curve; t_opt, its exp, need
+    not, as log(t_opt) may differ from it, most where t_opt is subnormal or 0."""
+
     n: int
     bound_name: str
     raw_value: float
     clamped_value: float
     t_opt: float
+    log_t_opt: float
 
 
 def sweep(spec: DsbsSpec, n_list: Iterable[int]) -> List[SweepRow]:
@@ -360,17 +365,18 @@ def sweep(spec: DsbsSpec, n_list: Iterable[int]) -> List[SweepRow]:
     for cur in sorted({DsbsSpec(n, spec.p, spec.R1, spec.R2) for n in n_list}, key=lambda s: s.n):
         for rep in (dsbs_converse(cur), dsbs_je_bound(cur), dsbs_mk(cur)):
             rows.append(SweepRow(int(cur.n), rep.name, rep.raw_value, rep.clamped_value,
-                                 float(rep.witness["t"])))
+                                 float(rep.witness["t"]), float(rep.witness["log_t"])))
     rows.sort(key=lambda r: (r.n, r.bound_name))
     return rows
 
 
 def sweep_csv(rows: List[SweepRow]) -> str:
-    """CSV text: header n,bound,raw,clamped,t_opt; LF; round-trip floats."""
-    lines = ["n,bound,raw,clamped,t_opt"]
+    """CSV text: header n,bound,raw,clamped,t_opt,log_t_opt; LF; round-trip
+    floats."""
+    lines = ["n,bound,raw,clamped,t_opt,log_t_opt"]
     for r in rows:
         lines.append(f"{r.n},{r.bound_name},{r.raw_value!r},"
-                     f"{r.clamped_value!r},{r.t_opt!r}")
+                     f"{r.clamped_value!r},{r.t_opt!r},{r.log_t_opt!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -32,10 +32,8 @@ Each LP is written once, as a table over one-letter index names:
     view of W, and a callable giving the cost there, over the other letters
     with a unit axis per message letter;
   * the message groups: per encoder, the letters that one relabelling of
-    its messages moves together, "xy" for SI, "xu" and "yv" for JE and SW.
-    Every row family and the cost map onto themselves under it.  SC's
-    table names none (None): its cost depends on its distortion, which its
-    structure does not fix, so it has no reference to start from.
+    its messages moves together, "xy" for SC and SI, "xu" and "yv" for JE
+    and SW.  Every row family and the cost map onto themselves under it.
 
 Every row of a lifted relaxation has one of those two shapes, so one routine
 (_structures) turns any table into the nonzeros of the constraint matrix and
@@ -43,10 +41,9 @@ the rhs.  Those depend on the sizes alone; the pmf enters only the cost.  They
 are built eagerly once per table within MAX_LP_ENTRIES and cached for up to
 32 tables.  An entry is the column and row layouts and one LpModel, checked
 once when the entry is built: the frozen a_rows, rhs, relations and bounds,
-a zero objective, and, given message groups, the table's
-lp_core.WarmStart.  Every build returns that model with its own cost
-(LpModel._with_objective), holding all the rest as the same objects, so a
-build writes and checks the cost alone.
+a zero objective, and the table's lp_core.WarmStart.  Every build returns
+that model with its own cost (LpModel._with_objective), holding all the rest
+as the same objects, so a build writes and checks the cost alone.
 
 The WarmStart is the quotient of the LP by the message groups (_orbit_map
 gives each column and row its orbit; lp_core.WarmStart checks that the
@@ -55,18 +52,18 @@ representative row over the column orbits).  Its orbits do not grow with
 the codebooks: the SW quotient at 3x3 is 451 x 456 for every M1, M2 >= 2,
 at 4x4 / M=(2,2) it is 1273 x 1320, and with single messages it is the LP
 itself.  The first build sets its reference, the quotient's cost at the
-uniform pmf of the table's sizes, and raises OrbitMismatch if that cost is
-not constant on the orbits, as then the groups are no symmetry of the
-table.  The first solve replaces the quotient by its HighsLp and the
-optimal basis at the reference, from which every solve of an SI, JE or SW
-model runs the primal simplex before lifting its optimum to the full LP.
-It is evicted with its entry.  For SW 3x3 / M=(2,2) (1750 x 1812, 6,612
-nonzeros) a solved entry holds about 0.27 MiB: the arrays 0.13 MiB, the
-bounds and zero objective 0.04 MiB, and the WarmStart 0.09 MiB, of which
+uniform pmf of the table's sizes (for SC with every reconstruction an
+excess, so that it too depends on the sizes alone), and raises
+OrbitMismatch if that cost is not constant on the orbits, as then the groups
+are no symmetry of the table.  The first solve replaces the quotient by its
+HighsLp and the optimal basis at the reference, from which every solve of a
+relaxation model runs the primal simplex before lifting its optimum to the
+full LP.  It is evicted with its entry.  For SW 3x3 / M=(2,2) (1750 x 1812,
+6,612 nonzeros) a solved entry holds about 0.27 MiB: the arrays 0.13 MiB,
+the bounds and zero objective 0.04 MiB, and the WarmStart 0.09 MiB, of which
 0.04 MiB are the orbit maps and at most 0.05 MiB the quotient's HighsLp
-(1,665 nonzeros) and basis.  The point-to-point table names no message
-groups, so an SC entry builds no WarmStart and SC models solve cold.  The
-same table gives:
+(1,665 nonzeros) and basis.  The 4-letter lossless SC quotient is 29 x 40
+for every M >= 2.  The same table gives:
 
   * the variable and row layouts (_layouts);
   * each typed dual point class (DualPointSC, SI, JE and SW), made from the
@@ -199,7 +196,7 @@ _SW_ROWS = (("gamma_a", "a", "Q1", None), ("gamma_b", "b", "Q2", None),
             ("lam_s_12", "abyuvcd", "W", "V"), ("lam_s_21", "abxuvcd", "W", "U"),
             ("lam_c", "abxyuv", "W", "T"))
 # the letters that one relabelling of an encoder's messages moves together:
-# the encoder's output and the decoder's input
+# the encoder's output and the decoder's input; SC's x and y are SI's
 _SI_GROUPS = ("xy",)
 _PAIR_GROUPS = ("xu", "yv")
 
@@ -209,7 +206,7 @@ def _sc_table(inst: ScInstance):
     cols = (("Q1", "sx", "P1"), ("Qd", "yh", "P2"), ("W", "sxyh", "P3"))
     # P(s) 1{d(s, h) > level} on x = y
     return sizes, cols, _SC_ROWS, ("sxxh->sxh", lambda: (
-        inst.source.mass[:, None] * inst.distortion.excess())[:, None, :]), None
+        inst.source.mass[:, None] * inst.distortion.excess())[:, None, :]), _SI_GROUPS
 
 
 def _si_table(inst: SwInstance, which: int):
@@ -333,12 +330,12 @@ def _orbit_map(blocks, sizes, groups) -> np.ndarray:
 @functools.lru_cache(maxsize=32)
 def _structures(sizes, col_blocks, families, groups):
     """(column layout, row layout, model) of a table made hashable.  The
-    model is the table's equality-form min LP at a zero cost, with, unless
-    groups is None, the WarmStart of its quotient by the message groups,
-    whose construction checks that the orbits are a symmetry of the rows
-    and rhs; its reference is empty until a build sets it and its basis
-    until a solve does.  The cap is checked on the layouts, before any array exists, and
-    lru_cache keeps no call that raised, so a table past it is never cached."""
+    model is the table's equality-form min LP at a zero cost, with the
+    WarmStart of its quotient by the message groups, whose construction
+    checks that the orbits are a symmetry of the rows and rhs; its reference
+    is empty until a build sets it and its basis until a solve does.  The
+    cap is checked on the layouts, before any array exists, and lru_cache
+    keeps no call that raised, so a table past it is never cached."""
     sizes, letters = dict(sizes), dict(col_blocks)
     cols, rows = (TensorIndex([(name, tuple(sizes[k] for k in axes))
                                for name, axes, *_ in blocks])
@@ -362,8 +359,6 @@ def _structures(sizes, col_blocks, families, groups):
     for a in (*a_rows, b):
         a.setflags(write=False)
     model = LpModel("min", np.zeros(cols.total), a_rows, ("=",) * rows.total, b)
-    if groups is None:
-        return cols, rows, model
     warm = WarmStart(model, _orbit_map(col_blocks, sizes, groups),
                      _orbit_map(families, sizes, groups))
     return cols, rows, model._with_objective(model.objective, warm)
@@ -383,21 +378,27 @@ def _cost(table, cols: TensorIndex) -> np.ndarray:
     return c
 
 
-def _uniform(inst: SwInstance) -> SwInstance:
+def _uniform(inst):
+    """The instance of inst's sizes with the uniform pmf and, for SC, every
+    reconstruction an excess, so that its reference, like its structure,
+    fixes no distortion."""
+    if isinstance(inst, ScInstance):
+        return ScInstance(SinglePmf(np.full(inst.n, 1.0 / inst.n)), inst.M,
+                          DistortionSpec(np.ones((inst.n, inst.n_hat))))
     n1, n2 = inst.joint.sizes
     return SwInstance(JointPmf(np.full((n1, n2), 1.0 / (n1 * n2))), inst.sizes)
 
 
 def _build(table_of, inst) -> LpModel:
     """Equality-form min LP of the table table_of(inst): the cached
-    structure's model with the table's cost, and its WarmStart, if any,
-    whose reference is the quotient's cost of table_of at the uniform pmf
+    structure's model with the table's cost, and its WarmStart, whose
+    reference is the quotient's cost of table_of at the uniform pmf
     of inst's sizes.  OrbitMismatch when that cost is not constant on the
     orbits: the table's message groups are then no symmetry of its cost."""
     table = table_of(inst)
     cols, _, model = _structure(table)
     start = model.warm
-    if start is not None and start.reference is None:
+    if start.reference is None:
         reference = start.reduce(_cost(table_of(_uniform(inst)), cols))
         if reference is None:
             raise OrbitMismatch(f"the message groups {table[4]} are no symmetry of the cost")
@@ -406,8 +407,7 @@ def _build(table_of, inst) -> LpModel:
 
 
 def build_lp_sc(inst: ScInstance) -> LpModel:
-    """Exact LP relaxation of the point-to-point error minimization.  Its
-    structure does not fix its distortion, so its solves stay cold."""
+    """Exact LP relaxation of the point-to-point error minimization."""
     return _build(_sc_table, inst)
 
 

@@ -81,7 +81,7 @@ def test_sweep_rejects_a_blocklength_the_spec_rejects(n_list):
 def test_sweep_csv_header_and_round_trip():
     rows = sweep(DsbsSpec(10, P, 0.6, 0.7), [20, 10])
     text = sweep_csv(rows)
-    assert text.splitlines()[0] == "n,bound,raw,clamped,t_opt"
+    assert text.splitlines()[0] == "n,bound,raw,clamped,t_opt,log_t_opt"
     parsed = list(csv.DictReader(io.StringIO(text)))
     assert len(parsed) == len(rows) == 6
     for row, rec in zip(rows, parsed):
@@ -90,8 +90,23 @@ def test_sweep_csv_header_and_round_trip():
         assert float(rec["raw"]) == row.raw_value
         assert float(rec["clamped"]) == row.clamped_value
         assert float(rec["t_opt"]) == row.t_opt
+        assert float(rec["log_t_opt"]) == row.log_t_opt
     assert [(r.n, r.bound_name) for r in rows] == sorted((n, b) for n in (10, 20)
                                                          for b in NAMES)
+
+
+CURVES = {"dsbs-converse": lambda s: _flow_curve(s, je=False),
+          "dsbs-je": lambda s: _flow_curve(s, je=True), "dsbs-mk": _mk_curve}
+
+
+def test_sweep_rows_log_t_opt_reproduces_raw():
+    # the last spec's t_opt is 1.9e-319, from which dsbs_converse_at and
+    # dsbs_je_at miss raw_value
+    specs = _random_specs(np.random.default_rng(43), 40, 2000, 1.5)
+    specs.append(DsbsSpec(1809, 0.4999999, 0.7636295599324776, 0.6510912322014089))
+    for spec in specs:
+        for row in sweep(spec, [spec.n]):
+            assert CURVES[row.bound_name](spec)[0](row.log_t_opt) == row.raw_value, (spec, row)
 
 
 def test_gnuplot_script_names():
@@ -250,6 +265,14 @@ def test_measured_order_of_the_three_bounds():
     for spec in _random_specs(np.random.default_rng(1), 300, 1000, 1.0):
         mk, conv = dsbs_mk(spec).raw_value, dsbs_converse(spec).raw_value
         assert mk <= conv + 1e-12 and conv <= dsbs_je_bound(spec).raw_value + 1e-12, spec
+
+
+@pytest.mark.parametrize("n", [1, 10, 1000])
+def test_log_factorials_are_lgamma_per_element(n):
+    log_comb, _ = _weights(DsbsSpec(n, P, 0.5, 0.5))
+    log_fact = [math.lgamma(m + 1.0) for m in range(n + 1)]
+    want = [log_fact[n] - log_fact[k] - log_fact[n - k] for k in range(n + 1)]
+    np.testing.assert_array_equal(log_comb, want)
 
 
 @pytest.mark.parametrize("n", [1, 10, 1000, 20000])

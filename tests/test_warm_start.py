@@ -1,4 +1,4 @@
-"""Warm-started relaxation solves: every SI, JE and SW model shares its
+"""Warm-started relaxation solves: every relaxation model shares its
 table's WarmStart, the quotient of its LP by the message relabellings, and
 its solve runs the primal simplex on that quotient from the table's fixed
 basis, the optimum at the uniform pmf, then lifts the result to the full LP.
@@ -19,21 +19,42 @@ import pytest
 
 from fbconv import lp_core
 from fbconv import relaxations as rx
-from fbconv.probability import CodeSizes, JointPmf
+from fbconv.probability import CodeSizes, DistortionSpec, JointPmf
 
-from conftest import certified_solve, check_with_oracle, random_joint, sw_je_instance
+from conftest import (certified_solve, check_with_oracle, random_joint, random_single,
+                      sw_je_instance)
 
-KINDS = {   # builder, dual slicer, table
+
+def _sc_instance(inst, k):
+    """The point-to-point instance of pair instance number k: for even k the
+    jointly-encoded one (lossless), for odd k its source and codebook under
+    a random distortion at level 1, entries in {0, 1, 2, inf}, to as many
+    reconstructions as source letters when k % 4 == 1 and to one more when
+    k % 4 == 3."""
+    sc = sw_je_instance(inst)
+    if k % 2 == 0:
+        return sc
+    d = np.random.default_rng(k).choice([0.0, 1.0, 2.0, np.inf], size=(sc.n, sc.n + k % 4 // 2))
+    return rx.ScInstance(sc.source, sc.M, DistortionSpec(d, 1.0))
+
+
+def _pair(inst, k):
+    return inst
+
+
+KINDS = {   # builder, dual slicer, table, the kind's instance of pair instance number k
     "si1": (lambda i: rx.build_lpsi(i, 1),
             lambda i, s: rx.dual_point_from_solution(i, s, rx.DualPointSI, 1),
-            lambda i: rx._si_table(i, 1)),
+            lambda i: rx._si_table(i, 1), _pair),
     "si2": (lambda i: rx.build_lpsi(i, 2),
             lambda i, s: rx.dual_point_from_solution(i, s, rx.DualPointSI, 2),
-            lambda i: rx._si_table(i, 2)),
+            lambda i: rx._si_table(i, 2), _pair),
     "je": (rx.build_lp_je, lambda i, s: rx.dual_point_from_solution(i, s, rx.DualPointJE),
-           rx._je_table),
+           rx._je_table, _pair),
     "sw": (rx.build_lp_sw, lambda i, s: rx.dual_point_from_solution(i, s, rx.DualPointSW),
-           rx._sw_table),
+           rx._sw_table, _pair),
+    "sc": (rx.build_lp_sc, lambda i, s: rx.dual_point_from_solution(i, s, rx.DualPointSC),
+           rx._sc_table, _sc_instance),
 }
 
 # (|S1|, |S2|, M1, M2) with codebooks below the alphabets, where the LPs are
@@ -81,19 +102,24 @@ def _assert_symmetry_breaking_cost_solves_cold(model, rng):
 
 
 def test_relaxation_models_share_their_tables_warm_start():
-    inst = rx.SwInstance(random_joint(np.random.default_rng(3), 3, 2), CodeSizes(2, 1))
-    for build, _, table in KINDS.values():
+    pair = rx.SwInstance(random_joint(np.random.default_rng(3), 3, 2), CodeSizes(2, 1))
+    for build, _, table, of in KINDS.values():
+        inst = of(pair, 0)
         a, b = build(inst), build(inst)
         assert isinstance(a.warm, lp_core.WarmStart)
         assert a.warm is b.warm is rx._structure(table(inst))[2].warm
-    assert rx.build_lp_sc(sw_je_instance(inst)).warm is None
+    # an SC table's sizes fix no distortion: lossless and lossy share it
+    lossless, lossy = _sc_instance(pair, 0), _sc_instance(pair, 1)
+    assert not np.array_equal(lossless.distortion.excess(), lossy.distortion.excess())
+    assert rx.build_lp_sc(lossy).warm is rx.build_lp_sc(lossless).warm
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_output_does_not_depend_on_call_order_or_cache(kind):
-    build = KINDS[kind][0]
+    # SC's 9 x 9 table holds lossless and lossy distortions (k = 0, 1, 2, 4)
+    build, _, _, of = KINDS[kind]
     rng = np.random.default_rng(5)
-    insts = [rx.SwInstance(random_joint(rng, 3, 3, allow_zeros=i % 2 == 1), CodeSizes(2, 1))
+    insts = [of(rx.SwInstance(random_joint(rng, 3, 3, allow_zeros=i % 2 == 1), CodeSizes(2, 1)), i)
              for i in range(5)]
     rx._structures.cache_clear()
     forward = [_outputs(certified_solve(build(inst))) for inst in insts]
@@ -107,7 +133,7 @@ def test_output_does_not_depend_on_call_order_or_cache(kind):
 def test_warm_values_match_cold_and_duals_pass_the_oracle(kind):
     # 54 instances over DIMS, then three per QUOTIENT_DIMS entry, the second
     # of them sparse; every third one's cost is also moved off the orbits
-    build, dual, _ = KINDS[kind]
+    build, dual, _, of = KINDS[kind]
     rng, moves = np.random.default_rng(7), np.random.default_rng(8)
     insts = [rx.SwInstance(random_joint(rng, *DIMS[i % len(DIMS)][:2]),
                            CodeSizes(*DIMS[i % len(DIMS)][2:])) for i in range(54)]
@@ -115,7 +141,8 @@ def test_warm_values_match_cold_and_duals_pass_the_oracle(kind):
               for n1, n2, m1, m2 in QUOTIENT_DIMS
               for joint in (random_joint, _sparse_joint, random_joint)]
     worst = 0.0
-    for i, inst in enumerate(insts):
+    for i, pair in enumerate(insts):
+        inst = of(pair, i)
         model = build(inst)
         sol, ref = certified_solve(model), _cold(model)
         worst = max(worst, abs(sol.value - ref.value))
@@ -129,9 +156,9 @@ def test_sparse_pmfs_match_cold():
     # masses with whole rows and columns at zero, where the uniform basis is
     # furthest from the optimum
     rng = np.random.default_rng(11)
-    for build, dual, _ in KINDS.values():
-        for n1, n2, m1, m2 in DIMS + QUOTIENT_DIMS:
-            inst = rx.SwInstance(_sparse_joint(rng, n1, n2), CodeSizes(m1, m2))
+    for build, dual, _, of in KINDS.values():
+        for k, (n1, n2, m1, m2) in enumerate(DIMS + QUOTIENT_DIMS):
+            inst = of(rx.SwInstance(_sparse_joint(rng, n1, n2), CodeSizes(m1, m2)), k)
             model = build(inst)
             sol = certified_solve(model)
             assert abs(sol.value - _cold(model).value) <= 1e-12
@@ -154,10 +181,19 @@ def test_sw_4x4_m22_quotient_is_1273_by_1320():
     assert (model.warm.row_size.size, model.warm.col_size.size) == (1273, 1320)
 
 
+@pytest.mark.parametrize("M", [2, 3, 5])
+def test_sc_4_letter_quotient_is_29_by_40_for_every_codebook(M):
+    # the full LP grows from 54 x 80 at M = 2 to 189 x 440 at M = 5
+    inst = rx.ScInstance(random_single(np.random.default_rng(41), 4), M,
+                         DistortionSpec.lossless(4))
+    warm = rx.build_lp_sc(inst).warm
+    assert (warm.row_size.size, warm.col_size.size) == (29, 40)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_single_messages_give_the_identity_quotient(kind):
-    build = KINDS[kind][0]
-    inst = rx.SwInstance(random_joint(np.random.default_rng(29), 3, 2), CodeSizes(1, 1))
+    build, _, _, of = KINDS[kind]
+    inst = of(rx.SwInstance(random_joint(np.random.default_rng(29), 3, 2), CodeSizes(1, 1)), 3)
     rx._structures.cache_clear()   # a fresh WarmStart still holds its quotient
     model = build(inst)
     warm = model.warm
@@ -187,10 +223,12 @@ def test_every_warm_solve_runs_on_the_quotient(monkeypatch):
     filled, fill = [], lp_core._highs_lp
     monkeypatch.setattr(lp_core, "_highs_lp", lambda m, c: filled.append(m) or fill(m, c))
     rng = np.random.default_rng(37)
-    # 3x2, so that the two SI sides are two tables
-    insts = [rx.SwInstance(random_joint(rng, 3, 2), CodeSizes(2, 2)) for _ in range(3)]
+    # 3x2, so that the two SI sides are two tables; SC's one table holds
+    # a lossless, a lossy and a lossless distortion
+    pairs = [rx.SwInstance(random_joint(rng, 3, 2), CodeSizes(2, 2)) for _ in range(3)]
     rx._structures.cache_clear()
-    for build, _, _ in KINDS.values():
+    for build, _, _, of in KINDS.values():
+        insts = [of(pair, k) for k, pair in enumerate(pairs)]
         quotient = build(insts[0]).warm.quotient
         for inst in insts:
             certified_solve(build(inst))

@@ -92,6 +92,18 @@ def _formula_sum(terms) -> float:
 _SUP_BLOCK = 2 ** 16   # entries of one (points x cells) temporary, 0.5 MiB of floats
 
 
+def _sorted_unique(x) -> np.ndarray:
+    """np.unique of a 1-D float array by its own sort path: sort, keep x[0]
+    and each entry unequal to the one before.  A plain np.unique imports
+    numpy.ma on its first call (for np.ma.is_masked), which costs resident
+    memory that no caller here needs."""
+    x = np.sort(x)
+    keep = np.empty(x.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 def _breakpoint_sup(fn, cands, cells: int):
     """(max of fn over the candidate points, first candidate attaining it).
     fn maps a 1-D array of points to their values through temporaries of
@@ -130,8 +142,8 @@ def _threshold_curve(p, c, penalty, closed: bool, top: float = 1.0):
         breaks = p[pos] / c[pos]
     if not np.all((breaks > 0) & (breaks < math.inf)):   # False on NaN
         raise PmfError("every cell with mass needs a finite positive breakpoint p / c")
-    cands = np.unique(np.concatenate([[0.0], breaks[breaks <= top],
-                                      [top] if math.isfinite(top) else []]))
+    cands = _sorted_unique(np.concatenate([[0.0], breaks[breaks <= top],
+                                           [top] if math.isfinite(top) else []]))
     if closed:
         lift = c * (1.0 + EVENT_SLACK)
         return (lambda t: np.where(p <= t[:, None] * lift + 1e-300, p, 0.0).sum(axis=1)
@@ -260,7 +272,7 @@ def _palzer_curve(inst: ScInstance, j: Optional[TiltedInfo]):
         head = P * (jv >= thr[:, None])
         return head.sum(axis=1) - inst.M * (head[:, None, :] * win.T).sum(axis=2).max(axis=1)
 
-    return (fn, np.unique(np.concatenate([jv[np.isfinite(jv)], [-math.inf, math.inf]])),
+    return (fn, _sorted_unique(np.concatenate([jv[np.isfinite(jv)], [-math.inf, math.inf]])),
             win.size)
 
 

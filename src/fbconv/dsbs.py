@@ -16,10 +16,14 @@ decreasing in t for mk, and every bound is 0 at t = 0.  A linear piece
 takes its max at an end, so the sup is the max over t = 0, the switches
 inside (0, 1), and the right end, which t = exp(-1e-9) stands in for.  The
 evaluators take log t and return exactly 0 at log t = -inf.
-dsbs_converse and dsbs_mk evaluate their integrand, an O(n) sum, at each
-of the about n candidates, so their sups cost O(n^2).  dsbs_je_bound ranks
-all its candidates by prefix log-sums in one numpy pass, O(n log n) with
-the bisections, and evaluates its integrand once, at the best (see there).
+dsbs_converse and dsbs_je_bound rank all their candidates by prefix
+log-sums in one numpy pass, O(n log n) with the bisections, and evaluate
+their integrand once, at the best (see _flow_search).  dsbs_mk evaluates
+its integrand, an O(n) sum, at each of the about n candidates, so its sup
+costs O(n^2).  A suffix-sum search would make it O(n) too, but the
+benchmark (perfbench) keeps a record per timed operation, and the many more
+operations of that faster sweep would take its resident memory past its
+bound.
 
 Measured, not proved: dsbs_mk <= dsbs_converse <= dsbs_je_bound, which is
 the exact meta_sw for R1, R2 <= 1 (see dsbs_je_bound), on 300 random specs
@@ -38,7 +42,7 @@ import numpy as np
 
 from .probability import CodeSizes, InstanceTooLarge, JointPmf, PmfError, _real
 from .relaxations import SwInstance
-from .converses_ptp import EVENT_SLACK, BoundReport, _breakpoint_sup, _report
+from .converses_ptp import EVENT_SLACK, BoundReport, _breakpoint_sup, _report, _sorted_unique
 
 LN2 = math.log(2.0)
 EXPAND_LIMIT = 8
@@ -141,8 +145,8 @@ def _weights(spec: DsbsSpec):
 # ---------------------------------------------------------------------------
 # the three collapsed bounds: each curve computes its constants once per spec
 # and returns (raw, switches), raw mapping log t to the bound at t and
-# switches the log t where a piece of it ends; _je_search maps an array of
-# log t to the joint-encoder bound in one pass
+# switches the log t where a piece of it ends; _flow_search maps an array
+# of log t to either flow curve in one pass
 
 
 def _flow_terms(spec: DsbsSpec, je: bool):
@@ -183,13 +187,14 @@ def _flow_curve(spec: DsbsSpec, je: bool):
     return raw, np.concatenate([log_q - log_c, a - b + log_q[0]])
 
 
-def _je_search(spec: DsbsSpec):
-    """The joint-encoder integrand at an array of log t, in one numpy pass,
-    for the argmax search alone.  With x = log t + log c and
+def _flow_search(spec: DsbsSpec, je: bool):
+    """_flow_curve's integrand at an array of log t, in one numpy pass, for
+    the argmax search alone.  With x = log t + log c and
     j = #{k : log q_k > x}, found by bisection on -log q, which increases as
     p < 1/2, the first term is S(j) + t c N(j), N(j) = sum_{k<j} C(n,k) and
     S(j) = sum_{k>=j} C(n,k) q_k, both read from prefix and suffix log-sums.
-    Each penalty is min{a + log q_0, b + log t}, as q_0 is the largest q_k.
+    Each penalty is min{a + log q_0, b + log t}, as q_0 is the largest q_k,
+    for the pairs (a, b) of either curve.
 
     A running log-sum rounds each partial sum to its own magnitude, and
     log N(j) reaches n ln 2; summed in doubles it would move t c N(j) by
@@ -199,7 +204,7 @@ def _je_search(spec: DsbsSpec):
     coarsely), shifted by the largest log C(n,k) so that its partial sums
     near the bulk are near 0.  S's log-sums stay at most 0 and run in
     doubles."""
-    log_comb, log_q, log_c, a, b = _flow_terms(spec, je=True)
+    log_comb, log_q, log_c, a, b = _flow_terms(spec, je)
     top = log_comb.max()
     log_n = np.concatenate([[-np.inf],
                             np.logaddexp.accumulate((log_comb - top).astype(np.longdouble))])
@@ -243,7 +248,7 @@ def _sup(curve, values=None) -> Tuple[float, dict]:
     there, so it is what the witness reproduces.  Without it raw is mapped
     over the candidates one at a time."""
     raw, switches = curve
-    cands = np.unique(np.concatenate([[-math.inf], switches[switches < 0.0], [-1e-9]]))
+    cands = _sorted_unique(np.concatenate([[-math.inf], switches[switches < 0.0], [-1e-9]]))
     if values is None:
         # raw takes one log t at a time and holds no (points x cells) temporary
         val, lt = _breakpoint_sup(lambda lts: np.array([raw(lt) for lt in lts]), cands, 1)
@@ -261,8 +266,17 @@ def _log_of(t: float) -> float:
 
 def dsbs_converse(spec: DsbsSpec) -> BoundReport:
     """Exact sup over t of the collapsed four-term metaconverse with the
-    uniform-marginal flow weights t/(M1 M2), t P2/M1, t P1/M2."""
-    return _report("dsbs-converse", *_sup(_flow_curve(spec, je=False)),
+    uniform-marginal flow weights t/(M1 M2), t P2/M1, t P1/M2.
+
+    _flow_search ranks _sup's candidates in one numpy pass, and the
+    integrand is evaluated once, at the first it ranks highest, as in
+    dsbs_je_bound: raw_value is that value, and the witness reproduces it
+    exactly through log t.  Where candidates tie within raw's rounding,
+    the witness may be another of them than a max of raw over every
+    candidate picks, and raw_value may differ from that max in its last
+    bits."""
+    return _report("dsbs-converse",
+                   *_sup(_flow_curve(spec, je=False), _flow_search(spec, je=False)),
                    "weight-collapsed distributed metaconverse")
 
 
@@ -297,7 +311,7 @@ def dsbs_je_bound(spec: DsbsSpec) -> BoundReport:
     may fall below meta_sw: at n = 1, p = 0.11, R = (0, 1.5) it is 0.055
     against 0.110.
 
-    The candidates are _sup's.  _je_search ranks them all in one numpy
+    The candidates are _sup's.  _flow_search ranks them all in one numpy
     pass, and the integrand itself, _flow_curve's literal raw, is evaluated
     once, at the first candidate the search ranks highest; raw_value is
     that value, so the witness reproduces it exactly through log t, and
@@ -306,7 +320,7 @@ def dsbs_je_bound(spec: DsbsSpec) -> BoundReport:
     1 far outside the rate region, tie: the witness may be another of them
     than a max of raw over every candidate picks, and raw_value may differ
     from that max in its last bits."""
-    return _report("dsbs-je", *_sup(_flow_curve(spec, je=True), _je_search(spec)),
+    return _report("dsbs-je", *_sup(_flow_curve(spec, je=True), _flow_search(spec, je=True)),
                    "weight-collapsed joint-encoder converse")
 
 

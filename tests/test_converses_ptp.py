@@ -8,6 +8,7 @@ from fbconv import converses_ptp
 from fbconv.converses_ptp import (
     TiltedInfo,
     _breakpoint_sup,
+    _sorted_unique,
     _threshold_curve,
     hypothesis_testing_bound,
     kv_tilted_at,
@@ -487,6 +488,19 @@ def test_threshold_curve_refuses_a_bad_coefficient_on_a_cell_with_mass():
     for c in ([1.0, 0.0], [1.0, -1.0], [1.0, math.inf], [1.0, math.nan], [1.0, 1e-320]):
         with pytest.raises(PmfError):
             _threshold_curve([0.0, 1.0], c, pen, closed=True)
+
+
+def test_sorted_unique_is_np_unique_bit_for_bit():
+    # repeats, +-inf and both signed zeros, which compare equal
+    rng = np.random.default_rng(3)
+    pool = np.array([-math.inf, math.inf, 0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324])
+    for size in (0, 1, 2, 7, 100, 1000):
+        x = np.concatenate([rng.choice(pool, size), rng.normal(size=size // 2)])
+        x = np.concatenate([x, rng.choice(x, size // 3) if x.size else x])
+        rng.shuffle(x)
+        got, want = _sorted_unique(x), np.unique(x)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # --- pair bounds ------------------------------------------------------------

@@ -179,7 +179,7 @@ def test_witness_log_t_reproduces_underflowed_sups():
         assert curve[0](rep.witness["log_t"]) == rep.raw_value
 
 
-# --- the joint-encoder sup by prefix sums ------------------------------------
+# --- the flow sups by prefix sums --------------------------------------------
 
 
 def _random_specs(rng, count, n_max, r_max):
@@ -193,28 +193,32 @@ def _random_specs(rng, count, n_max, r_max):
     return specs
 
 
-def test_je_sup_matches_the_per_candidate_sup():
-    # the oracle is the sup dsbs_converse still takes: the integrand itself at
+FLOW = {True: (dsbs_je_bound, dsbs_je_at), False: (dsbs_converse, dsbs_converse_at)}
+
+
+@pytest.mark.parametrize("je", [True, False])
+def test_flow_sup_matches_the_per_candidate_sup(je):
+    # the oracle is the sup dsbs_mk still takes: the integrand itself at
     # every candidate; the two may pick different candidates where those tie
+    bound, at = FLOW[je]
     specs = _random_specs(np.random.default_rng(0), 240, 3000, 2.0)
     specs += [DsbsSpec(3000, p, 0.55, 1.9) for p in (1e-3, P, 0.4999999)]   # penalties overflow
     specs.append(DsbsSpec(10000, P, 0.55, 0.55))   # t underflows at the sup
     through_t = 0
     for spec in specs:
-        rep = dsbs_je_bound(spec)
-        assert abs(rep.raw_value - _sup(_flow_curve(spec, je=True))[0]) <= 1e-15, spec
+        rep = bound(spec)
+        assert abs(rep.raw_value - _sup(_flow_curve(spec, je))[0]) <= 1e-15, spec
         t, log_t = rep.witness["t"], rep.witness["log_t"]
-        assert _flow_curve(spec, je=True)[0](log_t) == rep.raw_value, spec
+        assert _flow_curve(spec, je)[0](log_t) == rep.raw_value, spec
         if t > 0.0 and math.log(t) == log_t:
             through_t += 1
-            assert dsbs_je_at(spec, t) == rep.raw_value, spec
+            assert at(spec, t) == rep.raw_value, spec
     assert through_t >= len(specs) // 5
 
 
-@pytest.mark.parametrize("n", [10, 1000])
-@pytest.mark.parametrize("rates", [(0.9, 0.9), (0.55, 0.55), (0.3, 1.6)])
-def test_je_bound_evaluates_its_integrand_once(monkeypatch, n, rates):
-    # the search replaces one O(n) integrand call per candidate
+def _integrand_calls(monkeypatch, bound, spec):
+    """(the log t at which bound(spec) evaluates _flow_curve's integrand,
+    its report)."""
     calls = []
     flow_curve = dsbs._flow_curve
 
@@ -228,15 +232,30 @@ def test_je_bound_evaluates_its_integrand_once(monkeypatch, n, rates):
         return counted_raw, switches
 
     monkeypatch.setattr(dsbs, "_flow_curve", counted)
-    rep = dsbs_je_bound(DsbsSpec(n, P, *rates))
+    return calls, bound(spec)
+
+
+@pytest.mark.parametrize("n", [10, 1000])
+@pytest.mark.parametrize("rates", [(0.9, 0.9), (0.55, 0.55), (0.3, 1.6)])
+def test_je_bound_evaluates_its_integrand_once(monkeypatch, n, rates):
+    # the search replaces one O(n) integrand call per candidate
+    calls, rep = _integrand_calls(monkeypatch, dsbs_je_bound, DsbsSpec(n, P, *rates))
     assert calls == [rep.witness["log_t"]]
 
 
-def test_je_bound_at_n_1e5():
+@pytest.mark.parametrize("n", [10, 1000])
+@pytest.mark.parametrize("rates", [(0.9, 0.9), (0.55, 0.55), (0.3, 1.6)])
+def test_converse_evaluates_its_integrand_once(monkeypatch, n, rates):
+    calls, rep = _integrand_calls(monkeypatch, dsbs_converse, DsbsSpec(n, P, *rates))
+    assert calls == [rep.witness["log_t"]]
+
+
+@pytest.mark.parametrize("je", [True, False])
+def test_flow_bound_at_n_1e5(je):
     spec = DsbsSpec(100000, P, 0.75, 0.75)
-    rep = dsbs_je_bound(spec)
+    rep = FLOW[je][0](spec)
     assert math.isfinite(rep.raw_value) and 0.0 < rep.clamped_value < 1.0
-    assert _flow_curve(spec, je=True)[0](rep.witness["log_t"]) == rep.raw_value
+    assert _flow_curve(spec, je)[0](rep.witness["log_t"]) == rep.raw_value
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -317,7 +336,8 @@ def test_sweep_loads_no_lp_solver():
     # the DSBS bounds solve no LP and need numpy alone, and building an SW
     # relaxation, its quotient included, solves none either, so no scipy
     # module is loaded until the first solve, and that loads the HiGHS
-    # extension without scipy.optimize or scipy.special
+    # extension without scipy.optimize or scipy.special; nor is numpy.ma,
+    # which a plain np.unique imports on its first call
     code = textwrap.dedent("""
         import sys
         import numpy as np
@@ -334,6 +354,7 @@ def test_sweep_loads_no_lp_solver():
         assert lp_core._load_highs.cache_info().currsize == 1
         assert "scipy.optimize" not in sys.modules
         assert "scipy.special" not in sys.modules
+        assert "numpy.ma" not in sys.modules
     """)
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})

@@ -11,10 +11,11 @@ a (points x cells) array, every sum over a C-contiguous row of it.  The sup
 is the max of the integrand over the candidates, the breakpoints where some
 min{.,.} or closed threshold event switches plus the end where the bound is
 0, as the integrand is piecewise linear between them.  _breakpoint_sup feeds
-the candidates in blocks of at most _SUP_BLOCK entries, so memory is bounded
-by the block, not by candidates x cells.  The public *_at evaluates the same
-integrand on a batch of one; a row's sum does not depend on how many rows
-the batch holds, so *_at at a witness reproduces raw_value exactly.
+the candidates in blocks of at most probability.MAX_BLOCK_ENTRIES entries,
+the one temporary budget, so memory is bounded by the block, not by
+candidates x cells.  The public *_at evaluates the same integrand on a batch
+of one; a row's sum does not depend on how many rows the batch holds, so
+*_at at a witness reproduces raw_value exactly.
 
 Six of the curves, the tilted-flow, lossless-tail and side-information ones
 here and the Miyake-Kanaya ones of converses_sw, are threshold curves, each
@@ -45,7 +46,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .lp_core import LpModel, _dense_rows, _row_arrays, solve
-from .probability import CodeSizes, PmfError, SinglePmf, ZeroProbability
+from .probability import MAX_BLOCK_ENTRIES, CodeSizes, PmfError, SinglePmf, ZeroProbability
 from .relaxations import ScInstance, SwInstance, _check_lp_size
 
 EVENT_SLACK = 1e-12
@@ -89,9 +90,6 @@ def _formula_sum(terms) -> float:
     return math.fsum(terms) - 2.0 * np.finfo(float).eps * float(np.abs(terms).sum())
 
 
-_SUP_BLOCK = 2 ** 16   # entries of one (points x cells) temporary, 0.5 MiB of floats
-
-
 def _sorted_unique(x) -> np.ndarray:
     """np.unique of a 1-D float array by its own sort path: sort, keep x[0]
     and each entry unequal to the one before.  A plain np.unique imports
@@ -107,9 +105,9 @@ def _sorted_unique(x) -> np.ndarray:
 def _breakpoint_sup(fn, cands, cells: int):
     """(max of fn over the candidate points, first candidate attaining it).
     fn maps a 1-D array of points to their values through temporaries of
-    `cells` entries per point; it sees at most _SUP_BLOCK // cells points at
-    a time, and at least one."""
-    step = max(1, _SUP_BLOCK // cells)
+    `cells` entries per point; it sees at most MAX_BLOCK_ENTRIES // cells
+    points at a time, and at least one."""
+    step = max(1, MAX_BLOCK_ENTRIES // cells)
     vals = np.concatenate([fn(cands[i:i + step]) for i in range(0, cands.size, step)])
     k = int(np.argmax(vals))
     return vals[k], cands[k]

@@ -7,7 +7,8 @@ cost alone.  The scalar Miyake-Kanaya style bounds are threshold curves of
 converses_ptp._threshold_curve, in t = exp(-b): masses P, coefficients
 _mk_coef and penalty 3t, one (t x pairs) numpy pass, read by both the exact
 sup over its finite breakpoint set, in blocks of at most
-converses_ptp._SUP_BLOCK entries, and the public mk_*_at, as a batch of one.
+probability.MAX_BLOCK_ENTRIES entries, and the public mk_*_at, as a batch of
+one.
 
 The constructors at the bottom turn feasible dual points of the simpler
 problems (side-information, jointly encoded) into feasible dual points of
@@ -304,9 +305,10 @@ def mk_flows(inst: SwInstance, t: float) -> DualPointSW:
     """The distributed dual point behind the improved Miyake-Kanaya bound at
     a fixed t: marginal-weighted source flows on the channel diagonals, a
     uniform decoder-side flow worth t/(M1 M2), and the channel flow capped
-    at t times the per-pair threshold coefficient.  Its fields, and the
-    residual check_feasible forms on the LP's W block (D4), grow with that
-    block, (n1 n2 M1 M2)^2 entries, which must stay within MAX_LP_ENTRIES."""
+    at t times the per-pair threshold coefficient.  The LP's W block,
+    (n1 n2 M1 M2)^2 entries, must stay within MAX_LP_ENTRIES, which bounds
+    the point's own lam_s_12 and lam_s_21, of (n1 n2)^2 M1 M2^2 and
+    (n1 n2)^2 M1^2 M2 entries; check_feasible reads W one slab at a time."""
     if not (t >= 0.0 and math.isfinite(t)):
         raise InfeasibleInput(f"t must be a finite nonnegative scalar, got {t!r}")
     n1, n2, m1, m2 = inst.dims

@@ -27,6 +27,10 @@ import numpy as np
 MASS_TOL = 1e-12
 # rows x columns of one LP (a bound on its nonzeros), and the cells of one pmf file
 MAX_LP_ENTRIES = 2 ** 26
+# entries of one temporary, 0.5 MiB of floats: a scalar sup's (points x cells)
+# block (converses_ptp._breakpoint_sup) and a dual check's residual slab
+# (relaxations.check_feasible)
+MAX_BLOCK_ENTRIES = 2 ** 16
 
 
 class PmfError(ValueError):

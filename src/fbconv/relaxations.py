@@ -73,7 +73,9 @@ for every M >= 2.  The same table gives:
   * the dual constraints A^T y <= c (check_feasible), one per column: a
     block's residual is the families lifting into it, broadcast up to its
     letters, minus the families whose minus block it is, summed down to its
-    letters, minus the cost;
+    letters, minus the cost, built one slab of at most
+    probability.MAX_BLOCK_ENTRIES entries at a time, over the block's
+    leading letters that are in no message group;
   * the binding normalization multipliers (_binding_gammas): each is bounded
     by that summed-down term of its block; the dual objectives are their sum;
   * the field placement (_lay): a field as the product of operands, each
@@ -102,6 +104,7 @@ reconstructions (jointly encoded and distributed).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, fields, make_dataclass, replace
@@ -111,8 +114,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .lp_core import LpModel, LpSolution, OrbitMismatch, WarmStart, _read_only, _row_arrays
-from .probability import (MAX_LP_ENTRIES, CodeSizes, DistortionSpec, InstanceTooLarge,
-                          JointPmf, PmfError, SinglePmf)
+from .probability import (MAX_BLOCK_ENTRIES, MAX_LP_ENTRIES, CodeSizes, DistortionSpec,
+                          InstanceTooLarge, JointPmf, PmfError, SinglePmf)
 
 
 def _check_lp_size(rows: int, cols: int, what: str) -> None:
@@ -491,25 +494,37 @@ def _layouts(inst, point_type: type, which: Optional[int] = None):
 def _plan(col_blocks, families):
     """Per column block (id, name, letters, norms, up, down): the normalization
     families lifting into it as (name, the block's axes they lack); every
-    lifted family as (name, its axes in block order, index adding the rest);
-    the families whose minus block it is as (name, einsum summing them down)."""
+    lifted family as (name, its letters, its axes in block order, index
+    adding the rest); the families whose minus block it is as (name, its
+    letters, einsum summing them down)."""
     plan = []
     for block, letters, cid in col_blocks:
         up, down, norms = [], [], []
         for name, own, lifted, minus in families:
             if lifted == block:
-                up.append((name, tuple(own.index(k) for k in letters if k in own),
+                up.append((name, own, tuple(own.index(k) for k in letters if k in own),
                            tuple(slice(None) if k in own else None for k in letters)))
                 if minus is None:
                     norms.append((name, tuple(i for i, k in enumerate(letters) if k not in own)))
             if minus == block:
-                down.append((name, f"{own}->{letters}"))
+                down.append((name, own, f"{own}->{letters}"))
         plan.append((cid, block, letters, tuple(norms), tuple(up), tuple(down)))
     return tuple(plan)
 
 
-def _summed_down(pt: _DualPoint, down):
-    return (np.einsum(spec, getattr(pt, name)) for name, spec in down)
+def _cut(arr: np.ndarray, own: str, at: Optional[Dict[str, slice]]) -> np.ndarray:
+    """arr, whose axes are the letters `own`, on a slab: each axis whose
+    letter `at` slices, sliced, every other axis whole; arr itself where
+    `at` slices nothing."""
+    if not at:
+        return arr
+    return arr[tuple(at.get(k, slice(None)) for k in own)]
+
+
+def _summed_down(pt: _DualPoint, down, at=None):
+    """The families whose minus block is B summed down to B's letters, or
+    to B's slab `at` (_cut), each read on that slab's letters only."""
+    return (np.einsum(spec, _cut(getattr(pt, name), own, at)) for name, own, spec in down)
 
 
 def _binding_gammas(inst, pt: _DualPoint) -> Dict[str, np.ndarray]:
@@ -549,31 +564,64 @@ def _check_shapes(table, pt: _DualPoint) -> None:
             raise PmfError(f"dual point field {name} has shape {val.shape}, expected {want}")
 
 
+def _slabs(letters: str, shape: Tuple[int, ...], messages: str):
+    """The slabs of a block with axes `letters` of `shape`, in row-major
+    order, as (at, offset, slab shape): `at` slices some of the block's
+    lead letters, those before its first letter in `messages`, and
+    `offset` is the slab's first index.  A slab holds at most
+    MAX_BLOCK_ENTRIES entries, or a single index of the lead letters where
+    the letters after them alone hold more.  A block that fits, or that
+    has no lead letter, is one slab, with `at` empty and offset 0."""
+    if math.prod(shape) <= MAX_BLOCK_ENTRIES or letters[0] in messages:
+        return [({}, 0, shape)]
+    lead = next((i for i, k in enumerate(letters) if k in messages), len(letters))
+    j = next((j for j in range(1, lead + 1) if math.prod(shape[j:]) <= MAX_BLOCK_ENTRIES), lead)
+    inner = shape[j:]
+    step = max(1, MAX_BLOCK_ENTRIES // math.prod(inner))
+    out = []
+    # one index of each lead letter before the j-th, a run of `step` of the j-th
+    for outer in itertools.product(*map(range, shape[:j - 1])):
+        for lo in range(0, shape[j - 1], step):
+            at = dict(zip(letters, [slice(i, i + 1) for i in outer] + [slice(lo, lo + step)]))
+            run = min(step, shape[j - 1] - lo)
+            out.append((at, outer + (lo,) + (0,) * len(inner), (1,) * (j - 1) + (run,) + inner))
+    return out
+
+
 def check_feasible(inst, pt: _DualPoint, tol: float = 1e-12) -> List[ConstraintViolation]:
     """One record per entry of A^T y - c, the dual constraints of pt's LP at
-    y = pt, that is not <= tol; see the module docstring for ids.
-    Each block's residual is one array, accumulated in place, and the cost
-    is subtracted on W's message diagonal only."""
+    y = pt, that is not <= tol, in row-major order per block; see the
+    module docstring for ids.  A block's residual is built in slabs over its
+    leading non-message letters (_slabs), one slab and its mask at a time:
+    each field lifted into the block or summed down to it is read on the
+    slab's letters only, and a block that fits in one slab is one array.
+    Each slab is accumulated in place, and the cost is subtracted on W's
+    message diagonal only."""
     table = _table_of(inst, type(pt), getattr(pt, "which", None))
     _check_shapes(table, pt)
-    sizes, cols, rows, (diagonal, factor), _ = table
+    sizes, cols, rows, (diagonal, factor), groups = table
+    messages = "".join(groups)
     out: List[ConstraintViolation] = []
     for cid, block, letters, norms, up, down in _plan(cols, rows):
         if any(getattr(pt, name) is None for name, _ in norms):
             continue
-        terms = [(np.add, getattr(pt, name).transpose(axes)[at]) for name, axes, at in up]
-        terms += [(np.subtract, t) for t in _summed_down(pt, down)]
-        (_, first), (op, second), *rest = terms
-        resid = op(first, second, out=np.empty(tuple(sizes[k] for k in letters)))
-        for op, t in rest:
-            op(resid, t, out=resid)
-        if block == "W":
-            diag = np.einsum(diagonal, resid)   # a view: the cost is zero off it
-            diag -= factor()
-        ok = resid <= tol   # False on NaN
-        if not ok.all():   # the common case skips the index scan
-            out += [ConstraintViolation(cid, tuple(int(i) for i in idx), float(resid[tuple(idx)]))
-                    for idx in np.argwhere(~ok)]
+        cost = factor() if block == "W" else None
+        for at, offset, slab in _slabs(letters, tuple(sizes[k] for k in letters), messages):
+            terms = [(np.add, _cut(getattr(pt, name), own, at).transpose(axes)[lift])
+                     for name, own, axes, lift in up]
+            terms += [(np.subtract, t) for t in _summed_down(pt, down, at)]
+            (_, first), (op, second), *rest = terms
+            resid = op(first, second, out=np.empty(slab))
+            for op, t in rest:
+                op(resid, t, out=resid)
+            if cost is not None:
+                diag = np.einsum(diagonal, resid)   # a view: the cost is zero off it
+                diag -= _cut(cost, diagonal.split("->")[1], at)
+            ok = resid <= tol   # False on NaN
+            if not ok.all():   # the common case skips the index scan
+                bad = ~ok   # indexed in the block by the slab's offset
+                out += [ConstraintViolation(cid, tuple(idx), r) for idx, r in
+                        zip((np.argwhere(bad) + offset).tolist(), resid[bad].tolist())]
     return out
 
 

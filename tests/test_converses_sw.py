@@ -30,6 +30,7 @@ from fbconv.relaxations import (
     build_lp_je,
     build_lp_sw,
     build_lpsi,
+    check_feasible,
     dpje_flows,
     dpsi_flows,
     dual_objective,
@@ -514,7 +515,7 @@ def test_scalar_sups_do_not_depend_on_the_block(monkeypatch, block):
     # candidate's value is a row sum of its own, so nothing may move
     sups = _scalar_sups()
     want = [sup() for sup in sups]
-    monkeypatch.setattr(converses_ptp, "_SUP_BLOCK", block)
+    monkeypatch.setattr(converses_ptp, "MAX_BLOCK_ENTRIES", block)
     for sup, rep in zip(sups, want):
         got = sup()
         assert got.raw_value == rep.raw_value, rep.name
@@ -747,6 +748,28 @@ def test_mk_flows_checks_its_size_before_allocating():
     # the 8x8 / M=(4,4) DSBS point, 2^20 entries, stays allowed
     inst = expand_joint(DsbsSpec(3, 0.11, 2 / 3, 2 / 3))
     assert check_with_oracle(inst, mk_flows(inst, 0.01), 1e-9) == []
+
+
+def test_dsbs_points_are_checked_one_slab_at_a_time():
+    # the 8x8 / M=(4,4) DSBS points of a sw_bounds op: with the whole W
+    # residual (2^20 entries) and its mask a check took 9.0 MiB, with a
+    # slab of 2^16 entries and its mask it takes about 1.2 MiB
+    inst = expand_joint(DsbsSpec(3, 0.11, 2 / 3, 2 / 3))
+    P = inst.joint.mass
+    ph, p12, p21 = (np.clip(np.asarray(meta_sw(inst).witness[k]), 0.0, P)
+                    for k in ("phi_hat", "phi_12", "phi_21"))
+    je = dpje_flows(inst, ph)
+    points = [je, combine_feasible(inst, dpsi_flows(inst, 1, p12), dpsi_flows(inst, 2, p21), je, 0.5),
+              mk_flows(inst, float(mk_improved(inst).witness["t"]))]
+    for pt in points:
+        assert peak_mib(lambda: check_feasible(inst, pt, 1e-9)) < 2, type(pt).__name__
+    # the n = 4 DSBS point: 16x16 / M=(4,4), a W block of 2^24 entries,
+    # 128 MiB as one array
+    big = expand_joint(DsbsSpec(4, 0.11, 0.5, 0.5))
+    pt = mk_flows(big, float(mk_improved(big).witness["t"]))
+    found = []
+    assert peak_mib(lambda: found.extend(check_feasible(big, pt, 1e-9))) < 4
+    assert found == []
 
 
 def test_code_sizes_past_float_range_are_typed():

@@ -1,8 +1,10 @@
+import math
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from fbconv import relaxations
 from fbconv.converses_sw import meta_sw
 from fbconv.lp_core import LpSolution
 from fbconv.oracle import exact_opt_sc, exact_opt_sid, exact_opt_sw
@@ -18,6 +20,7 @@ from fbconv.relaxations import (
     _binding_gammas,
     _lay,
     _point,
+    _slabs,
     _table_of,
     build_lp_je,
     build_lp_sc,
@@ -35,7 +38,7 @@ from fbconv.relaxations import (
 
 from conftest import (assert_checkers_agree, certified_solve, check_with_oracle, peak_mib,
                       random_joint, random_single, sw_je_instance)
-from dual_oracle import HAND_CHECKERS
+from dual_oracle import HAND_AXES, HAND_CHECKERS
 
 
 def _sc(mass, M):
@@ -344,7 +347,7 @@ def test_slicer_rejects_another_lps_duals():
 
 def _dense_records(resid, tol):
     return [(tuple(int(i) for i in idx), float(resid[tuple(idx)]))
-            for idx in np.argwhere(resid > tol)]
+            for idx in np.argwhere(~(resid <= tol))]   # NaN counts as violated
 
 
 # the joint-family constraints as they were first written: the right side
@@ -583,3 +586,83 @@ def test_point_broadcasts_read_only_fields_and_binds_the_gammas(kind):
             assert np.array_equal(val, np.broadcast_to(_lay(rows, f, own[0], given), val.shape))
         else:
             assert not val.any(), f
+
+
+# ---------------------------------------------------------------------------
+# the check in slabs of at most MAX_BLOCK_ENTRIES entries
+
+def _slab_cases():
+    """(instance, point class, extra fields, dense W formula): a W block
+    over three or more slabs on each table, split on one lead letter or,
+    at 8x8, on two, and at 40x2 and on the one-reconstruction SC a block
+    that a family is summed down to (U, 102,400 entries; Q1, 80,000)."""
+    rng = np.random.default_rng(61)
+    pair = SwInstance(random_joint(rng, 5, 5), CodeSizes(4, 4))   # W: 160,000 entries
+    wide = SwInstance(random_joint(rng, 8, 8), CodeSizes(4, 4))   # W: 2^20
+    tall = SwInstance(random_joint(rng, 40, 2), CodeSizes(4, 2))   # W: 409,600
+    side = SwInstance(random_joint(rng, 30, 30), CodeSizes(3, 3))   # SI W: 243,000
+    lossless = _sc(rng.dirichlet(np.ones(100)), 4)   # W: 160,000
+    narrow = ScInstance(random_single(rng, 20_000), 4, DistortionSpec(np.ones((20_000, 1))))
+    return [(pair, DualPointSW, {}, _dense_d4), (pair, DualPointJE, {}, _dense_a3),
+            (wide, DualPointSW, {}, _dense_d4), (tall, DualPointSW, {}, _dense_d4),
+            (side, DualPointSI, {"which": 1}, _dense_b3), (side, DualPointSI, {"which": 2}, _dense_b3),
+            (lossless, DualPointSC, {}, _dense_p3), (narrow, DualPointSC, {}, _dense_p3)]
+
+
+def _slab_point(inst, cls, extra):
+    """A point of cls on inst made from its table's family shapes: every
+    field negative, so W is violated only where lam_c is set to 1, at the
+    first, the middle and the last index of W's first letter, and at one
+    NaN in the middle; the blocks that families are summed down to are
+    violated on about half or more of their entries."""
+    sizes, cols, rows, _, _ = _table_of(inst, cls, extra.get("which"))
+    rng = np.random.default_rng(67)
+    fields = {name: -rng.random(tuple(sizes[k] for k in own)) for name, own, _, _ in rows}
+    own = dict((name, letters) for name, letters, _, _ in rows)["lam_c"]
+    first = dict((name, letters) for name, letters, _ in cols)["W"][0]
+    n, axis = sizes[first], own.index(first)
+    for at, value in ((0, 1.0), (n // 2, 1.0), (n - 1, 1.0), (n // 2, np.nan)):
+        index = [0 if value == 1.0 else -1] * len(own)
+        index[axis] = at
+        fields["lam_c"][tuple(index)] = value
+    return cls(**extra, **fields)
+
+
+def _bits(records):
+    return [(v.constraint_id, v.index, float.hex(v.residual)) for v in records]
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_check_in_slabs_is_the_whole_check(monkeypatch, case):
+    inst, cls, extra, dense = _slab_cases()[case]
+    pt = _slab_point(inst, cls, extra)
+    sizes, cols, _, _, groups = _table_of(inst, cls, extra.get("which"))
+    w_id, letters = next((cid, letters) for name, letters, cid in cols if name == "W")
+    shape = tuple(sizes[k] for k in letters)
+    slabs = _slabs(letters, shape, "".join(groups))
+    assert len(slabs) >= 3
+    assert all(math.prod(slab) <= relaxations.MAX_BLOCK_ENTRIES for _, _, slab in slabs)
+    got = check_feasible(inst, pt, tol=0.0)
+    # W's violations sit in its first, a middle and its last slab
+    assert {0, shape[0] // 2, shape[0] - 1} <= {v.index[0] for v in got if v.constraint_id == w_id}
+    assert any(np.isnan(v.residual) for v in got if v.constraint_id == w_id)
+    # the hand oracle's records, moved onto the block letters, in block
+    # order: the same records, W's bit for bit and the rest, whose sums may
+    # round apart, to 1e-12; W's also bit for bit as the dense formula
+    order = [cid for _, _, cid in cols]
+    block = dict((cid, axes) for _, axes, cid in cols)
+    oracle = sorted(((v.constraint_id,
+                      tuple(v.index[HAND_AXES.get(v.constraint_id, block[v.constraint_id])
+                                    .index(k)] for k in block[v.constraint_id]),
+                      v.residual) for v in HAND_CHECKERS[cls](inst, pt, tol=0.0)),
+                    key=lambda r: (order.index(r[0]), r[1]))
+    assert [(v.constraint_id, v.index) for v in got] == [r[:2] for r in oracle]
+    np.testing.assert_allclose([v.residual for v in got], [r[2] for r in oracle],
+                               rtol=0, atol=1e-12)
+    w_got = [(v.index, float.hex(v.residual)) for v in got if v.constraint_id == w_id]
+    assert w_got == [(i, float.hex(r)) for c, i, r in oracle if c == w_id]
+    assert w_got == [(i, float.hex(r)) for i, r in _dense_records(dense(inst, pt), 0.0)]
+    # every block bit for bit as the check with each block in one slab
+    monkeypatch.setattr(relaxations, "MAX_BLOCK_ENTRIES", 2 ** 62)
+    assert len(_slabs(letters, shape, "".join(groups))) == 1
+    assert _bits(check_feasible(inst, pt, tol=0.0)) == _bits(got)

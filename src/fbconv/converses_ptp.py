@@ -15,7 +15,9 @@ the candidates in blocks of at most probability.MAX_BLOCK_ENTRIES entries,
 the one temporary budget, so memory is bounded by the block, not by
 candidates x cells.  The public *_at evaluates the same integrand on a batch
 of one; a row's sum does not depend on how many rows the batch holds, so
-*_at at a witness reproduces raw_value exactly.
+*_at at a witness reproduces raw_value exactly.  The three DSBS curves of
+dsbs keep the same contract over log t, and take their sups and *_at
+through _breakpoint_sup and _at too.
 
 Six of the curves, the tilted-flow, lossless-tail and side-information ones
 here and the Miyake-Kanaya ones of converses_sw, are threshold curves, each
@@ -115,8 +117,9 @@ def _breakpoint_sup(fn, cands, cells: int):
 
 def _at(curve, x, real_line: bool = False) -> float:
     """A curve's integrand at the single point x, as a batch of one.  x is a
-    t, finite and nonnegative, or with real_line a b, where +-inf are valid;
-    NaN is never valid."""
+    t, finite and nonnegative, or with real_line a point of the extended
+    line (a b, or a dsbs curve's log t), where +-inf are valid; NaN is never
+    valid."""
     x = float(x)
     if real_line and math.isnan(x):
         raise PmfError("b must not be NaN")

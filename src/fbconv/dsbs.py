@@ -14,16 +14,22 @@ consecutive switch points (the t where some min{., t} changes branch, or
 where mk's event gains a distance class) each bound is linear in t, or
 decreasing in t for mk, and every bound is 0 at t = 0.  A linear piece
 takes its max at an end, so the sup is the max over t = 0, the switches
-inside (0, 1), and the right end, which t = exp(-1e-9) stands in for.  The
-evaluators take log t and return exactly 0 at log t = -inf.
-dsbs_converse and dsbs_je_bound rank all their candidates by prefix
-log-sums in one numpy pass, O(n log n) with the bisections, and evaluate
-their integrand once, at the best (see _flow_search).  dsbs_mk evaluates
-its integrand, an O(n) sum, at each of the about n candidates, so its sup
-costs O(n^2).  A suffix-sum search would make it O(n) too, but the
-benchmark (perfbench) keeps a record per timed operation, and the many more
-operations of that faster sweep would take its resident memory past its
-bound.
+inside (0, 1), and the right end, which t = exp(-1e-9) stands in for.
+
+Each bound is one curve with the contract of converses_ptp's curves: one
+evaluator, which maps a 1-D array of log t to the bound at each (exactly 0
+at log t = -inf), and its switches.  _sup takes the max of the evaluator
+over the candidates through converses_ptp._breakpoint_sup, and each *_at
+evaluates it on a batch of one through converses_ptp._at; a point's value
+does not depend on the batch, so the witness's log t gives raw_value back
+exactly.  The flow curves of dsbs_converse and dsbs_je_bound take every
+candidate by prefix log-sums in one numpy pass, O(n log n) with the
+bisections (see _flow_curve).  dsbs_mk's evaluator loops over its points,
+an O(n) sum at each of the about n candidates, so its sup costs O(n^2).
+A suffix-sum evaluator would make it O(n) with no change to _sup, but the
+benchmark (perfbench) keeps a record per timed operation, and the many
+more operations of that faster sweep would take its resident memory past
+its bound.
 
 Measured, not proved: dsbs_mk <= dsbs_converse <= dsbs_je_bound, which is
 the exact meta_sw for R1, R2 <= 1 (see dsbs_je_bound), on 300 random specs
@@ -42,7 +48,8 @@ import numpy as np
 
 from .probability import CodeSizes, InstanceTooLarge, JointPmf, PmfError, _real
 from .relaxations import SwInstance
-from .converses_ptp import EVENT_SLACK, BoundReport, _breakpoint_sup, _report, _sorted_unique
+from .converses_ptp import (EVENT_SLACK, BoundReport, _at, _breakpoint_sup, _report,
+                            _sorted_unique)
 
 LN2 = math.log(2.0)
 EXPAND_LIMIT = 8
@@ -144,23 +151,8 @@ def _weights(spec: DsbsSpec):
 
 # ---------------------------------------------------------------------------
 # the three collapsed bounds: each curve computes its constants once per spec
-# and returns (raw, switches), raw mapping log t to the bound at t and
-# switches the log t where a piece of it ends; _flow_search maps an array
-# of log t to either flow curve in one pass
-
-
-def _flow_terms(spec: DsbsSpec, je: bool):
-    """log C(n,k), log q_k, log c and the penalty pairs (a, b) of _flow_curve."""
-    log_comb, log_q = _weights(spec)
-    lm1, lm2 = _log_sizes(spec)
-    nl2 = spec.n * LN2
-    lj = lm1 + lm2 - nl2
-    log_c = _logsumexp(np.array([-lm1, -lm2, nl2 - lm1 - lm2]))
-    if je:
-        a, b = np.array([lj, lj, lj]), np.array([lm2 - nl2, lm1 - nl2, 0.0])
-    else:
-        a, b = np.array([lm1, lm2, lj]), np.zeros(3)
-    return log_comb, log_q, log_c, a, b
+# and returns (values, switches), values mapping a 1-D array of log t to the
+# bound at each and switches the log t where a piece of it ends
 
 
 def _flow_curve(spec: DsbsSpec, je: bool):
@@ -172,39 +164,31 @@ def _flow_curve(spec: DsbsSpec, je: bool):
     b = log M2/2^n, log M1/2^n and 0, which is why it beats the
     eta-restricted one whenever M1, M2 <= 2^n.  Both share the switches.
     Above one bit per symbol b > 0, and where a penalty passes float range
-    raw is -inf."""
-    log_comb, log_q, log_c, a, b = _flow_terms(spec, je)
-    capped = a[:, None] + log_q
+    the value is -inf.
 
-    def raw(log_t: float) -> float:
-        term = math.exp(_logsumexp(log_comb + np.minimum(log_q, log_t + log_c)))
-        # each penalty is max over k of a min; the literal form, not the k=0 shortcut
-        with np.errstate(over="ignore"):
-            pen = np.exp(np.minimum(capped, b[:, None] + log_t).max(axis=1))
-        return term - float(pen.sum())
-
-    # q_k = t c for each k, and t = each penalty's cap at k = 0, where q_k is largest
-    return raw, np.concatenate([log_q - log_c, a - b + log_q[0]])
-
-
-def _flow_search(spec: DsbsSpec, je: bool):
-    """_flow_curve's integrand at an array of log t, in one numpy pass, for
-    the argmax search alone.  With x = log t + log c and
+    values takes every log t in one numpy pass.  With x = log t + log c and
     j = #{k : log q_k > x}, found by bisection on -log q, which increases as
     p < 1/2, the first term is S(j) + t c N(j), N(j) = sum_{k<j} C(n,k) and
     S(j) = sum_{k>=j} C(n,k) q_k, both read from prefix and suffix log-sums.
-    Each penalty is min{a + log q_0, b + log t}, as q_0 is the largest q_k,
-    for the pairs (a, b) of either curve.
+    Each penalty is its k = 0 branch, as q_0 is the largest q_k.
 
     A running log-sum rounds each partial sum to its own magnitude, and
     log N(j) reaches n ln 2; summed in doubles it would move t c N(j) by
-    about 1e-13 at n = 3000, enough to pick a candidate worse than the
-    best by more than raw's own rounding.  So N's log-sums run in long
-    double (80-bit on x86; where it is double the search rounds that
+    about 1e-13 at n = 3000, far past the 1e-15 to which the tests hold
+    the values against the literal sum over k.  So N's log-sums run in long
+    double (80-bit on x86; where it is double the values round that
     coarsely), shifted by the largest log C(n,k) so that its partial sums
     near the bulk are near 0.  S's log-sums stay at most 0 and run in
     doubles."""
-    log_comb, log_q, log_c, a, b = _flow_terms(spec, je)
+    log_comb, log_q = _weights(spec)
+    lm1, lm2 = _log_sizes(spec)
+    nl2 = spec.n * LN2
+    lj = lm1 + lm2 - nl2
+    log_c = _logsumexp(np.array([-lm1, -lm2, nl2 - lm1 - lm2]))
+    if je:
+        a, b = np.array([lj, lj, lj]), np.array([lm2 - nl2, lm1 - nl2, 0.0])
+    else:
+        a, b = np.array([lm1, lm2, lj]), np.zeros(3)
     top = log_comb.max()
     log_n = np.concatenate([[-np.inf],
                             np.logaddexp.accumulate((log_comb - top).astype(np.longdouble))])
@@ -220,12 +204,14 @@ def _flow_search(spec: DsbsSpec, je: bool):
         with np.errstate(over="ignore"):
             return term - np.exp(np.minimum(cap, b[:, None] + log_t)).sum(axis=0)
 
-    return values
+    # q_k = t c for each k, and t = each penalty's cap at k = 0, where q_k is largest
+    return values, np.concatenate([log_q - log_c, a - b + log_q[0]])
 
 
 def _mk_curve(spec: DsbsSpec):
     """The weight-collapsed union bound minus 3t: the mass of the closed event
-    q_k <= t coef, coef = max{2^n/(M1 M2), 1/M1, 1/M2}, minus 3t."""
+    q_k <= t coef, coef = max{2^n/(M1 M2), 1/M1, 1/M2}, minus 3t.  Its values
+    take one O(n) sum per point (see the module docstring)."""
     log_comb, log_q = _weights(spec)
     lm1, lm2 = _log_sizes(spec)
     log_coef = max(spec.n * LN2 - lm1 - lm2, -lm1, -lm2)
@@ -237,24 +223,18 @@ def _mk_curve(spec: DsbsSpec):
         mask = log_q <= log_t + log_coef + EVENT_SLACK
         return math.exp(_logsumexp(log_mass[mask])) - 3.0 * math.exp(log_t)
 
-    return raw, log_q - log_coef
+    return (lambda log_t: np.array([raw(lt) for lt in log_t])), log_q - log_coef
 
 
-def _sup(curve, values=None) -> Tuple[float, dict]:
+def _sup(curve) -> Tuple[float, dict]:
     """(sup of a curve over t in [0, 1), witness {t, log t} attaining it); see
-    the module docstring.  log t reproduces the sup where t underflows to 0.
-    values, when given, maps the array of candidate log t to the curve at
-    each in one pass; the witness is its first argmax, and the sup is raw
-    there, so it is what the witness reproduces.  Without it raw is mapped
-    over the candidates one at a time."""
-    raw, switches = curve
+    the module docstring.  The witness is the first candidate where the
+    curve's values peak, so its log t gives the sup back exactly, also where
+    t underflows to 0."""
+    values, switches = curve
     cands = _sorted_unique(np.concatenate([[-math.inf], switches[switches < 0.0], [-1e-9]]))
-    if values is None:
-        # raw takes one log t at a time and holds no (points x cells) temporary
-        val, lt = _breakpoint_sup(lambda lts: np.array([raw(lt) for lt in lts]), cands, 1)
-    else:
-        lt = cands[int(np.argmax(values(cands)))]
-        val = raw(lt)
+    # a flow curve's penalties hold 3 entries per point
+    val, lt = _breakpoint_sup(values, cands, 3)
     return val, {"t": math.exp(lt), "log_t": float(lt)}
 
 
@@ -266,22 +246,13 @@ def _log_of(t: float) -> float:
 
 def dsbs_converse(spec: DsbsSpec) -> BoundReport:
     """Exact sup over t of the collapsed four-term metaconverse with the
-    uniform-marginal flow weights t/(M1 M2), t P2/M1, t P1/M2.
-
-    _flow_search ranks _sup's candidates in one numpy pass, and the
-    integrand is evaluated once, at the first it ranks highest, as in
-    dsbs_je_bound: raw_value is that value, and the witness reproduces it
-    exactly through log t.  Where candidates tie within raw's rounding,
-    the witness may be another of them than a max of raw over every
-    candidate picks, and raw_value may differ from that max in its last
-    bits."""
-    return _report("dsbs-converse",
-                   *_sup(_flow_curve(spec, je=False), _flow_search(spec, je=False)),
+    uniform-marginal flow weights t/(M1 M2), t P2/M1, t P1/M2."""
+    return _report("dsbs-converse", *_sup(_flow_curve(spec, je=False)),
                    "weight-collapsed distributed metaconverse")
 
 
 def dsbs_converse_at(spec: DsbsSpec, t: float) -> float:
-    return _flow_curve(spec, je=False)[0](_log_of(t))
+    return _at(_flow_curve(spec, je=False), _log_of(t), real_line=True)
 
 
 def dsbs_je_bound(spec: DsbsSpec) -> BoundReport:
@@ -309,23 +280,13 @@ def dsbs_je_bound(spec: DsbsSpec) -> BoundReport:
     and meta_sw is the sup of g.
     Above one bit per symbol M1 or M2 may be cheaper than J, and the bound
     may fall below meta_sw: at n = 1, p = 0.11, R = (0, 1.5) it is 0.055
-    against 0.110.
-
-    The candidates are _sup's.  _flow_search ranks them all in one numpy
-    pass, and the integrand itself, _flow_curve's literal raw, is evaluated
-    once, at the first candidate the search ranks highest; raw_value is
-    that value, so the witness reproduces it exactly through log t, and
-    through dsbs_je_at wherever log(t) gives log t back.  Candidates whose
-    values differ by less than raw's rounding, as on the plateau just below
-    1 far outside the rate region, tie: the witness may be another of them
-    than a max of raw over every candidate picks, and raw_value may differ
-    from that max in its last bits."""
-    return _report("dsbs-je", *_sup(_flow_curve(spec, je=True), _flow_search(spec, je=True)),
+    against 0.110."""
+    return _report("dsbs-je", *_sup(_flow_curve(spec, je=True)),
                    "weight-collapsed joint-encoder converse")
 
 
 def dsbs_je_at(spec: DsbsSpec, t: float) -> float:
-    return _flow_curve(spec, je=True)[0](_log_of(t))
+    return _at(_flow_curve(spec, je=True), _log_of(t), real_line=True)
 
 
 def dsbs_mk(spec: DsbsSpec) -> BoundReport:
@@ -335,7 +296,7 @@ def dsbs_mk(spec: DsbsSpec) -> BoundReport:
 
 
 def dsbs_mk_at(spec: DsbsSpec, t: float) -> float:
-    return _mk_curve(spec)[0](_log_of(t))
+    return _at(_mk_curve(spec), _log_of(t), real_line=True)
 
 
 # ---------------------------------------------------------------------------

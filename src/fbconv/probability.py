@@ -163,8 +163,9 @@ class DistortionSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "d_matrix", _frozen_array(self.d_matrix))
-        if self.d_matrix.ndim != 2:
-            raise PmfError("d_matrix must be 2-D (|S| x |Shat|)")
+        if self.d_matrix.ndim != 2 or 0 in self.d_matrix.shape:
+            raise PmfError(f"d_matrix must be a nonempty 2-D array (|S| x |Shat|), "
+                           f"got shape {self.d_matrix.shape}")
         if np.any(np.isnan(self.d_matrix)) or np.any(self.d_matrix < 0):
             raise PmfError("distortion entries must lie in [0, +inf]")
         if not (_real(self.level) and self.level >= 0):
@@ -182,13 +183,17 @@ class DistortionSpec:
         return self.d_matrix > self.level
 
 
+def _integer_in(value, lo: int, hi: int, name: str) -> int:
+    """value as an int in [lo, hi]; PmfError for anything else, a bool or a
+    float included (True would otherwise read as 1, and -1 as the last)."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and lo <= value <= hi:
+        return int(value)
+    raise PmfError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+
+
 def marginal(pmf: JointPmf, axis: int) -> SinglePmf:
     """Marginal of coordinate `axis` (1 or 2) of a joint pmf."""
-    if axis == 1:
-        return SinglePmf(pmf.mass.sum(axis=1))
-    if axis == 2:
-        return SinglePmf(pmf.mass.sum(axis=0))
-    raise PmfError(f"axis must be 1 or 2, got {axis!r}")
+    return SinglePmf(pmf.mass.sum(axis=2 - _integer_in(axis, 1, 2, "axis")))
 
 
 def _neglog(p: float, zero_to_inf: bool) -> float:
@@ -209,22 +214,23 @@ def entropy_density(pmf: Pmf, indices, given: Optional[int] = None,
     ``given=1`` the conditional -ln P(s2|s1).
 
     Zero-probability points raise ZeroProbability unless ``zero_to_inf`` opts
-    into a +inf sentinel.
+    into a +inf sentinel.  Each index must be an integer in [0, size) of its
+    axis (a negative one is refused, not wrapped) and given 1, 2 or None;
+    anything else, a bool included, raises PmfError.
     """
     if isinstance(pmf, SinglePmf):
         if given is not None:
             raise PmfError("conditioning needs a joint pmf")
-        return _neglog(float(pmf.mass[indices]), zero_to_inf)
-    s1, s2 = indices
+        return _neglog(float(pmf.mass[_integer_in(indices, 0, pmf.mass.size - 1, "index")]),
+                       zero_to_inf)
+    if not (isinstance(indices, (tuple, list)) and len(indices) == 2):
+        raise PmfError(f"a joint pmf takes an index pair (s1, s2), got {indices!r}")
+    s1, s2 = (_integer_in(s, 0, k - 1, "index") for s, k in zip(indices, pmf.mass.shape))
     p12 = float(pmf.mass[s1, s2])
     if given is None:
         return _neglog(p12, zero_to_inf)
-    if given == 2:
-        pg = float(pmf.mass[:, s2].sum())
-    elif given == 1:
-        pg = float(pmf.mass[s1, :].sum())
-    else:
-        raise PmfError(f"given must be 1, 2 or None, got {given!r}")
+    given = _integer_in(given, 1, 2, "given")
+    pg = float((pmf.mass[:, s2] if given == 2 else pmf.mass[s1, :]).sum())
     # h(a|b) = h(a,b) - h(b); at pg == 0 the point itself has zero mass too
     if pg <= 0.0:
         return _neglog(0.0, zero_to_inf)

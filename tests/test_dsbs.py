@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fbconv import dsbs
+from fbconv.converses_ptp import _at
 from fbconv.converses_sw import meta_sw, meta_sw_eta
 from fbconv.dsbs import (
     DsbsSpec,
@@ -106,7 +107,8 @@ def test_sweep_rows_log_t_opt_reproduces_raw():
     specs.append(DsbsSpec(1809, 0.4999999, 0.7636295599324776, 0.6510912322014089))
     for spec in specs:
         for row in sweep(spec, [spec.n]):
-            assert CURVES[row.bound_name](spec)[0](row.log_t_opt) == row.raw_value, (spec, row)
+            assert _at(CURVES[row.bound_name](spec), row.log_t_opt, real_line=True) \
+                == row.raw_value, (spec, row)
 
 
 def test_gnuplot_script_names():
@@ -176,7 +178,7 @@ def test_witness_log_t_reproduces_underflowed_sups():
                        (dsbs_je_bound, _flow_curve(spec, je=True)), (dsbs_mk, _mk_curve(spec))):
         rep = sup(spec)
         assert rep.raw_value > 0.5 and rep.witness["t"] == 0.0
-        assert curve[0](rep.witness["log_t"]) == rep.raw_value
+        assert _at(curve, rep.witness["log_t"], real_line=True) == rep.raw_value
 
 
 # --- the flow sups by prefix sums --------------------------------------------
@@ -196,10 +198,35 @@ def _random_specs(rng, count, n_max, r_max):
 FLOW = {True: (dsbs_je_bound, dsbs_je_at), False: (dsbs_converse, dsbs_converse_at)}
 
 
+def _candidates(switches):
+    """dsbs._sup's candidate log t: -inf, the switches below 0, and -1e-9."""
+    return np.unique(np.concatenate([[-math.inf], switches[switches < 0.0], [-1e-9]]))
+
+
+def _literal_flow_curve(spec, je):
+    """_flow_curve with its integrand summed over every k, one log t at a
+    time: sum_k C(n,k) min{q_k, t c}, less exp(max_k min{a + log q_k,
+    b + log t}) for each of its penalty pairs (a, b)."""
+    log_comb, log_q = _weights(spec)
+    lm1, lm2 = dsbs._log_sizes(spec)
+    nl2 = spec.n * dsbs.LN2
+    lj = lm1 + lm2 - nl2
+    log_c = dsbs._logsumexp(np.array([-lm1, -lm2, nl2 - lm1 - lm2]))
+    a = np.array([lj, lj, lj] if je else [lm1, lm2, lj])
+    b = np.array([lm2 - nl2, lm1 - nl2, 0.0] if je else [0.0, 0.0, 0.0])
+
+    def raw(log_t):
+        term = math.exp(dsbs._logsumexp(log_comb + np.minimum(log_q, log_t + log_c)))
+        with np.errstate(over="ignore"):
+            pen = np.exp(np.minimum(a[:, None] + log_q, b[:, None] + log_t).max(axis=1))
+        return term - float(pen.sum())
+
+    return (lambda log_t: np.array([raw(lt) for lt in log_t])), _flow_curve(spec, je)[1]
+
+
 @pytest.mark.parametrize("je", [True, False])
 def test_flow_sup_matches_the_per_candidate_sup(je):
-    # the oracle is the sup dsbs_mk still takes: the integrand itself at
-    # every candidate; the two may pick different candidates where those tie
+    # the oracle is the literal per-k integrand at every candidate
     bound, at = FLOW[je]
     specs = _random_specs(np.random.default_rng(0), 240, 3000, 2.0)
     specs += [DsbsSpec(3000, p, 0.55, 1.9) for p in (1e-3, P, 0.4999999)]   # penalties overflow
@@ -207,47 +234,68 @@ def test_flow_sup_matches_the_per_candidate_sup(je):
     through_t = 0
     for spec in specs:
         rep = bound(spec)
-        assert abs(rep.raw_value - _sup(_flow_curve(spec, je))[0]) <= 1e-15, spec
+        assert abs(rep.raw_value - _sup(_literal_flow_curve(spec, je))[0]) <= 1e-15, spec
         t, log_t = rep.witness["t"], rep.witness["log_t"]
-        assert _flow_curve(spec, je)[0](log_t) == rep.raw_value, spec
+        assert _at(_flow_curve(spec, je), log_t, real_line=True) == rep.raw_value, spec
         if t > 0.0 and math.log(t) == log_t:
             through_t += 1
             assert at(spec, t) == rep.raw_value, spec
     assert through_t >= len(specs) // 5
 
 
-def _integrand_calls(monkeypatch, bound, spec):
-    """(the log t at which bound(spec) evaluates _flow_curve's integrand,
-    its report)."""
-    calls = []
-    flow_curve = dsbs._flow_curve
+def _assert_one_call(monkeypatch, bound, spec, make_curve):
+    """bound(spec) builds its curve, dsbs.<make_curve>, once and calls the
+    curve's evaluator once, on all of _sup's candidates; raw_value is the
+    evaluator's max there, and the witness the first point attaining it."""
+    make, curves, calls = getattr(dsbs, make_curve), [], []
 
-    def counted(spec, je):
-        raw, switches = flow_curve(spec, je)
+    def counted(*args, **kwargs):
+        values, switches = make(*args, **kwargs)
+        curves.append(switches)
 
-        def counted_raw(log_t):
-            calls.append(log_t)
-            return raw(log_t)
+        def counted_values(log_t):
+            calls.append((log_t.copy(), values(log_t)))
+            return calls[-1][1]
 
-        return counted_raw, switches
+        return counted_values, switches
 
-    monkeypatch.setattr(dsbs, "_flow_curve", counted)
-    return calls, bound(spec)
+    monkeypatch.setattr(dsbs, make_curve, counted)
+    rep = bound(spec)
+    assert len(curves) == 1 and len(calls) == 1
+    (log_t, vals), = calls
+    assert np.array_equal(log_t, _candidates(curves[0]))
+    assert rep.witness["log_t"] == log_t[np.argmax(vals)] and rep.raw_value == vals.max()
 
 
 @pytest.mark.parametrize("n", [10, 1000])
 @pytest.mark.parametrize("rates", [(0.9, 0.9), (0.55, 0.55), (0.3, 1.6)])
 def test_je_bound_evaluates_its_integrand_once(monkeypatch, n, rates):
-    # the search replaces one O(n) integrand call per candidate
-    calls, rep = _integrand_calls(monkeypatch, dsbs_je_bound, DsbsSpec(n, P, *rates))
-    assert calls == [rep.witness["log_t"]]
+    _assert_one_call(monkeypatch, dsbs_je_bound, DsbsSpec(n, P, *rates), "_flow_curve")
 
 
 @pytest.mark.parametrize("n", [10, 1000])
 @pytest.mark.parametrize("rates", [(0.9, 0.9), (0.55, 0.55), (0.3, 1.6)])
 def test_converse_evaluates_its_integrand_once(monkeypatch, n, rates):
-    calls, rep = _integrand_calls(monkeypatch, dsbs_converse, DsbsSpec(n, P, *rates))
-    assert calls == [rep.witness["log_t"]]
+    _assert_one_call(monkeypatch, dsbs_converse, DsbsSpec(n, P, *rates), "_flow_curve")
+
+
+@pytest.mark.parametrize("n", [10, 1000])
+@pytest.mark.parametrize("rates", [(0.9, 0.9), (0.55, 0.55), (0.3, 1.6)])
+def test_mk_evaluates_its_integrand_once(monkeypatch, n, rates):
+    _assert_one_call(monkeypatch, dsbs_mk, DsbsSpec(n, P, *rates), "_mk_curve")
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_values_do_not_depend_on_the_batch(name):
+    # *_at evaluates a batch of one, so it gives raw_value back at the witness
+    # only if a point's value is the same in the sup's whole candidate batch
+    rng = np.random.default_rng(5)
+    specs = _random_specs(rng, 40, 1000, 2.0) + [DsbsSpec(10000, P, 0.55, 0.55)]
+    for spec in specs:
+        values, switches = CURVES[name](spec)
+        points = np.concatenate([_candidates(switches), np.log(rng.uniform(0.0, 1.0, 20))])
+        one_by_one = np.array([values(points[i:i + 1])[0] for i in range(points.size)])
+        assert np.array_equal(values(points), one_by_one), spec
 
 
 @pytest.mark.parametrize("je", [True, False])
@@ -255,7 +303,7 @@ def test_flow_bound_at_n_1e5(je):
     spec = DsbsSpec(100000, P, 0.75, 0.75)
     rep = FLOW[je][0](spec)
     assert math.isfinite(rep.raw_value) and 0.0 < rep.clamped_value < 1.0
-    assert _flow_curve(spec, je)[0](rep.witness["log_t"]) == rep.raw_value
+    assert _at(_flow_curve(spec, je), rep.witness["log_t"], real_line=True) == rep.raw_value
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -168,6 +168,45 @@ def test_distortion_spec():
         DistortionSpec(np.array([[0.0]]), -1.0)
 
 
+@pytest.mark.parametrize("make", [lambda: DistortionSpec(np.ones((3, 0))),
+                                  lambda: DistortionSpec(np.ones((0, 2))),
+                                  lambda: DistortionSpec.lossless(0)])
+def test_distortion_spec_refuses_an_empty_matrix(make):
+    # no letter or no reconstruction would leave every consumer an empty max
+    with pytest.raises(PmfError, match="nonempty"):
+        make()
+
+
+SINGLE, JOINT = [0.5, 0.3, 0.2], [[0.5, 0.25], [0.0, 0.25]]
+
+
+@pytest.mark.parametrize("mass, indices, cond", [
+    (SINGLE, -1, None), (SINGLE, 3, None), (SINGLE, 1.0, None), (SINGLE, True, None),
+    (JOINT, (-1, 0), None), (JOINT, (0, -1), None), (JOINT, (0, 2), None),
+    (JOINT, (0.0, 1), None), (JOINT, (0, 1, 1), None), (JOINT, 0, None),
+    (JOINT, (0, 1), True), (JOINT, (0, 1), 0), (JOINT, (0, 1), 2.0)])
+def test_entropy_density_refuses_a_bad_index_or_given(mass, indices, cond):
+    # a negative index would wrap to the last letter, and True read as 1
+    with pytest.raises(PmfError):
+        entropy_density(validate(mass), indices, given=cond)
+
+
+def test_entropy_density_takes_numpy_integers():
+    assert entropy_density(validate(SINGLE), np.int64(2)) == -math.log(0.2)
+    q = validate(JOINT)
+    assert entropy_density(q, (np.int32(0), np.int64(1)), given=np.int64(1)) \
+        == entropy_density(q, (0, 1), given=1)
+
+
+@pytest.mark.parametrize("axis", [True, False, 0, 3, 1.0])
+def test_marginal_refuses_an_axis_other_than_1_or_2(axis):
+    q = validate(JOINT)
+    with pytest.raises(PmfError, match="axis"):
+        marginal(q, axis)
+    with pytest.raises(PmfError, match="axis"):
+        average_entropy(q, given=axis)
+
+
 def test_parse_pmf1():
     p = parse_pmf_text("pmf1 3\n0 0.2\n2 0.8\n")
     assert isinstance(p, SinglePmf)

@@ -48,7 +48,8 @@ from typing import Dict, Optional
 import numpy as np
 
 from .lp_core import LpModel, _dense_rows, _row_arrays, solve
-from .probability import MAX_BLOCK_ENTRIES, CodeSizes, PmfError, SinglePmf, ZeroProbability
+from .probability import (MAX_BLOCK_ENTRIES, CodeSizes, PmfError, SinglePmf, ZeroProbability,
+                          _flow, _frozen_array, _real_in)
 from .relaxations import ScInstance, SwInstance, _check_lp_size
 
 EVENT_SLACK = 1e-12
@@ -120,11 +121,10 @@ def _at(curve, x, real_line: bool = False) -> float:
     t, finite and nonnegative, or with real_line a point of the extended
     line (a b, or a dsbs curve's log t), where +-inf are valid; NaN is never
     valid."""
-    x = float(x)
-    if real_line and math.isnan(x):
-        raise PmfError("b must not be NaN")
-    if not real_line and not (x >= 0.0 and math.isfinite(x)):
-        raise PmfError(f"t must be finite and nonnegative, got {x!r}")
+    if real_line:
+        x = _real_in(x, lambda b: True, "b must be a real number, not NaN")
+    else:
+        x = _real_in(x, lambda t: 0 <= t < math.inf, "t must be finite and nonnegative")
     return float(curve[0](np.array([x]))[0])
 
 
@@ -159,11 +159,9 @@ class TiltedInfo:
     j: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.j, dtype=float)
+        arr = _frozen_array(self.j)
         if arr.ndim != 1 or not np.all(np.isfinite(arr)):
             raise PmfError("tilted information must be a finite 1-D vector")
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "j", arr)
 
     @classmethod
@@ -207,17 +205,15 @@ def _meta_lossy_raw(inst: ScInstance, phi: np.ndarray) -> float:
 def meta_lossy_z(inst: ScInstance, z) -> BoundReport:
     """The lossy metaconverse integrand at a fixed nonnegative z (no sup).
     +inf is a valid entry, as min{P, inf} = P; NaN is not."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != inst.source.mass.shape or not np.all(z >= 0):   # False on NaN
-        raise PmfError("z must be a nonnegative vector, not NaN, over the source alphabet")
+    z = _flow(z, inst.source.mass.shape, "z")
+    if not np.all(z >= 0):   # False on NaN
+        raise PmfError("z must be nonnegative, not NaN")
     return _report("meta-lossy-z", _meta_lossy_raw(inst, np.minimum(inst.source.mass, z)),
                    {"z": z.copy()}, "lossy metaconverse at fixed flow")
 
 
 def _tilt(P: np.ndarray, j: TiltedInfo) -> np.ndarray:
-    if j.j.shape != P.shape:
-        raise PmfError("tilted information length must match the alphabet")
-    return j.j
+    return _flow(j.j, P.shape, "tilted information")
 
 
 def _kv_curve(inst: ScInstance, j: Optional[TiltedInfo]):
@@ -297,12 +293,8 @@ def np_alpha(P: SinglePmf, Q: SinglePmf, theta: float) -> float:
     by greedy likelihood-ratio filling with one fractional atom: O(n log n),
     where a sup over the ratio breakpoints would be O(n^2).  theta must be
     nonnegative, as no Q-miss is below 0; from theta = 1 on the value is 0."""
-    p, q = P.mass, Q.mass
-    if p.shape != q.shape:
-        raise PmfError("P and Q must share an alphabet")
-    if not float(theta) >= 0.0:   # True on NaN
-        raise PmfError(f"theta must be a nonnegative Q-miss, got {theta!r}")
-    need = 1.0 - float(theta)
+    p, q = P.mass, _flow(Q.mass, P.mass.shape, "Q")
+    need = 1.0 - _real_in(theta, lambda th: th >= 0, "theta must be a nonnegative Q-miss")
     if need <= 0.0:
         return 0.0
     pos = np.flatnonzero(q > 0)
@@ -323,16 +315,12 @@ def hypothesis_testing_bound(inst: ScInstance, Q: Optional[SinglePmf] = None) ->
     (default Q = P): alpha_{M*}(P, Q) with M* = M max_sh sum_s Q(s) 1{within}."""
     if Q is None:
         Q = inst.source
-    if Q.mass.shape != inst.source.mass.shape:
-        raise PmfError("Q must live on the source alphabet")
+    _flow(Q.mass, inst.source.mass.shape, "Q")   # Q on the source alphabet
     win = inst.distortion.within().astype(float)
     mstar = inst.M * float((Q.mass[:, None] * win).sum(axis=0).max())
-    if mstar >= 1.0:
-        return _report("ht", 0.0, {"Q": Q.mass.copy(), "M_star": mstar},
-                       "Kostina-Verdu hypothesis-testing converse", vacuous=True)
-    raw = np_alpha(inst.source, Q, mstar)
-    return _report("ht", raw, {"Q": Q.mass.copy(), "M_star": mstar},
-                   "Kostina-Verdu hypothesis-testing converse")
+    # np_alpha is 0.0 from a Q-miss of 1 on, where the bound is vacuous
+    return _report("ht", np_alpha(inst.source, Q, mstar), {"Q": Q.mass.copy(), "M_star": mstar},
+                   "Kostina-Verdu hypothesis-testing converse", vacuous=mstar >= 1.0)
 
 
 # ---------------------------------------------------------------------------

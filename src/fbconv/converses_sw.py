@@ -29,7 +29,7 @@ from dataclasses import replace
 import numpy as np
 
 from .lp_core import solve
-from .probability import PmfError
+from .probability import PmfError, _flow, _real, _real_in
 from .relaxations import (
     _JE_ROWS,
     _SW_ROWS,
@@ -103,13 +103,9 @@ def meta_sw_eta(inst: SwInstance, eta1, eta2, eta3) -> BoundReport:
     phi_hat = min{P, eta1}, phi_12 = min{P, eta2}, phi_21 = min{P, eta3}.
     +inf is a valid entry, as min{P, inf} = P; NaN is not."""
     P = inst.joint.mass
-    es = []
-    for e in (eta1, eta2, eta3):
-        e = np.asarray(e, dtype=float)
-        if e.shape != P.shape or not np.all(e >= 0):   # False on NaN
-            raise PmfError("eta tensors must be nonnegative, not NaN, with the joint shape")
-        es.append(e)
-    e1, e2, e3 = es
+    e1, e2, e3 = es = [_flow(e, P.shape, "eta") for e in (eta1, eta2, eta3)]
+    if not all(np.all(e >= 0) for e in es):   # False on NaN
+        raise PmfError("eta tensors must be nonnegative, not NaN")
     raw = _meta_sw_raw(inst, np.minimum(P, e1), np.minimum(P, e2), np.minimum(P, e3))
     return _report("meta-sw-eta", raw,
                    {"eta1": e1.copy(), "eta2": e2.copy(), "eta3": e3.copy()},
@@ -272,11 +268,18 @@ def combine_feasible(inst: SwInstance, sid12_flows: DualPointSI,
     The two source flows superpose the matching side-information flow (on
     its channel diagonal) with an alpha split of the pair flow; the channel
     flow takes the pointwise min of the summed sub-problem channel flows
-    against the error-density cap, which is what beats any convex
-    combination of the embedded points.  Encoder 2's fields are encoder 1's
-    of inst.oriented(2).
+    against the error-density cap.  Encoder 2's fields are encoder 1's of
+    inst.oriented(2).
+
+    On flow-form inputs, the points dpsi_flows and dpje_flows make from
+    flows phi_12, phi_21 and phi_hat in [0, P], the result's objective is
+    meta_sw_eta at those flows (the tests pin it at several alpha).  Other
+    feasible inputs give a feasible point with no such claim: fed the SI
+    and JE relaxation LPs' own optimal duals, its objective can lie below
+    the best of the embedded points (embed_sid_feasible, embed_je_feasible).
+    alpha is a real number in (0, 1); InfeasibleInput for anything else.
     """
-    if not (0.0 < alpha < 1.0):
+    if not (_real(alpha) and 0.0 < alpha < 1.0):
         raise InfeasibleInput(f"alpha must lie strictly in (0, 1), got {alpha!r}")
     bar, til, hat = sid12_flows, sid21_flows, je_flows
     if bar.which != 1 or til.which != 2:
@@ -308,9 +311,12 @@ def mk_flows(inst: SwInstance, t: float) -> DualPointSW:
     at t times the per-pair threshold coefficient.  The LP's W block,
     (n1 n2 M1 M2)^2 entries, must stay within MAX_LP_ENTRIES, which bounds
     the point's own lam_s_12 and lam_s_21, of (n1 n2)^2 M1 M2^2 and
-    (n1 n2)^2 M1^2 M2 entries; check_feasible reads W one slab at a time."""
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise InfeasibleInput(f"t must be a finite nonnegative scalar, got {t!r}")
+    (n1 n2)^2 M1^2 M2 entries; check_feasible reads W one slab at a time.
+    t is a finite real number >= 0; InfeasibleInput for anything else."""
+    try:   # the reader's PmfError, as the other constructor inputs raise InfeasibleInput
+        t = _real_in(t, lambda t: 0 <= t < math.inf, "t must be a finite nonnegative scalar")
+    except PmfError as e:
+        raise InfeasibleInput(str(e)) from None
     n1, n2, m1, m2 = inst.dims
     _check_lp_size(k := n1 * n2 * m1 * m2, k, "mk_flows point")
     P = inst.joint.mass

@@ -3,7 +3,12 @@
 Everything downstream works with explicit probability vectors/matrices over
 small alphabets.  This module owns validation (no silent renormalization),
 marginalization, pointwise entropy densities in nats, distortion measures,
-and the plain-text pmf file format used by the CLI:
+and the plain-text pmf file format used by the CLI.
+
+It also owns what a valid argument is, for every module: each public entry
+reads its arguments through three private readers, _integer_in for an
+integer, _real_in for a real scalar and _flow for a float array of a stated
+shape, which refuse anything else with PmfError.  The pmf file format:
 
     pmf1 <|S|>            pmf2 <|S1|> <|S2|>
     <i> <p>               <i> <j> <p>
@@ -56,7 +61,7 @@ class PmfFormatError(PmfError):
 class InstanceTooLarge(ValueError):
     """An LP with more than MAX_LP_ENTRIES rows x columns, a pmf file header
     of more than MAX_LP_ENTRIES entries, a code size past float range, or a
-    DSBS expansion past its cap."""
+    DSBS expansion or blocklength past its cap."""
 
 
 def _real(value) -> bool:
@@ -64,11 +69,43 @@ def _real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _frozen_array(a) -> np.ndarray:
+def _integer_in(value, lo, hi, must: str) -> int:
+    """value as an int in [lo, hi]; PmfError(`must`, got value) for anything
+    else, a bool or a float included (True would otherwise read as 1, and -1
+    as the last)."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and lo <= value <= hi:
+        return int(value)
+    raise PmfError(f"{must}, got {value!r}")
+
+
+def _real_in(value, accepts, must: str) -> float:
+    """value as a float: a real number, not a bool and not NaN, that the
+    caller's interval test `accepts` takes, compared as given, so that an
+    int past float range compares exactly; PmfError(`must`, got value) for
+    anything else, such an int included, never an OverflowError."""
+    if _real(value) and value == value and accepts(value):   # False on NaN
+        try:
+            return float(value)
+        except OverflowError:
+            raise PmfError(f"{must}; {value!r} is past float range") from None
+    raise PmfError(f"{must}, got {value!r}")
+
+
+def _flow(value, shape=None, name: str = "flow") -> np.ndarray:
+    """value as a float array, not copied where it is one, of `shape` unless
+    that is None; PmfError for anything else, where numpy would raise its own
+    error or broadcast a wrong shape silently."""
     try:
-        out = np.array(a, dtype=float)
-    except (TypeError, ValueError) as e:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as e:
         raise PmfError(f"expected an array of real numbers: {e}") from None
+    if shape is not None and out.shape != shape:
+        raise PmfError(f"{name} must have shape {shape}, got {out.shape}")
+    return out
+
+
+def _frozen_array(a) -> np.ndarray:
+    out = _flow(a).copy(order="K")   # a transpose keeps its layout, so sums round alike
     out.setflags(write=False)
     return out
 
@@ -168,12 +205,15 @@ class DistortionSpec:
                            f"got shape {self.d_matrix.shape}")
         if np.any(np.isnan(self.d_matrix)) or np.any(self.d_matrix < 0):
             raise PmfError("distortion entries must lie in [0, +inf]")
-        if not (_real(self.level) and self.level >= 0):
-            raise PmfError(f"distortion level must be a real number >= 0, got {self.level!r}")
+        object.__setattr__(self, "level", _real_in(
+            self.level, lambda v: v >= 0, "distortion level must be a real number >= 0"))
 
     @classmethod
     def lossless(cls, n: int) -> "DistortionSpec":
-        return cls(1.0 - np.eye(n), 0.0)
+        """The 0/1 distortion on n letters, n an integer in [1, 2^13], so
+        that its n x n matrix stays within MAX_LP_ENTRIES."""
+        hi = math.isqrt(MAX_LP_ENTRIES)
+        return cls(1.0 - np.eye(_integer_in(n, 0, hi, f"n must be an integer in [1, {hi}]")), 0.0)
 
     def within(self) -> np.ndarray:
         """Boolean |S| x |Shat| table of d(s,shat) <= level."""
@@ -183,17 +223,10 @@ class DistortionSpec:
         return self.d_matrix > self.level
 
 
-def _integer_in(value, lo: int, hi: int, name: str) -> int:
-    """value as an int in [lo, hi]; PmfError for anything else, a bool or a
-    float included (True would otherwise read as 1, and -1 as the last)."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and lo <= value <= hi:
-        return int(value)
-    raise PmfError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
-
-
 def marginal(pmf: JointPmf, axis: int) -> SinglePmf:
     """Marginal of coordinate `axis` (1 or 2) of a joint pmf."""
-    return SinglePmf(pmf.mass.sum(axis=2 - _integer_in(axis, 1, 2, "axis")))
+    axis = _integer_in(axis, 1, 2, "axis must be an integer in [1, 2]")
+    return SinglePmf(pmf.mass.sum(axis=2 - axis))
 
 
 def _neglog(p: float, zero_to_inf: bool) -> float:
@@ -221,15 +254,17 @@ def entropy_density(pmf: Pmf, indices, given: Optional[int] = None,
     if isinstance(pmf, SinglePmf):
         if given is not None:
             raise PmfError("conditioning needs a joint pmf")
-        return _neglog(float(pmf.mass[_integer_in(indices, 0, pmf.mass.size - 1, "index")]),
-                       zero_to_inf)
+        k = pmf.mass.size
+        s = _integer_in(indices, 0, k - 1, f"index must be an integer in [0, {k - 1}]")
+        return _neglog(float(pmf.mass[s]), zero_to_inf)
     if not (isinstance(indices, (tuple, list)) and len(indices) == 2):
         raise PmfError(f"a joint pmf takes an index pair (s1, s2), got {indices!r}")
-    s1, s2 = (_integer_in(s, 0, k - 1, "index") for s, k in zip(indices, pmf.mass.shape))
+    s1, s2 = (_integer_in(s, 0, k - 1, f"index must be an integer in [0, {k - 1}]")
+              for s, k in zip(indices, pmf.mass.shape))
     p12 = float(pmf.mass[s1, s2])
     if given is None:
         return _neglog(p12, zero_to_inf)
-    given = _integer_in(given, 1, 2, "given")
+    given = _integer_in(given, 1, 2, "given must be an integer in [1, 2]")
     pg = float((pmf.mass[:, s2] if given == 2 else pmf.mass[s1, :]).sum())
     # h(a|b) = h(a,b) - h(b); at pg == 0 the point itself has zero mass too
     if pg <= 0.0:

@@ -106,7 +106,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field, fields, make_dataclass, replace
 from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
@@ -115,7 +114,8 @@ import numpy as np
 
 from .lp_core import LpModel, LpSolution, OrbitMismatch, WarmStart, _read_only, _row_arrays
 from .probability import (MAX_BLOCK_ENTRIES, MAX_LP_ENTRIES, CodeSizes, DistortionSpec,
-                          InstanceTooLarge, JointPmf, PmfError, SinglePmf)
+                          InstanceTooLarge, JointPmf, PmfError, SinglePmf, _flow, _integer_in,
+                          _real_in)
 
 
 def _check_lp_size(rows: int, cols: int, what: str) -> None:
@@ -167,12 +167,7 @@ class SwInstance:
         """The instance with source `which` as S1: itself for 1, the swapped
         pair (mass transposed, M1 and M2 exchanged) for 2.  which must be
         the integer 1 or 2; a bool or a float is refused."""
-        if isinstance(which, numbers.Integral) and not isinstance(which, bool):
-            if which == 1:
-                return self
-            if which == 2:
-                return self._swapped
-        raise PmfError(f"which must be 1 or 2, got {which!r}")
+        return self if _integer_in(which, 1, 2, "which must be 1 or 2") == 1 else self._swapped
 
     @functools.cached_property
     def _swapped(self) -> "SwInstance":   # built and validated once per instance
@@ -558,10 +553,8 @@ def _check_shapes(table, pt: _DualPoint) -> None:
     row family has in the table."""
     sizes, _, rows, _, _ = table
     for name, letters, _, _ in rows:
-        val = getattr(pt, name)
-        want = tuple(sizes[k] for k in letters)
-        if val is not None and val.shape != want:
-            raise PmfError(f"dual point field {name} has shape {val.shape}, expected {want}")
+        if getattr(pt, name) is not None:
+            _flow(getattr(pt, name), tuple(sizes[k] for k in letters), f"dual point field {name}")
 
 
 def _slabs(letters: str, shape: Tuple[int, ...], messages: str):
@@ -596,7 +589,10 @@ def check_feasible(inst, pt: _DualPoint, tol: float = 1e-12) -> List[ConstraintV
     each field lifted into the block or summed down to it is read on the
     slab's letters only, and a block that fits in one slab is one array.
     Each slab is accumulated in place, and the cost is subtracted on W's
-    message diagonal only."""
+    message diagonal only.  tol is a real number below +inf, -inf included,
+    which lists every entry; PmfError for NaN, +inf or anything else, as
+    either would hide every violation or report every entry."""
+    tol = _real_in(tol, lambda t: t < math.inf, "tol must be a real number below +inf")
     table = _table_of(inst, type(pt), getattr(pt, "which", None))
     _check_shapes(table, pt)
     sizes, cols, rows, (diagonal, factor), groups = table
@@ -697,8 +693,9 @@ def _point(inst, point_type: type, *lead, **fields) -> _DualPoint:
 def dp_flows_sc(inst: ScInstance, phi: np.ndarray) -> DualPointSC:
     """Dual point of the point-to-point LP generated by 0 <= phi <= P:
     lam_c routes phi along the y = x diagonal, lam_s pays it back on
-    within-distortion reconstructions."""
-    phi = np.asarray(phi, dtype=float)
+    within-distortion reconstructions.  phi is a float array over the source
+    alphabet; PmfError for any other shape, which numpy would broadcast."""
+    phi = _flow(phi, (inst.n,), "phi")
     win = inst.distortion.within().astype(float)
     return _point(inst, DualPointSC, lam_s=-_lay(_SC_ROWS, "lam_s", "s,sh", phi, win),
                   lam_c=_lay(_SC_ROWS, "lam_c", "xy,s", np.eye(inst.M), phi))
@@ -708,9 +705,9 @@ def dpsi_flows(inst: SwInstance, which: int, phi: np.ndarray) -> DualPointSI:
     """Side-information dual point from 0 <= phi <= P (joint-shaped): the
     which = 1 point of inst.oriented(which) from phi in that orientation.
     phi's axes, S1 then S2, are that table's e, s for which = 1 and s, e
-    for which = 2."""
+    for which = 2.  PmfError for any other shape of phi."""
     ne, _, M, _ = inst.oriented(which).dims
-    phi = np.asarray(phi, dtype=float)
+    phi = _flow(phi, inst.joint.sizes, "phi")
     held = "es" if which == 1 else "se"
     return _point(inst, DualPointSI, which,
                   lam_s=-_lay(_SI_ROWS, "lam_s", held + ",eh", phi, np.eye(ne)),
@@ -718,9 +715,10 @@ def dpsi_flows(inst: SwInstance, which: int, phi: np.ndarray) -> DualPointSI:
 
 
 def dpje_flows(inst: SwInstance, phi_hat: np.ndarray) -> DualPointJE:
-    """Jointly-encoded dual point from 0 <= phi_hat <= P (joint-shaped)."""
+    """Jointly-encoded dual point from 0 <= phi_hat <= P (joint-shaped;
+    PmfError for any other shape)."""
     n1, n2, m1, m2 = inst.dims
-    ph = np.asarray(phi_hat, dtype=float)
+    ph = _flow(phi_hat, inst.joint.sizes, "phi_hat")
     return _point(inst, DualPointJE,
                   lam_s=-_lay(_JE_ROWS, "lam_s", "ab,ac,bd", ph, np.eye(n1), np.eye(n2)),
                   lam_c=_lay(_JE_ROWS, "lam_c", "xu,yv,ab", np.eye(m1), np.eye(m2), ph))

@@ -300,6 +300,16 @@ def test_np_alpha_refuses_a_negative_or_nan_theta():
         assert np_alpha(P, P, theta) == 0.0
 
 
+@pytest.mark.parametrize("call", [
+    lambda: TiltedInfo([0.1, math.inf]), lambda: TiltedInfo([math.nan]),
+    lambda: TiltedInfo([[0.1, 0.2]]), lambda: TiltedInfo(0.1),
+    lambda: np_alpha(SinglePmf([0.5, 0.5]), SinglePmf([0.2, 0.3, 0.5]), 0.1),
+    lambda: hypothesis_testing_bound(_lossless([0.5, 0.5], 1), SinglePmf([0.2, 0.3, 0.5]))])
+def test_tilts_and_references_of_the_wrong_shape_are_refused(call):
+    with pytest.raises(PmfError):
+        call()
+
+
 def alpha_sup_form(P: SinglePmf, Q: SinglePmf, mstar: float) -> float:
     """sup over beta >= 0 of sum_s min{P(s), beta Q(s)} - beta * mstar,
     maximized over the likelihood-ratio breakpoints."""

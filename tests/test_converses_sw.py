@@ -672,6 +672,22 @@ def test_combine_feasible_optimal_matches_lp():
         assert dual_objective(inst, out) == pytest.approx(rep.raw_value, abs=1e-9)
 
 
+def test_combine_feasible_on_lp_duals_is_feasible_but_below_the_embedded_points():
+    # the flow-form contract does not extend to other feasible inputs: fed the
+    # SI and JE relaxation LPs' own optimal duals, the merge stays feasible
+    # yet is worth less than the best point it was built from
+    inst = SwInstance(random_joint(np.random.default_rng(0), 2, 3), CodeSizes(2, 2))
+    si = [dual_point_from_solution(inst, solve(build_lpsi(inst, w)), DualPointSI, w)
+          for w in (1, 2)]
+    je = dual_point_from_solution(inst, solve(build_lp_je(inst)), DualPointJE)
+    embedded = [dual_objective(inst, embed_sid_feasible(inst, pt, input_tol=1e-7)) for pt in si]
+    embedded.append(dual_objective(inst, embed_je_feasible(inst, je, input_tol=1e-7)))
+    out = combine_feasible(inst, *si, je, 0.5, input_tol=1e-7)
+    assert check_with_oracle(inst, out, 1e-12) == []
+    assert max(embedded) == pytest.approx(0.2025, abs=1e-4)
+    assert dual_objective(inst, out) == pytest.approx(0.0155, abs=1e-4)
+
+
 def test_combine_feasible_rejects():
     inst = _uniform22()
     z = np.zeros((2, 2))

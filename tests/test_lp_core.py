@@ -182,6 +182,16 @@ def test_row_arrays_validated(start, index, value):
         LpModel("max", np.ones(3), (start, index, value), rel, rhs)
 
 
+@pytest.mark.parametrize("lower, upper", [
+    ([0.0], None), (None, [1.0, 1.0, 1.0, 1.0]), ([[0.0, 0.0, 0.0]], None),
+    ([0.0, 2.0, 0.0], [1.0, 1.0, 1.0]), ([0.0, np.nan, 0.0], None), (None, [1.0, np.nan, 1.0])])
+def test_bounds_validated(lower, upper):
+    # wrong length or shape, lower > upper, or NaN on either side
+    rhs, rel = [1.0, 2.0], ("<=", "<=")
+    with pytest.raises(DimensionMismatch):
+        LpModel("max", np.ones(3), GOOD_ROWS, rel, rhs, lower=lower, upper=upper)
+
+
 def test_row_arrays_frozen_and_copied():
     # the model owns read-only copies: changing the caller's arrays afterwards
     # changes neither the model nor its solve

@@ -140,6 +140,25 @@ def test_pmfs_reject_what_is_not_a_number(make, mass):
         make(mass)
 
 
+@pytest.mark.parametrize("make, mass, match", [
+    (SinglePmf, [], "empty alphabet"), (JointPmf, np.zeros((2, 0)), "empty alphabet"),
+    (validate, [], "empty alphabet"), (SinglePmf, [[0.5, 0.5]], "1-D"),
+    (JointPmf, [0.5, 0.5], "2-D"), (JointPmf, [[[1.0]]], "2-D"), (validate, [[[1.0]]], "ndim=3"),
+    (validate, 1.0, "ndim=0")])
+def test_pmfs_refuse_an_empty_or_misshapen_mass(make, mass, match):
+    with pytest.raises(PmfError, match=match):
+        make(mass)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("pmf1\n0 1\n", "bad header"), ("pmf2 2\n0 0 1\n", "bad header"),
+    ("pmf1 0\n", ">= 1"), ("pmf2 2 -1\n", ">= 1"),
+    ("pmf1 2\n0\n", "bad pmf1 entry"), ("pmf2 2 2\n0 0.5\n1 1 0.5\n", "bad pmf2 entry")])
+def test_parse_refuses_a_malformed_header_or_entry(text, match):
+    with pytest.raises(PmfFormatError, match=match):
+        parse_pmf_text(text)
+
+
 @pytest.mark.parametrize("d, level", [([[0, 1]], "x"), ([[0, 1]], None), ([[0, 1]], True),
                                       ("ab", 0.0)])
 def test_distortion_spec_rejects_what_is_not_a_number(d, level):
@@ -184,7 +203,7 @@ SINGLE, JOINT = [0.5, 0.3, 0.2], [[0.5, 0.25], [0.0, 0.25]]
     (SINGLE, -1, None), (SINGLE, 3, None), (SINGLE, 1.0, None), (SINGLE, True, None),
     (JOINT, (-1, 0), None), (JOINT, (0, -1), None), (JOINT, (0, 2), None),
     (JOINT, (0.0, 1), None), (JOINT, (0, 1, 1), None), (JOINT, 0, None),
-    (JOINT, (0, 1), True), (JOINT, (0, 1), 0), (JOINT, (0, 1), 2.0)])
+    (JOINT, (0, 1), True), (JOINT, (0, 1), 0), (JOINT, (0, 1), 2.0), (SINGLE, 0, 1)])
 def test_entropy_density_refuses_a_bad_index_or_given(mass, indices, cond):
     # a negative index would wrap to the last letter, and True read as 1
     with pytest.raises(PmfError):

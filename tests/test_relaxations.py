@@ -46,6 +46,15 @@ def _sc(mass, M):
     return ScInstance(SinglePmf(mass), M, DistortionSpec.lossless(len(mass)))
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: ScInstance(SinglePmf([0.5, 0.5]), 2, DistortionSpec.lossless(3)), "rows"),
+    (lambda: ScInstance(SinglePmf([0.5, 0.5]), 2, DistortionSpec(np.ones((1, 2)))), "rows"),
+    (lambda: SwInstance(JointPmf([[0.5, 0.5]]), CodeSizes(2)), "both codebook sizes")])
+def test_instances_refuse_mismatched_parts(make, match):
+    with pytest.raises(PmfError, match=match):
+        make()
+
+
 def test_variable_counts():
     cols, rows = _layouts(_sc([0.5, 0.5], 2), DualPointSC)
     assert cols.total == 24
